@@ -279,6 +279,15 @@ let setup_logging verbose =
     Logs.Src.set_level Sb_sim.Network.log_src (Some Logs.Debug)
   end
 
+(* An explicit [-x] vector: exactly n characters, each 0 or 1. *)
+let inputs_of_arg ~n = function
+  | None -> Ok None
+  | Some s when String.length s <> n ->
+      Error (Printf.sprintf "-x %S: length %d, must equal n = %d" s (String.length s) n)
+  | Some s when not (String.for_all (fun c -> c = '0' || c = '1') s) ->
+      Error (Printf.sprintf "-x %S: inputs must be 0 or 1" s)
+  | Some s -> Ok (Some (Sb_util.Bitvec.of_string s))
+
 let run_cmd =
   let inputs_arg =
     let doc = "Input bit vector, e.g. 10110 (defaults to uniform random)." in
@@ -296,20 +305,16 @@ let run_cmd =
     setup_logging verbose;
     setup_obs ?trace metrics report;
     setup_jobs jobs;
-    match (protocol_of_name pname, plan_of_spec ~n fault_spec) with
-    | Error e, _ | _, Error e -> fail "%s" e
-    | Ok protocol, Ok plan -> (
+    match (protocol_of_name pname, plan_of_spec ~n fault_spec, inputs_of_arg ~n inputs) with
+    | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
+    | Ok protocol, Ok plan, Ok given -> (
         match adversary_of_name adversary_name protocol n with
         | Error e -> fail "%s" e
         | Ok adversary ->
             let thresh = resolve_thresh n thresh in
             let rng = Sb_util.Rng.create seed in
             let x =
-              match inputs with
-              | Some s ->
-                  if String.length s <> n then failwith "input length must equal n"
-                  else Sb_util.Bitvec.of_string s
-              | None -> Sb_util.Bitvec.random rng n
+              match given with Some x -> x | None -> Sb_util.Bitvec.random rng n
             in
             let setup = Core.Setup.{ default with n; thresh; seed } in
             let faults =

@@ -86,10 +86,9 @@ let actions_for out p =
 
 (* Cartesian product over the still-alive faulty parties, ascending by
    party id; each choice vector flattens to one round decision. *)
-let decisions_for (config : Exec.config) prefix out =
-  let alive =
-    List.filter (fun p -> not (Exec.crashed_before prefix p)) config.Exec.faulty
-  in
+let decisions_for (config : Exec.config) node =
+  let out = Exec.outgoing node in
+  let alive = List.filter (fun p -> not (Exec.crashed node p)) config.Exec.faulty in
   List.fold_right
     (fun p rest ->
       List.concat_map
@@ -167,7 +166,7 @@ let minimize ~default config property decisions =
 
 (* --- the driver ------------------------------------------------------ *)
 
-let check ?(max_states = 200_000) ?(default = Msg.Bit false) ~scheme ctx =
+let check ?(max_states = 200_000) ?(default = Msg.Bit false) ?observe ~scheme ctx =
   let n = ctx.Ctx.n and t = ctx.Ctx.thresh in
   if n > max_n then
     invalid_arg (Printf.sprintf "Sb_check.Checker.check: n = %d exceeds max_n = %d" n max_n);
@@ -180,41 +179,50 @@ let check ?(max_states = 200_000) ?(default = Msg.Bit false) ~scheme ctx =
     [ (Agreement, ref None); (Validity, ref None); (Unforgeability, ref None) ]
   in
   let all_violated () = List.for_all (fun (_, w) -> !w <> None) found in
+  let stopped () = !capped || all_violated () in
   let explore (config : Exec.config) =
     incr configs;
     let visited = Hashtbl.create 1024 in
-    let rec go prefix =
-      if !capped || all_violated () then ()
-      else
-        let snap = Exec.replay config prefix in
-        if Hashtbl.mem visited snap.Exec.digest then incr memo_hits
-        else begin
-          Hashtbl.add visited snap.Exec.digest ();
-          incr explored;
-          if !explored >= max_states then capped := true;
-          match snap.Exec.status with
-          | Exec.Terminal results ->
-              incr terminals;
-              List.iter
-                (fun (property, w) ->
-                  if !w = None && violated_at ~default config results property then
-                    w :=
-                      Some
-                        {
-                          w_property = property;
-                          w_sender = config.Exec.sender;
-                          w_value = config.Exec.value;
-                          w_faulty = config.Exec.faulty;
-                          w_decisions = prefix;
-                        })
-                found
-          | Exec.Mid out ->
-              List.iter
-                (fun d -> go (prefix @ [ d ]))
-                (decisions_for config prefix out)
-        end
+    let seen pending digest status =
+      Option.iter (fun f -> f config (Exec.path pending) digest status) observe
     in
-    go []
+    (* Depth-first from the parent: a successor is digested before it
+       is stepped, and only a memo miss is expanded. *)
+    let rec visit pending =
+      let digest = Exec.digest pending in
+      if Hashtbl.mem visited digest then begin
+        incr memo_hits;
+        seen pending digest None
+      end
+      else begin
+        Hashtbl.add visited digest ();
+        incr explored;
+        if !explored >= max_states then capped := true;
+        match Exec.expand pending with
+        | Exec.Done results ->
+            incr terminals;
+            seen pending digest (Some (Exec.Terminal results));
+            List.iter
+              (fun (property, w) ->
+                if !w = None && violated_at ~default config results property then
+                  w :=
+                    Some
+                      {
+                        w_property = property;
+                        w_sender = config.Exec.sender;
+                        w_value = config.Exec.value;
+                        w_faulty = config.Exec.faulty;
+                        w_decisions = Exec.path pending;
+                      })
+              found
+        | Exec.Open node ->
+            seen pending digest (Some (Exec.Mid (Exec.outgoing node)));
+            List.iter
+              (fun d -> if not (stopped ()) then visit (Exec.successor node d))
+              (decisions_for config node)
+      end
+    in
+    visit (Exec.root config)
   in
   List.iter
     (fun faulty ->
@@ -222,7 +230,7 @@ let check ?(max_states = 200_000) ?(default = Msg.Bit false) ~scheme ctx =
         (fun sender ->
           List.iter
             (fun value ->
-              if not (!capped || all_violated ()) then
+              if not (stopped ()) then
                 explore { Exec.ctx; scheme; sender; value; faulty })
             [ Msg.Bit false; Msg.Bit true ])
         (List.init n Fun.id))

@@ -85,6 +85,7 @@ val find_scheme : string -> Sb_broadcast.Session.scheme option
 val check :
   ?max_states:int ->
   ?default:Sb_sim.Msg.t ->
+  ?observe:(Exec.config -> Exec.decision list -> string -> Exec.status option -> unit) ->
   scheme:Sb_broadcast.Session.scheme ->
   Sb_sim.Ctx.t ->
   result
@@ -94,8 +95,10 @@ val check :
     by the unforgeability predicate. [max_states] (default
     [200_000]) bounds the total number of expanded states. First
     witnesses are retained per property in deterministic enumeration
-    order and greedily minimized. Updates the [check.*] metrics
-    counters. @raise Invalid_argument if [n > max_n]. *)
+    order and greedily minimized. [observe], when given, sees every
+    state the search reaches, in visit order: its config, decision
+    prefix and digest, and — unless it was a memo hit — its status.
+    Updates the [check.*] metrics counters. @raise Invalid_argument if [n > max_n]. *)
 
 val plan_of_witness : witness -> Sb_fault.Plan.t
 (** Compile the witness schedule to the [--faults] grammar:

@@ -18,9 +18,6 @@ type snapshot = { digest : string; status : status }
 
 let total_rounds config = config.scheme.Sb_broadcast.Session.rounds config.ctx
 
-let crashed_before decisions i =
-  List.exists (List.exists (fun (p, a) -> p = i && a = Crash)) decisions
-
 (* All checker sessions share one sid; it only namespaces message tags
    within a run, and the checker drives exactly one session. *)
 let sid = "chk"
@@ -34,19 +31,29 @@ let envelope_key (e : Envelope.t) =
   Printf.sprintf "%s>%s:%s" (endpoint_key e.Envelope.src) (endpoint_key e.Envelope.dst)
     (Msg.serialize e.Envelope.body)
 
-let envelopes_key envs = String.concat ";" (List.map envelope_key envs)
+(* An envelope with its [envelope_key], computed once when it is sent
+   and carried through the queue, the held table and the history
+   chains. Untracked rounds (session rebuilds, the delivery-only final
+   round) leave the key empty: nothing digests them. *)
+type keyed = { env : Envelope.t; key : string }
 
-(* Mutable replay state. [hist] is a per-party rolling hash chain over
-   the inboxes delivered so far: sessions are deterministic functions
-   of (config, delivered history), so the chain — not the opaque
-   closure state — canonically identifies each party's local state. *)
+let keys ks = String.concat ";" (List.map (fun k -> k.key) ks)
+
+(* Mutable execution state. [hist] is a per-party rolling hash chain
+   over the inboxes delivered so far: sessions are deterministic
+   functions of (config, delivered history), so the chain — not the
+   opaque closure state — canonically identifies each party's local
+   state. [queue] and [held] are immutable lists, so a search successor
+   forks a state by copying the record and [crash_round]. *)
 type state = {
   cfg : config;
-  sessions : Sb_broadcast.Session.t array;
+  total : int;
+  mutable sessions : Sb_broadcast.Session.t array;
   crash_round : int array;
   hist : string array;
-  mutable queue : Envelope.t list;  (* next round's deliveries, enqueue order *)
-  held : (int, Envelope.t list ref) Hashtbl.t;  (* due round -> held, arrival order *)
+  mutable queue : keyed list;  (* next round's deliveries, enqueue order *)
+  mutable held : (int * keyed list) list;
+      (* (due round, held envelopes newest first), ascending due *)
 }
 
 let create config =
@@ -62,27 +69,41 @@ let create config =
   in
   {
     cfg = config;
+    total = total_rounds config;
     sessions;
     crash_round = Array.make n max_int;
     hist = Array.make n "";
     queue = [];
-    held = Hashtbl.create 8;
+    held = [];
   }
 
 (* Deliver the pending queue and step every party — crashed parties
    still step on their (possibly empty) inboxes, exactly as the real
    network steps honest-but-silenced parties. Returns the round's
-   outgoing traffic in party-id order, as sent. *)
-let deliver_and_collect st ~round =
+   outgoing traffic in party-id order, as sent. [track] maintains the
+   history chains and keys the outgoing envelopes. *)
+let deliver_and_collect ~track st ~round =
   let n = st.cfg.ctx.Ctx.n in
   let out = ref [] in
   for me = n - 1 downto 0 do
-    let inbox = List.filter (fun e -> Envelope.delivered_to e me) st.queue in
-    st.hist.(me) <- Digest.string (st.hist.(me) ^ "|" ^ envelopes_key inbox);
-    let sent = st.sessions.(me).Sb_broadcast.Session.step ~round ~inbox in
-    out := sent @ !out
+    let inbox = List.filter (fun k -> Envelope.delivered_to k.env me) st.queue in
+    if track then st.hist.(me) <- Digest.string (st.hist.(me) ^ "|" ^ keys inbox);
+    let sent =
+      st.sessions.(me).Sb_broadcast.Session.step ~round
+        ~inbox:(List.map (fun k -> k.env) inbox)
+    in
+    out :=
+      List.map (fun e -> { env = e; key = (if track then envelope_key e else "") }) sent
+      @ !out
   done;
   !out
+
+(* Insert newly delayed envelopes (newest first) under their due round,
+   keeping the table ascending by due round. *)
+let rec hold due fresh = function
+  | (d, l) :: rest when d = due -> (d, fresh @ l) :: rest
+  | ((d, _) as entry) :: rest when d < due -> entry :: hold due fresh rest
+  | rest -> (due, fresh) :: rest
 
 (* Apply one round's decision to the as-sent queue, mirroring
    Inject.compile: crashes are tallied first and silence everything
@@ -97,20 +118,17 @@ let intercept st ~round (decision : decision) out =
       if a = Crash then st.crash_round.(p) <- min st.crash_round.(p) round)
     decision;
   let released =
-    match Hashtbl.find_opt st.held round with
+    match List.assoc_opt round st.held with
     | Some l ->
-        Hashtbl.remove st.held round;
-        List.rev !l
+        st.held <- List.remove_assoc round st.held;
+        List.rev l
     | None -> []
   in
-  let hold ~due e =
-    match Hashtbl.find_opt st.held due with
-    | Some l -> l := e :: !l
-    | None -> Hashtbl.add st.held due (ref [ e ])
-  in
+  let delayed = ref [] in
   let keep =
     List.filter
-      (fun (e : Envelope.t) ->
+      (fun k ->
+        let e = k.env in
         match Envelope.src_party e with
         | Some i when round >= st.crash_round.(i) -> false
         | src -> (
@@ -119,13 +137,17 @@ let intercept st ~round (decision : decision) out =
                 match List.assoc_opt s decision with
                 | Some Omit -> false
                 | Some Delay ->
-                    hold ~due:(round + 1) e;
+                    delayed := k :: !delayed;
                     false
                 | Some Crash | None -> true)
             | _ -> true))
       out
   in
+  if !delayed <> [] then st.held <- hold (round + 1) !delayed st.held;
   st.queue <- released @ keep
+
+let run_round ~track st ~round decision =
+  intercept st ~round decision (deliver_and_collect ~track st ~round)
 
 (* Canonical state identity. Crash flags are booleans, not rounds:
    once a party is crashed, every future filter decision is the same
@@ -136,7 +158,8 @@ let intercept st ~round (decision : decision) out =
    remains that could consult or release them — so they are dropped
    and e.g. omit-all and delay-all of the final round's traffic reach
    the same state. *)
-let digest_of st ~round ~terminal =
+let digest_of st ~round =
+  let terminal = round = st.total in
   let n = st.cfg.ctx.Ctx.n in
   let crashes =
     if terminal then ""
@@ -146,10 +169,8 @@ let digest_of st ~round ~terminal =
   let held =
     if terminal then ""
     else
-      Hashtbl.fold (fun due l acc -> (due, envelopes_key (List.rev !l)) :: acc) st.held []
-      |> List.sort compare
-      |> List.map (fun (due, k) -> Printf.sprintf "%d=%s" due k)
-      |> String.concat "&"
+      String.concat "&"
+        (List.map (fun (due, l) -> Printf.sprintf "%d=%s" due (keys (List.rev l))) st.held)
   in
   Digest.string
     (String.concat "#"
@@ -157,30 +178,83 @@ let digest_of st ~round ~terminal =
          string_of_int round;
          crashes;
          String.concat "!" (Array.to_list st.hist);
-         envelopes_key st.queue;
+         keys st.queue;
          held;
        ])
 
+let results st = Array.map (fun s -> s.Sb_broadcast.Session.result ()) st.sessions
+
 let replay config decisions =
-  let total = total_rounds config in
-  let len = List.length decisions in
-  assert (len <= total);
   let st = create config in
-  List.iteri
-    (fun round decision ->
-      let out = deliver_and_collect st ~round in
-      intercept st ~round decision out)
-    decisions;
-  let digest = digest_of st ~round:len ~terminal:(len = total) in
-  if len = total then begin
+  let len = List.length decisions in
+  assert (len <= st.total);
+  List.iteri (fun round decision -> run_round ~track:true st ~round decision) decisions;
+  let digest = digest_of st ~round:len in
+  if len = st.total then begin
     (* The last round is delivery-only: the real network discards its
        outgoing queue before interception. *)
-    let _discarded = deliver_and_collect st ~round:total in
-    let results =
-      Array.map (fun s -> s.Sb_broadcast.Session.result ()) st.sessions
-    in
-    { digest; status = Terminal results }
+    let _discarded = deliver_and_collect ~track:false st ~round:len in
+    { digest; status = Terminal (results st) }
   end
   else
-    let out = deliver_and_collect st ~round:len in
-    { digest; status = Mid out }
+    let out = deliver_and_collect ~track:true st ~round:len in
+    { digest; status = Mid (List.map (fun k -> k.env) out) }
+
+(* --- incremental search --------------------------------------------- *)
+
+type node = {
+  st : state;  (* sessions and [hist] through round [round]'s delivery *)
+  round : int;
+  path : decision list;  (* decisions of rounds [round - 1] down to 0 *)
+  out : keyed list;  (* round [round]'s outgoing traffic, as sent *)
+  mutable owned : bool;  (* [st.sessions] not yet handed to a successor *)
+}
+
+type pending = {
+  pst : state;  (* crash flags, queue and held table after [pround - 1] *)
+  pround : int;
+  ppath : decision list;  (* reversed, like [node.path] *)
+  parent : node option;
+}
+
+type expansion = Done of Msg.t array | Open of node
+
+let root config = { pst = create config; pround = 0; ppath = []; parent = None }
+
+let successor nd decision =
+  let pst = { nd.st with crash_round = Array.copy nd.st.crash_round } in
+  intercept pst ~round:nd.round decision nd.out;
+  { pst; pround = nd.round + 1; ppath = decision :: nd.path; parent = Some nd }
+
+let digest p = digest_of p.pst ~round:p.pround
+
+let path p = List.rev p.ppath
+
+(* The parent's sessions after its round's delivery, re-executed from
+   round 0. Only the sessions are needed, so nothing is keyed or
+   digested. *)
+let rebuild nd =
+  let st = create nd.st.cfg in
+  List.iteri (fun round decision -> run_round ~track:false st ~round decision) (List.rev nd.path);
+  let _out = deliver_and_collect ~track:false st ~round:nd.round in
+  st.sessions
+
+let expand p =
+  let st = p.pst in
+  (match p.parent with
+  | Some nd when nd.owned -> nd.owned <- false
+  | Some nd -> st.sessions <- rebuild nd
+  | None -> ());
+  if p.pround = st.total then begin
+    let _discarded = deliver_and_collect ~track:false st ~round:p.pround in
+    Done (results st)
+  end
+  else
+    (* [hist] is still shared with the parent and its other successors. *)
+    let st = { st with hist = Array.copy st.hist } in
+    let out = deliver_and_collect ~track:true st ~round:p.pround in
+    Open { st; round = p.pround; path = p.ppath; out; owned = true }
+
+let crashed nd i = nd.st.crash_round.(i) <> max_int
+
+let outgoing nd = List.map (fun k -> k.env) nd.out

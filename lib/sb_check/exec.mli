@@ -16,11 +16,20 @@
     {!Checker.plan_of_witness} fault plan — the counterexample
     round-trip tests pin this down.
 
-    Sessions are mutable closures and cannot be snapshotted, so the
-    checker re-executes the decision prefix for every node it expands;
-    states are identified across paths by a canonical digest over the
-    per-party inbox histories, the crash pattern, and the in-flight
-    queue (delivered and held envelopes). *)
+    Sessions are mutable closures and cannot be snapshotted. The
+    checker's search therefore expands each state from its parent: an
+    expanded {!node} keeps its live sessions after its round's delivery
+    plus that round's outgoing traffic, so a successor's digest costs
+    one interception and no session step, and only a successor that
+    misses the memo table is stepped. The first such successor takes
+    over the parent's sessions; later ones rebuild them by re-executing
+    the parent's decision prefix (without digesting it). States are
+    identified across paths by a canonical digest over the per-party
+    inbox histories, the crash pattern, and the in-flight queue
+    (delivered and held envelopes); each envelope is serialized once,
+    when it is sent. {!replay} is the from-scratch executor over the
+    same round pipeline — the oracle the incremental search is tested
+    against. *)
 
 type action =
   | Crash  (** halt: all traffic from this round on is suppressed *)
@@ -65,5 +74,42 @@ val replay : config -> decision list -> snapshot
     schedules that converge — crash early vs. late around silent
     rounds, omit vs. delay of final-round traffic — share digests. *)
 
-val crashed_before : decision list -> int -> bool
-(** Whether party [i] has a [Crash] action anywhere in the prefix. *)
+(** {1 Incremental search} *)
+
+type pending
+(** A reached state whose digest is known but which is not yet
+    stepped: the round's interception is applied, its delivery is
+    not. *)
+
+type node
+(** An expanded non-terminal state: live sessions after its round's
+    delivery, plus that round's outgoing traffic awaiting a decision. *)
+
+type expansion = Done of Sb_sim.Msg.t array | Open of node
+(** [Done] carries the per-party session results of a terminal
+    state. *)
+
+val root : config -> pending
+(** The initial state: no round decided. *)
+
+val successor : node -> decision -> pending
+(** Apply one decision to the node's outgoing traffic. The node is
+    left unchanged, so every decision of its menu can be tried. *)
+
+val digest : pending -> string
+(** Equal to [(replay config (path p)).digest]. *)
+
+val path : pending -> decision list
+(** The decisions leading to the state, one per round. *)
+
+val expand : pending -> expansion
+(** Step the state's delivery round. The first successor of a node
+    expanded takes over the node's sessions; later ones rebuild them
+    from round 0. Expand each [pending] at most once. *)
+
+val crashed : node -> int -> bool
+(** Whether party [i] crashed in a round before the node's. *)
+
+val outgoing : node -> Sb_sim.Envelope.t list
+(** The node's round outgoing traffic, as sent — what [replay] of the
+    same prefix returns as [Mid]. *)

@@ -29,6 +29,11 @@ let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.ou
 
 let temp name = Filename.temp_file "simbcast_cli" name
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* --- strict argument parsing --------------------------------------- *)
 
 let test_trailing_args_rejected () =
@@ -57,6 +62,20 @@ let test_trailing_args_rejected () =
       [ "perf-diff"; "only-one.json" ];
       [ "profile" ];
     ]
+
+(* A malformed -x vector is a usage error (exit 124, naming the flag),
+   not an uncaught exception (125). *)
+let test_run_inputs_rejected () =
+  let out = temp ".inputs.err" in
+  List.iter
+    (fun (what, args) ->
+      Alcotest.(check int) (what ^ " exits 124") cli_error (command ~out args);
+      Alcotest.(check bool) (what ^ " names -x") true (contains (read_file out) "-x"))
+    [
+      ("wrong-length -x", [ "run"; "bracha"; "-n"; "4"; "-x"; "101" ]);
+      ("non-binary -x", [ "run"; "bracha"; "-n"; "4"; "-x"; "10a1" ]);
+    ];
+  Sys.remove out
 
 (* --- traced run ----------------------------------------------------- *)
 
@@ -321,11 +340,6 @@ let test_workload_jobs_invariant () =
 
 (* --- check ----------------------------------------------------------- *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_check_usage_errors () =
   (* Unknown protocol and out-of-budget n are usage errors (exit 2 with
      a usage line), distinct from cmdliner's 124 for unparseable args. *)
@@ -361,8 +375,9 @@ let test_check_holding_cell () =
   | Error e -> Alcotest.failf "check report invalid: %s" e);
   let check_block = Option.get (Json.member "check" v) in
   let int_field k = Option.bind (Json.member k check_block) Json.to_int_opt |> Option.get in
-  Alcotest.(check bool) "explored nonzero" true (int_field "explored" > 0);
-  Alcotest.(check bool) "memo hits nonzero" true (int_field "memo_hits" > 0);
+  Alcotest.(check int) "explored" 1376 (int_field "explored");
+  Alcotest.(check int) "memo hits" 408 (int_field "memo_hits");
+  Alcotest.(check int) "terminals" 496 (int_field "terminals");
   List.iter Sys.remove [ out; report ]
 
 let test_check_violated_cell () =
@@ -420,6 +435,7 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "trailing args rejected" `Quick test_trailing_args_rejected;
+          Alcotest.test_case "run -x usage errors" `Quick test_run_inputs_rejected;
           Alcotest.test_case "traced run emits valid trace JSON" `Quick test_run_trace_output;
           Alcotest.test_case "tracing keeps reports identical (jobs 1, 2)" `Quick
             test_trace_keeps_reports_identical;

@@ -2,7 +2,9 @@
 
    The load-bearing facts pinned here: the standalone replay executor
    agrees with the real network (Network.run + Inject-compiled plans)
-   on every schedule we throw at it, checker verdicts match the
+   on every schedule we throw at it, the checker's incremental search
+   agrees with that executor at every state it reaches, state counts
+   and witnesses are exactly as pinned, checker verdicts match the
    hand-derived exact cells recorded in Core.Resilience, emitted
    counterexamples are minimal and reproduce their violation when
    replayed through the --faults pipeline, and the whole thing is
@@ -149,9 +151,9 @@ let test_bracha_below_boundary () =
   Alcotest.(check verdict) "validity" Checker.Holds r.Checker.validity;
   Alcotest.(check verdict) "unforgeability" Checker.Holds r.Checker.unforgeability;
   Alcotest.(check bool) "not capped" false r.Checker.capped;
-  Alcotest.(check bool) "explored states" true (r.Checker.stats.explored > 0);
-  Alcotest.(check bool) "memo hits" true (r.Checker.stats.memo_hits > 0);
-  Alcotest.(check bool) "terminals" true (r.Checker.stats.terminals > 0)
+  Alcotest.(check int) "explored states" 1376 r.Checker.stats.explored;
+  Alcotest.(check int) "memo hits" 408 r.Checker.stats.memo_hits;
+  Alcotest.(check int) "terminals" 496 r.Checker.stats.terminals
 
 let test_bracha_above_boundary () =
   let r = Checker.check ~scheme:(scheme_exn "bracha") (ctx_for 4 2) in
@@ -190,6 +192,92 @@ let test_exact_cells_differential () =
           ("unforgeability", c.exp_unforgeability, r.Checker.unforgeability);
         ])
     Core.Resilience.exact_cells
+
+(* Exact (explored, memo hits, terminals, configs) per cell. The
+   search's visit order, memoization and early exits are all visible
+   in these counts, so any drift in them is a behaviour change. *)
+let pinned_counts =
+  [
+    ("send-echo", 4, 1, (288, 72, 160, 40));
+    ("send-echo", 5, 1, (420, 110, 230, 60));
+    ("send-echo", 5, 2, (2820, 2470, 1970, 160));
+    ("send-echo", 3, 2, (732, 558, 516, 42));
+    ("dolev-strong", 4, 1, (240, 72, 112, 40));
+    ("dolev-strong", 5, 1, (360, 110, 170, 60));
+    ("dolev-strong", 5, 2, (4220, 4420, 1450, 160));
+    ("eig", 4, 1, (240, 72, 112, 40));
+    ("eig", 5, 1, (360, 110, 170, 60));
+    ("bracha", 4, 1, (1376, 408, 496, 40));
+    ("bracha", 5, 1, (2050, 610, 750, 60));
+    ("bracha", 4, 2, (10952, 10896, 4120, 88));
+    ("phase-king", 4, 1, (2904, 780, 1180, 40));
+    ("phase-king", 5, 1, (3952, 1090, 1560, 60));
+  ]
+
+let test_pinned_counts () =
+  List.iter
+    (fun (name, n, t, want) ->
+      let s = (Checker.check ~scheme:(scheme_exn name) (ctx_for n t)).Checker.stats in
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "%s %d/%d explored/memo/terminals/configs" name n t)
+        (let e, m, tm, c = want in
+         ((e, m), (tm, c)))
+        ((s.Checker.explored, s.Checker.memo_hits), (s.Checker.terminals, s.Checker.configs)))
+    pinned_counts
+
+(* The minimized first witness per violated cell, in --faults form. *)
+let test_pinned_witnesses () =
+  List.iter
+    (fun (name, n, t, want) ->
+      let r = Checker.check ~scheme:(scheme_exn name) (ctx_for n t) in
+      match r.Checker.validity with
+      | Checker.Violated w ->
+          let faults =
+            match Sb_fault.Plan.to_string (Checker.plan_of_witness w) with
+            | "" -> "<none>"
+            | s -> s
+          in
+          Alcotest.(check string) (Printf.sprintf "%s %d/%d witness" name n t) want faults
+      | v ->
+          Alcotest.failf "%s %d/%d: expected validity violation, got %s" name n t
+            (Checker.verdict_name v))
+    [
+      ("phase-king", 4, 1, "crash:0@1");
+      ("bracha", 4, 2, "<none>");
+      ("send-echo", 3, 2, "crash:0@1;crash:1@1");
+    ]
+
+(* The search expands each state from its parent; Exec.replay rebuilds
+   it from round 0. At every state the search reaches, both must agree
+   on the digest and, for expanded states, on the outgoing traffic or
+   the terminal results. *)
+let test_incremental_matches_replay () =
+  List.iter
+    (fun (name, n, t) ->
+      let reached = ref 0 in
+      let observe config prefix digest status =
+        incr reached;
+        let point =
+          Printf.sprintf "%s %d/%d state %d (depth %d)" name n t !reached
+            (List.length prefix)
+        in
+        let snap = Exec.replay config prefix in
+        Alcotest.(check string) (point ^ " digest") snap.Exec.digest digest;
+        match (status, snap.Exec.status) with
+        | None, _ -> ()
+        | Some (Exec.Terminal got), Exec.Terminal want ->
+            Alcotest.(check (array msg)) (point ^ " results") want got
+        | Some (Exec.Mid got), Exec.Mid want ->
+            Alcotest.(check bool) (point ^ " outgoing") true (got = want)
+        | Some _, _ -> Alcotest.failf "%s: terminal/mid status differs" point
+      in
+      let r = Checker.check ~observe ~scheme:(scheme_exn name) (ctx_for n t) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s %d/%d observed every reached state" name n t)
+        (r.Checker.stats.explored + r.Checker.stats.memo_hits)
+        !reached)
+    (List.map (fun (name, _) -> (name, 4, 1)) Checker.schemes
+    @ [ ("send-echo", 3, 2); ("bracha", 4, 2) ])
 
 let test_deterministic () =
   let run () = Checker.check ~scheme:(scheme_exn "send-echo") (ctx_for 3 2) in
@@ -310,6 +398,8 @@ let () =
           Alcotest.test_case "matches the real network" `Quick test_exec_matches_network;
           Alcotest.test_case "matches with two faulty parties" `Quick
             test_exec_matches_network_two_faulty;
+          Alcotest.test_case "incremental search matches replay" `Quick
+            test_incremental_matches_replay;
         ] );
       ( "verdicts",
         [
@@ -318,6 +408,8 @@ let () =
           Alcotest.test_case "matches recorded exact cells" `Quick
             test_exact_cells_differential;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "pinned state counts" `Quick test_pinned_counts;
+          Alcotest.test_case "pinned witnesses" `Quick test_pinned_witnesses;
           Alcotest.test_case "state budget caps" `Quick test_state_budget_caps;
           Alcotest.test_case "rejects n beyond max_n" `Quick test_rejects_large_n;
         ] );
