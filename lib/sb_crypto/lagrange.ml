@@ -34,25 +34,43 @@ let compute xs at =
       done;
       !lj)
 
-let cache : (int list, Field.t array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+(* Keyed by the abscissa array, hashed and compared in place, so a hit
+   allocates nothing; each abscissa set keeps its (x0, coefficients)
+   pairs in a short list. A miss stores the cache's own copy of the
+   abscissae. *)
+module By_xs = Hashtbl.Make (struct
+  type t = Field.t array
+
+  let rec same_from (a : t) b i = i < 0 || (Field.equal a.(i) b.(i) && same_from a b (i - 1))
+  let equal a b = Array.length a = Array.length b && same_from a b (Array.length a - 1)
+  let hash = Hashtbl.hash
+end)
+
+let cache : (Field.t * Field.t array) list By_xs.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> By_xs.create 64)
+
+let rec find_at at = function
+  | [] -> raise Not_found
+  | (x0, c) :: rest -> if Field.equal x0 at then c else find_at at rest
 
 let coeffs ~xs ~at =
-  let key = Field.to_int at :: Array.fold_right (fun x k -> Field.to_int x :: k) xs [] in
   let tbl = Domain.DLS.get cache in
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
+  let known = match By_xs.find tbl xs with l -> l | exception Not_found -> [] in
+  match find_at at known with
+  | c -> c
+  | exception Not_found ->
       let c = compute xs at in
-      Hashtbl.replace tbl key c;
+      By_xs.replace tbl (Array.copy xs) ((at, c) :: known);
       c
 
 let interpolate_at pts x0 =
   let xs = Array.of_list (List.map fst pts) in
   let c = coeffs ~xs ~at:x0 in
-  let acc = ref Field.zero in
-  List.iteri (fun j (_, yj) -> acc := Field.add !acc (Field.mul yj c.(j))) pts;
-  !acc
+  let rec sum j acc = function
+    | [] -> acc
+    | (_, yj) :: rest -> sum (j + 1) (Field.add acc (Field.mul yj c.(j))) rest
+  in
+  sum 0 Field.zero pts
 
 let at_zero n =
   coeffs ~xs:(Array.init n (fun i -> Field.of_int (i + 1))) ~at:Field.zero

@@ -11,10 +11,15 @@ let salt_round ~n = tree_base + tree_depth n
 let confirm_round ~n = salt_round ~n + 1
 let reveal_round ~n = confirm_round ~n + 1
 
-let knowledge_tag ~salt ~dealer ~secret ~blind =
+let knowledge_tag_uncached ~salt ~dealer ~secret ~blind =
   Sha256.digest
     (Printf.sprintf "cr-pok:%s:%d:%d:%d" salt dealer (Field.to_int secret)
        (Field.to_int blind))
+
+(* Every party recomputes every dealer's tag from the same public
+   salt and reconstructed opening. *)
+let knowledge_tag ~salt ~dealer ~secret ~blind =
+  Check_memo.knowledge_tag knowledge_tag_uncached ~salt ~dealer ~secret ~blind
 
 let protocol =
   {

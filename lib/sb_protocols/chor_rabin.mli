@@ -36,4 +36,8 @@ val reveal_round : n:int -> int
 
 val knowledge_tag : salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
 (** The hash every party recomputes to validate a dealer's
-    proof-of-knowledge tag. *)
+    proof-of-knowledge tag, served from {!Check_memo}. *)
+
+val knowledge_tag_uncached :
+  salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
+(** The same hash, computed on every call. *)

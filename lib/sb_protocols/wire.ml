@@ -1,5 +1,8 @@
 open Sb_sim
 
+(* Inbox scans run once per session per round in every VSS party, so
+   they read the sender field in place and build no intermediate list
+   or option per envelope. *)
 let tagged ~tag inbox =
   List.filter_map
     (fun (e : Envelope.t) ->
@@ -8,18 +11,22 @@ let tagged ~tag inbox =
       | _ -> None)
     inbox
 
-let tagged_from_parties ~tag inbox =
-  List.filter_map
-    (fun (e : Envelope.t) ->
-      match (Envelope.src_party e, e.Envelope.body) with
-      | Some src, Msg.Tag (t, m) when String.equal t tag -> Some (src, m)
-      | _ -> None)
-    inbox
+let rec tagged_from_parties ~tag = function
+  | [] -> []
+  | (e : Envelope.t) :: rest -> (
+      match e.Envelope.body with
+      | Msg.Tag (t, m) when String.equal t tag -> (
+          match e.Envelope.src with
+          | Envelope.Party src -> (src, m) :: tagged_from_parties ~tag rest
+          | Envelope.Func | Envelope.All -> tagged_from_parties ~tag rest)
+      | _ -> tagged_from_parties ~tag rest)
 
-let first_from ~tag ~src inbox =
-  List.find_map
-    (fun (s, m) -> if s = src then Some m else None)
-    (tagged_from_parties ~tag inbox)
+let rec first_from ~tag ~src = function
+  | [] -> None
+  | (e : Envelope.t) :: rest -> (
+      match (e.Envelope.body, e.Envelope.src) with
+      | Msg.Tag (t, m), Envelope.Party s when s = src && String.equal t tag -> Some m
+      | _ -> first_from ~tag ~src rest)
 
 let bit_of_field f = Sb_crypto.Field.equal f Sb_crypto.Field.one
 let field_of_bit b = if b then Sb_crypto.Field.one else Sb_crypto.Field.zero

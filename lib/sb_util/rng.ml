@@ -1,4 +1,14 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words live little-endian in one 32-byte
+   buffer. Reading and writing them through Bytes.get/set_int64_le keeps
+   every word unboxed: a draw that is consumed inside this module
+   ([bits], [float], [bytes]) allocates nothing, where mutable int64
+   record fields would box one int64 per word per draw. The stream is
+   bit-identical to the textbook four-field formulation (pinned by the
+   golden values in test_util). *)
+type t = Bytes.t
+
+let[@inline] get t i = Bytes.get_int64_le t (8 * i)
+let[@inline] set t i v = Bytes.set_int64_le t (8 * i) v
 
 (* splitmix64: used only to expand seeds into full xoshiro states. *)
 let splitmix_next state =
@@ -9,6 +19,14 @@ let splitmix_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
+
 let of_seed64 seed =
   let st = ref seed in
   let s0 = splitmix_next st in
@@ -16,35 +34,32 @@ let of_seed64 seed =
   let s2 = splitmix_next st in
   let s3 = splitmix_next st in
   (* xoshiro must not start from the all-zero state. *)
-  if Int64.(logor (logor s0 s1) (logor s2 s3)) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if Int64.(logor (logor s0 s1) (logor s2 s3)) = 0L then of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
+let[@inline] rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
-let int64 t =
+let[@inline] int64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
 
-let split t =
-  let child_seed = int64 t in
-  of_seed64 child_seed
+let split t = of_seed64 (int64 t)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n";
   Array.init n (fun _ -> split t)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let bits t w =
   assert (w >= 0 && w <= 62);

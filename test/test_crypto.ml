@@ -453,6 +453,97 @@ let qcheck_pedersen_roundtrip =
       && Field.equal secret
            (Pedersen.reconstruct (Array.to_list (Array.sub d.Pedersen.shares 0 (t + 1)))))
 
+(* --- Memoized share verdicts (Sb_protocols.Check_memo) ------------- *)
+
+module Memo = Sb_protocols.Check_memo
+
+(* Run [case] for each seed on a pool of [domains] workers, so every
+   domain-local table is exercised; a case returns (label, memoized,
+   uncached) triples. *)
+let on_pool domains seeds case =
+  let pool = Sb_par.Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () -> Sb_par.Pool.map_chunks pool ~f:case (Array.of_list seeds))
+  |> Array.iter
+       (List.iter (fun (label, memo, plain) -> Alcotest.(check bool) label plain memo))
+
+let check_both c s = (Memo.verify_share c s, Pedersen.verify_share c s)
+
+let memo_random_and_tampered seed =
+  let rng = Sb_util.Rng.create seed in
+  let t = 1 + Sb_util.Rng.int rng 3 in
+  let n = (2 * t) + 1 in
+  let d = Pedersen.deal rng ~threshold:t ~parties:n ~secret:(Field.random rng) in
+  let other = Pedersen.deal rng ~threshold:t ~parties:n ~secret:(Field.random rng) in
+  let c = d.Pedersen.commitment in
+  List.concat_map
+    (fun (s : Pedersen.share) ->
+      let cases =
+        [
+          ("honest", c, s);
+          ("value + 1", c, { s with Pedersen.value = Field.add s.Pedersen.value Field.one });
+          ("blind + 1", c, { s with Pedersen.blind = Field.add s.Pedersen.blind Field.one });
+          ("index moved", c, { s with Pedersen.index = (s.Pedersen.index + 1) mod n });
+          ("other commitment", other.Pedersen.commitment, s);
+          ("random pair", c, { s with Pedersen.value = Field.random rng; blind = Field.random rng });
+        ]
+      in
+      (* Twice: the second pass is served by the memo. *)
+      List.concat_map
+        (fun pass ->
+          List.map
+            (fun (what, c, s) ->
+              let memo, plain = check_both c s in
+              (Printf.sprintf "seed %d pass %d share %d %s" seed pass s.Pedersen.index what, memo, plain))
+            cases)
+        [ 1; 2 ])
+    (Array.to_list d.Pedersen.shares)
+
+let memo_same_slot seed =
+  let rng = Sb_util.Rng.create seed in
+  let d = Pedersen.deal rng ~threshold:2 ~parties:5 ~secret:Field.one in
+  let c = d.Pedersen.commitment in
+  let s = d.Pedersen.shares.(seed mod 5) in
+  (* The slot reads only the first commitment element, so changing a
+     later one keeps the slot and changes the verdict. *)
+  let c' = Array.copy c in
+  c'.(1) <- Modgroup.mul c'.(1) Modgroup.g;
+  assert (Memo.share_slot c s = Memo.share_slot c' s);
+  (* A second share forced into the same slot by search. *)
+  let rec collide () =
+    let s2 = { s with Pedersen.value = Field.random rng } in
+    if Memo.share_slot c s2 = Memo.share_slot c s then s2 else collide ()
+  in
+  let s2 = collide () in
+  List.mapi
+    (fun i (c, s) ->
+      let memo, plain = check_both c s in
+      (Printf.sprintf "seed %d same-slot lookup %d" seed i, memo, plain))
+    [ (c, s); (c', s); (c, s); (c, s2); (c, s); (c', s); (c', s) ]
+
+let memo_mutated_commitment seed =
+  let rng = Sb_util.Rng.create seed in
+  let d = Pedersen.deal rng ~threshold:2 ~parties:5 ~secret:Field.zero in
+  let c = Array.copy d.Pedersen.commitment in
+  let s = d.Pedersen.shares.(seed mod 5) in
+  let first = check_both c s in
+  (* Mutate the caller's array in place: the memo must hold its own
+     copy, not an alias that changes with it. *)
+  c.(2) <- Modgroup.mul c.(2) Modgroup.h;
+  let after = check_both c s in
+  c.(2) <- d.Pedersen.commitment.(2);
+  let restored = check_both c s in
+  List.map
+    (fun (label, (memo, plain)) -> (Printf.sprintf "seed %d %s" seed label, memo, plain))
+    [ ("first use", first); ("after mutation", after); ("restored", restored) ]
+
+let test_memo_verdicts domains () =
+  let seeds = List.init 12 (fun i -> 100 + i) in
+  on_pool domains seeds memo_random_and_tampered;
+  on_pool domains seeds memo_same_slot;
+  on_pool domains seeds memo_mutated_commitment
+
 (* --- Commit ------------------------------------------------------- *)
 
 let test_commit_roundtrip backend () =
@@ -603,6 +694,8 @@ let () =
           Alcotest.test_case "reconstruct value and blind" `Quick test_pedersen_reconstruct_both;
           Alcotest.test_case "hiding shape" `Quick test_pedersen_hiding_shape;
           QCheck_alcotest.to_alcotest qcheck_pedersen_roundtrip;
+          Alcotest.test_case "memoized verdicts, 1 domain" `Quick (test_memo_verdicts 1);
+          Alcotest.test_case "memoized verdicts, 2 domains" `Quick (test_memo_verdicts 2);
         ] );
       ( "commit",
         [

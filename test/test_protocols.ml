@@ -504,6 +504,45 @@ let test_compiler_semi_honest_matches () =
   | (_, a) :: _, (_, b) :: _ -> Alcotest.(check bool) "same coins" true (Msg.equal a b)
   | _ -> Alcotest.fail "missing outputs"
 
+(* --- memoized knowledge tags ------------------------------------------ *)
+
+let tag_cases seed =
+  let module Cr = Sb_protocols.Chor_rabin in
+  let rng = Sb_util.Rng.create seed in
+  let fe () = Sb_crypto.Field.random rng in
+  let long = Sb_util.Rng.bytes rng 16 in
+  let salts =
+    [ ""; "x"; long; Sb_util.Rng.bytes rng 16; Sb_util.Rng.bytes rng 7 ]
+    (* Same first 8 bytes as [long], so the same slot for equal
+       dealer/secret/blind: only the full salt comparison tells them
+       apart. *)
+    @ [ String.sub long 0 8 ^ Sb_util.Rng.bytes rng 8 ]
+  in
+  let secret = fe () and blind = fe () in
+  assert (
+    Sb_protocols.Check_memo.tag_slot ~salt:long ~dealer:3 ~secret ~blind
+    = Sb_protocols.Check_memo.tag_slot ~salt:(List.nth salts 5) ~dealer:3 ~secret ~blind);
+  List.concat_map
+    (fun salt ->
+      List.concat_map
+        (fun dealer ->
+          let secret, blind = if dealer = 3 then (secret, blind) else (fe (), fe ()) in
+          (* Twice, so the second lookup is a hit. *)
+          List.init 2 (fun pass ->
+              ( Printf.sprintf "seed %d salt %S dealer %d pass %d" seed salt dealer pass,
+                Cr.knowledge_tag ~salt ~dealer ~secret ~blind,
+                Cr.knowledge_tag_uncached ~salt ~dealer ~secret ~blind )))
+        [ 0; 3; 4 ])
+    (salts @ List.rev salts)
+
+let test_memo_knowledge_tag domains () =
+  let pool = Sb_par.Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () -> Sb_par.Pool.map_chunks pool ~f:tag_cases (Array.init 8 (fun i -> 40 + i)))
+  |> Array.iter
+       (List.iter (fun (label, memo, plain) -> Alcotest.(check string) label plain memo))
+
 (* --- registry --------------------------------------------------------- *)
 
 let test_registry () =
@@ -550,6 +589,10 @@ let () =
               test_reveal_withhold_effective_on_commit_open;
             Alcotest.test_case "chor-rabin bad knowledge tag" `Quick
               test_chor_rabin_bad_knowledge_tag;
+            Alcotest.test_case "memoized knowledge tag, 1 domain" `Quick
+              (test_memo_knowledge_tag 1);
+            Alcotest.test_case "memoized knowledge tag, 2 domains" `Quick
+              (test_memo_knowledge_tag 2);
           ] );
         ( "multi",
           [

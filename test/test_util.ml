@@ -105,6 +105,69 @@ let test_rng_bytes_length () =
   let rng = Rng.create 17 in
   Alcotest.(check int) "length" 33 (String.length (Rng.bytes rng 33))
 
+(* Golden streams: every table, report and state count in the repo is
+   a function of these exact outputs, so a change to the generator's
+   representation must leave them bit-identical. The values were
+   recorded from the original boxed-int64 implementation. *)
+let check_stream label rng expected =
+  List.iteri
+    (fun i v -> Alcotest.(check int64) (Printf.sprintf "%s #%d" label i) v (Rng.int64 rng))
+    expected
+
+let test_rng_golden_create () =
+  List.iter
+    (fun (seed, expected) -> check_stream (Printf.sprintf "create %d" seed) (Rng.create seed) expected)
+    [
+      ( 0,
+        [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L ] );
+      ( 1,
+        [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+          7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+          1310552918490157286L; 7031611932980406429L ] );
+      ( 42,
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+          -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+          -5178765164775350862L; -2766855848391737209L ] );
+      ( max_int,
+        [ 7651040205805895144L; 8109190802567772668L; -9096090508748817784L;
+          3925524024463235365L; 3842358165189036185L; 1215869592337824984L;
+          -4616323309892477403L; -1846428240824373369L ] );
+    ]
+
+let test_rng_golden_split () =
+  let parent = Rng.create 7 in
+  let child = Rng.split parent in
+  check_stream "split child" child
+    [ 2399390100814473381L; -8888017972660987428L; -2748036589639109916L; 7685598887028417692L ];
+  check_stream "parent after split" parent [ 5142052590334782674L; -2958351167216911978L ];
+  let parent = Rng.create 21 in
+  let children = Rng.split_n parent 3 in
+  check_stream "split_n child 0" children.(0) [ -1144917914300432876L; 6583027271619022413L ];
+  check_stream "split_n child 1" children.(1) [ -2014655232599794870L; 8711838659642621231L ];
+  check_stream "split_n child 2" children.(2) [ -227410757052671253L; -2407468279534422696L ];
+  check_stream "parent after split_n" parent [ 5901096569884242013L; -4347510926799140433L ]
+
+let test_rng_golden_draws () =
+  let rng = Rng.create 42 in
+  Alcotest.(check (list int)) "bits 8" [ 21; 97; 174; 236; 253; 197; 184; 217 ]
+    (List.init 8 (fun _ -> Rng.bits rng 8));
+  Alcotest.(check (list int)) "bits 30"
+    [ 817519516; 626366551; 732778189; 312112870; 860093290; 345113113; 763591438; 942495386 ]
+    (List.init 8 (fun _ -> Rng.bits rng 30));
+  Alcotest.(check string) "bytes 33"
+    "\157\217\181\181\023-o\154P}f\202\162;j\159\220\241\208\191\200\011w\248\137\179\205\209\229 \144\141\219"
+    (Rng.bytes rng 33);
+  (* The second draw is checked through its digest only. *)
+  Alcotest.(check string) "bytes 33 digest" "890516370a61350e288c86094e689955"
+    (Digest.to_hex (Digest.string (Rng.bytes rng 33)));
+  Alcotest.(check (list (float 0.)))
+    "float"
+    [ 0x1.42fa5fbf4cfdep-1; 0x1.0849f8c73765dp-1; 0x1.5d1cd0929634ap-2; 0x1.249e003c8c0a9p-1 ]
+    (List.init 4 (fun _ -> Rng.float rng));
+  check_stream "after draws" rng [ -8473444138997814218L ]
+
 let test_bitvec_roundtrip () =
   for v = 0 to 31 do
     let bv = Bitvec.of_int 5 v in
@@ -261,6 +324,9 @@ let () =
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
           Alcotest.test_case "perm is permutation" `Quick test_rng_perm_is_permutation;
           Alcotest.test_case "bytes length" `Quick test_rng_bytes_length;
+          Alcotest.test_case "golden create streams" `Quick test_rng_golden_create;
+          Alcotest.test_case "golden split streams" `Quick test_rng_golden_split;
+          Alcotest.test_case "golden bits/bytes/float" `Quick test_rng_golden_draws;
         ] );
       ( "bitvec",
         [
