@@ -10,15 +10,12 @@ let base ~sid v = "ds:" ^ sid ^ ":" ^ Msg.serialize v
 let encode v sigs =
   Msg.List [ v; Msg.List (List.map (fun (i, s) -> Msg.List [ Msg.Int i; Msg.Str s ]) sigs) ]
 
-let decode m =
-  match m with
-  | Msg.List [ v; Msg.List sigs ] ->
-      let decode_sig = function
-        | Msg.List [ Msg.Int i; Msg.Str s ] -> Some (i, s)
-        | _ -> None
-      in
-      let decoded = List.filter_map decode_sig sigs in
-      if List.length decoded = List.length sigs then Some (v, decoded) else None
+(* The signature list of a [List [value; List sigs]] message, or [None]
+   if any entry is malformed. *)
+let rec decode_chain = function
+  | [] -> Some []
+  | Msg.List [ Msg.Int i; Msg.Str s ] :: rest ->
+      Option.map (fun chain -> (i, s) :: chain) (decode_chain rest)
   | _ -> None
 
 (* Marks the chain's signer set in the session's scratch vector and
@@ -66,32 +63,42 @@ let scheme =
         let outbox : (Msg.t * (int * string) list) list ref = ref [] in
         let scratch = Bitvec.Mut.create n in
         let send_all m = Ctx.to_all ctx ~src:me (Session.wrap ~sid m) in
-        let valid_sigs v chain =
-          List.for_all
-            (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i (base ~sid v) s)
-            chain
+        let valid_sigs b chain =
+          List.for_all (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i b s) chain
         in
+        (* A message is accepted iff accepted holds fewer than two
+           values, none equal to v; the chain is well formed, at least
+           [round] long, has distinct in-range signers including the
+           sender; and every signature verifies. The conjuncts are
+           tested cheapest-first, so a relay of a value already held —
+           most of the traffic once a value spreads — is dropped before
+           its chain is decoded or any signature hashed. The order is
+           exact: every conjunct is pure ([signer_mask] restores its
+           scratch vector), so each message gets the verdict the
+           hash-first order gave it. *)
         let process ~round inbox =
           List.iter
             (fun (e : Envelope.t) ->
-              match Option.bind (Session.unwrap ~sid e.Envelope.body) decode with
-              | Some (v, chain) -> (
-                  (* Signatures are prepended as the value travels, so
-                     the sender's signature sits at the tail. *)
-                  match signer_mask scratch ~n ~sender ~me chain with
-                  | Some (signed_by_sender, signed_by_me)
-                    when List.length chain >= round
-                         && signed_by_sender
-                         && valid_sigs v chain
-                         && (not (List.exists (Msg.equal v) !accepted))
-                         && List.length !accepted < 2 ->
-                      accepted := v :: !accepted;
-                      if round <= t && not signed_by_me then
-                        outbox :=
-                          (v, (me, Sb_crypto.Sig.sign sigs ~signer:me (base ~sid v)) :: chain)
-                          :: !outbox
-                  | _ -> ())
-              | None -> ())
+              if List.length !accepted < 2 then
+                match Session.unwrap ~sid e.Envelope.body with
+                | Some (Msg.List [ v; Msg.List entries ])
+                  when (not (List.exists (Msg.equal v) !accepted))
+                       && List.length entries >= round -> (
+                    match decode_chain entries with
+                    | Some chain -> (
+                        match signer_mask scratch ~n ~sender ~me chain with
+                        | Some (true, signed_by_me) ->
+                            let b = base ~sid v in
+                            if valid_sigs b chain then begin
+                              accepted := v :: !accepted;
+                              if round <= t && not signed_by_me then
+                                outbox :=
+                                  (v, (me, Sb_crypto.Sig.sign sigs ~signer:me b) :: chain)
+                                  :: !outbox
+                            end
+                        | _ -> ())
+                    | None -> ())
+                | _ -> ())
             inbox
         in
         let step ~round ~inbox =

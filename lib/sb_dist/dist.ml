@@ -12,17 +12,26 @@ let of_pmf n raw =
   if n < 0 || n > 20 then invalid_arg "Dist.of_pmf: n out of range";
   let size = 1 lsl n in
   if Array.length raw <> size then invalid_arg "Dist.of_pmf: wrong pmf length";
-  Array.iter (fun p -> if p < 0.0 || Float.is_nan p then invalid_arg "Dist.of_pmf: bad mass") raw;
-  let total = Array.fold_left ( +. ) 0.0 raw in
+  (* Pass 1 validates and sums; pass 2 normalises and accumulates the
+     cdf. Both run in index order: the summation order fixes every mass
+     and cdf entry bit for bit. *)
+  let total = ref 0.0 in
+  for i = 0 to size - 1 do
+    let p = raw.(i) in
+    if p < 0.0 || Float.is_nan p then invalid_arg "Dist.of_pmf: bad mass";
+    total := !total +. p
+  done;
+  let total = !total in
   if total <= 0.0 then invalid_arg "Dist.of_pmf: zero total mass";
-  let mass = Array.map (fun p -> p /. total) raw in
+  let mass = Array.make size 0.0 in
   let cdf = Array.make size 0.0 in
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      acc := !acc +. p;
-      cdf.(i) <- !acc)
-    mass;
+  for i = 0 to size - 1 do
+    let p = raw.(i) /. total in
+    mass.(i) <- p;
+    acc := !acc +. p;
+    cdf.(i) <- !acc
+  done;
   cdf.(size - 1) <- 1.0;
   { n; mass; cdf }
 
@@ -56,15 +65,21 @@ let singleton v =
 let bernoulli_product p =
   let n = Array.length p in
   Array.iter (fun pi -> if pi < 0.0 || pi > 1.0 then invalid_arg "Dist.bernoulli_product") p;
-  let raw =
-    Array.init (1 lsl n) (fun idx ->
-        let m = ref 1.0 in
-        for i = 0 to n - 1 do
-          let bit = (idx lsr i) land 1 = 1 in
-          m := !m *. (if bit then p.(i) else 1.0 -. p.(i))
-        done;
-        !m)
-  in
+  (* Prefix doubling: step i extends each entry idx < 2^i by
+     coordinate i into idx (bit clear) and idx + 2^i (bit set), so after
+     it entries 0 .. 2^(i+1)-1 hold the product over coordinates
+     0 .. i. Each entry is the left fold ((1.0 *. f_0) *. f_1) ...
+     *. f_(n-1) in coordinate order, bit-identical to evaluating that
+     fold per entry, at O(2^n) multiplies. *)
+  let raw = Array.make (1 lsl n) 1.0 in
+  for i = 0 to n - 1 do
+    let half = 1 lsl i and pi = p.(i) and qi = 1.0 -. p.(i) in
+    for idx = 0 to half - 1 do
+      let m = raw.(idx) in
+      raw.(idx) <- m *. qi;
+      raw.(idx + half) <- m *. pi
+    done
+  done;
   of_pmf n raw
 
 let product p n = bernoulli_product (Array.make n p)

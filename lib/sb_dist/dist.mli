@@ -1,8 +1,11 @@
 (** Exact probability distributions over {0,1}^n.
 
-    The announced-value spaces in this reproduction are small (n ≤ ~16
-    parties), so distributions are stored as full probability mass
-    arrays of length 2^n, indexed by {!Sb_util.Bitvec.to_int}. That
+    The announced-value spaces in this reproduction are small, so
+    distributions are stored as full probability mass arrays of length
+    2^n, indexed by {!Sb_util.Bitvec.to_int}. {!of_pmf} accepts
+    n ≤ 20: the testers stay at n ≤ ~16, and the auction workload's
+    premium lots draw 20-party inputs (a mass and a cdf table of 2^20
+    floats, 8 MiB each). That
     makes every quantity the paper's definitions mention — marginals,
     conditionals, projections, statistical distance — exactly
     computable, with sampling reserved for protocol executions. *)
@@ -36,7 +39,10 @@ val singleton : Sb_util.Bitvec.t -> t
 
 val bernoulli_product : float array -> t
 (** [bernoulli_product p] has independent coordinates with
-    [Pr(x_i = 1) = p.(i)]. *)
+    [Pr(x_i = 1) = p.(i)]. The table is built in O(2^n) by prefix
+    doubling, and every entry is bit-identical to the per-entry left
+    fold [((1.0 *. f_0) *. f_1) ... *. f_(n-1)] over the coordinates'
+    factors [f_i = p.(i)] or [1.0 -. p.(i)]. *)
 
 val product : float -> int -> t
 (** [product p n]: iid Bernoulli(p) coordinates. *)

@@ -832,15 +832,18 @@ end
    network schedule, adversarial traffic) is derived from [seed]
    alone, so running two schemes under the same seed feeds them
    identical traffic and their honest outputs must match exactly. *)
-let differential_outputs ?(thresh = 1) scheme ~sender ~adv ~seed =
+let differential_run ?(thresh = 1) scheme ~sender ~adv ~seed =
   let ctx = Ctx.make ~rng:(Sb_util.Rng.create (70000 + seed)) ~n:5 ~thresh ~k:8 () in
   let inputs = Array.init 5 (fun i -> Msg.Bit ((seed + i) mod 2 = 0)) in
-  let r =
-    Network.run ctx
-      ~rng:(Sb_util.Rng.create (80000 + seed))
-      ~protocol:(session_protocol scheme ~sender) ~adversary:(adv ~seed) ~inputs ()
-  in
+  Network.run ctx
+    ~rng:(Sb_util.Rng.create (80000 + seed))
+    ~protocol:(session_protocol scheme ~sender) ~adversary:(adv ~seed) ~inputs ()
+
+let serialized_outputs (r : Network.result) =
   List.map (fun (id, m) -> (id, Msg.serialize m)) r.Network.outputs
+
+let differential_outputs ?thresh scheme ~sender ~adv ~seed =
+  serialized_outputs (differential_run ?thresh scheme ~sender ~adv ~seed)
 
 (* Chaos traffic for Bracha: the corrupted party floods randomly
    chosen br-echo / br-ready messages over several distinct values
@@ -930,6 +933,77 @@ let ds_chaos ~seed =
                        Envelope.to_all ~n:ctx.Ctx.n ~src:4
                          (Sb_broadcast.Session.wrap ~sid:"test"
                             (Msg.List [ v; Msg.List chain ])))));
+          adv_output = (fun () -> Msg.Unit);
+        });
+  }
+
+(* Equivocating-sender traffic for Dolev-Strong (run at thresh = 2 with
+   the sender 0 and party 4 corrupted). Round 0 sends two values with
+   valid sender chains to disjoint halves of the parties, each followed
+   by forged copies, so honest parties reach two accepted values through
+   each other's relays. Rounds 1 and 2 relay a third value under a valid
+   two-signer chain plus valid and forged copies of an already-accepted
+   value: traffic that arrives once [accepted] holds the value, or holds
+   two values already. *)
+let ds_equivocator ~seed =
+  {
+    Adversary.name = "ds-equivocator";
+    choose_corrupt = (fun _ ~rng:_ -> [ 0; 4 ]);
+    init =
+      (fun ctx ~rng:_ ~corrupted:_ ~inputs:_ ~aux:_ ->
+        let arng = Sb_util.Rng.create (97000 + seed) in
+        let n = ctx.Ctx.n in
+        let sigs = ctx.Ctx.sigs in
+        let base v = "ds:test:" ^ Msg.serialize v in
+        let signed ~key i v =
+          Msg.List [ Msg.Int i; Msg.Str (Sb_crypto.Sig.sign sigs ~signer:key (base v)) ]
+        in
+        let good i v = signed ~key:i i v in
+        let garbage i = Msg.List [ Msg.Int i; Msg.Str "zz" ] in
+        let a = Msg.Int 1 and b = Msg.Int 2 and c = Msg.Int 3 in
+        (* Parties 1..split receive [a], the rest [b]; both halves hold
+           an honest party. *)
+        let split = 1 + Sb_util.Rng.int arng 2 in
+        let send ~src ~dst v chain =
+          Envelope.make ~src ~dst
+            (Sb_broadcast.Session.wrap ~sid:"test" (Msg.List [ v; Msg.List chain ]))
+        in
+        (* A copy that follows the valid round-0 chain for [v]: a
+           duplicate of it, or a forgery of [v] or of the other value. *)
+        let forged v other =
+          match Sb_util.Rng.int arng 4 with
+          | 0 -> (other, [ signed ~key:4 0 other ])
+          | 1 -> (v, [ garbage 0 ])
+          | 2 -> (other, [ good 0 other; good 0 other ])
+          | _ -> (v, [ good 0 v ])
+        in
+        let relay () =
+          match Sb_util.Rng.int arng 5 with
+          | 0 -> (c, [ good 4 c; good 0 c ])
+          | 1 -> (a, [ good 4 a; good 0 a ])
+          | 2 -> (a, [ garbage 4; good 0 a ])
+          | 3 -> (a, [ good 4 a; signed ~key:4 0 a ])
+          | _ -> (b, [ signed ~key:0 4 b; good 0 b ])
+        in
+        {
+          Adversary.act =
+            (fun view ->
+              match view.Adversary.round with
+              | 0 ->
+                  List.concat
+                    (List.init (n - 1) (fun k ->
+                         let dst = k + 1 in
+                         let v, other = if dst <= split then (a, b) else (b, a) in
+                         send ~src:0 ~dst v [ good 0 v ]
+                         :: List.init 2 (fun _ ->
+                                let v', chain = forged v other in
+                                send ~src:0 ~dst v' chain)))
+              | 1 | 2 ->
+                  List.concat
+                    (List.init 3 (fun _ ->
+                         let v, chain = relay () in
+                         List.init n (fun dst -> send ~src:4 ~dst v chain)))
+              | _ -> []);
           adv_output = (fun () -> Msg.Unit);
         });
   }
@@ -1051,6 +1125,33 @@ let test_dolev_strong_differential () =
       (differential_outputs Sb_broadcast.Dolev_strong.scheme ~sender:0 ~adv:ds_chaos ~seed)
   done
 
+(* Outputs plus every honest envelope, round by round: past the
+   two-value cutoff a third accepted value changes no output, only the
+   relays it triggers. *)
+let differential_traffic scheme ~seed =
+  let r = differential_run ~thresh:2 scheme ~sender:0 ~adv:ds_equivocator ~seed in
+  ( serialized_outputs r,
+    List.map
+      (fun (rr : Trace.round_record) ->
+        List.map (Format.asprintf "%a" Envelope.pp) rr.Trace.honest_sent)
+      r.Network.trace )
+
+let test_dolev_strong_equivocator_differential () =
+  for seed = 1 to 25 do
+    let outputs, traffic = differential_traffic Seed_dolev_strong.scheme ~seed in
+    Alcotest.check
+      Alcotest.(pair outputs_t (list (list string)))
+      "dolev-strong vs seed (equivocating sender)" (outputs, traffic)
+      (differential_traffic Sb_broadcast.Dolev_strong.scheme ~seed);
+    (* Every honest party accepted both round-0 values, so the
+       two-value cutoff was reached and the later traffic hit it. *)
+    List.iter
+      (fun (id, out) ->
+        Alcotest.(check string) (Printf.sprintf "party %d defaults" id)
+          (Msg.serialize Seed_dolev_strong.default) out)
+      outputs
+  done
+
 let test_send_echo_differential () =
   for seed = 1 to 25 do
     (* Corrupted non-sender flooding conflicting echoes. *)
@@ -1106,6 +1207,8 @@ let () =
             test_bracha_differential;
           Alcotest.test_case "dolev-strong bitvec = seed semantics" `Quick
             test_dolev_strong_differential;
+          Alcotest.test_case "dolev-strong equivocating sender = seed semantics" `Quick
+            test_dolev_strong_equivocator_differential;
           Alcotest.test_case "send-echo slots = seed semantics" `Quick
             test_send_echo_differential;
           Alcotest.test_case "eig distinct = seed semantics" `Quick test_eig_differential;

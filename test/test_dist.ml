@@ -44,6 +44,74 @@ let test_bernoulli_product () =
   check_float "marginal 0" 0.5 (Dist.marginal d 0);
   check_float "marginal 1" 0.25 (Dist.marginal d 1)
 
+(* Pinned per-entry construction of a product table: entry idx is the
+   left fold ((1.0 *. f_0) *. f_1) ... *. f_{n-1} over its bits,
+   normalised by the index-order sum, with the cumulative table (last
+   entry forced to 1.0) searched by bisection. The library builds the
+   same table by prefix doubling; every mass and every sampled index
+   must match this reference bit for bit. *)
+module Ref_product = struct
+  let mass p =
+    let n = Array.length p in
+    let raw =
+      Array.init (1 lsl n) (fun idx ->
+          let m = ref 1.0 in
+          for i = 0 to n - 1 do
+            let bit = (idx lsr i) land 1 = 1 in
+            m := !m *. (if bit then p.(i) else 1.0 -. p.(i))
+          done;
+          !m)
+    in
+    let total = Array.fold_left ( +. ) 0.0 raw in
+    Array.map (fun x -> x /. total) raw
+
+  let cdf mass =
+    let size = Array.length mass in
+    let cdf = Array.make size 0.0 in
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun i p ->
+        acc := !acc +. p;
+        cdf.(i) <- !acc)
+      mass;
+    cdf.(size - 1) <- 1.0;
+    cdf
+
+  let sample cdf rng =
+    let u = Rng.float rng in
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) >= u then hi := mid else lo := mid + 1
+    done;
+    !lo
+end
+
+let check_product_bits name p =
+  let d = Dist.bernoulli_product p in
+  let mass = Ref_product.mass p in
+  Array.iteri
+    (fun i m ->
+      if Int64.bits_of_float m <> Int64.bits_of_float (Dist.prob_idx d i) then
+        Alcotest.failf "%s: entry %d is %h, reference %h" name i (Dist.prob_idx d i) m)
+    mass;
+  let cdf = Ref_product.cdf mass in
+  let rng_lib = Rng.create 4242 and rng_ref = Rng.create 4242 in
+  for k = 1 to 500 do
+    let got = Bitvec.to_int (Dist.sample d rng_lib) in
+    let want = Ref_product.sample cdf rng_ref in
+    if got <> want then Alcotest.failf "%s: sample %d is %d, reference %d" name k got want
+  done
+
+let test_bernoulli_product_bit_exact () =
+  let rng = Rng.create 2024 in
+  for n = 0 to 14 do
+    check_product_bits (Printf.sprintf "random n=%d" n) (Array.init n (fun _ -> Rng.float rng));
+    check_product_bits (Printf.sprintf "all-zero n=%d" n) (Array.make n 0.0);
+    check_product_bits (Printf.sprintf "all-one n=%d" n) (Array.make n 1.0)
+  done;
+  check_product_bits "product 0.4 20" (Array.make 20 0.4)
+
 let test_xor_parity () =
   let d = Dist.xor_parity ~even:true 3 in
   List.iter
@@ -245,6 +313,8 @@ let () =
           Alcotest.test_case "uniform" `Quick test_uniform;
           Alcotest.test_case "singleton" `Quick test_singleton;
           Alcotest.test_case "bernoulli product" `Quick test_bernoulli_product;
+          Alcotest.test_case "bernoulli product bit-exact" `Quick
+            test_bernoulli_product_bit_exact;
           Alcotest.test_case "xor parity" `Quick test_xor_parity;
           Alcotest.test_case "copy pair" `Quick test_copy_pair;
           Alcotest.test_case "noisy copy limits" `Quick test_noisy_copy_limits;
