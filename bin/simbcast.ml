@@ -149,7 +149,14 @@ let setup_jobs = function
 
 let fail fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
 
-let resolve_thresh n = function Some t -> t | None -> (n - 1) / 2
+(* [-t] defaults to (n-1)/2. An explicit bound must satisfy 0 <= t < n,
+   as every execution context requires; callers report a violation as
+   a usage error with their own exit code. *)
+let resolve_thresh n = function
+  | None -> Ok ((n - 1) / 2)
+  | Some t when t < 0 || t >= n ->
+      Error (Printf.sprintf "--thresh %d: must satisfy 0 <= t < n = %d" t n)
+  | Some t -> Ok t
 
 (* --- fault plans ---------------------------------------------------- *)
 
@@ -305,13 +312,17 @@ let run_cmd =
     setup_logging verbose;
     setup_obs ?trace metrics report;
     setup_jobs jobs;
-    match (protocol_of_name pname, plan_of_spec ~n fault_spec, inputs_of_arg ~n inputs) with
-    | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
-    | Ok protocol, Ok plan, Ok given -> (
+    match
+      ( protocol_of_name pname,
+        plan_of_spec ~n fault_spec,
+        inputs_of_arg ~n inputs,
+        resolve_thresh n thresh )
+    with
+    | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e -> fail "%s" e
+    | Ok protocol, Ok plan, Ok given, Ok thresh -> (
         match adversary_of_name adversary_name protocol n with
         | Error e -> fail "%s" e
         | Ok adversary ->
-            let thresh = resolve_thresh n thresh in
             let rng = Sb_util.Rng.create seed in
             let x =
               match given with Some x -> x | None -> Sb_util.Bitvec.random rng n
@@ -642,15 +653,14 @@ let fault_sweep_cmd =
               (Printf.sprintf "unknown protocol %S (try: all, %s)" pname
                  (String.concat ", " (List.map fst (catalogue ()))))
     in
-    match (protocols, plan_of_spec ~n fault_spec) with
-    | Error e, _ | _, Error e -> fail "%s" e
-    | Ok protocols, Ok spec_plan ->
+    match (protocols, plan_of_spec ~n fault_spec, resolve_thresh n thresh) with
+    | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
+    | Ok protocols, Ok spec_plan, Ok thresh ->
         if List.exists (fun c -> c < 0 || c >= n) crashes then
           fail "--crashes: counts must lie in [0, %d)" n
         else if List.exists (fun r -> r < 0.0 || r > 1.0) drops then
           fail "--drops: rates must lie in [0, 1]"
         else begin
-          let thresh = resolve_thresh n thresh in
           let setup = Core.Setup.{ default with n; thresh; seed; samples } in
           let plans =
             (* A --faults spec replaces the grid: one cell per protocol. *)
@@ -805,6 +815,14 @@ let sessions_cmd =
       Printf.eprintf "simbcast: --count must be a positive integer, got %d\n" count;
       exit 2
     end;
+    (* So is an out-of-range --thresh. *)
+    let thresh =
+      match resolve_thresh n thresh with
+      | Ok t -> t
+      | Error e ->
+          Printf.eprintf "simbcast: %s\n" e;
+          exit 2
+    in
     setup_obs metrics report;
     (* Comm totals and throughput rates come off the sim.* counter
        deltas, so the engine needs metrics on even without --metrics;
@@ -824,7 +842,6 @@ let sessions_cmd =
     | Ok [], _ -> fail "no protocol names given"
     | Ok protocols, Ok dist ->
         let open Sb_session in
-        let thresh = resolve_thresh n thresh in
         let setup = Core.Setup.{ default with n; thresh; seed } in
         let k = List.length protocols in
         let base = count / k and extra = count mod k in
@@ -1047,7 +1064,14 @@ let check_cmd =
           usage ();
           exit 2
         end;
-        let thresh = resolve_thresh n thresh in
+        let thresh =
+          match resolve_thresh n thresh with
+          | Ok t -> t
+          | Error e ->
+              Printf.eprintf "simbcast: %s\n" e;
+              usage ();
+              exit 2
+        in
         let setup = Core.Setup.{ default with n; thresh; seed } in
         let ctx =
           Core.Setup.fresh_ctx setup (Sb_util.Rng.split (Sb_util.Rng.create seed))

@@ -35,7 +35,7 @@ let scheme =
         let tallies : tally list ref = ref [] in
         let echoed = ref false in
         let ready_sent = ref false in
-        let wrap m = Session.wrap ~sid m in
+        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
         (* Wrap once, share the body across all n envelopes; drawn from
            the ctx arena when one is installed. *)
         let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
@@ -50,7 +50,7 @@ let scheme =
         let record inbox =
           List.iter
             (fun (e : Envelope.t) ->
-              match (Envelope.src_party e, Session.unwrap ~sid e.Envelope.body) with
+              match (Envelope.src_party e, unwrap e.Envelope.body) with
               | Some src, Some (Msg.Tag ("br-echo", v)) ->
                   if not (Bitvec.Mut.get echo_seen src) then begin
                     Bitvec.Mut.set echo_seen src true;
@@ -91,7 +91,7 @@ let scheme =
                 let init =
                   List.find_map
                     (fun (e : Envelope.t) ->
-                      match (Envelope.src_party e, Session.unwrap ~sid e.Envelope.body) with
+                      match (Envelope.src_party e, unwrap e.Envelope.body) with
                       | Some src, Some (Msg.Tag ("br-init", v)) when src = sender -> Some v
                       | _ -> None)
                     inbox

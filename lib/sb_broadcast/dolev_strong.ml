@@ -62,7 +62,8 @@ let scheme =
         (* Values to relay next round, with their signature sets. *)
         let outbox : (Msg.t * (int * string) list) list ref = ref [] in
         let scratch = Bitvec.Mut.create n in
-        let send_all m = Ctx.to_all ctx ~src:me (Session.wrap ~sid m) in
+        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
+        let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
         let valid_sigs b chain =
           List.for_all (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i b s) chain
         in
@@ -80,7 +81,7 @@ let scheme =
           List.iter
             (fun (e : Envelope.t) ->
               if List.length !accepted < 2 then
-                match Session.unwrap ~sid e.Envelope.body with
+                match unwrap e.Envelope.body with
                 | Some (Msg.List [ v; Msg.List entries ])
                   when (not (List.exists (Msg.equal v) !accepted))
                        && List.length entries >= round -> (

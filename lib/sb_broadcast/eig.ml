@@ -49,11 +49,12 @@ let scheme =
         let tree : (int list, Msg.t) Hashtbl.t = Hashtbl.create 64 in
         let last_level : (int list * Msg.t) list ref = ref [] in
         let scratch = Sb_util.Bitvec.Mut.create n in
+        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
         let store ~round inbox =
           List.iter
             (fun (e : Envelope.t) ->
               let src = Envelope.src_party e in
-              match Option.map Msg.to_list_exn (Session.unwrap ~sid e.Envelope.body) with
+              match Option.map Msg.to_list_exn (unwrap e.Envelope.body) with
               | Some pairs ->
                   List.iter
                     (fun pair ->
@@ -76,7 +77,7 @@ let scheme =
           if pairs = [] then []
           else
             Ctx.to_all ctx ~src:me
-              (Session.wrap ~sid (Msg.List (List.map encode_pair pairs)))
+              (wrap (Msg.List (List.map encode_pair pairs)))
         in
         let step ~round ~inbox =
           last_level := [];

@@ -94,13 +94,14 @@ let concurrent scheme = make `Concurrent scheme ("concurrent-" ^ scheme.Session.
    would conflate composition cost with substrate cost. *)
 let single (scheme : Session.scheme) =
   let sid = session_id 0 in
+  let inbox_for = Session.inbox_for ~sid in
   let make_party ctx ~rng ~id ~input =
     let value = if id = 0 then Some input else None in
     let session =
       scheme.create ctx ~rng:(Sb_util.Rng.split rng) ~sid ~sender:0 ~me:id ~value
     in
     let step ~round ~inbox =
-      session.Session.step ~round ~inbox:(Session.inbox_for ~sid inbox)
+      session.Session.step ~round ~inbox:(inbox_for inbox)
     in
     let output () = session.Session.result () in
     { Party.step; output }

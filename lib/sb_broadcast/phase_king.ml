@@ -17,12 +17,12 @@ let scheme =
         let t = ctx.Ctx.thresh in
         let current = ref (Option.value value ~default) in
         let strong = ref false in
-        let wrap m = Session.wrap ~sid m in
+        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
         let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
         let payloads inbox =
           List.filter_map
             (fun (e : Envelope.t) ->
-              match (Envelope.src_party e, Session.unwrap ~sid e.Envelope.body) with
+              match (Envelope.src_party e, unwrap e.Envelope.body) with
               | Some src, Some m -> Some (src, m)
               | _ -> None)
             inbox

@@ -20,12 +20,13 @@ let scheme =
            seed. *)
         let echo_seen = Sb_util.Bitvec.Mut.create n in
         let echo_val = Array.make n default in
-        let send_all m = Ctx.to_all ctx ~src:me (Session.wrap ~sid m) in
+        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
+        let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
         let step ~round ~inbox =
           let payloads =
             List.filter_map
               (fun (e : Envelope.t) ->
-                match (Envelope.src_party e, Session.unwrap ~sid e.body) with
+                match (Envelope.src_party e, unwrap e.body) with
                 | Some src, Some m -> Some (src, m)
                 | _ -> None)
               inbox

@@ -38,8 +38,16 @@ type scheme = {
 val tag : string -> string
 (** [tag sid] is the message tag used by session [sid]. *)
 
+(** [wrap], [unwrap] and [inbox_for] build [tag sid] when applied to
+    [~sid] alone. A session binds them once, e.g.
+    [let unwrap = Session.unwrap ~sid in ...], instead of applying
+    them in full per envelope; full application behaves the same but
+    builds the tag string on every call. *)
+
 val wrap : sid:string -> Sb_sim.Msg.t -> Sb_sim.Msg.t
 val unwrap : sid:string -> Sb_sim.Msg.t -> Sb_sim.Msg.t option
 
 val inbox_for : sid:string -> Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list
-(** Envelopes whose body carries this session's tag. *)
+(** Envelopes whose body carries this session's tag, in inbox order.
+    When every envelope carries it — always so for a session running
+    alone — the argument itself is returned, not a copy. *)

@@ -45,15 +45,34 @@ let wire_size e = endpoint_size e.src + endpoint_size e.dst + Msg.size_bytes e.b
    values, so protocol state that retains payloads is unaffected;
    only the envelope records themselves are recycled, which is why
    reuse is incompatible with trace recording, fault delay queues, or
-   adversaries that stash delivered envelopes across rounds. *)
+   adversaries that stash delivered envelopes across rounds.
+
+   The endpoints are shared too: [ends.(i)] is the one [Party i] value
+   every arena envelope from or to party i carries, grown to the
+   largest n served. A recycled record has long since been promoted to
+   the major heap, so storing a freshly allocated [Party i] into it
+   would cost a write-barrier entry and then promote the endpoint at
+   the next minor collection — twice per envelope. Endpoints are
+   immutable, so sharing them changes no structural comparison. *)
 module Arena = struct
   type side = { mutable pool : t array; mutable len : int }
-  type arena = { sides : side array; mutable cur : int; mutable flips : int }
+
+  type arena = {
+    sides : side array;
+    mutable cur : int;
+    mutable flips : int;
+    mutable ends : endpoint array;
+  }
 
   let fresh () = { src = Func; dst = Func; body = Msg.Unit }
 
   let create () =
-    { sides = [| { pool = [||]; len = 0 }; { pool = [||]; len = 0 } |]; cur = 0; flips = 0 }
+    {
+      sides = [| { pool = [||]; len = 0 }; { pool = [||]; len = 0 } |];
+      cur = 0;
+      flips = 0;
+      ends = [||];
+    }
 
   let flips a = a.flips
 
@@ -61,6 +80,15 @@ module Arena = struct
     a.cur <- 1 - a.cur;
     a.flips <- a.flips + 1;
     a.sides.(a.cur).len <- 0
+
+  (* Makes [a.ends] cover parties 0 .. n-1, keeping the values already
+     handed out. *)
+  let reserve a n =
+    let have = Array.length a.ends in
+    if n > have then begin
+      let old = a.ends in
+      a.ends <- Array.init n (fun i -> if i < have then old.(i) else Party i)
+    end
 
   let alloc a ~src ~dst body =
     let s = a.sides.(a.cur) in
@@ -83,8 +111,14 @@ module Arena = struct
     e.body <- body;
     e
 
-  let make a ~src ~dst body = alloc a ~src:(Party src) ~dst:(Party dst) body
-  let to_all a ~n ~src body = List.init n (fun dst -> make a ~src ~dst body)
+  let make a ~src ~dst body =
+    reserve a (1 + max src dst);
+    alloc a ~src:a.ends.(src) ~dst:a.ends.(dst) body
+
+  let to_all a ~n ~src body =
+    reserve a (max n (src + 1));
+    let from = a.ends.(src) in
+    List.init n (fun dst -> alloc a ~src:from ~dst:a.ends.(dst) body)
 end
 
 let pp_endpoint fmt = function

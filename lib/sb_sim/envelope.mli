@@ -72,7 +72,16 @@ val pp : Format.formatter -> t -> unit
     are recycled, so the arena must not be combined with trace
     recording, delay-fault queues, or adversaries that retain
     delivered envelopes across rounds ([Network.run] enforces the
-    first two). *)
+    first two).
+
+    Endpoints are shared as well: the arena keeps one [Party i] value
+    per party, grown to the largest n it has served, and every arena
+    envelope from or to party [i] carries that value. Recycled records
+    live in the major heap, so a fresh endpoint stored into one would
+    go through the write barrier and be promoted at the next minor
+    collection; a shared one is allocated once. Endpoints are
+    immutable, so arena envelopes stay structurally equal to the ones
+    {!Envelope.make} builds. *)
 module Arena : sig
   type arena
 
@@ -89,7 +98,8 @@ module Arena : sig
 
   val make : arena -> src:int -> dst:int -> Msg.t -> t
   (** Party-to-party envelope drawn from the current side (the record
-      is recycled, the fields are freshly set). *)
+      is recycled, the fields are freshly set to the arena's shared
+      endpoints). Requires [src >= 0] and [dst >= 0]. *)
 
   val to_all : arena -> n:int -> src:int -> Msg.t -> t list
   (** Arena-backed {!Envelope.to_all}: same envelopes in the same

@@ -280,7 +280,14 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       if tracing then Sb_obs.Trace_ctx.begin_span ~agg:"rush" ~cat:"phase" "rush"
       else Sb_obs.Trace_ctx.none
     in
-    let rushed = List.filter (fun e -> not (Envelope.is_func_bound e)) honest_out in
+    (* Both queue copies below are skipped when they would copy
+       everything: most rounds send nothing to the functionality, and
+       an honest run's adversary never speaks. *)
+    let rushed =
+      if List.exists Envelope.is_func_bound honest_out then
+        List.filter (fun e -> not (Envelope.is_func_bound e)) honest_out
+      else honest_out
+    in
     let delivered = Router.delivered_to_any inbox_router corrupted in
     let adv_out_raw = strategy.Adversary.act { round; delivered; rushed } in
     (* Drop spoofed envelopes. *)
@@ -302,7 +309,9 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
         Sb_obs.Trace_ctx.begin_span ~agg:"intercept" ~cat:"phase" "intercept"
       else Sb_obs.Trace_ctx.none
     in
-    let all_out = if last then [] else honest_out @ adv_out in
+    let all_out =
+      if last then [] else if adv_out = [] then honest_out else honest_out @ adv_out
+    in
     let all_out =
       match intercept with None -> all_out | Some f -> f ~round all_out
     in

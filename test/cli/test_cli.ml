@@ -77,6 +77,38 @@ let test_run_inputs_rejected () =
     ];
   Sys.remove out
 
+(* An out-of-range corruption bound (t < 0 or t >= n) is a usage error
+   on every subcommand that takes one, with that subcommand's usage
+   exit code and a message naming the flag — never the context's
+   assertion failure (125). *)
+let test_thresh_rejected () =
+  let out = temp ".thresh.err" in
+  List.iter
+    (fun (what, code, args) ->
+      Alcotest.(check int) (Printf.sprintf "%s exits %d" what code) code (command ~out args);
+      Alcotest.(check bool) (what ^ " names --thresh") true
+        (contains (read_file out) "--thresh"))
+    [
+      ("run t = n + 2", cli_error, [ "run"; "bracha"; "-n"; "3"; "-x"; "101"; "--thresh"; "5" ]);
+      ("run t = -1", cli_error, [ "run"; "bracha"; "-n"; "3"; "-x"; "101"; "--thresh=-1" ]);
+      ("check t = n", 2, [ "check"; "bracha"; "--n"; "3"; "--t"; "3" ]);
+      ("check t = -1", 2, [ "check"; "bracha"; "--n"; "3"; "--thresh=-1" ]);
+      ("sessions t = n", 2, [ "sessions"; "bracha"; "--count"; "2"; "-n"; "3"; "-t"; "3" ]);
+      ( "sessions t = -1",
+        2,
+        [ "sessions"; "bracha"; "--count"; "2"; "-n"; "3"; "--thresh=-1" ] );
+      ( "fault-sweep t = n",
+        cli_error,
+        [ "fault-sweep"; "-p"; "concurrent-bracha"; "-n"; "3"; "-t"; "3" ] );
+      ( "fault-sweep t = -1",
+        cli_error,
+        [ "fault-sweep"; "-p"; "concurrent-bracha"; "-n"; "3"; "--thresh=-1" ] );
+    ];
+  Alcotest.(check int) "check t = n prints usage" 2
+    (command ~out [ "check"; "bracha"; "--n"; "3"; "--t"; "3" ]);
+  Alcotest.(check bool) "check usage line" true (contains (read_file out) "usage");
+  Sys.remove out
+
 (* --- traced run ----------------------------------------------------- *)
 
 let test_run_trace_output () =
@@ -436,6 +468,7 @@ let () =
         [
           Alcotest.test_case "trailing args rejected" `Quick test_trailing_args_rejected;
           Alcotest.test_case "run -x usage errors" `Quick test_run_inputs_rejected;
+          Alcotest.test_case "out-of-range --thresh usage errors" `Quick test_thresh_rejected;
           Alcotest.test_case "traced run emits valid trace JSON" `Quick test_run_trace_output;
           Alcotest.test_case "tracing keeps reports identical (jobs 1, 2)" `Quick
             test_trace_keeps_reports_identical;

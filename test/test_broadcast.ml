@@ -1176,6 +1176,78 @@ let test_eig_differential () =
          ~seed)
   done
 
+(* --- session tags ---------------------------------------------------- *)
+
+let test_inbox_for_mixed () =
+  (* Only exact "bc:s1" tags survive: "bc:s10" and "bc:s" belong to
+     sessions s10 and s, an untagged body carrying the tag text is not
+     tagged, and inbox order is kept. *)
+  let e i body = Envelope.make ~src:i ~dst:0 body in
+  let inbox =
+    [
+      e 0 (Msg.Tag ("bc:s1", Msg.Int 1));
+      e 1 (Msg.Tag ("bc:s10", Msg.Int 2));
+      e 2 (Msg.Tag ("bc:s", Msg.Int 3));
+      e 3 (Msg.Str "bc:s1");
+      e 4 (Msg.Tag ("bc:s1", Msg.Tag ("echo", Msg.Bit true)));
+      e 5 (Msg.Int 7);
+      e 6 (Msg.Tag ("s1", Msg.Int 4));
+      e 7 (Msg.Tag ("bc:s1", Msg.Unit));
+    ]
+  in
+  let kept = Sb_broadcast.Session.inbox_for ~sid:"s1" inbox in
+  Alcotest.(check (list int)) "matching envelopes, in order" [ 0; 4; 7 ]
+    (List.map (fun e -> Option.get (Envelope.src_party e)) kept);
+  List.iter2
+    (fun k i ->
+      Alcotest.(check bool) "kept envelopes are the originals" true (k == List.nth inbox i))
+    kept [ 0; 4; 7 ];
+  Alcotest.(check (list int)) "s10 keeps its own" [ 1 ]
+    (List.map
+       (fun e -> Option.get (Envelope.src_party e))
+       (Sb_broadcast.Session.inbox_for ~sid:"s10" inbox));
+  Alcotest.(check (list int)) "s keeps its own" [ 2 ]
+    (List.map
+       (fun e -> Option.get (Envelope.src_party e))
+       (Sb_broadcast.Session.inbox_for ~sid:"s" inbox))
+
+let test_inbox_for_all_matching () =
+  (* A session running alone sees only its own traffic: the inbox comes
+     back as the same list, not a copy — through a bound partial
+     application and through full application alike. *)
+  let for_s1 = Sb_broadcast.Session.inbox_for ~sid:"s1" in
+  let wrap = Sb_broadcast.Session.wrap ~sid:"s1" in
+  let inbox = Envelope.to_all ~n:6 ~src:2 (wrap (Msg.Tag ("echo", Msg.Bit true))) in
+  Alcotest.(check bool) "all matching: same list" true (for_s1 inbox == inbox);
+  Alcotest.(check bool) "full application: same list" true
+    (Sb_broadcast.Session.inbox_for ~sid:"s1" inbox == inbox);
+  Alcotest.(check int) "empty inbox" 0 (List.length (for_s1 []));
+  let mixed = inbox @ [ Envelope.make ~src:0 ~dst:0 (Msg.Int 1) ] in
+  Alcotest.(check int) "one stray envelope: filtered" 6 (List.length (for_s1 mixed))
+
+let test_wrap_unwrap_partial () =
+  (* Bound once per session or applied in full per message, wrap and
+     unwrap give the same answers. *)
+  let msgs = [ Msg.Unit; Msg.Bit true; Msg.Int 42; Msg.Tag ("echo", Msg.Str "x") ] in
+  List.iter
+    (fun sid ->
+      let wrap = Sb_broadcast.Session.wrap ~sid and unwrap = Sb_broadcast.Session.unwrap ~sid in
+      List.iter
+        (fun m ->
+          let full = Sb_broadcast.Session.wrap ~sid m in
+          Alcotest.(check bool) (sid ^ ": wrap") true (Msg.equal (wrap m) full);
+          Alcotest.(check bool) (sid ^ ": tag") true
+            (Msg.equal full (Msg.Tag (Sb_broadcast.Session.tag sid, m)));
+          List.iter
+            (fun body ->
+              Alcotest.(check bool) (sid ^ ": unwrap") true
+                (Option.equal Msg.equal (unwrap body) (Sb_broadcast.Session.unwrap ~sid body)))
+            [ full; m; Sb_broadcast.Session.wrap ~sid:(sid ^ "0") m; Msg.Tag (sid, m) ];
+          Alcotest.(check bool) (sid ^ ": round trip") true
+            (Option.equal Msg.equal (unwrap (wrap m)) (Some m)))
+        msgs)
+    [ "s0"; "s1"; "s10"; ""; "test" ]
+
 let () =
   let scheme_cases name scheme =
     [
@@ -1219,6 +1291,15 @@ let () =
           Alcotest.test_case "equivocating sender" `Quick test_phase_king_equivocating_sender;
           Alcotest.test_case "lying non-king" `Quick test_phase_king_lying_nonking;
           Alcotest.test_case "round formula" `Quick test_phase_king_rounds;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "inbox_for keeps exact tags in order" `Quick
+            test_inbox_for_mixed;
+          Alcotest.test_case "inbox_for returns an all-matching inbox" `Quick
+            test_inbox_for_all_matching;
+          Alcotest.test_case "partial wrap/unwrap = full application" `Quick
+            test_wrap_unwrap_partial;
         ] );
       ( "parallel",
         [

@@ -93,6 +93,35 @@ let test_e2_e3_table_pins () =
             (csv_md5 (Core.Experiments.e3_g_unachievable s))))
     [ 1; 2 ]
 
+(* E17's quick table (n = 128, 256) with the wall-clock [ms] column
+   stripped, recorded before the large-n round pipeline stopped
+   allocating per envelope (shared arena endpoints, per-session tags,
+   no copies of the outgoing queue). Every count and byte total must
+   stay put; the check rows are covered by the paper-claims case. *)
+let e17_quick_pin =
+  [
+    "substrate,n,rounds,p2p msgs,deliveries,wire bytes";
+    "send-echo,128,2,16512,16512,498578";
+    "send-echo,256,2,65792,65792,2045842";
+    "dolev-strong,128,2,16384,16384,2456960";
+    "dolev-strong,256,2,65536,65536,9927424";
+    "bracha,128,4,32896,32896,1143954";
+    "bracha,256,4,131328,131328,4680082";
+    "phase-king,128,5,33152,33152,1103286";
+    "phase-king,256,5,131840,131840,4500662";
+  ]
+
+let test_e17_table_pin () =
+  let o = Core.Experiments.e17_scaling Core.Setup.quick in
+  let rows = String.split_on_char '\n' (Sb_util.Tabular.to_csv o.Core.Experiments.table) in
+  let strip_ms row =
+    match List.rev (String.split_on_char ',' row) with
+    | _ms :: rest -> String.concat "," (List.rev rest)
+    | [] -> row
+  in
+  Alcotest.(check (list string)) "E17 quick table without ms" e17_quick_pin
+    (List.map strip_ms (List.filteri (fun i _ -> i < List.length e17_quick_pin) rows))
+
 let test_e8_monotone_details () =
   (* Beyond the built-in shape checks: message complexity of the p2p
      instantiation grows superlinearly while the broadcast-channel
@@ -136,9 +165,15 @@ let () =
           Alcotest.test_case "E16 wire complexity" `Quick
             (check_outcome "E16" (fun () ->
                  Core.Experiments.e16_wire_complexity ~ns:[ 4; 16 ] ()));
+          Alcotest.test_case "E17 scaling (quick)" `Quick
+            (check_outcome "E17" (fun () -> Core.Experiments.e17_scaling Core.Setup.quick));
         ] );
       ("e8-details", [ Alcotest.test_case "message growth" `Quick test_e8_monotone_details ]);
-      ("table-pins", [ Alcotest.test_case "E2/E3 csv bytes" `Quick test_e2_e3_table_pins ]);
+      ( "table-pins",
+        [
+          Alcotest.test_case "E2/E3 csv bytes" `Quick test_e2_e3_table_pins;
+          Alcotest.test_case "E17 quick table" `Quick test_e17_table_pin;
+        ] );
       ( "robustness",
         [
           Alcotest.test_case "headline separation at n=7" `Slow test_headline_at_n7;

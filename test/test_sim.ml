@@ -218,7 +218,116 @@ let test_arena_generations () =
         (List.memq e2 batch1);
       Alcotest.(check bool) "recycled fields are rewritten" true
         (Msg.equal e2.Envelope.body (Msg.Str "g2") && Envelope.src_party e2 = Some 2))
-    batch2
+    batch2;
+  (* Endpoints are shared: one [Party i] value per party, the same
+     across generations and between the src and dst roles. *)
+  List.iter2
+    (fun e0 e1 ->
+      Alcotest.(check bool) "dst endpoint shared across generations" true
+        (e0.Envelope.dst == e1.Envelope.dst))
+    batch0 batch1;
+  List.iter
+    (fun e1 ->
+      Alcotest.(check bool) "src endpoint is the dst endpoint of the same party" true
+        (e1.Envelope.src == (List.nth batch0 1).Envelope.dst))
+    batch1;
+  let made = Envelope.Arena.make a ~src:3 ~dst:1 (Msg.Int 5) in
+  Alcotest.(check bool) "Arena.make = Envelope.make" true
+    (made = Envelope.make ~src:3 ~dst:1 (Msg.Int 5));
+  Alcotest.(check bool) "Arena.make shares endpoints" true
+    (made.Envelope.dst == (List.nth batch0 1).Envelope.dst);
+  (* Growing from n = 4 to n = 600 keeps the endpoints already handed
+     out and addresses every new party correctly. *)
+  let p2 = (List.nth batch0 2).Envelope.dst in
+  let wide = Envelope.Arena.to_all a ~n:600 ~src:599 (Msg.Str "wide") in
+  Alcotest.(check int) "600 envelopes" 600 (List.length wide);
+  List.iteri
+    (fun i e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "grown arena: 599 -> %d" i)
+        true
+        (e = Envelope.make ~src:599 ~dst:i (Msg.Str "wide")))
+    wide;
+  Alcotest.(check bool) "endpoints survive growth" true
+    ((List.nth wide 2).Envelope.dst == p2);
+  Alcotest.(check bool) "grown Arena.make = Envelope.make" true
+    (Envelope.Arena.make a ~src:0 ~dst:599 Msg.Unit = Envelope.make ~src:0 ~dst:599 Msg.Unit)
+
+(* The arena path (trace off, comm tallies on, recycled envelopes,
+   shared endpoints) against the plain path (fresh envelopes, full
+   trace) on the same seeds: outputs, rounds and p2p counts must agree,
+   and the arena's comm totals must equal the sums over the plain
+   run's trace. The arena path runs twice on one arena, so the second
+   run draws only recycled records. *)
+let comm_of_trace n (trace : Trace.t) =
+  let bcast_bytes, p2p_bytes = Trace.wire_bytes trace in
+  let deliveries =
+    List.fold_left
+      (fun acc (r : Trace.round_record) ->
+        let party =
+          List.fold_left
+            (fun acc e ->
+              if Envelope.is_func_bound e then acc
+              else if Envelope.is_broadcast e then acc + n
+              else acc + 1)
+            0
+            (r.Trace.honest_sent @ r.Trace.adv_sent)
+        in
+        acc + party + List.length r.Trace.func_sent)
+      0 trace
+  in
+  {
+    Network.broadcasts = Trace.broadcast_count trace;
+    broadcast_bytes = bcast_bytes;
+    p2p_bytes;
+    deliveries;
+  }
+
+let test_arena_vs_plain () =
+  List.iter
+    (fun ((scheme : Sb_broadcast.Session.scheme), n, thresh) ->
+      let name = Printf.sprintf "%s n=%d" scheme.Sb_broadcast.Session.scheme_name n in
+      let protocol = Sb_broadcast.Parallel.single scheme in
+      let inputs = Array.init n (fun i -> Msg.Bit (i mod 3 = 0)) in
+      let ctx ?pool () = Ctx.make ?pool ~rng:(Sb_util.Rng.create (40 + n)) ~n ~thresh ~k:8 () in
+      let run_rng () = Sb_util.Rng.create (900 + n) in
+      let plain = Network.honest_run (ctx ()) ~rng:(run_rng ()) ~protocol ~inputs in
+      let pooled = ctx ~pool:(Envelope.Arena.create ()) () in
+      let arena () =
+        Network.honest_run ~record_trace:false ~record_comm:true ~reuse_envelopes:true pooled
+          ~rng:(run_rng ()) ~protocol ~inputs
+      in
+      List.iteri
+        (fun pass (r : Network.result) ->
+          let what = Printf.sprintf "%s (arena pass %d)" name pass in
+          Alcotest.(check (list (pair int string)))
+            (what ^ ": outputs")
+            (List.map (fun (i, m) -> (i, Msg.serialize m)) plain.Network.outputs)
+            (List.map (fun (i, m) -> (i, Msg.serialize m)) r.Network.outputs);
+          Alcotest.(check int) (what ^ ": rounds") plain.Network.rounds_used r.Network.rounds_used;
+          Alcotest.(check int)
+            (what ^ ": p2p messages")
+            plain.Network.p2p_messages r.Network.p2p_messages;
+          Alcotest.(check bool) (what ^ ": no trace") true (r.Network.trace = []);
+          let fields (c : Network.comm) =
+            Network.[ c.broadcasts; c.broadcast_bytes; c.p2p_bytes; c.deliveries ]
+          in
+          Alcotest.(check (option (list int)))
+            (what ^ ": comm = trace sums")
+            (Some (fields (comm_of_trace n plain.Network.trace)))
+            (Option.map fields r.Network.comm))
+        [ arena (); arena () ];
+      Alcotest.(check bool) (name ^ ": sender's value decided") true
+        (List.for_all (fun (_, m) -> Msg.equal m inputs.(0)) plain.Network.outputs))
+    (List.concat_map
+       (fun scheme -> [ (scheme, 16, 1); (scheme, 64, 1) ])
+       [
+         Sb_broadcast.Send_echo.scheme;
+         Sb_broadcast.Bracha.scheme;
+         Sb_broadcast.Phase_king.scheme;
+         Sb_broadcast.Dolev_strong.scheme;
+       ]
+    @ [ (Sb_broadcast.Eig.scheme, 7, 2) ])
 
 (* --- Network: basic delivery ------------------------------------- *)
 
@@ -393,6 +502,117 @@ let test_functionality_hidden_from_adversary () =
   let _ = Network.run ctx ~rng:(rng ()) ~protocol:xor_func_protocol ~adversary:adv ~inputs () in
   Alcotest.(check bool) "no ideal-channel leak" false !leak
 
+(* --- Network: round pipeline order --------------------------------- *)
+
+(* Round 0 traffic of party [id] in the mixed protocol below: p2p,
+   functionality-bound and broadcast envelopes interleaved, so any
+   reordering or dropping in the pipeline shows. *)
+let mixed_out ~n id =
+  [
+    Envelope.make ~src:id ~dst:((id + 1) mod n) (Msg.Int (100 * id));
+    Envelope.to_func ~src:id (Msg.Int ((100 * id) + 1));
+    Envelope.broadcast ~src:id (Msg.Int ((100 * id) + 2));
+    Envelope.to_func ~src:id (Msg.Int ((100 * id) + 3));
+    Envelope.make ~src:id ~dst:id (Msg.Int ((100 * id) + 4));
+  ]
+
+let mixed_protocol ~func =
+  {
+    Protocol.name = "mixed";
+    rounds = (fun _ -> 1);
+    make_functionality = None;
+    make_party =
+      (fun ctx ~rng:_ ~id ~input:_ ->
+        let step ~round ~inbox:_ =
+          if round <> 0 then []
+          else
+            List.filter
+              (fun e -> func || not (Envelope.is_func_bound e))
+              (mixed_out ~n:ctx.Ctx.n id)
+        in
+        { Party.step; output = (fun () -> Msg.Unit) });
+  }
+
+(* Corrupts party 3; records the round-0 rushed view and answers with
+   [speak] (which may include a spoofed envelope). *)
+let recording_adversary ~seen ~speak =
+  {
+    Adversary.name = "recorder";
+    choose_corrupt = (fun _ ~rng:_ -> [ 3 ]);
+    init =
+      (fun _ ~rng:_ ~corrupted:_ ~inputs:_ ~aux:_ ->
+        {
+          Adversary.act =
+            (fun view ->
+              if view.Adversary.round = 0 then begin
+                seen := view.Adversary.rushed;
+                speak
+              end
+              else []);
+          adv_output = (fun () -> Msg.Unit);
+        });
+  }
+
+let envs = Alcotest.testable (Fmt.Dump.list Envelope.pp) ( = )
+
+let test_network_rushed_order () =
+  (* The rushed view is the honest queue in party order, minus exactly
+     the functionality-bound envelopes — with and without such
+     traffic in the round. *)
+  List.iter
+    (fun func ->
+      let ctx = make_ctx () in
+      let seen = ref [] in
+      let _ =
+        Network.run ctx ~rng:(rng ()) ~protocol:(mixed_protocol ~func)
+          ~adversary:(recording_adversary ~seen ~speak:[])
+          ~inputs:(Array.make 4 Msg.Unit) ()
+      in
+      let expected =
+        List.filter
+          (fun e -> not (Envelope.is_func_bound e))
+          (List.concat_map (mixed_out ~n:4) [ 0; 1; 2 ])
+      in
+      Alcotest.check envs
+        (Printf.sprintf "rushed = honest minus func-bound (func traffic: %b)" func)
+        expected !seen)
+    [ true; false ]
+
+let test_network_interceptor_order () =
+  (* The interceptor receives the honest queue as sent (func-bound
+     envelopes included), then the adversary's envelopes in its order,
+     spoofed ones removed — and the honest queue alone when the
+     adversary is silent. *)
+  let adv_speech =
+    [
+      Envelope.make ~src:3 ~dst:1 (Msg.Int 301);
+      Envelope.make ~src:0 ~dst:1 (Msg.Int 666) (* spoofed: dropped *);
+      Envelope.broadcast ~src:3 (Msg.Int 302);
+      Envelope.to_func ~src:3 (Msg.Int 303);
+    ]
+  in
+  List.iter
+    (fun speak ->
+      let ctx = make_ctx () in
+      let seen = ref [] and queued = ref [] in
+      let faults ~rng:_ ~round q =
+        if round = 0 then queued := q;
+        q
+      in
+      let _ =
+        Network.run ctx ~rng:(rng ()) ~protocol:(mixed_protocol ~func:true)
+          ~adversary:(recording_adversary ~seen ~speak)
+          ~inputs:(Array.make 4 Msg.Unit) ~faults ()
+      in
+      let expected =
+        List.concat_map (mixed_out ~n:4) [ 0; 1; 2 ]
+        @ List.filter (fun e -> Envelope.src_is e 3) speak
+      in
+      Alcotest.check envs
+        (Printf.sprintf "interceptor queue (%d adversarial envelopes)" (List.length speak))
+        expected !queued)
+    [ adv_speech; [] ]
+
 let test_network_deterministic_under_seed () =
   let run () =
     let ctx = Ctx.make ~rng:(Sb_util.Rng.create 31337) ~n:4 ~thresh:1 ~k:8 () in
@@ -521,6 +741,7 @@ let () =
           Alcotest.test_case "addressing" `Quick test_envelope_addressing;
           Alcotest.test_case "wire size" `Quick test_envelope_wire_size;
           Alcotest.test_case "arena generations" `Quick test_arena_generations;
+          Alcotest.test_case "arena vs plain path" `Quick test_arena_vs_plain;
         ] );
       ( "network",
         [
@@ -529,6 +750,9 @@ let () =
           Alcotest.test_case "drops spoofed" `Quick test_network_drops_spoofed;
           Alcotest.test_case "corrupted may speak" `Quick
             test_network_adversary_can_speak_as_corrupted;
+          Alcotest.test_case "rushed keeps honest order" `Quick test_network_rushed_order;
+          Alcotest.test_case "interceptor sees honest then adversarial" `Quick
+            test_network_interceptor_order;
           Alcotest.test_case "deterministic under seed" `Quick
             test_network_deterministic_under_seed;
           Alcotest.test_case "wrong input count" `Quick test_network_rejects_wrong_input_count;
