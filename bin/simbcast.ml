@@ -541,7 +541,7 @@ let experiment_cmd =
     in
     Arg.(value & opt (some string) None & info [ "n-max" ] ~doc ~docv:"N")
   in
-  let run id quick csv n_max metrics report trace jobs =
+  let run id quick seed csv n_max metrics report trace jobs =
     (* Match sessions' contract for flag validation: a malformed or
        out-of-range --n-max is a usage error with exit 2 (cmdliner's
        own parse failures exit 124, so parse the string here). *)
@@ -561,7 +561,8 @@ let experiment_cmd =
     setup_obs ?trace metrics report;
     setup_jobs jobs;
     let setup =
-      if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default
+      Core.Setup.with_seed seed
+        (if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default)
     in
     let found =
       match (Core.Experiments.find id, n_max) with
@@ -620,8 +621,8 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's claims (E1..E18)")
     Term.(
       ret
-        (const run $ id_arg $ quick_arg $ csv_arg $ n_max_arg $ metrics_arg $ report_arg
-       $ trace_arg $ jobs_arg))
+        (const run $ id_arg $ quick_arg $ seed_arg $ csv_arg $ n_max_arg $ metrics_arg
+       $ report_arg $ trace_arg $ jobs_arg))
 
 (* --- fault-sweep ----------------------------------------------------- *)
 

@@ -49,36 +49,6 @@ let verify_share c s = Modgroup.equal (commit_pair s.value s.blind) (expected_co
 let verify_opening c ~secret ~blind =
   Array.length c > 0 && Modgroup.equal (commit_pair secret blind) c.(0)
 
-(* Both interpolations charge the "reconstruct" attribution bucket
-   under tracing, like Shamir.reconstruct. *)
-let reconstruct shares =
-  if Sb_obs.Trace_ctx.enabled () then begin
-    let t0 = Sb_obs.Trace_ctx.now_us () in
-    let r =
-      Lagrange.interpolate_at
-        (List.map (fun s -> (Shamir.eval_point s.index, s.value)) shares)
-        Field.zero
-    in
-    Sb_obs.Trace_ctx.bucket_add "reconstruct" (Sb_obs.Trace_ctx.now_us () -. t0);
-    r
-  end
-  else
-    Lagrange.interpolate_at
-      (List.map (fun s -> (Shamir.eval_point s.index, s.value)) shares)
-      Field.zero
-
-let reconstruct_blind shares =
-  if Sb_obs.Trace_ctx.enabled () then begin
-    let t0 = Sb_obs.Trace_ctx.now_us () in
-    let r =
-      Lagrange.interpolate_at
-        (List.map (fun s -> (Shamir.eval_point s.index, s.blind)) shares)
-        Field.zero
-    in
-    Sb_obs.Trace_ctx.bucket_add "reconstruct" (Sb_obs.Trace_ctx.now_us () -. t0);
-    r
-  end
-  else
-    Lagrange.interpolate_at
-      (List.map (fun s -> (Shamir.eval_point s.index, s.blind)) shares)
-      Field.zero
+let index s = s.index
+let reconstruct shares = Lagrange.interpolate_at_zero ~index ~value:(fun s -> s.value) shares
+let reconstruct_blind shares = Lagrange.interpolate_at_zero ~index ~value:(fun s -> s.blind) shares

@@ -38,9 +38,11 @@ val verify_opening : commitment -> secret:Field.t -> blind:Field.t -> bool
 (** Check a direct opening of the constant term. *)
 
 val reconstruct : share list -> Field.t
-(** Lagrange interpolation of the value components at 0, via the
-    {!Lagrange} coefficient cache; callers must supply at least
-    threshold+1 shares that verified against the same commitment. *)
+(** Lagrange interpolation of the value components at 0, in any order
+    of the shares, via the {!Lagrange} coefficient table keyed by the
+    index set; callers must supply at least threshold+1 shares that
+    verified against the same commitment. Raises [Invalid_argument] on
+    a repeated index. *)
 
 val reconstruct_blind : share list -> Field.t
 (** Same, for the blinding components: recovers f'(0). *)

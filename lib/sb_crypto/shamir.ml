@@ -14,13 +14,8 @@ let share rng ~threshold ~parties ~secret =
   (shares, f)
 
 let points shares = List.map (fun s -> (eval_point s.index, s.value)) shares
-(* Charges the "reconstruct" attribution bucket under tracing. *)
+
 let reconstruct shares =
-  if Sb_obs.Trace_ctx.enabled () then begin
-    let t0 = Sb_obs.Trace_ctx.now_us () in
-    let r = Lagrange.interpolate_at (points shares) Field.zero in
-    Sb_obs.Trace_ctx.bucket_add "reconstruct" (Sb_obs.Trace_ctx.now_us () -. t0);
-    r
-  end
-  else Lagrange.interpolate_at (points shares) Field.zero
+  Lagrange.interpolate_at_zero ~index:(fun s -> s.index) ~value:(fun s -> s.value) shares
+
 let reconstruct_poly shares = Poly.interpolate (points shares)

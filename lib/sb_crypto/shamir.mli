@@ -17,9 +17,10 @@ val share :
     commitments). Requires 0 <= t < n and n < {!Field.p}. *)
 
 val reconstruct : share list -> Field.t
-(** Lagrange reconstruction at 0, via the {!Lagrange} coefficient
-    cache (the basis vector is computed once per distinct index set).
-    Requires at least [threshold + 1] shares from the original sharing
+(** Lagrange reconstruction at 0, in any order of the shares, via the
+    {!Lagrange} coefficient table keyed by the index-set bitmask (the
+    basis vector is computed once per distinct index set). Requires
+    at least [threshold + 1] shares from the original sharing
     (not checked here — verifiability is {!Feldman}'s job); duplicate
     indices are rejected. *)
 

@@ -9,8 +9,9 @@ type verdict = {
 let classify ?(ks = Ensemble.default_ks) (e : Ensemble.t) =
   let local_gaps = List.map (fun k -> (k, Ensemble.local_gap_at e k)) ks in
   let indep_gaps = List.map (fun k -> (k, Ensemble.independence_gap_at e k)) ks in
-  let local_decay = Ensemble.classify_decay (fun k -> Ensemble.local_gap_at e k) ~ks in
-  let indep_decay = Ensemble.classify_decay (fun k -> Ensemble.independence_gap_at e k) ~ks in
+  let decay gaps = Ensemble.classify_decay (fun k -> List.assoc k gaps) ~ks in
+  let local_decay = decay local_gaps in
+  let indep_decay = decay indep_gaps in
   let vanishes = function Ensemble.Zero | Ensemble.Vanishing -> true | Ensemble.Persistent -> false in
   {
     independent = indep_decay = Ensemble.Zero;

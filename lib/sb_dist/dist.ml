@@ -211,24 +211,33 @@ let tvd a b =
 
 let local_gap d =
   (* max over nonempty proper B, u, and positive-mass w of
-     |Pr(x_B = u | x_B̄ = w) - Pr(x_B = u)|. *)
+     |Pr(x_B = u | x_B̄ = w) - Pr(x_B = u)|. One pass per B buckets the
+     mass by its assignment on B̄ (the conditioning totals) and on B
+     (the unconditional projection); every cell x = (u, w) is then its
+     bucket's only member, so Pr(x_B = u | x_B̄ = w) is mass(x) /. total(w).
+     Each bucket sums in ascending index order, exactly as proj_pmf and
+     cond_proj_pmf do, so every gap is bit-identical to theirs. *)
+  let size = Array.length d.mass in
+  let full = size - 1 in
+  let total = Array.make size 0.0 and uncond = Array.make size 0.0 in
   let worst = ref 0.0 in
-  List.iter
-    (fun b ->
-      let comp = Subset.complement d.n b in
-      let uncond = proj_pmf d b in
-      List.iter
-        (fun w ->
-          match cond_proj_pmf d ~of_:b ~given:comp w with
-          | None -> ()
-          | Some cond ->
-              Array.iteri
-                (fun u pu ->
-                  let gap = Float.abs (pu -. uncond.(u)) in
-                  if gap > !worst then worst := gap)
-                cond)
-        (Bitvec.all d.n))
-    (Subset.all_nonempty_proper d.n);
+  for b = 1 to full - 1 do
+    let comp = full land lnot b in
+    Array.fill total 0 size 0.0;
+    Array.fill uncond 0 size 0.0;
+    for x = 0 to full do
+      let p = d.mass.(x) in
+      total.(x land comp) <- total.(x land comp) +. p;
+      uncond.(x land b) <- uncond.(x land b) +. p
+    done;
+    for x = 0 to full do
+      let t = total.(x land comp) in
+      if t > 0.0 then begin
+        let gap = Float.abs ((d.mass.(x) /. t) -. uncond.(x land b)) in
+        if gap > !worst then worst := gap
+      end
+    done
+  done;
   !worst
 
 let independence_gap d = tvd d (product_of_marginals d)

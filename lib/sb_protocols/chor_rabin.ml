@@ -42,16 +42,17 @@ let protocol =
         let acc = ref (Sb_util.Rng.bytes rng ctx.Ctx.k) in
         let salt = ref "" in
         let confs : (int, string) Hashtbl.t = Hashtbl.create 8 in
-        let fold_children inbox =
-          List.iter
-            (fun (src, m) ->
-              (* Accept contributions only from my heap children. *)
-              if src = (2 * id) + 1 || src = (2 * id) + 2 then
-                match m with
-                | Msg.Str s when String.length s = String.length !acc ->
-                    acc := Sha256.xor_strings !acc s
-                | _ -> ())
-            (Wire.tagged_from_parties ~tag:"cr-tree" inbox)
+        let fold_child src m =
+          (* Accept contributions only from my heap children. *)
+          if src = (2 * id) + 1 || src = (2 * id) + 2 then
+            match m with
+            | Msg.Str s when String.length s = String.length !acc ->
+                acc := Sha256.xor_strings !acc s
+            | _ -> ()
+        in
+        let record_conf src = function
+          | Msg.Str c when not (Hashtbl.mem confs src) -> Hashtbl.replace confs src c
+          | _ -> ()
         in
         let vss_step ~round ~inbox =
           if round <= Vss_session.local_rounds then
@@ -63,7 +64,7 @@ let protocol =
           let tree_round = round - tree_base in
           let extra =
             if tree_round >= 0 && tree_round <= max_depth then begin
-              fold_children inbox;
+              Wire.iter_from_parties ~tag:"cr-tree" fold_child inbox;
               if tree_round = max_depth - depth && id <> 0 then
                 (* My slot: pass the accumulated value to my parent. *)
                 [ Envelope.make ~src:id ~dst:((id - 1) / 2) (Msg.Tag ("cr-tree", Msg.Str !acc)) ]
@@ -87,12 +88,7 @@ let protocol =
               | None -> []
             end
             else if round = reveal_round ~n then begin
-              List.iter
-                (fun (src, m) ->
-                  match m with
-                  | Msg.Str c when not (Hashtbl.mem confs src) -> Hashtbl.replace confs src c
-                  | _ -> ())
-                (Wire.tagged_from_parties ~tag:"cr-conf" inbox);
+              Wire.iter_from_parties ~tag:"cr-conf" record_conf inbox;
               List.concat (List.init n (fun d -> Vss_session.reveal_msgs sessions.(d)))
             end
             else if round = reveal_round ~n + 1 then begin

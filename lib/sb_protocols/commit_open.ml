@@ -24,20 +24,18 @@ let protocol =
         let commits : (int, string) Hashtbl.t = Hashtbl.create 8 in
         let opens : (int, Commit.opening) Hashtbl.t = Hashtbl.create 8 in
         let my_opening = ref None in
+        let record_commit src = function
+          | Msg.Str c when not (Hashtbl.mem commits src) -> Hashtbl.replace commits src c
+          | _ -> ()
+        in
+        let record_open src = function
+          | Msg.List [ Msg.Str value; Msg.Str nonce ] when not (Hashtbl.mem opens src) ->
+              Hashtbl.replace opens src { Commit.value; nonce }
+          | _ -> ()
+        in
         let step ~round ~inbox =
-          List.iter
-            (fun (src, m) ->
-              match m with
-              | Msg.Str c when not (Hashtbl.mem commits src) -> Hashtbl.replace commits src c
-              | _ -> ())
-            (Wire.tagged_from_parties ~tag:commit_tag inbox);
-          List.iter
-            (fun (src, m) ->
-              match m with
-              | Msg.List [ Msg.Str value; Msg.Str nonce ] when not (Hashtbl.mem opens src) ->
-                  Hashtbl.replace opens src { Commit.value; nonce }
-              | _ -> ())
-            (Wire.tagged_from_parties ~tag:open_tag inbox);
+          Wire.iter_from_parties ~tag:commit_tag record_commit inbox;
+          Wire.iter_from_parties ~tag:open_tag record_open inbox;
           match round with
           | 0 ->
               let bit = Msg.to_bit_exn input in

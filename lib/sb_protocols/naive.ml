@@ -13,10 +13,9 @@ let make ~name ~rounds ~my_round =
       (fun ctx ~rng:_ ~id ~input ->
         let n = ctx.Ctx.n in
         let heard : Msg.t option array = Array.make n None in
+        let hear src m = if heard.(src) = None then heard.(src) <- Some m in
         let step ~round ~inbox =
-          List.iter
-            (fun (src, m) -> if heard.(src) = None then heard.(src) <- Some m)
-            (Wire.tagged_from_parties ~tag:value_tag inbox);
+          Wire.iter_from_parties ~tag:value_tag hear inbox;
           if round = my_round ctx id then
             [ Envelope.broadcast ~src:id (Msg.Tag (value_tag, input)) ]
           else []

@@ -20,7 +20,9 @@ type t = {
   mutable my_share : Pedersen.share option;
   mutable complainers : int list;
   mutable disqualified : bool;
-  mutable reveals : (int, Pedersen.share) Hashtbl.t;
+  reveals : Pedersen.share option array;
+      (* Indexed by the revealing party; the first valid reveal wins. *)
+  mutable n_reveals : int;
 }
 
 let tagname dealer suffix = Printf.sprintf "vss:%d:%s" dealer suffix
@@ -67,7 +69,8 @@ let create ctx ~rng ~dealer ~me ~secret =
     my_share = None;
     complainers = [];
     disqualified = false;
-    reveals = Hashtbl.create 8;
+    reveals = Array.make ctx.Ctx.n None;
+    n_reveals = 0;
   }
 
 let decode_commitment ctx m =
@@ -135,11 +138,13 @@ let step_impl t ~round ~inbox =
       let unhappy = not (my_share_valid t) in
       [ Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_complain, Msg.Bit unhappy)) ]
   | 2 ->
-      (* Record broadcast complaints; the dealer answers them. *)
-      t.complainers <-
-        List.filter_map
-          (fun (src, m) -> match m with Msg.Bit true -> Some src | _ -> None)
-          (Wire.tagged_from_parties ~tag:t.tag_complain inbox);
+      (* Record broadcast complaints, in inbox order; the dealer
+         answers them. *)
+      let complainers = ref [] in
+      Wire.iter_from_parties ~tag:t.tag_complain
+        (fun src -> function Msg.Bit true -> complainers := src :: !complainers | _ -> ())
+        inbox;
+      t.complainers <- List.rev !complainers;
       (match t.dealt with
       | Some d when t.complainers <> [] ->
           let answers =
@@ -200,23 +205,27 @@ let collect_reveals t inbox =
   match t.commitment with
   | None -> ()
   | Some c ->
-      List.iter
-        (fun (src, m) ->
-          if not (Hashtbl.mem t.reveals src) then
+      Wire.iter_from_parties ~tag:t.tag_reveal
+        (fun src m ->
+          if src >= 0 && src < Array.length t.reveals && Option.is_none t.reveals.(src) then
             match decode_share_pair src m with
-            | Some s when Check_memo.verify_share c s -> Hashtbl.replace t.reveals src s
+            | Some s when Check_memo.verify_share c s ->
+                t.reveals.(src) <- Some s;
+                t.n_reveals <- t.n_reveals + 1
             | Some _ | None -> ())
-        (Wire.tagged_from_parties ~tag:t.tag_reveal inbox)
+        inbox
 
+(* The accepted reveals in sender (= share index) order. *)
 let good_shares t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.reveals []
-  |> List.sort (fun a b -> Int.compare a.Pedersen.index b.Pedersen.index)
+  let rec from i acc =
+    if i < 0 then acc
+    else from (i - 1) (match t.reveals.(i) with Some s -> s :: acc | None -> acc)
+  in
+  from (Array.length t.reveals - 1) []
 
 let reconstruct_with t f =
-  if t.disqualified then None
-  else
-    let shares = good_shares t in
-    if List.length shares >= t.ctx.Ctx.thresh + 1 then Some (f shares) else None
+  if t.disqualified || t.n_reveals < t.ctx.Ctx.thresh + 1 then None
+  else Some (f (good_shares t))
 
 let secret t = reconstruct_with t Pedersen.reconstruct
 let blind t = reconstruct_with t Pedersen.reconstruct_blind

@@ -57,10 +57,20 @@ val reveal_msgs : t -> Sb_sim.Envelope.t list
     holds no verifying share or the dealer is disqualified). *)
 
 val collect_reveals : t -> Sb_sim.Envelope.t list -> unit
+(** Records the reveals in the inbox (this session's reveal tag, party
+    senders only), keyed by sender: a reveal is accepted iff it decodes
+    as a share pair for the sender's own index that verifies against
+    the commitment. The first valid reveal per sender wins; an invalid
+    one is ignored, so a later valid reveal from the same sender is
+    still accepted. Senders outside 0..n−1 (which the network never
+    delivers) are ignored. Nothing is recorded without a commitment.
+    Repeated calls accumulate. *)
 
 val secret : t -> Sb_crypto.Field.t option
 (** Reconstructed secret: [None] if disqualified or (impossible under
-    honest majority) too few verifying shares. *)
+    honest majority) too few verifying shares. Interpolates every
+    accepted reveal, walked in sender order, through the {!Sb_crypto.Lagrange}
+    table keyed by the senders' bitmask. *)
 
 val blind : t -> Sb_crypto.Field.t option
 (** Reconstructed blinding value f'(0) — used by Chor–Rabin's

@@ -3,23 +3,13 @@ open Sb_sim
 (* Inbox scans run once per session per round in every VSS party, so
    they read the sender field in place and build no intermediate list
    or option per envelope. *)
-let tagged ~tag inbox =
-  List.filter_map
-    (fun (e : Envelope.t) ->
-      match e.Envelope.body with
-      | Msg.Tag (t, m) when String.equal t tag -> Some (e.Envelope.src, m)
-      | _ -> None)
-    inbox
-
-let rec tagged_from_parties ~tag = function
-  | [] -> []
-  | (e : Envelope.t) :: rest -> (
-      match e.Envelope.body with
-      | Msg.Tag (t, m) when String.equal t tag -> (
-          match e.Envelope.src with
-          | Envelope.Party src -> (src, m) :: tagged_from_parties ~tag rest
-          | Envelope.Func | Envelope.All -> tagged_from_parties ~tag rest)
-      | _ -> tagged_from_parties ~tag rest)
+let rec iter_from_parties ~tag f = function
+  | [] -> ()
+  | (e : Envelope.t) :: rest ->
+      (match (e.Envelope.body, e.Envelope.src) with
+      | Msg.Tag (t, m), Envelope.Party src when String.equal t tag -> f src m
+      | _ -> ());
+      iter_from_parties ~tag f rest
 
 let rec first_from ~tag ~src = function
   | [] -> None

@@ -2,12 +2,14 @@
 
 open Sb_sim
 
-val tagged : tag:string -> Envelope.t list -> (Envelope.endpoint * Msg.t) list
-(** Envelopes in the inbox whose body is [Tag (tag, m)], as
-    (sender, payload). *)
-
-val tagged_from_parties : tag:string -> Envelope.t list -> (int * Msg.t) list
-(** Same, restricted to party senders. *)
+val iter_from_parties : tag:string -> (int -> Msg.t -> unit) -> Envelope.t list -> unit
+(** [iter_from_parties ~tag f inbox] calls [f src m] for every envelope
+    in the inbox whose body is [Tag (tag, m)] and whose sender is
+    [Party src], in inbox order; [Func] and [All] senders are skipped.
+    The one scan primitive: it allocates nothing itself, so a protocol
+    that consumes each tagged payload once pays no list per scan. Tags
+    compare as whole strings, so ["vss:1:comm"] never matches
+    ["vss:11:comm"]. *)
 
 val first_from : tag:string -> src:int -> Envelope.t list -> Msg.t option
 (** The first [tag]-tagged payload sent by party [src] in the inbox,

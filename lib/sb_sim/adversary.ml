@@ -53,9 +53,7 @@ let honestly_running (p : Protocol.t) ~corrupt ~transform_inputs name =
               (id, p.Protocol.make_party ctx ~rng:(Sb_util.Rng.split rng) ~id ~input))
             corrupted
         in
-        let transcript = ref [] in
         let act view =
-          transcript := view.delivered @ !transcript;
           List.concat_map
             (fun (id, party) ->
               let inbox = List.filter (fun e -> Envelope.delivered_to e id) view.delivered in

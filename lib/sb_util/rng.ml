@@ -84,8 +84,14 @@ let bool t = bits t 1 = 1
 let float t = Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1p-53
 let bernoulli t p = float t < p
 
+(* One draw per byte, in index order: the stream the golden values in
+   test_util pin. *)
 let bytes t len =
-  String.init len (fun _ -> Char.chr (bits t 8))
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (bits t 8))
+  done;
+  Bytes.unsafe_to_string b
 
 let perm t n =
   let a = Array.init n (fun i -> i) in

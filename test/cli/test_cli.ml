@@ -34,6 +34,30 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* --- experiment --seed ------------------------------------------------ *)
+
+(* The default seed is 1, so naming it changes nothing; another seed
+   still decides every E2 row (no corruption is needed for CR to fail
+   on a correlated distribution). *)
+let test_experiment_seed () =
+  let a = temp ".e6.out" and b = temp ".e6s1.out" and c = temp ".e2s2.out" in
+  Alcotest.(check int) "e6 exits 0" 0 (command ~out:a [ "experiment"; "e6"; "--quick" ]);
+  Alcotest.(check int) "e6 --seed 1 exits 0" 0
+    (command ~out:b [ "experiment"; "e6"; "--quick"; "--seed"; "1" ]);
+  Alcotest.(check string) "--seed 1 = default" (read_file a) (read_file b);
+  Alcotest.(check int) "e2 --seed 2 exits 0" 0
+    (command ~out:c [ "experiment"; "e2"; "--quick"; "--seed"; "2" ]);
+  let rec table_rows = function
+    | [] -> []
+    | l :: rest when String.length l > 0 && l.[0] = '-' ->
+        List.filter (fun r -> r <> "") (List.filteri (fun i _ -> i < 10) rest)
+    | _ :: rest -> table_rows rest
+  in
+  let rows = table_rows (String.split_on_char '\n' (read_file c)) in
+  Alcotest.(check int) "e2 rows" 10 (List.length rows);
+  List.iter (fun r -> Alcotest.(check bool) ("FAIL: " ^ r) true (contains r " FAIL ")) rows;
+  List.iter Sys.remove [ a; b; c ]
+
 (* --- strict argument parsing --------------------------------------- *)
 
 let test_trailing_args_rejected () =
@@ -473,6 +497,7 @@ let () =
           Alcotest.test_case "tracing keeps reports identical (jobs 1, 2)" `Quick
             test_trace_keeps_reports_identical;
           Alcotest.test_case "perf-diff exit codes" `Quick test_perf_diff_exit_codes;
+          Alcotest.test_case "experiment --seed" `Quick test_experiment_seed;
           Alcotest.test_case "experiment --n-max validation" `Quick
             test_experiment_n_max_validation;
           Alcotest.test_case "e17 quick report validates" `Quick

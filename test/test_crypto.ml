@@ -153,36 +153,93 @@ let qcheck_poly_mul_eval =
 
 (* --- Lagrange cache / eval_many ----------------------------------- *)
 
-(* Distinct abscissae: dedup a small int list, keep it non-empty. *)
+(* Distinct share indices: dedup a small int list (0..40, so every
+   index fits the cache's mask), keep it non-empty. *)
 let arbitrary_points =
   QCheck.map
     (fun (xs, ys, y0) ->
       let xs = List.sort_uniq Int.compare xs in
       let ys = y0 :: ys in
-      List.mapi (fun i x -> (Field.of_int (x + 1), List.nth ys (i mod List.length ys))) xs)
+      List.mapi (fun i x -> (x, List.nth ys (i mod List.length ys))) xs)
     QCheck.(
       triple (list_of_size Gen.(0 -- 6) (int_range 0 40)) (list_of_size Gen.(0 -- 6) arbitrary_fe)
         arbitrary_fe)
 
+let lagrange_at_zero pts = Lagrange.interpolate_at_zero ~index:fst ~value:snd pts
+let poly_at_zero pts =
+  Poly.interpolate_at (List.map (fun (i, y) -> (Shamir.eval_point i, y)) pts) Field.zero
+
 let qcheck_lagrange_cached_eq_uncached =
-  QCheck.Test.make ~name:"cached interpolate_at = uncached" ~count:300
-    QCheck.(pair arbitrary_points arbitrary_fe)
-    (fun (pts, x0) ->
-      Field.equal (Lagrange.interpolate_at pts x0) (Poly.interpolate_at pts x0)
-      && Field.equal (Lagrange.interpolate_at pts Field.zero)
-           (Poly.interpolate_at pts Field.zero))
+  QCheck.Test.make ~name:"cached interpolate_at = uncached" ~count:300 arbitrary_points
+    (fun pts ->
+      Field.equal (lagrange_at_zero pts) (poly_at_zero pts)
+      (* A second call is served from the mask-keyed table. *)
+      && Field.equal (lagrange_at_zero (List.rev pts)) (poly_at_zero pts))
 
 let test_lagrange_single_point () =
   (* Degree-0 interpolation: one point determines the constant. *)
-  let pts = [ (Field.of_int 3, Field.of_int 17) ] in
-  Alcotest.check fe "single point at 0" (Field.of_int 17) (Lagrange.interpolate_at pts Field.zero);
-  Alcotest.check fe "single point elsewhere" (Field.of_int 17)
-    (Lagrange.interpolate_at pts (Field.of_int 9))
+  Alcotest.check fe "single point at 0" (Field.of_int 17)
+    (lagrange_at_zero [ (2, Field.of_int 17) ])
 
 let test_lagrange_rejects_duplicates () =
-  let pts = [ (Field.one, Field.one); (Field.one, Field.zero) ] in
-  Alcotest.check_raises "duplicate x" (Invalid_argument "Poly.interpolate: duplicate abscissae")
-    (fun () -> ignore (Lagrange.interpolate_at pts Field.zero))
+  let dup = Invalid_argument "Poly.interpolate: duplicate abscissae" in
+  Alcotest.check_raises "duplicate index" dup (fun () ->
+      ignore (lagrange_at_zero [ (0, Field.one); (0, Field.zero) ]));
+  Alcotest.check_raises "duplicate index >= 62" dup (fun () ->
+      ignore (lagrange_at_zero [ (70, Field.one); (3, Field.zero); (70, Field.zero) ]));
+  Alcotest.check_raises "negative index" (Invalid_argument "Lagrange: negative share index")
+    (fun () -> ignore (lagrange_at_zero [ (1, Field.one); (-1, Field.zero) ]))
+
+(* Mask-keyed reconstruction against Poly.interpolate_at on random
+   share subsets of every size t+1..n: non-contiguous index sets
+   (sampled without replacement from a spread-out pool), shuffled
+   order for Shamir, and index pools past 61, whose masks take more
+   than one word. *)
+let test_lagrange_mask_subsets () =
+  let rng = Sb_util.Rng.create 4242 in
+  let shuffle l =
+    let a = Array.of_list l in
+    let p = Sb_util.Rng.perm rng (Array.length a) in
+    List.init (Array.length a) (fun i -> a.(p.(i)))
+  in
+  List.iter
+    (fun (pool, t) ->
+      let n = Array.length pool in
+      for _ = 1 to 40 do
+        let secret = Field.random rng in
+        let f = Poly.random rng ~degree:t ~constant:secret in
+        let size = t + 1 + Sb_util.Rng.int rng (n - t) in
+        let p = Sb_util.Rng.perm rng n in
+        let idx = List.sort Int.compare (List.init size (fun i -> pool.(p.(i)))) in
+        let shares =
+          List.map (fun i -> { Shamir.index = i; value = Poly.eval f (Shamir.eval_point i) }) idx
+        in
+        let pts = List.map (fun s -> (s.Shamir.index, s.Shamir.value)) shares in
+        let expect = poly_at_zero pts in
+        Alcotest.check fe "equals Poly.interpolate_at" expect (lagrange_at_zero pts);
+        Alcotest.check fe "recovers the secret" secret expect;
+        Alcotest.check fe "Shamir, shuffled" expect (Shamir.reconstruct (shuffle shares));
+        let ped =
+          List.map
+            (fun s ->
+              { Pedersen.index = s.Shamir.index; value = s.Shamir.value; blind = s.Shamir.value })
+            shares
+        in
+        Alcotest.check fe "Pedersen value" expect (Pedersen.reconstruct ped);
+        Alcotest.check fe "Pedersen blind" expect (Pedersen.reconstruct_blind (shuffle ped))
+      done)
+    [
+      ([| 0; 1; 2; 3; 4 |], 2);
+      ([| 0; 3; 7; 12; 30; 44; 61 |], 3);
+      ([| 1; 5; 60; 61; 62; 63; 90 |], 2);
+      ([| 62; 64; 100; 1000; 5000 |], 1);
+    ];
+  Alcotest.check_raises "Shamir repeated index"
+    (Invalid_argument "Poly.interpolate: duplicate abscissae") (fun () ->
+      ignore
+        (Shamir.reconstruct
+           [ { Shamir.index = 4; value = Field.one }; { Shamir.index = 1; value = Field.one };
+             { Shamir.index = 4; value = Field.zero } ]))
 
 let test_lagrange_at_zero_matches_direct () =
   (* The BGW recombination vector: at_zero n against the classical
@@ -203,7 +260,7 @@ let test_lagrange_at_zero_matches_direct () =
           done;
           Alcotest.check fe (Printf.sprintf "lambda_%d (n=%d)" i n) (Field.div !num !den) li)
         lam)
-    [ 1; 2; 5; 16 ]
+    [ 1; 2; 5; 16; 64 ]
 
 let qcheck_eval_many_eq_horner =
   QCheck.Test.make ~name:"eval_many = per-point Horner" ~count:300
@@ -657,6 +714,8 @@ let () =
           Alcotest.test_case "single point" `Quick test_lagrange_single_point;
           Alcotest.test_case "duplicate abscissae" `Quick test_lagrange_rejects_duplicates;
           Alcotest.test_case "at_zero = num/den formula" `Quick test_lagrange_at_zero_matches_direct;
+          Alcotest.test_case "mask-keyed subsets = Poly.interpolate_at" `Quick
+            test_lagrange_mask_subsets;
           Alcotest.test_case "eval_many degenerate" `Quick test_eval_many_degenerate;
           QCheck_alcotest.to_alcotest qcheck_lagrange_cached_eq_uncached;
           QCheck_alcotest.to_alcotest qcheck_eval_many_eq_horner;

@@ -206,6 +206,65 @@ let test_local_gap_on_correlated () =
   check_float "xor parity gap" 0.5 (Dist.local_gap (Dist.xor_parity ~even:true 3));
   check_float "copy gap" 0.5 (Dist.local_gap (Dist.copy_pair 3))
 
+(* The per-w definition Dist.local_gap computed before it bucketed the
+   mass by B̄ in one pass: for every nonempty proper B and every w in
+   {0,1}^n, the conditional pmf of x_B given x_B̄ = w against the
+   unconditional one. Kept as the bit-exact oracle. *)
+let oracle_local_gap d =
+  let n = Dist.n d in
+  let worst = ref 0.0 in
+  List.iter
+    (fun b ->
+      let comp = Subset.complement n b in
+      let uncond = Dist.proj_pmf d b in
+      List.iter
+        (fun w ->
+          match Dist.cond_proj_pmf d ~of_:b ~given:comp w with
+          | None -> ()
+          | Some cond ->
+              Array.iteri
+                (fun u pu ->
+                  let gap = Float.abs (pu -. uncond.(u)) in
+                  if gap > !worst then worst := gap)
+                cond)
+        (Bitvec.all n))
+    (Subset.all_nonempty_proper n);
+  !worst
+
+let check_bit_exact what d =
+  let expected = oracle_local_gap d and actual = Dist.local_gap d in
+  if not (Float.equal expected actual) then
+    Alcotest.failf "%s: local_gap %h, oracle %h" what actual expected
+
+let test_local_gap_battery_bit_exact () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (entry : Family.entry) ->
+          List.iter
+            (fun k ->
+              check_bit_exact
+                (Printf.sprintf "%s n=%d k=%d" entry.Family.ensemble.Ensemble.name n k)
+                (entry.Family.ensemble.Ensemble.at k))
+            Ensemble.default_ks)
+        (Family.battery n))
+    [ 3; 4; 5; 6 ]
+
+let test_local_gap_random_bit_exact () =
+  (* 50 random pmfs at n = 1..6; every third one zeroes about a third
+     of its cells, so some conditioning events have zero mass. *)
+  let rng = Rng.create 2024 in
+  for i = 1 to 50 do
+    let n = 1 + (i mod 6) in
+    let raw =
+      Array.init (1 lsl n) (fun _ ->
+          let p = Rng.float rng in
+          if i mod 3 = 0 && Rng.int rng 3 = 0 then 0.0 else p)
+    in
+    raw.(Rng.int rng (1 lsl n)) <- 1.0;
+    check_bit_exact (Printf.sprintf "random pmf %d (n=%d)" i n) (Dist.of_pmf n raw)
+  done
+
 let test_independence_gap () =
   check_float "product" 0.0 (Dist.independence_gap (Dist.product 0.3 3));
   Alcotest.(check bool) "parity gap = 1/2" true
@@ -331,6 +390,10 @@ let () =
         [
           Alcotest.test_case "local gap zero on products" `Quick test_local_gap_zero_on_products;
           Alcotest.test_case "local gap on correlated" `Quick test_local_gap_on_correlated;
+          Alcotest.test_case "local gap = per-w oracle, battery" `Quick
+            test_local_gap_battery_bit_exact;
+          Alcotest.test_case "local gap = per-w oracle, random pmfs" `Quick
+            test_local_gap_random_bit_exact;
           Alcotest.test_case "independence gap" `Quick test_independence_gap;
           QCheck_alcotest.to_alcotest qcheck_products_locally_independent;
         ] );

@@ -93,6 +93,14 @@ let test_e2_e3_table_pins () =
             (csv_md5 (Core.Experiments.e3_g_unachievable s))))
     [ 1; 2 ]
 
+(* E1's table (it draws no samples, so the quick tier is the full
+   one), recorded before Dist.local_gap bucketed the mass by B̄ in one
+   pass per subset; test_dist checks the gaps themselves bit for bit
+   against the per-w definition. *)
+let test_e1_table_pin () =
+  Alcotest.(check string) "E1 csv md5" "734ab5b27b00661e48816ede4d2f0f23"
+    (csv_md5 (Core.Experiments.e1_distribution_classes ()))
+
 (* E17's quick table (n = 128, 256) with the wall-clock [ms] column
    stripped, recorded before the large-n round pipeline stopped
    allocating per envelope (shared arena endpoints, per-session tags,
@@ -171,6 +179,7 @@ let () =
       ("e8-details", [ Alcotest.test_case "message growth" `Quick test_e8_monotone_details ]);
       ( "table-pins",
         [
+          Alcotest.test_case "E1 csv bytes" `Quick test_e1_table_pin;
           Alcotest.test_case "E2/E3 csv bytes" `Quick test_e2_e3_table_pins;
           Alcotest.test_case "E17 quick table" `Quick test_e17_table_pin;
         ] );

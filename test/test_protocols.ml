@@ -553,6 +553,89 @@ let test_registry () =
     (Option.is_none (Sb_protocols.Registry.find "nonsense"));
   Alcotest.(check int) "simultaneous subset" 4 (List.length Sb_protocols.Registry.simultaneous)
 
+(* --- Wire scans and VSS reveal bookkeeping ------------------------------ *)
+
+let test_wire_iter_from_parties () =
+  let env src body = { Envelope.src; dst = Envelope.All; body } in
+  let inbox =
+    [
+      Envelope.broadcast ~src:3 (Msg.Tag ("vss:1:comm", Msg.Int 1));
+      Envelope.make ~src:0 ~dst:1 (Msg.Tag ("vss:11:comm", Msg.Int 2));
+      env Envelope.Func (Msg.Tag ("vss:1:comm", Msg.Int 3));
+      env Envelope.All (Msg.Tag ("vss:1:comm", Msg.Int 4));
+      Envelope.broadcast ~src:2 (Msg.Int 5);
+      Envelope.make ~src:4 ~dst:0 (Msg.Tag ("vss:1:comm", Msg.Int 6));
+      Envelope.broadcast ~src:1 (Msg.Tag ("vss:1:comm", Msg.Int 7));
+    ]
+  in
+  let visits tag =
+    let seen = ref [] in
+    Sb_protocols.Wire.iter_from_parties ~tag
+      (fun src m -> seen := (src, Msg.to_int_exn m) :: !seen)
+      inbox;
+    List.rev !seen
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "vss:1:comm, inbox order, parties only" [ (3, 1); (4, 6); (1, 7) ]
+    (visits "vss:1:comm");
+  Alcotest.check pairs "vss:11:comm" [ (0, 2) ] (visits "vss:11:comm");
+  Alcotest.check pairs "no match" [] (visits "vss:1")
+
+(* One honest Pedersen sharing by dealer 0 at n = 5, t = 2, driven
+   through its local rounds; returns party 1's session, the secret and
+   every party's reveal envelope. *)
+let honest_vss_sharing () =
+  let n = 5 and secret = Sb_crypto.Field.of_int 12345 in
+  let ctx = Ctx.make ~rng:(Sb_util.Rng.create 77) ~n ~thresh:2 ~k:16 () in
+  let rng = Sb_util.Rng.create 78 in
+  let sessions =
+    Array.init n (fun me ->
+        Sb_protocols.Vss_session.create ctx ~rng:(Sb_util.Rng.split rng) ~dealer:0 ~me
+          ~secret:(if me = 0 then Some secret else None))
+  in
+  let sent = ref [] in
+  for round = 0 to Sb_protocols.Vss_session.local_rounds do
+    let out =
+      List.concat
+        (List.init n (fun me ->
+             let inbox = List.filter (fun e -> Envelope.delivered_to e me) !sent in
+             Sb_protocols.Vss_session.step sessions.(me) ~round ~inbox))
+    in
+    sent := out
+  done;
+  let reveals = Array.map (fun s -> List.hd (Sb_protocols.Vss_session.reveal_msgs s)) sessions in
+  (sessions.(1), secret, reveals)
+
+let test_collect_reveals () =
+  let fe = Alcotest.testable Sb_crypto.Field.pp Sb_crypto.Field.equal in
+  let check what expected inbox =
+    (* A fresh sharing per case: reveals accumulate across calls. *)
+    let session, secret, _ = honest_vss_sharing () in
+    Sb_protocols.Vss_session.collect_reveals session inbox;
+    Alcotest.(check (option fe)) what
+      (if expected then Some secret else None)
+      (Sb_protocols.Vss_session.secret session)
+  in
+  let _, _, v = honest_vss_sharing () in
+  let invalid src =
+    Envelope.broadcast ~src
+      (match v.(src).Envelope.body with
+      | Msg.Tag (tag, _) ->
+          Msg.Tag (tag, Msg.List [ Msg.Fe Sb_crypto.Field.one; Msg.Fe Sb_crypto.Field.one ])
+      | _ -> Alcotest.fail "reveal is not tagged")
+  in
+  let from src e = { e with Envelope.src } in
+  check "three valid reveals reconstruct" true [ v.(2); v.(3); v.(4) ];
+  check "invalid reveal does not count" false [ invalid 2; v.(3); v.(4) ];
+  check "invalid then valid from one sender: the valid one counts" true
+    [ invalid 2; v.(2); v.(3); v.(4) ];
+  check "two valid reveals from one sender count once" false [ v.(2); v.(2); v.(3) ];
+  check "duplicate plus two other senders reconstruct" true [ v.(2); v.(2); v.(3); v.(4) ];
+  check "Func and All senders are ignored" false
+    [ v.(2); from Envelope.Func v.(3); from Envelope.All v.(4); v.(3) ];
+  check "another party's share under my name is rejected" false
+    [ from (Envelope.Party 2) v.(4); v.(3); v.(1) ]
+
 (* --- driver ----------------------------------------------------------- *)
 
 let () =
@@ -593,6 +676,11 @@ let () =
               (test_memo_knowledge_tag 1);
             Alcotest.test_case "memoized knowledge tag, 2 domains" `Quick
               (test_memo_knowledge_tag 2);
+          ] );
+        ( "vss-reveals",
+          [
+            Alcotest.test_case "wire iter_from_parties" `Quick test_wire_iter_from_parties;
+            Alcotest.test_case "collect_reveals on crafted inboxes" `Quick test_collect_reveals;
           ] );
         ( "multi",
           [
