@@ -22,22 +22,40 @@ let total_rounds config = config.scheme.Sb_broadcast.Session.rounds config.ctx
    within a run, and the checker drives exactly one session. *)
 let sid = "chk"
 
+(* Endpoint names, built once: parties past the table (never reached at
+   the checker's n) fall back to building theirs. *)
+let party_keys = Array.init 16 (fun i -> "P" ^ string_of_int i)
+
 let endpoint_key = function
+  | Envelope.Party i when i < Array.length party_keys -> party_keys.(i)
   | Envelope.Party i -> "P" ^ string_of_int i
   | Envelope.Func -> "F"
   | Envelope.All -> "*"
 
 let envelope_key (e : Envelope.t) =
-  Printf.sprintf "%s>%s:%s" (endpoint_key e.Envelope.src) (endpoint_key e.Envelope.dst)
-    (Msg.serialize e.Envelope.body)
+  String.concat ""
+    [
+      endpoint_key e.Envelope.src;
+      ">";
+      endpoint_key e.Envelope.dst;
+      ":";
+      Msg.serialize e.Envelope.body;
+    ]
 
-(* An envelope with its [envelope_key], computed once when it is sent
-   and carried through the queue, the held table and the history
-   chains. Untracked rounds (session rebuilds, the delivery-only final
-   round) leave the key empty: nothing digests them. *)
-type keyed = { env : Envelope.t; key : string }
+(* An envelope with the MD5 of its [envelope_key], computed once when
+   it is sent and carried through the queue, the held table and the
+   history chains, which hash these fixed-width digests instead of the
+   keys. Untracked rounds (session rebuilds, the delivery-only final
+   round) leave it empty: nothing digests them. *)
+type keyed = { env : Envelope.t; key : Digest.t }
 
-let keys ks = String.concat ";" (List.map (fun k -> k.key) ks)
+let add_keys b ks = List.iter (fun k -> Buffer.add_string b k.key) ks
+
+(* Counts and rounds framed as two bytes: a round's traffic at n <= 5
+   is far below 2^16 envelopes. *)
+let add_count b i =
+  assert (i >= 0 && i < 0x10000);
+  Buffer.add_uint16_le b i
 
 (* Mutable execution state. [hist] is a per-party rolling hash chain
    over the inboxes delivered so far: sessions are deterministic
@@ -56,6 +74,10 @@ type state = {
       (* (due round, held envelopes newest first), ascending due *)
 }
 
+(* Every chain starts from the same 16 bytes, so every chain input is
+   whole 16-byte digests. *)
+let no_history = String.make 16 '\000'
+
 let create config =
   let n = config.ctx.Ctx.n in
   (* Substrate schemes never consume their rng (they are deterministic
@@ -72,7 +94,7 @@ let create config =
     total = total_rounds config;
     sessions;
     crash_round = Array.make n max_int;
-    hist = Array.make n "";
+    hist = Array.make n no_history;
     queue = [];
     held = [];
   }
@@ -87,14 +109,18 @@ let deliver_and_collect ~track st ~round =
   let out = ref [] in
   for me = n - 1 downto 0 do
     let inbox = List.filter (fun k -> Envelope.delivered_to k.env me) st.queue in
-    if track then st.hist.(me) <- Digest.string (st.hist.(me) ^ "|" ^ keys inbox);
+    if track then begin
+      let b = Buffer.create (16 * (List.length inbox + 1)) in
+      Buffer.add_string b st.hist.(me);
+      add_keys b inbox;
+      st.hist.(me) <- Digest.string (Buffer.contents b)
+    end;
     let sent =
       st.sessions.(me).Sb_broadcast.Session.step ~round
         ~inbox:(List.map (fun k -> k.env) inbox)
     in
-    out :=
-      List.map (fun e -> { env = e; key = (if track then envelope_key e else "") }) sent
-      @ !out
+    let key e = if track then Digest.string (envelope_key e) else "" in
+    out := List.map (fun e -> { env = e; key = key e }) sent @ !out
   done;
   !out
 
@@ -160,27 +186,21 @@ let run_round ~track st ~round decision =
    the same state. *)
 let digest_of st ~round =
   let terminal = round = st.total in
-  let n = st.cfg.ctx.Ctx.n in
-  let crashes =
-    if terminal then ""
-    else
-      String.init n (fun i -> if st.crash_round.(i) = max_int then '-' else 'x')
-  in
-  let held =
-    if terminal then ""
-    else
-      String.concat "&"
-        (List.map (fun (due, l) -> Printf.sprintf "%d=%s" due (keys (List.rev l))) st.held)
-  in
-  Digest.string
-    (String.concat "#"
-       [
-         string_of_int round;
-         crashes;
-         String.concat "!" (Array.to_list st.hist);
-         keys st.queue;
-         held;
-       ])
+  let b = Buffer.create (16 * (Array.length st.hist + List.length st.queue + 4)) in
+  add_count b round;
+  if not terminal then
+    Array.iter (fun r -> Buffer.add_char b (if r = max_int then '-' else 'x')) st.crash_round;
+  Array.iter (Buffer.add_string b) st.hist;
+  add_count b (List.length st.queue);
+  add_keys b st.queue;
+  if not terminal then
+    List.iter
+      (fun (due, l) ->
+        add_count b due;
+        add_count b (List.length l);
+        add_keys b (List.rev l))
+      st.held;
+  Digest.string (Buffer.contents b)
 
 let results st = Array.map (fun s -> s.Sb_broadcast.Session.result ()) st.sessions
 

@@ -26,8 +26,9 @@
     the parent's decision prefix (without digesting it). States are
     identified across paths by a canonical digest over the per-party
     inbox histories, the crash pattern, and the in-flight queue
-    (delivered and held envelopes); each envelope is serialized once,
-    when it is sent. {!replay} is the from-scratch executor over the
+    (delivered and held envelopes); each envelope is serialized and
+    keyed by its MD5 once, when it is sent, and the state digests hash
+    those fixed-width keys. {!replay} is the from-scratch executor over the
     same round pipeline — the oracle the incremental search is tested
     against. *)
 

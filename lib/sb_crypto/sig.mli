@@ -15,6 +15,24 @@ val create : Sb_util.Rng.t -> n:int -> scheme
 (** Fresh keys for parties 0 … n−1 (the trusted-setup/PKI step). *)
 
 val sign : scheme -> signer:int -> string -> signature
+(** [sign_uncached], memoized. A domain-local, direct-mapped table of
+    256 slots keeps the last signature computed for each slot; a
+    lookup compares the full key (the signer's secret key, the signer
+    and the message), so a hit returns exactly what [sign_uncached]
+    would, and a collision only costs a recomputation. Dolev–Strong
+    parties verify the same (signer, message) pairs over and over, and
+    the model checker re-executes whole decision prefixes. *)
+
+val sign_uncached : scheme -> signer:int -> string -> signature
+(** SHA-256 over the signer's key and the message: the definition of a
+    signature, and the oracle the memo is tested against. *)
+
 val verify : scheme -> signer:int -> string -> signature -> bool
+(** [String.equal signature (sign s ~signer msg)], and [false] for a
+    signer outside [0, n). *)
+
+val slot : scheme -> signer:int -> string -> int
+(** The memo slot of a (signer, message) pair, in [0, 256); exposed for
+    tests that force keys into one slot. *)
 
 val n : scheme -> int

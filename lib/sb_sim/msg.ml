@@ -79,30 +79,27 @@ let untag_exn tag = function
   | Tag (s, m) when String.equal s tag -> m
   | m -> invalid_arg (Printf.sprintf "Msg.untag_exn %s: %s" tag (to_string m))
 
-(* Length-prefixed encoding: injective by construction. *)
-let rec serialize m =
-  let with_len c s = Printf.sprintf "%c%d:%s" c (String.length s) s in
-  match m with
-  | Unit -> "u"
-  | Bit b -> if b then "b1" else "b0"
-  | Int i -> with_len 'i' (string_of_int i)
-  | Fe f -> with_len 'f' (Sb_crypto.Field.to_string f)
-  | Ge g -> with_len 'g' (string_of_int (Sb_crypto.Modgroup.to_int g))
-  | Str s -> with_len 's' s
-  | List l -> with_len 'l' (String.concat "" (List.map (fun x -> with_len 'e' (serialize x)) l))
-  | Tag (s, x) -> with_len 't' (with_len 'n' s ^ serialize x)
+(* Length-prefixed encoding, injective by construction: [Unit] is "u",
+   a bit "b0"/"b1", and every other node is a tag char, the decimal
+   payload length, ':' and the payload (decimal ints and group/field
+   representatives; raw strings; 'e'-framed list elements; an
+   'n'-framed tag name followed by the tagged message).
 
-(* Wire size = |serialize m|, computed structurally so byte accounting
-   on the network hot path never materialises the encoded string.
-   [prefixed len] mirrors [with_len]: tag char + decimal length + ':' +
-   payload. Pinned to the codec by a property test in test_sim.ml. *)
+   [size_bytes] computes the encoded length structurally, so byte
+   accounting on the network hot path never materialises the encoding,
+   and [serialize] allocates exactly that many bytes and fills them
+   back to front: a payload is written before its header, which is
+   when its length is known. test_sim.ml pins the bytes to the earlier
+   Printf-based encoder (a corpus digest and an oracle property). *)
 let digits n =
   let rec go acc n = if n < 10 then acc else go (acc + 1) (n / 10) in
   go 1 n
 
 let prefixed len = 2 + digits len + len
 
-let int_digits i = if i < 0 then 1 + digits (-i) else digits i
+(* Sign included. [-i] overflows at [min_int], so a negative counts the
+   digits of [-(i / 10)] plus its last digit. *)
+let int_digits i = if i >= 0 then digits i else if i > -10 then 2 else 2 + digits (-(i / 10))
 
 let rec size_bytes = function
   | Unit -> 1
@@ -113,6 +110,73 @@ let rec size_bytes = function
   | Str s -> prefixed (String.length s)
   | List l -> prefixed (List.fold_left (fun acc x -> acc + prefixed (size_bytes x)) 0 l)
   | Tag (s, x) -> prefixed (prefixed (String.length s) + size_bytes x)
+
+(* The writers below fill [b] backwards: each takes the index [stop]
+   its output must end before and returns the index it starts at. *)
+
+(* The decimal digits of [-q] for [q <= 0]: digits come off the
+   non-positive side, where [min_int] has a representation. *)
+let rec put_neg_digits b stop q =
+  let p = stop - 1 in
+  Bytes.set b p (Char.unsafe_chr (48 - (q mod 10)));
+  if q <= -10 then put_neg_digits b p (q / 10) else p
+
+let put_int b stop i =
+  if i >= 0 then put_neg_digits b stop (-i)
+  else begin
+    let p = put_neg_digits b stop i - 1 in
+    Bytes.set b p '-';
+    p
+  end
+
+(* The header "c<len>:" of the payload occupying [start, stop). *)
+let put_header b c ~start ~stop =
+  let p = put_int b (start - 1) (stop - start) - 1 in
+  Bytes.set b (start - 1) ':';
+  Bytes.set b p c;
+  p
+
+let put_string b stop s =
+  let start = stop - String.length s in
+  Bytes.blit_string s 0 b start (String.length s);
+  start
+
+let rec put b stop = function
+  | Unit ->
+      Bytes.set b (stop - 1) 'u';
+      stop - 1
+  | Bit x ->
+      Bytes.set b (stop - 1) (if x then '1' else '0');
+      Bytes.set b (stop - 2) 'b';
+      stop - 2
+  | Int i -> put_header b 'i' ~start:(put_int b stop i) ~stop
+  | Fe f -> put_header b 'f' ~start:(put_int b stop (Sb_crypto.Field.to_int f)) ~stop
+  | Ge g -> put_header b 'g' ~start:(put_int b stop (Sb_crypto.Modgroup.to_int g)) ~stop
+  | Str s -> put_header b 's' ~start:(put_string b stop s) ~stop
+  | List l -> put_header b 'l' ~start:(put_elems b stop l) ~stop
+  | Tag (s, x) ->
+      let mid = put b stop x in
+      let start = put_header b 'n' ~start:(put_string b mid s) ~stop:mid in
+      put_header b 't' ~start ~stop
+
+(* Elements end to front: the last one is written first. *)
+and put_elems b stop = function
+  | [] -> stop
+  | x :: rest ->
+      let stop = put_elems b stop rest in
+      put_header b 'e' ~start:(put b stop x) ~stop
+
+(* Unit and bits return shared constants: most of the substrates'
+   tally keys are bits, serialized once per delivery. *)
+let serialize = function
+  | Unit -> "u"
+  | Bit b -> if b then "b1" else "b0"
+  | m ->
+      let len = size_bytes m in
+      let b = Bytes.create len in
+      let start = put b len m in
+      assert (start = 0);
+      Bytes.unsafe_to_string b
 
 (* Inverse of [serialize]; [None] on anything the encoder cannot have
    produced (bad framing, trailing bytes, non-canonical field or

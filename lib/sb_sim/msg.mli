@@ -48,7 +48,10 @@ val untag_exn : string -> t -> t
     [Invalid_argument] on anything else. *)
 
 val serialize : t -> string
-(** Injective encoding, used as input to hashing and signatures. *)
+(** Injective encoding, used as input to hashing and signatures. One
+    allocation of exactly [size_bytes m] bytes, filled in one
+    recursive pass with no intermediate strings; [Unit] and [Bit]
+    return shared constants and allocate nothing. *)
 
 val deserialize : string -> t option
 (** Inverse of {!serialize}: [deserialize (serialize m)] is [Some m]
@@ -61,4 +64,5 @@ val deserialize : string -> t option
 val size_bytes : t -> int
 (** [String.length (serialize m)], computed structurally without
     materialising the encoding — the per-envelope cost behind the
-    network's [sim.bytes.*] counters. *)
+    network's [sim.bytes.*] counters. Exact for every message,
+    [Int min_int] and [Int max_int] included. *)

@@ -679,6 +679,81 @@ let test_sig_schemes_independent () =
   Alcotest.(check bool) "cross-scheme rejected" false
     (Sig.verify s2 ~signer:0 m (Sig.sign s1 ~signer:0 m))
 
+(* The memo's differential: every [sign] answer and every [verify]
+   verdict equals what [sign_uncached] gives, on random triples mixed
+   with keys forced into one slot. Each case runs in whichever domain
+   the pool hands it to, against that domain's table. *)
+let sig_memo_cases seed =
+  let rng = Sb_util.Rng.create seed in
+  let n = 5 in
+  let s1 = Sig.create rng ~n and s2 = Sig.create rng ~n in
+  let schemes = [| s1; s2 |] in
+  let msg () = Sb_util.Rng.bytes rng (Sb_util.Rng.int rng 40) in
+  (* The first numbered candidate message that satisfies [pred]. *)
+  let rec find_msg pred i =
+    let m = Printf.sprintf "seed %d msg %d" seed i in
+    if pred m then m else find_msg pred (i + 1)
+  in
+  let base = msg () in
+  let same_slot =
+    (* Same scheme, same signer, another message in the slot. *)
+    find_msg (fun m -> Sig.slot s1 ~signer:2 m = Sig.slot s1 ~signer:2 base) 0
+  in
+  let other_signer =
+    (* Another signer's (signer, message) pair in the slot. *)
+    find_msg (fun m -> Sig.slot s1 ~signer:3 m = Sig.slot s1 ~signer:2 base) 0
+  in
+  let cross_scheme =
+    (* One (signer, message) pair in the same slot under both schemes. *)
+    find_msg (fun m -> Sig.slot s1 ~signer:1 m = Sig.slot s2 ~signer:1 m) 0
+  in
+  let forced =
+    [
+      (s1, 2, base);
+      (s1, 2, same_slot);
+      (s1, 3, other_signer);
+      (s1, 1, cross_scheme);
+      (s2, 1, cross_scheme);
+    ]
+  in
+  let random =
+    List.init 60 (fun _ ->
+        (schemes.(Sb_util.Rng.int rng 2), Sb_util.Rng.int rng n, msg ()))
+  in
+  (* Every triple twice, interleaved with the others, so lookups both
+     hit and find their slot taken by a colliding key. *)
+  let triples = forced @ random @ forced @ List.rev forced @ random in
+  List.mapi
+    (fun i (s, signer, m) ->
+      let label = Printf.sprintf "seed %d case %d signer %d" seed i signer in
+      let expected = Sig.sign_uncached s ~signer m in
+      let signature = Sig.sign s ~signer m in
+      let tampered = Bytes.of_string expected in
+      Bytes.set tampered 0 (Char.chr (Char.code expected.[0] lxor 1));
+      let tampered = Bytes.to_string tampered in
+      ( label,
+        String.equal signature expected,
+        [
+          Sig.verify s ~signer m expected;
+          not (Sig.verify s ~signer:((signer + 1) mod n) m expected);
+          not (Sig.verify s ~signer:(-1) m expected);
+          not (Sig.verify s ~signer:n m expected);
+          not (Sig.verify s ~signer m tampered);
+          not (Sig.verify (if s == s1 then s2 else s1) ~signer m expected);
+        ] ))
+    triples
+
+let test_sig_memo domains () =
+  let pool = Sb_par.Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () -> Sb_par.Pool.map_chunks pool ~f:sig_memo_cases (Array.init 8 (fun i -> 60 + i)))
+  |> Array.iter
+       (List.iter (fun (label, signed, verdicts) ->
+            Alcotest.(check bool) (label ^ " sign") true signed;
+            Alcotest.(check (list bool)) (label ^ " verify") (List.map (fun _ -> true) verdicts)
+              verdicts))
+
 let () =
   Alcotest.run "sb_crypto"
     [
@@ -772,5 +847,7 @@ let () =
         [
           Alcotest.test_case "verify" `Quick test_sig_verify;
           Alcotest.test_case "schemes independent" `Quick test_sig_schemes_independent;
+          Alcotest.test_case "memo = uncached, 1 domain" `Quick (test_sig_memo 1);
+          Alcotest.test_case "memo = uncached, 2 domains" `Quick (test_sig_memo 2);
         ] );
     ]

@@ -67,6 +67,10 @@ let qcheck_msg_equal_refl =
     (QCheck.make gen_msg) (fun m ->
       Msg.equal m m && String.equal (Msg.serialize m) (Msg.serialize m))
 
+(* Ints where the decimal width or the sign changes, and the two ends
+   of the range ([min_int] has no positive counterpart). *)
+let boundary_ints = [ min_int; max_int; 0; 1; -1; 9; -9; 10; -10; 99; -99; 100; -100 ]
+
 (* A generator that reaches every constructor, including the crypto
    ones (Fe in [0, p); Ge as powers of the generator, so membership
    holds by construction). *)
@@ -79,6 +83,7 @@ let gen_msg_full =
               return Msg.Unit;
               map (fun b -> Msg.Bit b) bool;
               map (fun i -> Msg.Int i) small_signed_int;
+              map (fun i -> Msg.Int i) (oneofl boundary_ints);
               map (fun s -> Msg.Str s) small_string;
               map (fun i -> Msg.Fe (Sb_crypto.Field.of_int i)) (0 -- (Sb_crypto.Field.p - 1));
               map (fun k -> Msg.Ge (Sb_crypto.Modgroup.pow_int Sb_crypto.Modgroup.g k))
@@ -164,6 +169,85 @@ let qcheck_msg_size_bytes =
   QCheck.Test.make ~name:"msg size_bytes = |serialize|" ~count:500
     (QCheck.make gen_msg_full) (fun m ->
       Msg.size_bytes m = String.length (Msg.serialize m))
+
+(* The Printf-based encoder [Msg.serialize] replaced, kept verbatim as
+   the oracle for the exact-size writer. *)
+let rec printf_serialize m =
+  let with_len c s = Printf.sprintf "%c%d:%s" c (String.length s) s in
+  match m with
+  | Msg.Unit -> "u"
+  | Msg.Bit b -> if b then "b1" else "b0"
+  | Msg.Int i -> with_len 'i' (string_of_int i)
+  | Msg.Fe f -> with_len 'f' (Sb_crypto.Field.to_string f)
+  | Msg.Ge g -> with_len 'g' (string_of_int (Sb_crypto.Modgroup.to_int g))
+  | Msg.Str s -> with_len 's' s
+  | Msg.List l ->
+      with_len 'l' (String.concat "" (List.map (fun x -> with_len 'e' (printf_serialize x)) l))
+  | Msg.Tag (s, x) -> with_len 't' (with_len 'n' s ^ printf_serialize x)
+
+let qcheck_msg_serialize_oracle =
+  QCheck.Test.make ~name:"msg serialize = Printf oracle" ~count:1000
+    (QCheck.make gen_msg_full) (fun m -> String.equal (Msg.serialize m) (printf_serialize m))
+
+(* Every constructor, nested lists and tags, empty strings and lists,
+   payload lengths on both sides of a decimal width (9/10, 99/100),
+   negative and extreme ints, [Fe (p-1)] and group elements. *)
+let codec_corpus =
+  let module F = Sb_crypto.Field in
+  let module G = Sb_crypto.Modgroup in
+  let str n = Msg.Str (String.init n (fun i -> Char.chr (97 + (i mod 26)))) in
+  let ints = [ 0; 1; -1; 9; 10; -9; -10; 99; 100; -99; -100; 12345; -424242; max_int; min_int ] in
+  let leaves =
+    [ Msg.Unit; Msg.Bit false; Msg.Bit true ]
+    @ List.map (fun i -> Msg.Int i) ints
+    @ [
+        Msg.Fe F.zero;
+        Msg.Fe (F.of_int 1);
+        Msg.Fe (F.of_int (F.p - 1));
+        Msg.Ge G.g;
+        Msg.Ge (G.pow_int G.g 12345);
+        Msg.Str "";
+        Msg.Str "x";
+        Msg.Str "\000:e\255s3:";
+        str 9;
+        str 10;
+        str 99;
+        str 100;
+      ]
+  in
+  leaves
+  @ [
+      Msg.List [];
+      Msg.List [ Msg.Unit ];
+      Msg.List [ Msg.List []; Msg.Str "" ];
+      Msg.List leaves;
+      Msg.List (List.init 10 (fun i -> Msg.Int (i - 5)));
+      Msg.List [ str 99; Msg.List [ str 100; Msg.Tag ("", Msg.Unit) ] ];
+      Msg.Tag ("", Msg.Unit);
+      Msg.Tag ("share", Msg.Int 3);
+      Msg.Tag ("abcdefghij", Msg.Str "");
+      Msg.Tag
+        ("a", Msg.Tag ("b", Msg.List [ Msg.Bit true; Msg.Int (-7); Msg.Fe (F.of_int (F.p - 1)) ]));
+      Msg.Tag ("ds", Msg.List [ Msg.Bit true; Msg.List [ Msg.List [ Msg.Int 0; str 32 ] ] ]);
+    ]
+
+(* The digest was recorded from the Printf-based encoder; it must never
+   be re-recorded. A drift means the wire format changed. *)
+let test_msg_codec_pin () =
+  let all = String.concat "" (List.map Msg.serialize codec_corpus) in
+  Alcotest.(check int) "corpus size" 41 (List.length codec_corpus);
+  Alcotest.(check int) "corpus bytes" 1463 (String.length all);
+  Alcotest.(check string) "corpus md5" "7941f82c611b5728a356750157e019b8"
+    (Digest.to_hex (Digest.string all));
+  List.iter
+    (fun m ->
+      let s = Msg.serialize m in
+      Alcotest.(check int) ("size_bytes " ^ Msg.to_string m) (String.length s) (Msg.size_bytes m);
+      Alcotest.(check bool) ("round-trip " ^ Msg.to_string m) true
+        (Option.fold ~none:false ~some:(Msg.equal m) (Msg.deserialize s)))
+    codec_corpus;
+  Alcotest.(check string) "min_int" "i20:-4611686018427387904" (Msg.serialize (Msg.Int min_int));
+  Alcotest.(check int) "min_int size" 24 (Msg.size_bytes (Msg.Int min_int))
 
 (* --- Envelope ----------------------------------------------------- *)
 
@@ -735,6 +819,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_msg_compare_total_order;
           QCheck_alcotest.to_alcotest qcheck_msg_deserialize_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_msg_size_bytes;
+          QCheck_alcotest.to_alcotest qcheck_msg_serialize_oracle;
+          Alcotest.test_case "codec pinned to the Printf encoder" `Quick test_msg_codec_pin;
         ] );
       ( "envelope",
         [
