@@ -128,30 +128,32 @@ let jobs_arg =
   in
   Arg.(value & opt (some pos_int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
-let sched_arg =
-  let doc =
-    "Session scheduler: $(b,steal) (fine-grained shards claimed from a shared atomic \
-     counter; default) or $(b,static) (historical coarse ≤32-shard layout). Reports \
-     are byte-identical at every --jobs under either; the two differ only in shard \
-     assignment and wall clock."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("steal", Sb_session.Engine.Steal); ("static", Sb_session.Engine.Static) ])
-        Sb_session.Engine.Steal
-    & info [ "sched" ] ~doc ~docv:"MODE")
-
 let setup_jobs = function
   | None -> ()
   | Some j -> Sb_par.Pool.set_default_domains j
 
+(* Every usage error goes through cmdliner: a value that alone is
+   invalid fails in its Arg.conv, a cross-flag check returns [fail]
+   (message only) or [fail_usage] (message plus the usage line) from a
+   [Term.ret] term. Both exit 124, the one usage code in [exits]. *)
 let fail fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
+let fail_usage fmt = Printf.ksprintf (fun s -> `Error (true, s)) fmt
+
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:
+        "on a failed cross-check ($(b,check) against the recorded exact cells), a perf \
+         regression ($(b,perf-diff)) or an I/O error writing an output file.";
+    Cmd.Exit.info Cmd.Exit.cli_error
+      ~doc:"on a usage error: an unparseable, out-of-range or inconsistent argument.";
+    Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error.";
+  ]
 
 (* [-t] defaults to (n-1)/2. An explicit bound must satisfy 0 <= t < n,
    as every execution context requires; callers report a violation as
-   a usage error with their own exit code. *)
+   a usage error. *)
 let resolve_thresh n = function
   | None -> Ok ((n - 1) / 2)
   | Some t when t < 0 || t >= n ->
@@ -162,12 +164,12 @@ let resolve_thresh n = function
 
 let faults_arg =
   let doc =
-    "Inject faults: ';'-separated specs crash:$(i,P)\\@$(i,R), \
-     drop:$(i,PROB)[:$(i,SRC)->$(i,DST)][\\@$(i,R)], \
-     delay:$(i,BY)[:$(i,SRC)->$(i,DST)][\\@$(i,R)], \
-     part:$(i,G)|$(i,G)\\@$(i,FIRST)-$(i,LAST) ('*' matches any endpoint; \\@$(i,R) \
+    "Inject faults: ';'-separated specs crash:$(i,P)@$(i,R), \
+     drop:$(i,PROB)[:$(i,SRC)->$(i,DST)][@$(i,R)], \
+     delay:$(i,BY)[:$(i,SRC)->$(i,DST)][@$(i,R)], \
+     part:$(i,G)|$(i,G)@$(i,FIRST)-$(i,LAST) ('*' matches any endpoint; @$(i,R) \
      scopes a drop/delay to one sending round), e.g. \
-     'crash:4\\@1;drop:0.1;delay:2:0->3' or the checker-style 'drop:1:2->0\\@1'."
+     'crash:4@1;drop:0.1;delay:2:0->3' or the checker-style 'drop:1:2->0@1'."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~doc ~docv:"SPEC")
 
@@ -271,7 +273,7 @@ let list_cmd =
       (String.concat ", " (List.map fst Sb_check.Checker.schemes))
       Sb_check.Checker.max_n
   in
-  Cmd.v (Cmd.info "list" ~doc:"List protocols, distributions and adversaries")
+  Cmd.v (Cmd.info "list" ~exits ~doc:"List protocols, distributions and adversaries")
     Term.(const run $ const ())
 
 (* --- run ------------------------------------------------------------ *)
@@ -351,7 +353,8 @@ let run_cmd =
             finish_obs ?trace ~tag:"run" metrics report;
             `Ok ())
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one protocol execution and print the announced vector")
+  Cmd.v
+    (Cmd.info "run" ~exits ~doc:"Run one protocol execution and print the announced vector")
     Term.(
       ret
         (const run $ pos_protocol_arg $ protocol_arg $ n_arg $ thresh_arg $ seed_arg
@@ -389,7 +392,8 @@ let classify_cmd =
     Arg.(value & opt string "all" & info [ "d"; "dist" ] ~doc)
   in
   Cmd.v
-    (Cmd.info "classify" ~doc:"Classify input distributions into the paper's classes")
+    (Cmd.info "classify" ~exits
+       ~doc:"Classify input distributions into the paper's classes")
     Term.(ret (const run $ dist_prefix $ n_arg))
 
 (* --- test ----------------------------------------------------------- *)
@@ -468,7 +472,8 @@ let test_cmd =
             | other -> fail "unknown tester %S (cr, g, gss, sb)" other))
   in
   Cmd.v
-    (Cmd.info "test" ~doc:"Run an independence tester on (protocol, adversary, distribution)")
+    (Cmd.info "test" ~exits
+       ~doc:"Run an independence tester on (protocol, adversary, distribution)")
     Term.(
       ret
         (const run $ tester_arg $ protocol_arg $ adversary_arg $ dist_arg $ n_arg $ samples_arg
@@ -515,7 +520,7 @@ let exact_cmd =
         | other -> fail "unknown scenario %S (identity, echo, pi-g)" other)
   in
   Cmd.v
-    (Cmd.info "exact"
+    (Cmd.info "exact" ~exits
        ~doc:"Compute CR/G independence gaps in closed form for analytically known scenarios")
     Term.(ret (const run $ scenario_arg $ dist_arg $ n_arg))
 
@@ -539,50 +544,41 @@ let experiment_cmd =
       "Cap the E17 size sweep at $(docv) parties (an integer, at least 128 — the \
        smallest E17 size). Only meaningful with e17."
     in
-    Arg.(value & opt (some string) None & info [ "n-max" ] ~doc ~docv:"N")
+    let at_least_128 =
+      let parse s =
+        match int_of_string_opt s with
+        | Some m when m >= 128 -> Ok m
+        | _ ->
+            Error
+              (`Msg
+                (Printf.sprintf "expected an integer >= 128 (the smallest E17 size), got %S"
+                   s))
+      in
+      Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt (some at_least_128) None & info [ "n-max" ] ~doc ~docv:"N")
   in
   let run id quick seed csv n_max metrics report trace jobs =
-    (* Match sessions' contract for flag validation: a malformed or
-       out-of-range --n-max is a usage error with exit 2 (cmdliner's
-       own parse failures exit 124, so parse the string here). *)
-    let n_max =
-      match n_max with
-      | None -> None
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some m when m >= 128 -> Some m
-          | _ ->
-              Printf.eprintf
-                "simbcast: --n-max must be an integer >= 128 (the smallest E17 size), \
-                 got %S\n"
-                s;
-              exit 2)
-    in
     setup_obs ?trace metrics report;
     setup_jobs jobs;
     let setup =
       Core.Setup.with_seed seed
         (if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default)
     in
-    let found =
-      match (Core.Experiments.find id, n_max) with
-      | None, _ -> None
-      | (Some _ as e), None -> e
-      | Some e, Some m ->
-          if String.lowercase_ascii e.Core.Experiments.id = "e17" then
-            Some
-              (Core.Experiments.entry "E17" e.Core.Experiments.title
-                 (Core.Experiments.e17_scaling ~n_max:m))
-          else begin
-            Printf.eprintf "simbcast: --n-max only applies to experiment e17\n";
-            exit 2
-          end
-    in
-    match found with
-    | None ->
+    match (Core.Experiments.find id, n_max) with
+    | None, _ ->
         fail "unknown experiment %S (try: %s)" id
           (String.concat ", " (Core.Experiments.ids ()))
-    | Some e ->
+    | Some e, Some _ when String.lowercase_ascii e.Core.Experiments.id <> "e17" ->
+        fail "--n-max only applies to experiment e17"
+    | Some e, n_max ->
+        let e =
+          match n_max with
+          | None -> e
+          | Some m ->
+              Core.Experiments.entry "E17" e.Core.Experiments.title
+                (Core.Experiments.e17_scaling ~n_max:m)
+        in
         let t0 = Unix.gettimeofday () in
         let o = e.Core.Experiments.run setup in
         let wall = Unix.gettimeofday () -. t0 in
@@ -618,7 +614,7 @@ let experiment_cmd =
         `Ok ()
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce one of the paper's claims (E1..E18)")
+    (Cmd.info "experiment" ~exits ~doc:"Reproduce one of the paper's claims (E1..E18)")
     Term.(
       ret
         (const run $ id_arg $ quick_arg $ seed_arg $ csv_arg $ n_max_arg $ metrics_arg
@@ -723,7 +719,7 @@ let fault_sweep_cmd =
         end
   in
   Cmd.v
-    (Cmd.info "fault-sweep"
+    (Cmd.info "fault-sweep" ~exits
        ~doc:
          "Measure agreement/validity resilience curves under injected faults (crash-stop, \
           omission, delay, partition); see also experiment e15")
@@ -780,14 +776,45 @@ let profile_cmd =
         `Ok ()
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits
        ~doc:
          "Run one experiment with causal tracing on and print the phase-time attribution \
           table (self/total wall time per span path); --trace additionally saves the \
           Perfetto trace")
     Term.(ret (const run $ id_arg $ quick_arg $ top_arg $ trace_arg $ jobs_arg))
 
-(* --- sessions -------------------------------------------------------- *)
+(* --- session batches (sessions, workload) ---------------------------- *)
+
+let session_log_arg =
+  let doc =
+    "Write one JSON object per session (JSON Lines) to $(docv) — byte-identical at \
+     every --jobs value."
+  in
+  Arg.(value & opt (some string) None & info [ "session-log" ] ~doc ~docv:"FILE")
+
+(* What both batch commands print after their deterministic lines: the
+   wall-clock throughput line and the scheduling-race sched line (CI's
+   jobs-invariance diffs filter both), then the optional JSONL session
+   log. *)
+let print_batch_tail (agg : Sb_session.Engine.aggregate) reports session_log =
+  let open Sb_session.Engine in
+  Printf.printf "throughput : %.1f sessions/s, %.1f msgs/s, %.1f B/s (wall %.3fs)\n"
+    agg.sessions_per_sec agg.msgs_per_sec agg.bytes_per_sec agg.wall_s;
+  Printf.printf "sched      : steal, %d workers, %d steals\n" agg.workers agg.steals;
+  match session_log with
+  | None -> ()
+  | Some file -> (
+      try
+        Out_channel.with_open_text file (fun oc ->
+            Array.iter
+              (fun r ->
+                output_string oc (Sb_obs.Json.to_string (session_report_to_json r));
+                output_char oc '\n')
+              reports);
+        Printf.printf "wrote %s\n" file
+      with Sys_error msg ->
+        Printf.eprintf "simbcast: cannot write session log: %s\n" msg;
+        exit 1)
 
 let sessions_cmd =
   let protos_arg =
@@ -799,37 +826,9 @@ let sessions_cmd =
   in
   let count_arg =
     let doc = "Total number of sessions to run (must be positive)." in
-    Arg.(value & opt int 256 & info [ "count" ] ~doc ~docv:"N")
+    Arg.(value & opt pos_int 256 & info [ "count" ] ~doc ~docv:"N")
   in
-  let session_log_arg =
-    let doc =
-      "Write one JSON object per session (JSON Lines) to $(docv) — byte-identical at \
-       every --jobs value."
-    in
-    Arg.(value & opt (some string) None & info [ "session-log" ] ~doc ~docv:"FILE")
-  in
-  let run pnames count n thresh seed dname metrics report session_log sched jobs =
-    (* Match bench's contract for batch-size validation: a non-positive
-       --count is a usage error with exit 2 (cmdliner's own parse
-       failures exit 124, so this needs an explicit check). *)
-    if count <= 0 then begin
-      Printf.eprintf "simbcast: --count must be a positive integer, got %d\n" count;
-      exit 2
-    end;
-    (* So is an out-of-range --thresh. *)
-    let thresh =
-      match resolve_thresh n thresh with
-      | Ok t -> t
-      | Error e ->
-          Printf.eprintf "simbcast: %s\n" e;
-          exit 2
-    in
-    setup_obs metrics report;
-    (* Comm totals and throughput rates come off the sim.* counter
-       deltas, so the engine needs metrics on even without --metrics;
-       the summary table still prints only when asked for. *)
-    Sb_obs.Metrics.set_enabled true;
-    setup_jobs jobs;
+  let run pnames count n thresh seed dname metrics report session_log jobs =
     let names = List.filter (fun s -> s <> "") (String.split_on_char ',' pnames) in
     let rec resolve acc = function
       | [] -> Ok (List.rev acc)
@@ -838,11 +837,19 @@ let sessions_cmd =
           | Ok p -> resolve (p :: acc) rest
           | Error e -> Error e)
     in
-    match (resolve [] names, dist_of_name dname n) with
-    | Error e, _ | _, Error e -> fail "%s" e
-    | Ok [], _ -> fail "no protocol names given"
-    | Ok protocols, Ok dist ->
+    match (resolve_thresh n thresh, resolve [] names, dist_of_name dname n) with
+    | _, Error e, _ -> fail_usage "%s" e
+    | _, Ok [], _ -> fail_usage "no protocol names given"
+    | Error e, _, _ | _, _, Error e -> fail "%s" e
+    | Ok thresh, Ok protocols, Ok dist ->
         let open Sb_session in
+        setup_obs metrics report;
+        (* Comm totals and throughput rates come off the sim.* counter
+           deltas, so the engine needs metrics on even without
+           --metrics; the summary table still prints only when asked
+           for. *)
+        Sb_obs.Metrics.set_enabled true;
+        setup_jobs jobs;
         let setup = Core.Setup.{ default with n; thresh; seed } in
         let k = List.length protocols in
         let base = count / k and extra = count mod k in
@@ -854,7 +861,7 @@ let sessions_cmd =
                  Engine.spec protocol (base + if i < extra then 1 else 0))
                protocols)
         in
-        let agg, reports = Engine.run ~sched ~setup ~dist specs (Sb_util.Rng.create seed) in
+        let agg, reports = Engine.run ~setup ~dist specs (Sb_util.Rng.create seed) in
         Printf.printf "sessions   : %d total, %d consistent, %d shards\n"
           agg.Engine.sessions agg.Engine.consistent agg.Engine.shards;
         Printf.printf "protocols  : %s\n"
@@ -866,40 +873,12 @@ let sessions_cmd =
         Printf.printf "comm       : %d broadcasts (%d B), %d p2p (%d B)\n"
           agg.Engine.broadcasts agg.Engine.broadcast_bytes agg.Engine.p2p
           agg.Engine.p2p_bytes;
-        (* The only wall-clock-derived line; CI's jobs-invariance diff
-           filters it (everything above is deterministic). *)
-        Printf.printf "throughput : %.1f sessions/s, %.1f msgs/s, %.1f B/s (wall %.3fs)\n"
-          agg.Engine.sessions_per_sec agg.Engine.msgs_per_sec agg.Engine.bytes_per_sec
-          agg.Engine.wall_s;
-        (* Scheduling-race observability (steal counts depend on the
-           claiming race, so CI's jobs-invariance diff filters this
-           line alongside the throughput one). *)
-        Printf.printf "sched      : %s, %d workers, %d steals\n"
-          (match agg.Engine.sched with Engine.Steal -> "steal" | Engine.Static -> "static")
-          agg.Engine.workers agg.Engine.steals;
-        (match session_log with
-        | None -> ()
-        | Some file -> (
-            try
-              let oc = open_out file in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () ->
-                  Array.iter
-                    (fun r ->
-                      output_string oc
-                        (Sb_obs.Json.to_string (Engine.session_report_to_json r));
-                      output_char oc '\n')
-                    reports);
-              Printf.printf "wrote %s\n" file
-            with Sys_error msg ->
-              Printf.eprintf "simbcast: cannot write session log: %s\n" msg;
-              exit 1));
+        print_batch_tail agg reports session_log;
         finish_obs ~tag:"sessions" ~sessions:(Engine.aggregate_to_json agg) metrics report;
         `Ok ()
   in
   Cmd.v
-    (Cmd.info "sessions"
+    (Cmd.info "sessions" ~exits
        ~doc:
          "Run a batch of whole protocol sessions sharded across the domain pool — \
           shared per-shard setup, per-session RNG streams, aggregate throughput in the \
@@ -907,7 +886,7 @@ let sessions_cmd =
     Term.(
       ret
         (const run $ protos_arg $ count_arg $ n_arg $ thresh_arg $ seed_arg $ dist_arg
-       $ metrics_arg $ report_arg $ session_log_arg $ sched_arg $ jobs_arg))
+       $ metrics_arg $ report_arg $ session_log_arg $ jobs_arg))
 
 (* --- workload -------------------------------------------------------- *)
 
@@ -923,86 +902,43 @@ let workload_cmd =
     let doc = "CI-sized tier (50k voters instead of 2M, etc.)." in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
-  let session_log_arg =
-    let doc =
-      "Write one JSON object per session (JSON Lines) to $(docv) — byte-identical at \
-       every --jobs value."
-    in
-    Arg.(value & opt (some string) None & info [ "session-log" ] ~doc ~docv:"FILE")
-  in
-  let run name quick seed fault_spec metrics report session_log sched jobs =
-    (* Unknown workload names are usage errors with exit 2, matching
-       `sessions --count` and `check` (cmdliner's own parse failures
-       exit 124). *)
-    if not (List.mem name Sb_workload.Workload.names) then begin
-      Printf.eprintf "simbcast: unknown workload %S (try: %s)\n" name
-        (String.concat ", " Sb_workload.Workload.names);
-      exit 2
-    end;
-    setup_obs metrics report;
-    (* Comm totals and throughput come off the sim.* counter deltas,
-       exactly as in `sessions`. *)
-    Sb_obs.Metrics.set_enabled true;
-    setup_jobs jobs;
+  let run name quick seed fault_spec metrics report session_log jobs =
+    (* Party bounds are checked by the engine against the heavy spec's
+       own n, which varies per workload — only the syntax is checked
+       here. *)
     let faults =
       match fault_spec with
       | None -> Ok None
       | Some s -> (
-          (* Party bounds are checked by the engine against the heavy
-             spec's own n, which varies per workload — only the syntax
-             is checked here. *)
           match Sb_fault.Plan.of_string s with
           | Error e -> Error (Printf.sprintf "--faults: %s" e)
           | Ok plan -> Ok (Some plan))
     in
     match faults with
+    | _ when not (List.mem name Sb_workload.Workload.names) ->
+        fail_usage "unknown workload %S (try: %s)" name
+          (String.concat ", " Sb_workload.Workload.names)
     | Error e -> fail "%s" e
     | Ok faults -> (
-        match
-          Sb_workload.Workload.run ?faults ~sched ~quick ~seed name
-        with
+        setup_obs metrics report;
+        (* Comm totals and throughput come off the sim.* counter deltas,
+           exactly as in `sessions`. *)
+        Sb_obs.Metrics.set_enabled true;
+        setup_jobs jobs;
+        match Sb_workload.Workload.run ?faults ~quick ~seed name with
         | Error e -> fail "%s" e
         | Ok o ->
-            let open Sb_session in
             let agg = o.Sb_workload.Workload.aggregate in
             List.iter print_endline (Sb_workload.Workload.deterministic_lines o);
-            (* The wall-clock and scheduling-race lines; CI's
-               jobs-invariance diff filters both. *)
-            Printf.printf
-              "throughput : %.1f sessions/s, %.1f msgs/s, %.1f B/s (wall %.3fs)\n"
-              agg.Engine.sessions_per_sec agg.Engine.msgs_per_sec agg.Engine.bytes_per_sec
-              agg.Engine.wall_s;
-            Printf.printf "sched      : %s, %d workers, %d steals\n"
-              (match agg.Engine.sched with
-              | Engine.Steal -> "steal"
-              | Engine.Static -> "static")
-              agg.Engine.workers agg.Engine.steals;
-            (match session_log with
-            | None -> ()
-            | Some file -> (
-                try
-                  let oc = open_out file in
-                  Fun.protect
-                    ~finally:(fun () -> close_out oc)
-                    (fun () ->
-                      Array.iter
-                        (fun r ->
-                          output_string oc
-                            (Sb_obs.Json.to_string (Engine.session_report_to_json r));
-                          output_char oc '\n')
-                        o.Sb_workload.Workload.reports);
-                  Printf.printf "wrote %s\n" file
-                with Sys_error msg ->
-                  Printf.eprintf "simbcast: cannot write session log: %s\n" msg;
-                  exit 1));
+            print_batch_tail agg o.Sb_workload.Workload.reports session_log;
             finish_obs ~tag:"workload"
-              ~sessions:(Engine.aggregate_to_json agg)
+              ~sessions:(Sb_session.Engine.aggregate_to_json agg)
               ~workload:(Sb_workload.Workload.to_json o)
               metrics report;
             `Ok ())
   in
   Cmd.v
-    (Cmd.info "workload"
+    (Cmd.info "workload" ~exits
        ~doc:
          "Run a benchmarked application workload (election / auction / lottery) — a \
           heavy-tailed mix of broadcast sessions fed with application data, executed by \
@@ -1011,7 +947,7 @@ let workload_cmd =
     Term.(
       ret
         (const run $ name_arg $ quick_arg $ seed_arg $ faults_arg $ metrics_arg
-       $ report_arg $ session_log_arg $ sched_arg $ jobs_arg))
+       $ report_arg $ session_log_arg $ jobs_arg))
 
 (* --- check ----------------------------------------------------------- *)
 
@@ -1041,38 +977,22 @@ let check_cmd =
     let doc = "Corruption bound t (default (n-1)/2)." in
     Arg.(value & opt (some int) None & info [ "t"; "thresh" ] ~doc)
   in
-  let usage () = Printf.eprintf "usage: simbcast check PROTOCOL --n N [--t T]\n" in
   let verdict_cell = function
     | Sb_check.Checker.Holds -> "exact-pass"
     | Sb_check.Checker.Violated _ -> "VIOLATED"
     | Sb_check.Checker.Inconclusive -> "inconclusive (state budget)"
   in
   let run pname n thresh seed max_states metrics report =
-    setup_obs metrics report;
-    match Sb_check.Checker.find_scheme pname with
-    | None ->
-        (* Usage errors exit 2, matching `sessions --count`; cmdliner's
-           own parse failures exit 124. *)
-        Printf.eprintf "simbcast: unknown checkable protocol %S (try: %s)\n" pname
-          (String.concat ", " (List.map fst Sb_check.Checker.schemes));
-        usage ();
-        exit 2
-    | Some scheme ->
-        if n <= 0 || n > Sb_check.Checker.max_n then begin
-          Printf.eprintf
-            "simbcast: --n %d is out of exhaustive-checking range (1..%d)\n" n
-            Sb_check.Checker.max_n;
-          usage ();
-          exit 2
-        end;
-        let thresh =
-          match resolve_thresh n thresh with
-          | Ok t -> t
-          | Error e ->
-              Printf.eprintf "simbcast: %s\n" e;
-              usage ();
-              exit 2
-        in
+    match (Sb_check.Checker.find_scheme pname, resolve_thresh n thresh) with
+    | None, _ ->
+        fail_usage "unknown checkable protocol %S (try: %s)" pname
+          (String.concat ", " (List.map fst Sb_check.Checker.schemes))
+    | Some _, _ when n <= 0 || n > Sb_check.Checker.max_n ->
+        fail_usage "--n %d is out of exhaustive-checking range (1..%d)" n
+          Sb_check.Checker.max_n
+    | Some _, Error e -> fail_usage "%s" e
+    | Some scheme, Ok thresh ->
+        setup_obs metrics report;
         let setup = Core.Setup.{ default with n; thresh; seed } in
         let ctx =
           Core.Setup.fresh_ctx setup (Sb_util.Rng.split (Sb_util.Rng.create seed))
@@ -1143,7 +1063,7 @@ let check_cmd =
         `Ok ()
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits
        ~doc:
          "Exhaustively model-check a broadcast substrate's agreement, validity and \
           unforgeability at small n: every faulty set up to t, every sender and value, \
@@ -1234,7 +1154,7 @@ let perf_diff_cmd =
           end
   in
   Cmd.v
-    (Cmd.info "perf-diff"
+    (Cmd.info "perf-diff" ~exits
        ~doc:
          "Compare the timings blocks of two run reports entry-by-entry and fail (exit 1) \
           on any slowdown beyond the threshold — the perf-trajectory guard used by CI")
@@ -1246,7 +1166,7 @@ let () =
      `experiment e18` / `profile e18` resolve like any core entry. *)
   Sb_workload.E18.register ();
   let info =
-    Cmd.info "simbcast" ~version:"1.0.0"
+    Cmd.info "simbcast" ~version:"1.0.0" ~exits
       ~doc:"Simultaneous broadcast protocols and independence definitions (PODC 2005 reproduction)"
   in
   exit

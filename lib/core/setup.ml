@@ -10,7 +10,6 @@ type t = {
 let default =
   { n = 5; thresh = 2; k = 16; backend = Sb_crypto.Commit.Hash; samples = 6000; seed = 1 }
 
-let quick = { default with samples = 800 }
 let with_samples samples t = { t with samples }
 let with_n ~n ~thresh t = { t with n; thresh }
 let with_seed seed t = { t with seed }

@@ -14,9 +14,6 @@ type t = {
 val default : t
 (** n = 5, thresh = 2, k = 16, Hash backend, 6000 samples, seed 1. *)
 
-val quick : t
-(** Smaller sample budget for unit tests (800). *)
-
 val with_samples : int -> t -> t
 val with_n : n:int -> thresh:int -> t -> t
 val with_seed : int -> t -> t

@@ -1,8 +1,6 @@
 open Sb_util
 open Sb_sim
 
-type sched = Shard.mode = Static | Steal
-
 type spec = {
   protocol : Protocol.t;
   count : int;
@@ -48,7 +46,6 @@ type aggregate = {
   sessions_per_sec : float;
   msgs_per_sec : float;
   bytes_per_sec : float;
-  sched : sched;
   workers : int;
   steals : int;
   shard_wall_s : float array;
@@ -150,7 +147,7 @@ let consistent_w ~n outputs =
       (first, List.for_all (function Some v -> Bitvec.equal v first | None -> false) rest)
   | None :: _ -> (Bitvec.zero n, false)
 
-let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~dist
+let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
     specs rng =
   if specs = [] then invalid_arg "Engine.run: empty spec list";
   let specs_a = Array.of_list specs in
@@ -207,10 +204,10 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
   let pool = match pool with Some p -> p | None -> Sb_par.Pool.default () in
   (* Master-stream discipline: two pre-split children per session
      (input draw, execution) first, then one stream per shard for the
-     shared context — all pure functions of the spec counts and the
-     scheduling mode, so any pool size replays the same bytes. *)
+     shared context — all pure functions of the spec counts, so any
+     pool size replays the same bytes. *)
   let streams = Sb_par.Partition.streams rng ~total ~draws_per_item:2 in
-  let shards = Shard.layout ~mode:sched ~counts ~rng in
+  let shards = Shard.layout ~counts ~rng in
   let nshards = Array.length shards in
   let counters = Array.map (fun (sh : Shard.t) -> shard_counter sh.Shard.index) shards in
   let results : session_report array array = Array.make nshards [||] in
@@ -272,52 +269,43 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
   in
   let comm0 = comm_snapshot () in
   let t0 = Unix.gettimeofday () in
+  (* One long-lived task per worker slot; each loops claiming shard
+     indices from a shared atomic counter. Results land in distinct
+     slots of [results] and are merged by shard index, so the outcome
+     is independent of who claimed what. A claim outside the worker's
+     contiguous home range (the even split of shards over workers)
+     counts as a steal. *)
+  let workers = Sb_par.Pool.size pool in
+  let next = Atomic.make 0 in
+  let home_of = Array.make nshards 0 in
+  Array.iteri
+    (fun w (c : Sb_par.Partition.chunk) ->
+      for k = c.Sb_par.Partition.lo to c.Sb_par.Partition.lo + c.Sb_par.Partition.len - 1 do
+        home_of.(k) <- w
+      done)
+    (Sb_par.Partition.chunks ~total:nshards ~jobs:workers);
   let worker_stats =
-    match sched with
-    | Static ->
-        (* Historical path: one queue task per (coarse) shard. *)
-        let per = Sb_par.Pool.map_chunks pool shards ~f:run_shard in
-        Array.iteri (fun k r -> results.(k) <- r) per;
-        [||]
-    | Steal ->
-        (* One long-lived task per worker slot; each loops claiming
-           shard indices from a shared atomic counter. Results land in
-           distinct slots of [results] and are merged by shard index,
-           so the outcome is independent of who claimed what. A claim
-           outside the worker's contiguous home range (the static
-           even split of shards over workers) counts as a steal. *)
-        let workers = Sb_par.Pool.size pool in
-        let next = Atomic.make 0 in
-        let home_of = Array.make nshards 0 in
-        Array.iteri
-          (fun w (c : Sb_par.Partition.chunk) ->
-            for k = c.Sb_par.Partition.lo to c.Sb_par.Partition.lo + c.Sb_par.Partition.len - 1
-            do
-              home_of.(k) <- w
-            done)
-          (Sb_par.Partition.chunks ~total:nshards ~jobs:workers);
-        let ids = Array.init workers (fun w -> w) in
-        Sb_par.Pool.map_chunks pool ids ~f:(fun w ->
-            let t0 = Unix.gettimeofday () in
-            let claimed = ref 0 and stolen = ref 0 and sess = ref 0 in
-            let rec loop () =
-              let k = Atomic.fetch_and_add next 1 in
-              if k < nshards then begin
-                results.(k) <- run_shard shards.(k);
-                incr claimed;
-                if home_of.(k) <> w then incr stolen;
-                sess := !sess + shards.(k).Shard.len;
-                loop ()
-              end
-            in
-            loop ();
-            {
-              worker = w;
-              shards_run = !claimed;
-              stolen = !stolen;
-              sessions_run = !sess;
-              busy_s = Unix.gettimeofday () -. t0;
-            })
+    Sb_par.Pool.map_chunks pool (Array.init workers Fun.id) ~f:(fun w ->
+        let t0 = Unix.gettimeofday () in
+        let claimed = ref 0 and stolen = ref 0 and sess = ref 0 in
+        let rec loop () =
+          let k = Atomic.fetch_and_add next 1 in
+          if k < nshards then begin
+            results.(k) <- run_shard shards.(k);
+            incr claimed;
+            if home_of.(k) <> w then incr stolen;
+            sess := !sess + shards.(k).Shard.len;
+            loop ()
+          end
+        in
+        loop ();
+        {
+          worker = w;
+          shards_run = !claimed;
+          stolen = !stolen;
+          sessions_run = !sess;
+          busy_s = Unix.gettimeofday () -. t0;
+        })
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let bc0, p2p0, bcb0, p2pb0 = comm0 in
@@ -348,8 +336,7 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
       sessions_per_sec = rate total;
       msgs_per_sec = rate (broadcasts + p2p);
       bytes_per_sec = rate (broadcast_bytes + p2p_bytes);
-      sched;
-      workers = Sb_par.Pool.size pool;
+      workers;
       steals;
       shard_wall_s = shard_wall;
       session_wall_s = session_wall;
@@ -363,17 +350,15 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
     Sb_obs.Metrics.set g_sessions_ps aggregate.sessions_per_sec;
     Sb_obs.Metrics.set g_msgs_ps aggregate.msgs_per_sec;
     Sb_obs.Metrics.set g_bytes_ps aggregate.bytes_per_sec;
-    if sched = Steal then begin
-      Sb_obs.Metrics.incr ~by:nshards m_claims;
-      Sb_obs.Metrics.incr ~by:steals m_steals;
-      Array.iter
-        (fun ws ->
-          Sb_obs.Metrics.incr ~by:ws.shards_run (worker_shards_counter ws.worker);
-          Sb_obs.Metrics.incr ~by:ws.sessions_run (worker_sessions_counter ws.worker);
-          let g = worker_busy_gauge ws.worker in
-          Sb_obs.Metrics.set g (Sb_obs.Metrics.gauge_value g +. ws.busy_s))
-        worker_stats
-    end
+    Sb_obs.Metrics.incr ~by:nshards m_claims;
+    Sb_obs.Metrics.incr ~by:steals m_steals;
+    Array.iter
+      (fun ws ->
+        Sb_obs.Metrics.incr ~by:ws.shards_run (worker_shards_counter ws.worker);
+        Sb_obs.Metrics.incr ~by:ws.sessions_run (worker_sessions_counter ws.worker);
+        let g = worker_busy_gauge ws.worker in
+        Sb_obs.Metrics.set g (Sb_obs.Metrics.gauge_value g +. ws.busy_s))
+      worker_stats
   end;
   (aggregate, reports)
 

@@ -9,26 +9,22 @@
 
     The batch is cut into contiguous shards ({!Shard.layout}); each
     shard builds its execution context (signature registry, commitment
-    scheme, CRS) once and reuses it for every session it owns. Under
-    the default {!Steal} schedule the batch is cut into many more
-    fine-grained shards than workers and each worker loops claiming
+    scheme, CRS) once and reuses it for every session it owns. There
+    are many more shards than workers, and each worker loops claiming
     shard indices from a shared atomic counter, so a heavy-tailed mix
     (a few large-n Dolev-Strong sessions among thousands of cheap
-    Bracha votes) no longer leaves workers idle behind a straggler
-    shard; {!Static} keeps the historical coarse ≤{!Shard.width}-shard
-    layout with one queue task per shard, as the comparison baseline.
+    Bracha votes) does not leave workers idle behind a straggler
+    shard. (The historical coarse
+    ≤{!Shard.width}-shard layout survives only as an input to E18's
+    makespan model.)
 
     Determinism: each session draws its input and its execution
     randomness from pre-split per-session RNG streams
     ({!Sb_util.Rng.split_n} via {!Sb_par.Partition.streams}), the
-    shard layout is a pure function of the spec counts and schedule
-    mode, and results are merged by shard index — so the per-session
-    reports and every deterministic {!aggregate} field are
-    byte-identical at every pool size, including 1, under either
-    schedule. (The two schedules differ in shard layout, hence in
-    which context stream a session shares — session outcomes are
-    context-independent, but the [shard] field of the reports
-    differs.)
+    shard layout is a pure function of the spec counts, and results
+    are merged by shard index — so the per-session reports and every
+    deterministic {!aggregate} field are byte-identical at every pool
+    size, including 1.
 
     Observability is wired through [sb_obs]: the deterministic
     counters [session.sessions], [session.consistent] and the
@@ -42,8 +38,6 @@
     totals are read as deltas of the network's [sim.*] counters and
     therefore require metrics to be enabled; with metrics off they
     report 0. *)
-
-type sched = Shard.mode = Static | Steal
 
 type spec = {
   protocol : Sb_sim.Protocol.t;
@@ -81,8 +75,7 @@ val spec :
 
 type session_report = {
   index : int;  (** global session index, [0 .. total-1] *)
-  shard : int;  (** shard that owned this session (schedule-dependent
-                    layout, but jobs-invariant) *)
+  shard : int;  (** shard that owned this session (jobs-invariant) *)
   protocol : string;
   n : int;  (** party count of this session *)
   x : Sb_util.Bitvec.t;  (** input vector (drawn or explicit) *)
@@ -113,14 +106,13 @@ type aggregate = {
   sessions_per_sec : float;
   msgs_per_sec : float;
   bytes_per_sec : float;
-  sched : sched;  (** schedule this batch ran under *)
   workers : int;  (** pool size *)
-  steals : int;  (** total stolen claims; 0 under [Static] or 1 worker.
+  steals : int;  (** total stolen claims; 0 with 1 worker.
                      Scheduling-race-dependent, like every field below —
                      none of them enter {!aggregate_to_json}. *)
   shard_wall_s : float array;  (** per-shard wall clock, by shard index *)
   session_wall_s : float array;  (** per-session wall clock, by index *)
-  worker_stats : worker_stat array;  (** empty under [Static] *)
+  worker_stats : worker_stat array;  (** one per worker slot *)
 }
 
 val bounds : spec list -> int array
@@ -134,7 +126,6 @@ val spec_at : int array -> int -> int
 
 val run :
   ?pool:Sb_par.Pool.t ->
-  ?sched:sched ->
   ?adversary:Sb_sim.Adversary.t ->
   setup:Core.Setup.t ->
   dist:Sb_dist.Dist.t ->
@@ -143,8 +134,8 @@ val run :
   aggregate * session_report array
 (** [run ~setup ~dist specs rng] executes every session of [specs]
     (in spec order: sessions [0 .. c0-1] run the first spec, and so
-    on), scheduled across [pool] (default {!Sb_par.Pool.default})
-    under [sched] (default {!Steal}). Sessions run against
+    on), claimed shard by shard by the workers of [pool] (default
+    {!Sb_par.Pool.default}). Sessions run against
     [adversary] (default {!Core.Adversaries.passive}) on inputs drawn
     per-session from the spec's dist (default the batch [dist]) or
     produced by the spec's explicit [inputs]. The report array is
@@ -152,7 +143,7 @@ val run :
 
     Determinism: session [i]'s input and execution generators are
     streams [2i] and [2i+1] of the master, the shard layout is a pure
-    function of the spec counts and [sched], and results merge by
+    function of the spec counts, and results merge by
     shard index — so the reports and every deterministic [aggregate]
     field are independent of the pool size and of the claiming race.
 

@@ -1,8 +1,6 @@
 let width = 32
 let steal_target = 8
 
-type mode = Static | Steal
-
 type t = {
   index : int;
   spec : int;
@@ -11,27 +9,17 @@ type t = {
   rng : Sb_util.Rng.t;
 }
 
-(* Shards per spec. Both modes are pure functions of the per-spec
-   session counts, never of the pool size, so the layout (and with it
-   every shard-local RNG stream) is jobs-invariant. Static reproduces
-   the historical fan-out: a total budget of [width] shards spread
-   proportionally, at least one per spec, which for a single spec is
-   exactly the old [min count width]. Steal cuts much finer — about
-   [steal_target] sessions per shard, but never fewer than [width]
-   shards per spec — so a straggler spec decomposes into many small
-   units the claiming loop can spread across workers. *)
-let per_spec mode counts =
-  let total = Array.fold_left ( + ) 0 counts in
-  match mode with
-  | Static ->
-      Array.map (fun c -> max 1 (min c (width * c / total))) counts
-  | Steal ->
-      Array.map
-        (fun c -> min c (max width ((c + steal_target - 1) / steal_target)))
-        counts
+(* Shards per spec: about [steal_target] sessions per shard, but never
+   fewer than [width] shards per spec (and never more than one per
+   session), so a straggler spec decomposes into many small units the
+   claiming loop can spread across workers. A pure function of the
+   per-spec session counts, never of the pool size, so the layout (and
+   with it every shard-local RNG stream) is jobs-invariant. *)
+let per_spec counts =
+  Array.map (fun c -> min c (max width ((c + steal_target - 1) / steal_target))) counts
 
-let layout ~mode ~counts ~rng =
-  let shards_of = per_spec mode counts in
+let layout ~counts ~rng =
+  let shards_of = per_spec counts in
   let nshards = Array.fold_left ( + ) 0 shards_of in
   let streams = Sb_util.Rng.split_n rng nshards in
   let out = Array.make nshards { index = 0; spec = 0; lo = 0; len = 0; rng } in

@@ -4,9 +4,9 @@
     cut into contiguous shards, each wholly inside one spec's range
     (specs may differ in party count, so the shared execution context
     is only reusable within a spec). The layout depends only on the
-    scheduling {!mode} and the per-spec session counts — never on the
-    pool size — so shard-local state (the shared {!Sb_sim.Ctx.t},
-    per-shard RNG streams, per-shard counters) is identical at every
+    per-spec session counts — never on the pool size — so shard-local
+    state (the shared {!Sb_sim.Ctx.t}, per-shard RNG streams,
+    per-shard counters) is identical at every
     [--jobs] value; the scheduler merely decides which worker happens
     to drive which shard.
 
@@ -18,24 +18,15 @@
     fixed-base exponentiation tables are module-global already). *)
 
 val width : int
-(** Base shard fan-out (32) — the same fixed constant the Monte-Carlo
-    samplers use. In {!Static} mode it is the total shard budget; in
-    {!Steal} mode it is the per-spec floor. *)
+(** Per-spec shard floor (32) — the same fixed constant the Monte-Carlo
+    samplers use, and the total shard budget of E18's modeled static
+    layout ([Sb_workload.E18.static_layout]). *)
 
 val steal_target : int
-(** Target sessions per shard in {!Steal} mode (8). *)
-
-type mode =
-  | Static
-      (** Historical coarse layout: a total budget of {!width} shards
-          spread across specs proportionally to their counts (at least
-          one each); for a single spec this is exactly the pre-steal
-          [min count width] layout. *)
-  | Steal
-      (** Fine-grained layout for the work-stealing claimer: each spec
-          gets about [count / steal_target] shards, floored at {!width}
-          per spec (and capped at one session per shard), so heavy
-          specs decompose into many small stealable units. *)
+(** Target sessions per shard (8): each spec gets about
+    [count / steal_target] shards, floored at {!width} per spec and
+    capped at one session per shard, so heavy specs decompose into
+    many small units for the work-stealing claimer. *)
 
 type t = {
   index : int;  (** shard number, [0 .. shards-1], global *)
@@ -45,11 +36,11 @@ type t = {
   rng : Sb_util.Rng.t;  (** shard-local stream (context build, spares) *)
 }
 
-val layout : mode:mode -> counts:int array -> rng:Sb_util.Rng.t -> t array
-(** [layout ~mode ~counts ~rng] covers the batch — [counts.(s)]
-    sessions for spec [s], laid out contiguously in spec order — with
-    shards that never straddle a spec boundary; within a spec, shard
-    sizes differ by at most one. Shard [k] holds the [k]-th child
+val layout : counts:int array -> rng:Sb_util.Rng.t -> t array
+(** [layout ~counts ~rng] covers the batch — [counts.(s)] sessions
+    for spec [s], laid out contiguously in spec order — with shards
+    that never straddle a spec boundary; within a spec, shard sizes
+    differ by at most one. Shard [k] holds the [k]-th child
     stream of [rng] ([Rng.split_n]), so its stream is a pure function
     of the layout inputs. Counts must be positive (validated by
     [Engine.run]). *)

@@ -14,7 +14,7 @@
     seed, faults)] — ballots and inputs are drawn from one child of
     the master seed, the engine from another — so the summary, the
     JSON block and every report are byte-identical at every [--jobs]
-    value and under either scheduler.
+    value.
 
     Workloads:
     - ["election"] — Broadbent–Tapp-style referendum (arXiv
@@ -48,7 +48,6 @@ val describe : string -> string option
 
 val run :
   ?pool:Sb_par.Pool.t ->
-  ?sched:Sb_session.Engine.sched ->
   ?faults:Sb_fault.Plan.t ->
   ?quick:bool ->
   seed:int ->

@@ -8,7 +8,8 @@ open Sb_obs
 
 let simbcast = ref ""
 
-(* cmdliner's exit code for a command-line parse error. *)
+(* cmdliner's exit code for a command-line parse error — and the one
+   usage-error code of every subcommand. *)
 let cli_error = 124
 
 let command ?out args =
@@ -33,6 +34,15 @@ let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
+
+(* A rejected input exits 124 and its diagnostic contains [shows]: the
+   offending flag, or cmdliner's "Usage:" line. *)
+let check_usage_error ~shows what args =
+  let out = temp ".usage.err" in
+  Alcotest.(check int) (what ^ " exits 124") cli_error (command ~out args);
+  Alcotest.(check bool) (Printf.sprintf "%s shows %S" what shows) true
+    (contains (read_file out) shows);
+  Sys.remove out
 
 (* --- experiment --seed ------------------------------------------------ *)
 
@@ -87,6 +97,30 @@ let test_trailing_args_rejected () =
       [ "profile" ];
     ]
 
+(* The group and every subcommand document the one exit-code contract,
+   and their help renders without a cmdliner markup error. *)
+let test_help_documents_exits () =
+  let out = temp ".help.out" in
+  let subcommands =
+    [
+      "list"; "run"; "classify"; "test"; "exact"; "experiment"; "fault-sweep"; "profile";
+      "sessions"; "workload"; "check"; "perf-diff";
+    ]
+  in
+  List.iter
+    (fun sub ->
+      let what = String.concat " " ("simbcast" :: sub) in
+      Alcotest.(check int)
+        (what ^ " --help exits 0")
+        0
+        (command ~out (sub @ [ "--help=plain" ]));
+      let help = read_file out in
+      Alcotest.(check bool) (what ^ " lists exit 124") true
+        (contains help "EXIT STATUS" && contains help "124 on a usage error");
+      Alcotest.(check bool) (what ^ " help markup") false (contains help "cmdliner error"))
+    ([] :: List.map (fun c -> [ c ]) subcommands);
+  Sys.remove out
+
 (* A malformed -x vector is a usage error (exit 124, naming the flag),
    not an uncaught exception (125). *)
 let test_run_inputs_rejected () =
@@ -102,36 +136,26 @@ let test_run_inputs_rejected () =
   Sys.remove out
 
 (* An out-of-range corruption bound (t < 0 or t >= n) is a usage error
-   on every subcommand that takes one, with that subcommand's usage
-   exit code and a message naming the flag — never the context's
-   assertion failure (125). *)
+   on every subcommand that takes one, with a message naming the flag —
+   never the context's assertion failure (125). *)
 let test_thresh_rejected () =
-  let out = temp ".thresh.err" in
   List.iter
-    (fun (what, code, args) ->
-      Alcotest.(check int) (Printf.sprintf "%s exits %d" what code) code (command ~out args);
-      Alcotest.(check bool) (what ^ " names --thresh") true
-        (contains (read_file out) "--thresh"))
+    (fun (what, args) -> check_usage_error ~shows:"--thresh" what args)
     [
-      ("run t = n + 2", cli_error, [ "run"; "bracha"; "-n"; "3"; "-x"; "101"; "--thresh"; "5" ]);
-      ("run t = -1", cli_error, [ "run"; "bracha"; "-n"; "3"; "-x"; "101"; "--thresh=-1" ]);
-      ("check t = n", 2, [ "check"; "bracha"; "--n"; "3"; "--t"; "3" ]);
-      ("check t = -1", 2, [ "check"; "bracha"; "--n"; "3"; "--thresh=-1" ]);
-      ("sessions t = n", 2, [ "sessions"; "bracha"; "--count"; "2"; "-n"; "3"; "-t"; "3" ]);
+      ("run t = n + 2", [ "run"; "bracha"; "-n"; "3"; "-x"; "101"; "--thresh"; "5" ]);
+      ("run t = -1", [ "run"; "bracha"; "-n"; "3"; "-x"; "101"; "--thresh=-1" ]);
+      ("check t = n", [ "check"; "bracha"; "--n"; "3"; "--t"; "3" ]);
+      ("check t = -1", [ "check"; "bracha"; "--n"; "3"; "--thresh=-1" ]);
+      ("sessions t = n", [ "sessions"; "bracha"; "--count"; "2"; "-n"; "3"; "-t"; "3" ]);
       ( "sessions t = -1",
-        2,
         [ "sessions"; "bracha"; "--count"; "2"; "-n"; "3"; "--thresh=-1" ] );
       ( "fault-sweep t = n",
-        cli_error,
         [ "fault-sweep"; "-p"; "concurrent-bracha"; "-n"; "3"; "-t"; "3" ] );
       ( "fault-sweep t = -1",
-        cli_error,
         [ "fault-sweep"; "-p"; "concurrent-bracha"; "-n"; "3"; "--thresh=-1" ] );
     ];
-  Alcotest.(check int) "check t = n prints usage" 2
-    (command ~out [ "check"; "bracha"; "--n"; "3"; "--t"; "3" ]);
-  Alcotest.(check bool) "check usage line" true (contains (read_file out) "usage");
-  Sys.remove out
+  check_usage_error ~shows:"Usage:" "check t = n"
+    [ "check"; "bracha"; "--n"; "3"; "--t"; "3" ]
 
 (* --- traced run ----------------------------------------------------- *)
 
@@ -248,29 +272,40 @@ let test_perf_diff_exit_codes () =
 (* --- sessions -------------------------------------------------------- *)
 
 let test_sessions_count_validation () =
-  (* Non-positive --count is a usage error with exit 2, matching the
-     bench harness's contract for its own --count/--jobs — distinct
-     from cmdliner's 124 for unparseable arguments. *)
-  Alcotest.(check int) "count 0 exits 2" 2 (command [ "sessions"; "bracha"; "--count"; "0" ]);
-  Alcotest.(check int) "negative count exits 2" 2
-    (command [ "sessions"; "bracha"; "--count=-4" ])
+  (* --count is validated by its converter: non-positive and
+     unparseable values get the same usage error. *)
+  List.iter
+    (fun (what, args) ->
+      check_usage_error ~shows:"--count" what ("sessions" :: "bracha" :: args))
+    [
+      ("count 0", [ "--count"; "0" ]);
+      ("negative count", [ "--count=-4" ]);
+      ("non-integer count", [ "--count=x" ]);
+    ]
+
+let test_sessions_usage_errors () =
+  check_usage_error ~shows:"Usage:" "unknown protocol" [ "sessions"; "nosuch-proto" ];
+  (* The session scheduler has no knob: --sched is an unknown option. *)
+  List.iter
+    (fun mode ->
+      check_usage_error ~shows:"--sched" ("--sched " ^ mode)
+        [ "sessions"; "bracha"; "--count"; "2"; "--sched"; mode ])
+    [ "static"; "steal" ]
 
 (* --- experiment --n-max --------------------------------------------- *)
 
 let test_experiment_n_max_validation () =
-  (* Malformed --n-max is a usage error with exit 2 (distinct from
-     cmdliner's 124 for unparseable arguments), and the flag only
-     applies to the E17 scaling sweep. *)
-  Alcotest.(check int) "n-max 0 exits 2" 2
-    (command [ "experiment"; "e17"; "--quick"; "--n-max"; "0" ]);
-  Alcotest.(check int) "negative n-max exits 2" 2
-    (command [ "experiment"; "e17"; "--quick"; "--n-max=-5" ]);
-  Alcotest.(check int) "non-integer n-max exits 2" 2
-    (command [ "experiment"; "e17"; "--quick"; "--n-max"; "many" ]);
-  Alcotest.(check int) "n-max below the smallest E17 size exits 2" 2
-    (command [ "experiment"; "e17"; "--quick"; "--n-max"; "64" ]);
-  Alcotest.(check int) "n-max on a non-e17 experiment exits 2" 2
-    (command [ "experiment"; "e4"; "--quick"; "--n-max"; "128" ])
+  (* --n-max must be an integer >= 128 (its converter), and only
+     applies to the E17 scaling sweep (a cross-flag check). *)
+  List.iter
+    (fun (what, args) -> check_usage_error ~shows:"--n-max" what ("experiment" :: args))
+    [
+      ("n-max 0", [ "e17"; "--quick"; "--n-max"; "0" ]);
+      ("negative n-max", [ "e17"; "--quick"; "--n-max=-5" ]);
+      ("non-integer n-max", [ "e17"; "--quick"; "--n-max"; "many" ]);
+      ("n-max below the smallest E17 size", [ "e17"; "--quick"; "--n-max"; "64" ]);
+      ("n-max on a non-e17 experiment", [ "e4"; "--quick"; "--n-max"; "128" ]);
+    ]
 
 let test_experiment_e17_quick_report () =
   (* A capped quick sweep exits 0 and writes a validating report whose
@@ -339,11 +374,7 @@ let test_sessions_jobs_invariant () =
 (* --- workload -------------------------------------------------------- *)
 
 let test_workload_usage_errors () =
-  (* An unknown workload name is a usage error with exit 2, matching
-     `sessions --count` and `check` — distinct from cmdliner's 124 for
-     unparseable arguments. *)
-  Alcotest.(check int) "unknown workload exits 2" 2
-    (command [ "workload"; "no-such-workload" ])
+  check_usage_error ~shows:"Usage:" "unknown workload" [ "workload"; "no-such-workload" ]
 
 let test_workload_jobs_invariant () =
   (* End-to-end jobs-invariance on the election workload: stdout minus
@@ -397,18 +428,15 @@ let test_workload_jobs_invariant () =
 (* --- check ----------------------------------------------------------- *)
 
 let test_check_usage_errors () =
-  (* Unknown protocol and out-of-budget n are usage errors (exit 2 with
-     a usage line), distinct from cmdliner's 124 for unparseable args. *)
-  let out = temp ".check.err" in
-  Alcotest.(check int) "unknown protocol exits 2" 2
-    (command ~out [ "check"; "no-such-proto" ]);
-  Alcotest.(check bool) "unknown protocol prints usage" true
-    (contains (read_file out) "usage");
-  Alcotest.(check int) "n above the budget exits 2" 2
-    (command ~out [ "check"; "bracha"; "--n"; "6" ]);
-  Alcotest.(check bool) "n above the budget prints usage" true
-    (contains (read_file out) "usage");
-  Sys.remove out
+  (* Unknown protocol and n outside the exhaustive-checking range print
+     the usage line. *)
+  List.iter
+    (fun (what, args) -> check_usage_error ~shows:"Usage:" what ("check" :: args))
+    [
+      ("unknown protocol", [ "no-such-proto" ]);
+      ("n above the budget", [ "bracha"; "--n"; "6" ]);
+      ("n = 0", [ "bracha"; "--n"; "0" ]);
+    ]
 
 let test_check_holding_cell () =
   let out = temp ".check.out" and report = temp ".check.json" in
@@ -491,6 +519,8 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "trailing args rejected" `Quick test_trailing_args_rejected;
+          Alcotest.test_case "help documents the exit codes" `Quick
+            test_help_documents_exits;
           Alcotest.test_case "run -x usage errors" `Quick test_run_inputs_rejected;
           Alcotest.test_case "out-of-range --thresh usage errors" `Quick test_thresh_rejected;
           Alcotest.test_case "traced run emits valid trace JSON" `Quick test_run_trace_output;
@@ -504,6 +534,7 @@ let () =
             test_experiment_e17_quick_report;
           Alcotest.test_case "sessions --count validation" `Quick
             test_sessions_count_validation;
+          Alcotest.test_case "sessions usage errors" `Quick test_sessions_usage_errors;
           Alcotest.test_case "sessions jobs-invariant (jobs 1, 2)" `Quick
             test_sessions_jobs_invariant;
           Alcotest.test_case "workload usage errors" `Quick test_workload_usage_errors;

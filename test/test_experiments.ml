@@ -120,7 +120,7 @@ let e17_quick_pin =
   ]
 
 let test_e17_table_pin () =
-  let o = Core.Experiments.e17_scaling Core.Setup.quick in
+  let o = Core.Experiments.e17_scaling Core.Setup.(with_samples 800 default) in
   let rows = String.split_on_char '\n' (Sb_util.Tabular.to_csv o.Core.Experiments.table) in
   let strip_ms row =
     match List.rev (String.split_on_char ',' row) with
@@ -174,7 +174,8 @@ let () =
             (check_outcome "E16" (fun () ->
                  Core.Experiments.e16_wire_complexity ~ns:[ 4; 16 ] ()));
           Alcotest.test_case "E17 scaling (quick)" `Quick
-            (check_outcome "E17" (fun () -> Core.Experiments.e17_scaling Core.Setup.quick));
+            (check_outcome "E17" (fun () ->
+                 Core.Experiments.e17_scaling Core.Setup.(with_samples 800 default)));
         ] );
       ("e8-details", [ Alcotest.test_case "message growth" `Quick test_e8_monotone_details ]);
       ( "table-pins",

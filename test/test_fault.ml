@@ -170,7 +170,7 @@ let test_empty_plan_is_inert () =
   (* A present-but-empty interceptor must not perturb the seeded run:
      the fault stream is split only when the hook is installed, and an
      empty plan consumes no coins. *)
-  let setup = Core.Setup.with_n ~n:4 ~thresh:1 Core.Setup.quick in
+  let setup = Core.Setup.(with_n ~n:4 ~thresh:1 (with_samples 800 default)) in
   let protocol = Sb_protocols.Gennaro.protocol in
   let run ?faults () =
     let rng = Sb_util.Rng.create 33 in
@@ -191,7 +191,7 @@ let test_dolev_strong_any_crash_subset () =
   (* DS tolerates ANY t < n faults: with thresh = n-1, every non-empty
      crash pattern over n = 4 (sizes 1..3, staggered rounds) leaves
      the survivors in exact agreement. *)
-  let setup = Core.Setup.with_n ~n:4 ~thresh:3 Core.Setup.quick in
+  let setup = Core.Setup.(with_n ~n:4 ~thresh:3 (with_samples 800 default)) in
   let protocol = Sb_broadcast.Parallel.concurrent Sb_broadcast.Dolev_strong.scheme in
   let subsets =
     List.filter_map
@@ -214,7 +214,7 @@ let test_dolev_strong_any_crash_subset () =
     subsets
 
 let test_bracha_flip_at_boundary () =
-  let setup = Core.Setup.with_n ~n:4 ~thresh:1 Core.Setup.quick in
+  let setup = Core.Setup.(with_n ~n:4 ~thresh:1 (with_samples 800 default)) in
   let protocol = Sb_broadcast.Parallel.concurrent Sb_broadcast.Bracha.scheme in
   let dist = Sb_dist.Dist.product 1.0 4 in
   let below =
@@ -229,7 +229,7 @@ let test_bracha_flip_at_boundary () =
     above.Core.Resilience.agree
 
 let test_eig_flip_at_boundary () =
-  let setup = Core.Setup.with_n ~n:4 ~thresh:1 Core.Setup.quick in
+  let setup = Core.Setup.(with_n ~n:4 ~thresh:1 (with_samples 800 default)) in
   let protocol = Sb_broadcast.Parallel.concurrent Sb_broadcast.Eig.scheme in
   let dist = Sb_dist.Dist.product 1.0 4 in
   let below = measure ~setup ~protocol ~adversary:Core.Resilience.eig_flip ~dist [] in
@@ -257,7 +257,7 @@ let with_obs f =
 let counter name = Sb_obs.Metrics.counter_value (Sb_obs.Metrics.counter name)
 
 let test_fault_counters () =
-  let setup = Core.Setup.with_n ~n:4 ~thresh:1 Core.Setup.quick in
+  let setup = Core.Setup.(with_n ~n:4 ~thresh:1 (with_samples 800 default)) in
   let protocol = Sb_broadcast.Parallel.concurrent Sb_broadcast.Send_echo.scheme in
   let samples = 25 in
   with_obs (fun () ->
@@ -292,7 +292,7 @@ let with_jobs j f =
 let test_cells_jobs_invariant () =
   (* The acceptance bar for the fault RNG discipline: a faulty cell is
      byte-identical at --jobs 1 and --jobs 4 for the same seed. *)
-  let setup = Core.Setup.with_n ~n:5 ~thresh:1 Core.Setup.quick in
+  let setup = Core.Setup.(with_n ~n:5 ~thresh:1 (with_samples 800 default)) in
   let protocol = Sb_broadcast.Parallel.concurrent Sb_broadcast.Bracha.scheme in
   let plan = [ Plan.drop 0.2; Plan.delay 1; Plan.crash ~party:4 ~round:1 ] in
   let cell () =

@@ -423,7 +423,7 @@ let test_registry_covers_all_and_finds () =
 let test_registry_runner_spans_and_counters () =
   with_obs (fun () ->
       let e = Option.get (Core.Experiments.find "E6") in
-      let setup = Core.Setup.with_samples 400 Core.Setup.quick in
+      let setup = Core.Setup.with_samples 400 Core.Setup.default in
       let o = e.Core.Experiments.run setup in
       Alcotest.(check bool) "outcome ok" true o.Core.Experiments.ok;
       (match Span.find "experiment:E6" with

@@ -3,10 +3,9 @@
    The load-bearing property is the determinism contract: per-session
    reports and every deterministic aggregate field are byte-identical
    at every pool size (the shard layout and the RNG streams are pure
-   functions of the spec counts, the schedule mode and the master
-   seed). The scheduler only decides which worker drives which shard —
-   under Steal via a shared atomic claim counter, under Static via the
-   historical one-task-per-coarse-shard queue. *)
+   functions of the spec counts and the master seed). The scheduler
+   only decides which worker drives which shard, via a shared atomic
+   claim counter. *)
 
 open Sb_session
 
@@ -37,11 +36,11 @@ let heavy_specs =
       (substrate "concurrent-bracha") 8;
   ]
 
-let run_with_jobs ?sched specs jobs =
+let run_with_jobs specs jobs =
   let pool = Sb_par.Pool.create ~domains:jobs () in
   Fun.protect
     ~finally:(fun () -> Sb_par.Pool.shutdown pool)
-    (fun () -> Engine.run ~pool ?sched ~setup ~dist specs (Sb_util.Rng.create 33))
+    (fun () -> Engine.run ~pool ~setup ~dist specs (Sb_util.Rng.create 33))
 
 let report_lines reports =
   Array.to_list
@@ -80,49 +79,30 @@ let test_heavy_tail_jobs_invariant () =
      byte-identical across pool sizes. *)
   check_jobs_invariant "heavy-tailed" heavy_specs
 
-let test_static_jobs_invariant () =
-  let agg1, reports1 = run_with_jobs ~sched:Engine.Static mixed_specs 1 in
-  let agg4, reports4 = run_with_jobs ~sched:Engine.Static mixed_specs 4 in
-  Alcotest.(check (list string))
-    "static reports at jobs=4" (report_lines reports1) (report_lines reports4);
-  Alcotest.check agg_t "static aggregate at jobs=4" (deterministic_slice agg1)
-    (deterministic_slice agg4)
+(* MD5 of the newline-joined session reports (shard field included) at
+   seed 33, recorded while a second, static scheduler still existed and
+   a differential test held the two in step. The engine now has one
+   scheduler; these digests are what keeps its output from drifting.
+   Never re-record them: a drift means session outcomes, RNG stream
+   assignment or the shard layout changed. *)
+let pinned_digests =
+  [
+    ("mixed", mixed_specs, "ce138293d44a4a2f61447234d0d0a7d5");
+    ("heavy-tailed", heavy_specs, "2213ee5acaaf73ac10df4bc357117cdb");
+  ]
 
-(* Steal vs Static differ only in shard layout (hence context-stream
-   assignment and the report's shard field): every session-level
-   outcome is pinned to the static engine's output on the same seed. *)
-let outcome_slice reports =
-  Array.to_list
-    (Array.map
-       (fun (r : Engine.session_report) ->
-         ( (r.Engine.index, r.Engine.protocol, r.Engine.n),
-           ( Sb_util.Bitvec.to_string r.Engine.x,
-             Sb_util.Bitvec.to_string r.Engine.w,
-             (r.Engine.consistent, r.Engine.rounds, r.Engine.p2p) ) ))
-       reports)
-
-let outcome_t =
-  Alcotest.(
-    list
-      (pair
-         (triple int string int)
-         (triple string string (triple bool int int))))
-
-let test_steal_vs_static_differential () =
+let test_reports_pinned () =
   List.iter
-    (fun specs ->
-      let agg_steal, steal = run_with_jobs ~sched:Engine.Steal specs 2 in
-      let agg_static, static = run_with_jobs ~sched:Engine.Static specs 2 in
-      Alcotest.check outcome_t "session outcomes pinned to static engine"
-        (outcome_slice static) (outcome_slice steal);
-      Alcotest.(check int)
-        "consistent totals agree" agg_static.Engine.consistent
-        agg_steal.Engine.consistent;
-      Alcotest.(check (pair int int))
-        "comm totals agree"
-        (agg_static.Engine.broadcasts, agg_static.Engine.p2p)
-        (agg_steal.Engine.broadcasts, agg_steal.Engine.p2p))
-    [ mixed_specs; heavy_specs ]
+    (fun (name, specs, digest) ->
+      List.iter
+        (fun jobs ->
+          let _, reports = run_with_jobs specs jobs in
+          Alcotest.(check string)
+            (Printf.sprintf "%s report digest at jobs=%d" name jobs)
+            digest
+            (Digest.to_hex (Digest.string (String.concat "\n" (report_lines reports)))))
+        [ 1; 2; 4 ])
+    pinned_digests
 
 let test_steal_counters_sane () =
   (* One worker: everything is a home claim. *)
@@ -145,12 +125,7 @@ let test_steal_counters_sane () =
   Alcotest.(check int) "sessions cover the batch" agg4.Engine.sessions
     (sum (fun ws -> ws.Engine.sessions_run));
   Alcotest.(check int) "steal total matches tallies" agg4.Engine.steals
-    (sum (fun ws -> ws.Engine.stolen));
-  (* Static mode reports no stealing surface at all. *)
-  let aggs, _ = run_with_jobs ~sched:Engine.Static mixed_specs 4 in
-  Alcotest.(check int) "static: no steals" 0 aggs.Engine.steals;
-  Alcotest.(check int) "static: no worker stats" 0
-    (Array.length aggs.Engine.worker_stats)
+    (sum (fun ws -> ws.Engine.stolen))
 
 let test_spec_order_and_protocols () =
   let _, reports = run_with_jobs mixed_specs 2 in
@@ -180,32 +155,43 @@ let test_spec_at_binary_search () =
       ignore (Engine.spec_at b 35))
 
 let test_shard_layout_static () =
-  (* Static, single spec: the historical layout — at most Shard.width
-     contiguous shards, sizes differing by at most one. *)
-  let shards =
-    Shard.layout ~mode:Shard.Static ~counts:[| 100 |] ~rng:(Sb_util.Rng.create 1)
-  in
+  (* E18's model of the historical coarse layout, single spec: at most
+     Shard.width contiguous shards, sizes differing by at most one. *)
+  let shards = Sb_workload.E18.static_layout [| 100 |] in
   Alcotest.(check int) "shard count" Shard.width (Array.length shards);
   let covered = ref 0 in
-  Array.iteri
-    (fun k (s : Shard.t) ->
-      Alcotest.(check int) "contiguous" !covered s.Shard.lo;
-      Alcotest.(check int) "indexed" k s.Shard.index;
-      Alcotest.(check int) "spec 0" 0 s.Shard.spec;
-      Alcotest.(check bool) "balanced" true (s.Shard.len >= 3 && s.Shard.len <= 4);
-      covered := !covered + s.Shard.len)
+  Array.iter
+    (fun (lo, len) ->
+      Alcotest.(check int) "contiguous" !covered lo;
+      Alcotest.(check bool) "balanced" true (len >= 3 && len <= 4);
+      covered := !covered + len)
     shards;
   Alcotest.(check int) "covers batch" 100 !covered;
   (* Small batches degenerate to one session per shard. *)
-  Alcotest.(check int) "small batch" 7
-    (Array.length
-       (Shard.layout ~mode:Shard.Static ~counts:[| 7 |] ~rng:(Sb_util.Rng.create 1)))
+  Alcotest.(check int)
+    "small batch" 7
+    (Array.length (Sb_workload.E18.static_layout [| 7 |]));
+  (* Two specs share the 32-shard budget in proportion (at least one
+     each): E18's quick mix. The ranges were recorded from the engine's
+     static layout before it was retired. *)
+  let expected =
+    [
+      (0, 6); (6, 20); (26, 20); (46, 20); (66, 20); (86, 20); (106, 20); (126, 20);
+      (146, 20); (166, 20); (186, 20); (206, 20); (226, 19); (245, 19); (264, 19);
+      (283, 19); (302, 19); (321, 19); (340, 19); (359, 19); (378, 19); (397, 19);
+      (416, 19); (435, 19); (454, 19); (473, 19); (492, 19); (511, 19); (530, 19);
+      (549, 19); (568, 19); (587, 19)
+    ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "[|6; 600|] ranges" expected
+    (Array.to_list (Sb_workload.E18.static_layout [| 6; 600 |]))
 
 let test_shard_layout_steal () =
   (* Steal cuts each spec into at least Shard.width shards (capped at
      one session per shard) and never straddles a spec boundary. *)
   let counts = [| 40; 40; 40 |] in
-  let shards = Shard.layout ~mode:Shard.Steal ~counts ~rng:(Sb_util.Rng.create 1) in
+  let shards = Shard.layout ~counts ~rng:(Sb_util.Rng.create 1) in
   Alcotest.(check int) "three specs x 32 shards" 96 (Array.length shards);
   let covered = ref 0 in
   Array.iteri
@@ -219,7 +205,7 @@ let test_shard_layout_steal () =
     shards;
   Alcotest.(check int) "covers batch" 120 !covered;
   (* A large spec lands near the steal_target granularity. *)
-  let big = Shard.layout ~mode:Shard.Steal ~counts:[| 2048 |] ~rng:(Sb_util.Rng.create 1) in
+  let big = Shard.layout ~counts:[| 2048 |] ~rng:(Sb_util.Rng.create 1) in
   Alcotest.(check int) "2048 sessions -> 256 shards" 256 (Array.length big)
 
 let test_parties_and_inputs_override () =
@@ -304,10 +290,8 @@ let () =
             test_reports_jobs_invariant;
           Alcotest.test_case "heavy-tailed mix jobs-invariant" `Quick
             test_heavy_tail_jobs_invariant;
-          Alcotest.test_case "static schedule jobs-invariant" `Quick
-            test_static_jobs_invariant;
-          Alcotest.test_case "steal pinned to static outcomes" `Quick
-            test_steal_vs_static_differential;
+          Alcotest.test_case "reports pinned to recorded digests" `Quick
+            test_reports_pinned;
         ] );
       ( "scheduler",
         [

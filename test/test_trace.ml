@@ -252,7 +252,7 @@ let render (r : Sb_sim.Network.result) =
 
 let outcome_csv () =
   let e = Option.get (Core.Experiments.find "E6") in
-  let o = e.Core.Experiments.run (Core.Setup.with_samples 400 Core.Setup.quick) in
+  let o = e.Core.Experiments.run (Core.Setup.with_samples 400 Core.Setup.default) in
   Sb_util.Tabular.to_csv o.Core.Experiments.table
 
 let test_tracing_is_inert () =
