@@ -16,6 +16,16 @@ let default = Msg.Bit false
    against a pinned copy of the seed implementation. *)
 type tally = { v : Msg.t; mutable echoes : int; mutable readies : int }
 
+(* The tally of [v] among [l] (the contents of [tallies]), appended to
+   [tallies] when [v] is new. A top-level scan, so a hit allocates
+   nothing. *)
+let rec find_tally tallies v = function
+  | s :: rest -> if Msg.equal s.v v then s else find_tally tallies v rest
+  | [] ->
+      let s = { v; echoes = 0; readies = 0 } in
+      tallies := !tallies @ [ s ];
+      s
+
 let scheme =
   {
     Session.scheme_name = "bracha";
@@ -35,36 +45,27 @@ let scheme =
         let tallies : tally list ref = ref [] in
         let echoed = ref false in
         let ready_sent = ref false in
-        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
+        let tag = Session.tag sid in
         (* Wrap once, share the body across all n envelopes; drawn from
            the ctx arena when one is installed. *)
-        let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
-        let tally_for v =
-          match List.find_opt (fun s -> Msg.equal s.v v) !tallies with
-          | Some s -> s
-          | None ->
-              let s = { v; echoes = 0; readies = 0 } in
-              tallies := !tallies @ [ s ];
-              s
-        in
-        let record inbox =
-          List.iter
-            (fun (e : Envelope.t) ->
-              match (Envelope.src_party e, unwrap e.Envelope.body) with
-              | Some src, Some (Msg.Tag ("br-echo", v)) ->
-                  if not (Bitvec.Mut.get echo_seen src) then begin
-                    Bitvec.Mut.set echo_seen src true;
-                    let s = tally_for v in
-                    s.echoes <- s.echoes + 1
-                  end
-              | Some src, Some (Msg.Tag ("br-ready", v)) ->
-                  if not (Bitvec.Mut.get ready_seen src) then begin
-                    Bitvec.Mut.set ready_seen src true;
-                    let s = tally_for v in
-                    s.readies <- s.readies + 1
-                  end
-              | _ -> ())
-            inbox
+        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+        let tally_for v = find_tally tallies v !tallies in
+        (* Built once per session: the shared scan calls it per
+           tagged envelope without allocating. *)
+        let record_one src = function
+          | Msg.Tag ("br-echo", v) ->
+              if not (Bitvec.Mut.get echo_seen src) then begin
+                Bitvec.Mut.set echo_seen src true;
+                let s = tally_for v in
+                s.echoes <- s.echoes + 1
+              end
+          | Msg.Tag ("br-ready", v) ->
+              if not (Bitvec.Mut.get ready_seen src) then begin
+                Bitvec.Mut.set ready_seen src true;
+                let s = tally_for v in
+                s.readies <- s.readies + 1
+              end
+          | _ -> ()
         in
         let maybe_ready () =
           if !ready_sent then []
@@ -80,7 +81,7 @@ let scheme =
             | None -> []
         in
         let step ~round ~inbox =
-          record inbox;
+          Envelope.iter_from_parties ~tag record_one inbox;
           match round with
           | 0 -> (
               match value with
@@ -88,15 +89,17 @@ let scheme =
               | None -> [])
           | 1 ->
               if not !echoed then begin
-                let init =
-                  List.find_map
-                    (fun (e : Envelope.t) ->
-                      match (Envelope.src_party e, unwrap e.Envelope.body) with
-                      | Some src, Some (Msg.Tag ("br-init", v)) when src = sender -> Some v
-                      | _ -> None)
-                    inbox
-                in
-                match init with
+                (* The sender's first br-init, skipping anything else it
+                   sent before it. *)
+                let init = ref None in
+                Envelope.iter_from_parties ~tag
+                  (fun src m ->
+                    match m with
+                    | Msg.Tag ("br-init", v) when src = sender && Option.is_none !init ->
+                        init := Some v
+                    | _ -> ())
+                  inbox;
+                match !init with
                 | Some v ->
                     echoed := true;
                     send_all (Msg.Tag ("br-echo", v))

@@ -62,8 +62,8 @@ let scheme =
         (* Values to relay next round, with their signature sets. *)
         let outbox : (Msg.t * (int * string) list) list ref = ref [] in
         let scratch = Bitvec.Mut.create n in
-        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
-        let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
+        let tag = Session.tag sid in
+        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
         let valid_sigs b chain =
           List.for_all (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i b s) chain
         in
@@ -76,13 +76,15 @@ let scheme =
            its chain is decoded or any signature hashed. The order is
            exact: every conjunct is pure ([signer_mask] restores its
            scratch vector), so each message gets the verdict the
-           hash-first order gave it. *)
+           hash-first order gave it. Only parties send on a session's
+           tag (no substrate runs beside a functionality), so the
+           party-only scan sees every message the session acts on. *)
         let process ~round inbox =
-          List.iter
-            (fun (e : Envelope.t) ->
+          Envelope.iter_from_parties ~tag
+            (fun _src m ->
               if List.length !accepted < 2 then
-                match unwrap e.Envelope.body with
-                | Some (Msg.List [ v; Msg.List entries ])
+                match m with
+                | Msg.List [ v; Msg.List entries ]
                   when (not (List.exists (Msg.equal v) !accepted))
                        && List.length entries >= round -> (
                     match decode_chain entries with

@@ -49,13 +49,15 @@ let scheme =
         let tree : (int list, Msg.t) Hashtbl.t = Hashtbl.create 64 in
         let last_level : (int list * Msg.t) list ref = ref [] in
         let scratch = Sb_util.Bitvec.Mut.create n in
-        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
+        let tag = Session.tag sid in
+        (* Only a party-sent envelope can pass the last-hop check
+           below, so the scan's party-only filter drops nothing the
+           check would accept. *)
         let store ~round inbox =
-          List.iter
-            (fun (e : Envelope.t) ->
-              let src = Envelope.src_party e in
-              match Option.map Msg.to_list_exn (unwrap e.Envelope.body) with
-              | Some pairs ->
+          Envelope.iter_from_parties ~tag
+            (fun src m ->
+              match Msg.to_list_exn m with
+              | pairs ->
                   List.iter
                     (fun pair ->
                       match decode_pair pair with
@@ -63,21 +65,18 @@ let scheme =
                         when List.length path = round
                              && distinct scratch ~n path
                              && (match path with p0 :: _ -> p0 = sender | [] -> false)
-                             && (match List.rev path with last :: _ -> Some last = src | [] -> false)
+                             && (match List.rev path with last :: _ -> last = src | [] -> false)
                              && not (Hashtbl.mem tree path) ->
                           Hashtbl.replace tree path v;
                           last_level := (path, v) :: !last_level
                       | _ -> ())
                     pairs
-              | None -> ()
               | exception Invalid_argument _ -> ())
             inbox
         in
         let broadcast_pairs pairs =
           if pairs = [] then []
-          else
-            Ctx.to_all ctx ~src:me
-              (wrap (Msg.List (List.map encode_pair pairs)))
+          else Ctx.to_all ctx ~src:me (Msg.Tag (tag, Msg.List (List.map encode_pair pairs)))
         in
         let step ~round ~inbox =
           last_level := [];

@@ -21,35 +21,46 @@ let to_bit m = match m with Msg.Bit b -> b | _ -> false
    [Session.tag (session_id k)] for some k < n, i.e. exactly when the
    seed's per-sid filter would have kept it; everything else is
    dropped, as before. Buckets preserve inbox order, so each session
-   sees byte-identical input. *)
+   sees byte-identical input. The prefix is compared in place, so an
+   envelope costs one cons cell in its bucket and nothing else. *)
+let pre = "bc:s"
+let lp = String.length pre
+
+(* [t] starts with [pre]; the caller has checked [String.length t > lp]. *)
+let rec has_pre t i =
+  i >= lp || (String.unsafe_get t i = String.unsafe_get pre i && has_pre t (i + 1))
+
 let bucket_by_sid ~n envs =
   let buckets = Array.make n [] in
-  let pre = "bc:s" in
-  let lp = String.length pre in
-  List.iter
-    (fun (e : Envelope.t) ->
-      match e.Envelope.body with
-      | Msg.Tag (t, _) ->
-          let lt = String.length t in
-          (* <= 9 digits also guards the accumulator against overflow
-             on adversarial tags; any real k has far fewer. *)
-          if
-            lt > lp
-            && lt <= lp + 9
-            && String.sub t 0 lp = pre
-            && not (t.[lp] = '0' && lt > lp + 1)
-          then begin
-            let ok = ref true and k = ref 0 in
-            for i = lp to lt - 1 do
-              let c = t.[i] in
-              if c < '0' || c > '9' then ok := false
-              else k := (!k * 10) + (Char.code c - Char.code '0')
-            done;
-            if !ok && !k < n then buckets.(!k) <- e :: buckets.(!k)
-          end
-      | _ -> ())
-    envs;
-  Array.iteri (fun i l -> buckets.(i) <- List.rev l) buckets;
+  (* Back to front, so consing leaves each bucket in inbox order
+     without a List.rev copy; the recursion is as deep as the inbox is
+     long. *)
+  let rec go = function
+    | [] -> ()
+    | (e : Envelope.t) :: rest -> (
+        go rest;
+        match e.Envelope.body with
+        | Msg.Tag (t, _) ->
+            let lt = String.length t in
+            (* <= 9 digits also guards the accumulator against overflow
+               on adversarial tags; any real k has far fewer. *)
+            if
+              lt > lp
+              && lt <= lp + 9
+              && has_pre t 0
+              && not (t.[lp] = '0' && lt > lp + 1)
+            then begin
+              let ok = ref true and k = ref 0 in
+              for i = lp to lt - 1 do
+                let c = t.[i] in
+                if c < '0' || c > '9' then ok := false
+                else k := (!k * 10) + (Char.code c - Char.code '0')
+              done;
+              if !ok && !k < n then buckets.(!k) <- e :: buckets.(!k)
+            end
+        | _ -> ())
+  in
+  go envs;
   buckets
 
 let make mode (scheme : Session.scheme) name =
@@ -69,14 +80,24 @@ let make mode (scheme : Session.scheme) name =
     in
     let scheme_rounds = scheme.rounds ctx in
     let step ~round ~inbox =
-      let buckets = bucket_by_sid ~n inbox in
-      List.concat
-        (List.init n (fun sender ->
-             let lo, hi = window ~mode ~scheme_rounds ~sender in
-             if round < lo || round > hi then []
-             else
-               sessions.(sender).Session.step ~round:(round - lo)
-                 ~inbox:buckets.(sender)))
+      (* Each session's output replaces its inbox in its slot; the
+         outputs are then joined right to left, so the last non-empty
+         one is shared rather than copied. *)
+      let slots = bucket_by_sid ~n inbox in
+      for sender = 0 to n - 1 do
+        let lo, hi = window ~mode ~scheme_rounds ~sender in
+        slots.(sender) <-
+          (if round < lo || round > hi then []
+           else sessions.(sender).Session.step ~round:(round - lo) ~inbox:slots.(sender))
+      done;
+      let out = ref [] in
+      for sender = n - 1 downto 0 do
+        match (slots.(sender), !out) with
+        | [], _ -> ()
+        | l, [] -> out := l
+        | l, acc -> out := l @ acc
+      done;
+      !out
     in
     let output () =
       Msg.bits (List.init n (fun sender -> to_bit (sessions.(sender).Session.result ())))

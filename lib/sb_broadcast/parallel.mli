@@ -28,6 +28,14 @@ val single : Session.scheme -> Sb_sim.Protocol.t
     the full n-session compositions above cost a factor n more and
     would conflate composition cost with substrate cost. *)
 
+val bucket_by_sid : n:int -> Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list array
+(** The dispatch [sequential] and [concurrent] parties run on every
+    inbox: bucket [k] holds, in inbox order, exactly the envelopes
+    [Session.inbox_for ~sid:(session_id k)] keeps, for each k < n.
+    The tag parse is strict: ["bc:s"] then the decimal k with no
+    leading zero and at most 9 digits; anything else (other tags,
+    k >= n, untagged bodies) is dropped. *)
+
 val window : mode:[ `Sequential | `Concurrent ] -> scheme_rounds:int -> sender:int -> int * int
 (** [window ~mode ~scheme_rounds ~sender] is the inclusive network-round
     interval during which the sender's session is active; exposed so

@@ -17,45 +17,62 @@ let scheme =
         let t = ctx.Ctx.thresh in
         let current = ref (Option.value value ~default) in
         let strong = ref false in
-        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
-        let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
-        let payloads inbox =
-          List.filter_map
-            (fun (e : Envelope.t) ->
-              match (Envelope.src_party e, unwrap e.Envelope.body) with
-              | Some src, Some m -> Some (src, m)
-              | _ -> None)
-            inbox
+        let tag = Session.tag sid in
+        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+        (* One pass over an exchange round's pk-val payloads: their
+           count, the last one, and whether each equals the one before
+           (so all are equal). Built once per session, so the pass
+           allocates nothing. *)
+        let count = ref 0 and last = ref default and uniform = ref true in
+        let scan_val _src = function
+          | Msg.Tag ("pk-val", v) ->
+              if !count > 0 && not (Msg.equal v !last) then uniform := false;
+              last := v;
+              incr count
+          | _ -> ()
+        in
+        (* The exact tally: Hashtbl iteration order breaks ties between
+           equally frequent values, so contested rounds keep it. *)
+        let contested_majority inbox =
+          let counts = Hashtbl.create 8 in
+          Envelope.iter_from_parties ~tag
+            (fun _ m ->
+              match m with
+              | Msg.Tag ("pk-val", v) ->
+                  let key = Msg.serialize v in
+                  let c = match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0 in
+                  Hashtbl.replace counts key (c + 1, v)
+              | _ -> ())
+            inbox;
+          let best = ref (0, default) in
+          Hashtbl.iter (fun _ (c, v) -> if c > fst !best then best := (c, v)) counts;
+          !best
         in
         let step ~round ~inbox =
-          let msgs = payloads inbox in
           (* 1. Process whatever this round delivered. *)
           if round = 1 && me <> sender then begin
-            match List.assoc_opt sender msgs with
+            match Envelope.first_from ~tag ~src:sender inbox with
             | Some (Msg.Tag ("pk-send", v)) -> current := v
             | _ -> current := default
           end;
           if round >= 2 && round mod 2 = 0 then begin
-            (* Deliveries of an all-to-all exchange: adopt majority. *)
-            let counts = Hashtbl.create 8 in
-            List.iter
-              (fun (_, m) ->
-                match m with
-                | Msg.Tag ("pk-val", v) ->
-                    let key = Msg.serialize v in
-                    let c = match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0 in
-                    Hashtbl.replace counts key (c + 1, v)
-                | _ -> ())
-              msgs;
-            let best = ref (0, default) in
-            Hashtbl.iter (fun _ (c, v) -> if c > fst !best then best := (c, v)) counts;
-            current := snd !best;
-            strong := 2 * fst !best > n + (2 * t)
+            (* Deliveries of an all-to-all exchange: adopt majority.
+               When every payload is one value, the table would hold a
+               single key whose value is the last payload seen
+               (Hashtbl.replace) with count [!count], or nothing, giving
+               (0, default); that is read off the scan directly. *)
+            count := 0;
+            last := default;
+            uniform := true;
+            Envelope.iter_from_parties ~tag scan_val inbox;
+            let c, v = if !uniform then (!count, !last) else contested_majority inbox in
+            current := v;
+            strong := 2 * c > n + (2 * t)
           end;
           if round >= 3 && round mod 2 = 1 then begin
             (* Delivery of phase ((round-3)/2)'s king value. *)
             let king = (round - 3) / 2 in
-            match List.assoc_opt king msgs with
+            match Envelope.first_from ~tag ~src:king inbox with
             | Some (Msg.Tag ("pk-king", v)) -> if not !strong then current := v
             | _ -> if not !strong then current := default
           end;

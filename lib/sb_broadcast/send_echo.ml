@@ -20,17 +20,15 @@ let scheme =
            seed. *)
         let echo_seen = Sb_util.Bitvec.Mut.create n in
         let echo_val = Array.make n default in
-        let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
-        let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
+        let tag = Session.tag sid in
+        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+        let record_echo src = function
+          | Msg.Tag ("echo", v) ->
+              Sb_util.Bitvec.Mut.set echo_seen src true;
+              echo_val.(src) <- v
+          | _ -> ()
+        in
         let step ~round ~inbox =
-          let payloads =
-            List.filter_map
-              (fun (e : Envelope.t) ->
-                match (Envelope.src_party e, unwrap e.body) with
-                | Some src, Some m -> Some (src, m)
-                | _ -> None)
-              inbox
-          in
           match round with
           | 0 -> (
               match value with
@@ -43,18 +41,13 @@ let scheme =
               if me <> sender then
                 received :=
                   Some
-                    (match List.assoc_opt sender payloads with Some m -> m | None -> default);
+                    (match Envelope.first_from ~tag ~src:sender inbox with
+                    | Some m -> m
+                    | None -> default);
               let v = Option.value !received ~default in
               send_all (Msg.Tag ("echo", v))
           | 2 ->
-              List.iter
-                (fun (src, m) ->
-                  match m with
-                  | Msg.Tag ("echo", v) ->
-                      Sb_util.Bitvec.Mut.set echo_seen src true;
-                      echo_val.(src) <- v
-                  | _ -> ())
-                payloads;
+              Envelope.iter_from_parties ~tag record_echo inbox;
               []
           | _ -> []
         in

@@ -36,7 +36,11 @@ type scheme = {
 }
 
 val tag : string -> string
-(** [tag sid] is the message tag used by session [sid]. *)
+(** [tag sid] is the message tag used by session [sid]. The substrates
+    build it once per session and read their inboxes through
+    {!Sb_sim.Envelope.iter_from_parties} and
+    {!Sb_sim.Envelope.first_from} with it: one tagged scan that checks
+    the tag and the party sender of each envelope in place. *)
 
 (** [wrap], [unwrap] and [inbox_for] build [tag sid] when applied to
     [~sid] alone. A session binds them once, e.g.

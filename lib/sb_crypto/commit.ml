@@ -26,25 +26,81 @@ let fresh_handle s rng =
   in
   go ()
 
+(* Direct-mapped, domain-local memo of Hash-backend verdicts, in the
+   style of [Sig.sign]: a slot holds one full key (commitment, value,
+   nonce) and its verdict; a lookup compares the whole key and a store
+   overwrites the slot, so a collision only costs a recomputation. A
+   Hash verdict depends on the key alone, never on the scheme, which
+   is what makes one table per domain sound. [commit] seeds its own
+   slot, so in commit-open, where every party checks the same n
+   broadcast openings, a session hashes once per commitment. The Ideal
+   backend is never memoized: [equivocate] rebinds a handle, which
+   changes its verdicts. *)
+let slot_bits = 8
+
+type memo = {
+  mutable live : bool;
+  mutable c : commitment;
+  mutable value : string;
+  mutable nonce : string;
+  mutable ok : bool;
+}
+
+let table =
+  Domain.DLS.new_key (fun () ->
+      Array.init (1 lsl slot_bits) (fun _ ->
+          { live = false; c = ""; value = ""; nonce = ""; ok = false }))
+
+(* Multiplicative hashing: the top [slot_bits] bits of the product. *)
+let slot c (o : opening) =
+  let h = Hashtbl.hash c lxor (Hashtbl.hash o.value lsl 7) lxor (Hashtbl.hash o.nonce lsl 14) in
+  (h * 0x2545F4914F6CDD1D) lsr (Sys.int_size - slot_bits)
+
+let entry c o = (Domain.DLS.get table).(slot c o)
+
+let store e c (o : opening) ok =
+  e.live <- true;
+  e.c <- c;
+  e.value <- o.value;
+  e.nonce <- o.nonce;
+  e.ok <- ok
+
 let commit s rng value =
   let nonce = Sb_util.Rng.bytes rng s.k in
   match s.backend with
   | Hash ->
       let c = hash_of value nonce in
       Hashtbl.replace s.registry c (Bound value);
-      (c, { value; nonce })
+      let o = { value; nonce } in
+      store (entry c o) c o true;
+      (c, o)
   | Ideal ->
       let c = fresh_handle s rng in
       Hashtbl.replace s.registry c (Bound value);
       (c, { value; nonce })
 
-let verify s c (o : opening) =
+let verify_uncached s c (o : opening) =
   match s.backend with
   | Hash -> String.equal c (hash_of o.value o.nonce)
   | Ideal -> (
       match Hashtbl.find_opt s.registry c with
       | Some (Bound v) -> String.equal v o.value
       | Some Placeholder | None -> false)
+
+let verify s c (o : opening) =
+  match s.backend with
+  | Ideal -> verify_uncached s c o
+  | Hash ->
+      let e = entry c o in
+      if
+        e.live && String.equal e.c c && String.equal e.value o.value
+        && String.equal e.nonce o.nonce
+      then e.ok
+      else begin
+        let ok = verify_uncached s c o in
+        store e c o ok;
+        ok
+      end
 
 let extract s c =
   match Hashtbl.find_opt s.registry c with

@@ -34,6 +34,23 @@ val create : ?k:int -> backend -> scheme
 val backend : scheme -> backend
 val commit : scheme -> Sb_util.Rng.t -> string -> commitment * opening
 val verify : scheme -> commitment -> opening -> bool
+(** [verify_uncached], memoized on the [Hash] backend. A domain-local,
+    direct-mapped table of 256 slots keeps the last verdict computed
+    for each slot, and [commit] seeds the slot of the commitment it
+    returns; a lookup compares the full key (commitment, value and
+    nonce), so a hit returns exactly what [verify_uncached] would. The
+    [Ideal] backend is not memoized: {!equivocate} can rebind a
+    placeholder, which turns a [false] verdict into [true]. *)
+
+val verify_uncached : scheme -> commitment -> opening -> bool
+(** The definition of a verdict, and the oracle the memo is tested
+    against: on [Hash], whether the commitment is the hash of the
+    opening; on [Ideal], whether the registry binds the handle to the
+    opened value. *)
+
+val slot : commitment -> opening -> int
+(** The memo slot of a (commitment, opening) key, in [0, 256); exposed
+    for tests that force keys into one slot. *)
 
 val extract : scheme -> commitment -> string option
 (** Simulator power: recover the committed value without the opening.

@@ -64,7 +64,7 @@ let protocol =
           let tree_round = round - tree_base in
           let extra =
             if tree_round >= 0 && tree_round <= max_depth then begin
-              Wire.iter_from_parties ~tag:"cr-tree" fold_child inbox;
+              Envelope.iter_from_parties ~tag:"cr-tree" fold_child inbox;
               if tree_round = max_depth - depth && id <> 0 then
                 (* My slot: pass the accumulated value to my parent. *)
                 [ Envelope.make ~src:id ~dst:((id - 1) / 2) (Msg.Tag ("cr-tree", Msg.Str !acc)) ]
@@ -75,7 +75,7 @@ let protocol =
               else []
             end
             else if round = confirm_round ~n then begin
-              (match Wire.first_from ~tag:"cr-salt" ~src:0 inbox with
+              (match Envelope.first_from ~tag:"cr-salt" ~src:0 inbox with
               | Some (Msg.Str s) -> salt := s
               | Some _ | None -> if id <> 0 then salt := "");
               match Vss_session.dealer_opening sessions.(id) with
@@ -88,7 +88,7 @@ let protocol =
               | None -> []
             end
             else if round = reveal_round ~n then begin
-              Wire.iter_from_parties ~tag:"cr-conf" record_conf inbox;
+              Envelope.iter_from_parties ~tag:"cr-conf" record_conf inbox;
               List.concat (List.init n (fun d -> Vss_session.reveal_msgs sessions.(d)))
             end
             else if round = reveal_round ~n + 1 then begin

@@ -34,8 +34,8 @@ let protocol =
           | _ -> ()
         in
         let step ~round ~inbox =
-          Wire.iter_from_parties ~tag:commit_tag record_commit inbox;
-          Wire.iter_from_parties ~tag:open_tag record_open inbox;
+          Envelope.iter_from_parties ~tag:commit_tag record_commit inbox;
+          Envelope.iter_from_parties ~tag:open_tag record_open inbox;
           match round with
           | 0 ->
               let bit = Msg.to_bit_exn input in

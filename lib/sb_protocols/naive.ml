@@ -15,7 +15,7 @@ let make ~name ~rounds ~my_round =
         let heard : Msg.t option array = Array.make n None in
         let hear src m = if heard.(src) = None then heard.(src) <- Some m in
         let step ~round ~inbox =
-          Wire.iter_from_parties ~tag:value_tag hear inbox;
+          Envelope.iter_from_parties ~tag:value_tag hear inbox;
           if round = my_round ctx id then
             [ Envelope.broadcast ~src:id (Msg.Tag (value_tag, input)) ]
           else []

@@ -128,10 +128,10 @@ let step_impl t ~round ~inbox =
   | 1 ->
       (* Receive commitment and share; complain if anything is off. *)
       if t.me <> t.dealer then begin
-        (match Wire.first_from ~tag:t.tag_comm ~src:t.dealer inbox with
+        (match Envelope.first_from ~tag:t.tag_comm ~src:t.dealer inbox with
         | Some m -> t.commitment <- decode_commitment t.ctx m
         | None -> ());
-        match Wire.first_from ~tag:t.tag_share ~src:t.dealer inbox with
+        match Envelope.first_from ~tag:t.tag_share ~src:t.dealer inbox with
         | Some m -> t.my_share <- decode_share_pair t.me m
         | None -> ()
       end;
@@ -141,7 +141,7 @@ let step_impl t ~round ~inbox =
       (* Record broadcast complaints, in inbox order; the dealer
          answers them. *)
       let complainers = ref [] in
-      Wire.iter_from_parties ~tag:t.tag_complain
+      Envelope.iter_from_parties ~tag:t.tag_complain
         (fun src -> function Msg.Bit true -> complainers := src :: !complainers | _ -> ())
         inbox;
       t.complainers <- List.rev !complainers;
@@ -160,7 +160,7 @@ let step_impl t ~round ~inbox =
   | 3 ->
       (* Judge: every complaint needs a valid broadcast response. *)
       let responses =
-        match Wire.first_from ~tag:t.tag_resp ~src:t.dealer inbox with
+        match Envelope.first_from ~tag:t.tag_resp ~src:t.dealer inbox with
         | Some (Msg.List answers) ->
             List.filter_map
               (function
@@ -205,7 +205,7 @@ let collect_reveals t inbox =
   match t.commitment with
   | None -> ()
   | Some c ->
-      Wire.iter_from_parties ~tag:t.tag_reveal
+      Envelope.iter_from_parties ~tag:t.tag_reveal
         (fun src m ->
           if src >= 0 && src < Array.length t.reveals && Option.is_none t.reveals.(src) then
             match decode_share_pair src m with

@@ -7,23 +7,74 @@ type endpoint = Party of int | Func | All
    record itself). *)
 type t = { mutable src : endpoint; mutable dst : endpoint; mutable body : Msg.t }
 
-let make ~src ~dst body = { src = Party src; dst = Party dst; body }
-let broadcast ~src body = { src = Party src; dst = All; body }
-let to_func ~src body = { src = Party src; dst = Func; body }
-let from_func ~dst body = { src = Func; dst = Party dst; body }
-let to_all ~n ~src body = List.init n (fun dst -> make ~src ~dst body)
+(* One shared [Party i] value per party index, so building an
+   envelope allocates the record and nothing else. Both the plain
+   constructors and the [Arena] read this table: on the arena path a
+   fresh endpoint stored into a recycled (major-heap) record would
+   also cost a write-barrier entry and a promotion. The table grows to
+   the largest index served (one sized up front for the largest sweep
+   measurably raised the model checker's peak resident memory); a
+   grown copy keeps every value already handed out and is published
+   with a compare-and-set, so domains that race to grow it agree on
+   the values. Endpoints are immutable,
+   so sharing them changes no structural comparison; negative indices
+   and indices from [max_shared] on get a fresh value. *)
+let max_shared = 1 lsl 16
+let parties : endpoint array Atomic.t = Atomic.make [||]
+
+let rec grow i =
+  let t = Atomic.get parties in
+  let len = Array.length t in
+  if i < len then t.(i)
+  else begin
+    let len' = min max_shared (max (i + 1) (max 16 (2 * len))) in
+    let t' = Array.init len' (fun j -> if j < len then t.(j) else Party j) in
+    if Atomic.compare_and_set parties t t' then t'.(i) else grow i
+  end
+
+let party i =
+  let t = Atomic.get parties in
+  if i >= 0 && i < Array.length t then Array.unsafe_get t i
+  else if i < 0 || i >= max_shared then Party i
+  else grow i
+
+let make ~src ~dst body = { src = party src; dst = party dst; body }
+let broadcast ~src body = { src = party src; dst = All; body }
+let to_func ~src body = { src = party src; dst = Func; body }
+let from_func ~dst body = { src = Func; dst = party dst; body }
+
+let to_all ~n ~src body =
+  let from = party src in
+  List.init n (fun dst -> { src = from; dst = party dst; body })
+
 let to_others ~n ~src body =
   List.filter_map (fun dst -> if dst = src then None else Some (make ~src ~dst body)) (List.init n Fun.id)
 
 let src_party e = match e.src with Party i -> Some i | Func | All -> None
 let src_is e i = match e.src with Party j -> j = i | Func | All -> false
 let dst_party e = match e.dst with Party i -> Some i | Func | All -> None
-let is_broadcast e = e.dst = All
-let is_func_bound e = e.dst = Func
-let is_from_func e = e.src = Func
+let is_broadcast e = match e.dst with All -> true | Party _ | Func -> false
+let is_func_bound e = match e.dst with Func -> true | Party _ | All -> false
+let is_from_func e = match e.src with Func -> true | Party _ | All -> false
 
 let delivered_to e i =
   match e.dst with Party j -> j = i | All -> true | Func -> false
+
+(* The one tagged inbox scan: every substrate and VSS party reads its
+   inbox through these once per step, so they read the sender field
+   in place and build no option or list per envelope. *)
+let rec iter_from_parties ~tag f = function
+  | [] -> ()
+  | { body = Msg.Tag (t, m); src = Party src; _ } :: rest when String.equal t tag ->
+      f src m;
+      iter_from_parties ~tag f rest
+  | _ :: rest -> iter_from_parties ~tag f rest
+
+let rec first_from ~tag ~src = function
+  | [] -> None
+  | { body = Msg.Tag (t, m); src = Party s; _ } :: _ when s = src && String.equal t tag ->
+      Some m
+  | _ :: rest -> first_from ~tag ~src rest
 
 (* Addressing header cost: endpoints render as "P<id>", "F" or "*"
    (one char plus the decimal id for parties). *)
@@ -45,24 +96,12 @@ let wire_size e = endpoint_size e.src + endpoint_size e.dst + Msg.size_bytes e.b
    values, so protocol state that retains payloads is unaffected;
    only the envelope records themselves are recycled, which is why
    reuse is incompatible with trace recording, fault delay queues, or
-   adversaries that stash delivered envelopes across rounds.
-
-   The endpoints are shared too: [ends.(i)] is the one [Party i] value
-   every arena envelope from or to party i carries, grown to the
-   largest n served. A recycled record has long since been promoted to
-   the major heap, so storing a freshly allocated [Party i] into it
-   would cost a write-barrier entry and then promote the endpoint at
-   the next minor collection — twice per envelope. Endpoints are
-   immutable, so sharing them changes no structural comparison. *)
+   adversaries that stash delivered envelopes across rounds. The
+   endpoints come from the shared [parties] table above. *)
 module Arena = struct
   type side = { mutable pool : t array; mutable len : int }
 
-  type arena = {
-    sides : side array;
-    mutable cur : int;
-    mutable flips : int;
-    mutable ends : endpoint array;
-  }
+  type arena = { sides : side array; mutable cur : int; mutable flips : int }
 
   let fresh () = { src = Func; dst = Func; body = Msg.Unit }
 
@@ -71,7 +110,6 @@ module Arena = struct
       sides = [| { pool = [||]; len = 0 }; { pool = [||]; len = 0 } |];
       cur = 0;
       flips = 0;
-      ends = [||];
     }
 
   let flips a = a.flips
@@ -80,15 +118,6 @@ module Arena = struct
     a.cur <- 1 - a.cur;
     a.flips <- a.flips + 1;
     a.sides.(a.cur).len <- 0
-
-  (* Makes [a.ends] cover parties 0 .. n-1, keeping the values already
-     handed out. *)
-  let reserve a n =
-    let have = Array.length a.ends in
-    if n > have then begin
-      let old = a.ends in
-      a.ends <- Array.init n (fun i -> if i < have then old.(i) else Party i)
-    end
 
   let alloc a ~src ~dst body =
     let s = a.sides.(a.cur) in
@@ -111,14 +140,11 @@ module Arena = struct
     e.body <- body;
     e
 
-  let make a ~src ~dst body =
-    reserve a (1 + max src dst);
-    alloc a ~src:a.ends.(src) ~dst:a.ends.(dst) body
+  let make a ~src ~dst body = alloc a ~src:(party src) ~dst:(party dst) body
 
   let to_all a ~n ~src body =
-    reserve a (max n (src + 1));
-    let from = a.ends.(src) in
-    List.init n (fun dst -> alloc a ~src:from ~dst:a.ends.(dst) body)
+    let from = party src in
+    List.init n (fun dst -> alloc a ~src:from ~dst:(party dst) body)
 end
 
 let pp_endpoint fmt = function

@@ -20,6 +20,12 @@ type t = { mutable src : endpoint; mutable dst : endpoint; mutable body : Msg.t 
     Structural equality and [{ e with ... }] behave exactly as they
     did when the fields were immutable. *)
 
+(** The constructors below allocate the envelope record only: every
+    [Party i] endpoint they store is one shared, immutable value per
+    party index, from a table grown to the largest index served (up to
+    65535; other indices get a fresh value) that {!Arena} shares.
+    Structural equality cannot tell the difference. *)
+
 val make : src:int -> dst:int -> Msg.t -> t
 (** Party-to-party. *)
 
@@ -36,6 +42,19 @@ val to_all : n:int -> src:int -> Msg.t -> t list
 val to_others : n:int -> src:int -> Msg.t -> t list
 
 val src_party : t -> int option
+
+val iter_from_parties : tag:string -> (int -> Msg.t -> unit) -> t list -> unit
+(** [iter_from_parties ~tag f inbox] calls [f src m] for every envelope
+    in the inbox whose body is [Tag (tag, m)] and whose sender is
+    [Party src], in inbox order; [Func] and [All] senders are skipped.
+    The one tagged inbox scan, shared by the broadcast substrates and
+    the VSS protocols: it reads the sender in place and allocates
+    nothing itself. Tags compare as whole strings, so ["vss:1:comm"]
+    never matches ["vss:11:comm"]. *)
+
+val first_from : tag:string -> src:int -> t list -> Msg.t option
+(** The first [tag]-tagged payload sent by party [src] in the inbox,
+    if any. *)
 
 val src_is : t -> int -> bool
 (** [src_is e i] = [src_party e = Some i] without allocating the
@@ -74,14 +93,11 @@ val pp : Format.formatter -> t -> unit
     delivered envelopes across rounds ([Network.run] enforces the
     first two).
 
-    Endpoints are shared as well: the arena keeps one [Party i] value
-    per party, grown to the largest n it has served, and every arena
-    envelope from or to party [i] carries that value. Recycled records
-    live in the major heap, so a fresh endpoint stored into one would
-    go through the write barrier and be promoted at the next minor
-    collection; a shared one is allocated once. Endpoints are
-    immutable, so arena envelopes stay structurally equal to the ones
-    {!Envelope.make} builds. *)
+    Endpoints are the shared ones {!make} uses. Recycled records live
+    in the major heap, so a fresh endpoint stored into one would go
+    through the write barrier and be promoted at the next minor
+    collection; a shared one was allocated once, at start-up. Arena
+    envelopes stay structurally equal to the ones {!make} builds. *)
 module Arena : sig
   type arena
 
@@ -98,8 +114,8 @@ module Arena : sig
 
   val make : arena -> src:int -> dst:int -> Msg.t -> t
   (** Party-to-party envelope drawn from the current side (the record
-      is recycled, the fields are freshly set to the arena's shared
-      endpoints). Requires [src >= 0] and [dst >= 0]. *)
+      is recycled, the fields are freshly set to the shared
+      endpoints). *)
 
   val to_all : arena -> n:int -> src:int -> Msg.t -> t list
   (** Arena-backed {!Envelope.to_all}: same envelopes in the same

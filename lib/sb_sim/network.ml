@@ -46,38 +46,45 @@ let g_msgs_ps = Sb_obs.Metrics.gauge "sim.msgs_per_sec"
 let g_bytes_ps = Sb_obs.Metrics.gauge "sim.bytes_per_sec"
 let wall_lock = Mutex.create ()
 
+(* count_channels runs on every round of every run, metrics on or off.
+   These tallies count into int refs: without flambda a tuple
+   accumulator would allocate once per envelope. *)
 let count_channels envs =
   (* (broadcast, p2p) among party-sourced traffic; ideal-channel
      envelopes are counted separately under sim.envelopes.func. *)
-  List.fold_left
-    (fun (b, p) e ->
-      if Envelope.is_func_bound e then (b, p)
-      else if Envelope.is_broadcast e then (b + 1, p)
-      else (b, p + 1))
-    (0, 0) envs
+  let b = ref 0 and p = ref 0 in
+  List.iter
+    (fun e ->
+      if Envelope.is_func_bound e then ()
+      else if Envelope.is_broadcast e then incr b
+      else incr p)
+    envs;
+  (!b, !p)
 
 let count_bytes envs =
   (* (broadcast, p2p) wire bytes; a broadcast envelope is one channel
      use and counted once, matching sim.broadcasts. *)
-  List.fold_left
-    (fun (b, p) e ->
-      if Envelope.is_func_bound e then (b, p)
-      else if Envelope.is_broadcast e then (b + Envelope.wire_size e, p)
-      else (b, p + Envelope.wire_size e))
-    (0, 0) envs
+  let b = ref 0 and p = ref 0 in
+  List.iter
+    (fun e ->
+      if Envelope.is_func_bound e then ()
+      else if Envelope.is_broadcast e then b := !b + Envelope.wire_size e
+      else p := !p + Envelope.wire_size e)
+    envs;
+  (!b, !p)
 
 (* Per-run communication tally for [?record_comm]: like count_channels
-   + count_bytes in one pass, with a one-slot physical-equality cache
-   for body sizes — a send-all fan-out shares one body across n
-   envelopes, so the size walk runs once per distinct body instead of
-   once per envelope. Independent of the global metrics registry: the
-   large-n experiments need per-run numbers without retaining traces
-   and without adding counters to every report's metrics block. *)
-let comm_tally cached_body cached_size envs (b, p, bb, pb) =
-  List.fold_left
-    (fun (b, p, bb, pb) e ->
-      if Envelope.is_func_bound e then (b, p, bb, pb)
-      else begin
+   + count_bytes in one pass, added into the caller's counters, with a
+   one-slot physical-equality cache for body sizes — a send-all
+   fan-out shares one body across n envelopes, so the size walk runs
+   once per distinct body instead of once per envelope. Independent of
+   the global metrics registry: the large-n experiments need per-run
+   numbers without retaining traces and without adding counters to
+   every report's metrics block. *)
+let comm_tally cached_body cached_size ~bcast ~bcast_bytes ~p2p_bytes envs =
+  List.iter
+    (fun e ->
+      if not (Envelope.is_func_bound e) then begin
         let body = e.Envelope.body in
         let size =
           if body == !cached_body then !cached_size
@@ -93,10 +100,13 @@ let comm_tally cached_body cached_size envs (b, p, bb, pb) =
           + Envelope.endpoint_size e.Envelope.dst
           + size
         in
-        if Envelope.is_broadcast e then (b + 1, p, bb + w, pb)
-        else (b, p + 1, bb, pb + w)
+        if Envelope.is_broadcast e then begin
+          incr bcast;
+          bcast_bytes := !bcast_bytes + w
+        end
+        else p2p_bytes := !p2p_bytes + w
       end)
-    (b, p, bb, pb) envs
+    envs
 
 type interceptor = round:int -> Envelope.t list -> Envelope.t list
 
@@ -333,20 +343,19 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
           (List.length func_out)
           (if last then " (final)" else ""));
     (* 5. Record round observations, then queue next-round deliveries.
-       count_channels is an allocation-free fold, so tallying p2p
-       traffic incrementally costs nothing even with metrics off. *)
+       The p2p tally is one int-ref pass per queue, so keeping it
+       incrementally costs next to nothing even with metrics off. *)
     if not last then begin
       let _, hp = count_channels honest_out and _, ap = count_channels adv_out in
       p2p_count := !p2p_count + hp + ap
     end;
     if record_comm && not last then begin
-      let b, _, bb, pb =
-        comm_tally cached_body cached_size adv_out
-          (comm_tally cached_body cached_size honest_out (0, 0, 0, 0))
+      let tally =
+        comm_tally cached_body cached_size ~bcast:c_bcast ~bcast_bytes:c_bcast_bytes
+          ~p2p_bytes:c_p2p_bytes
       in
-      c_bcast := !c_bcast + b;
-      c_bcast_bytes := !c_bcast_bytes + bb;
-      c_p2p_bytes := !c_p2p_bytes + pb
+      tally honest_out;
+      tally adv_out
     end;
     if metrics_on then begin
       Sb_obs.Metrics.incr m_rounds;

@@ -828,13 +828,92 @@ module Seed_eig = struct
     }
 end
 
+(* Pinned phase-king as it was before the shared inbox scan: a
+   per-step (src, payload) list, List.assoc_opt lookups, and every
+   exchange round tallied through Msg.serialize keys in a Hashtbl,
+   whose iteration order breaks ties between equally frequent values.
+   The library now counts a uniform round in one pass and falls back
+   to exactly this tally otherwise. *)
+module Seed_phase_king = struct
+  module Session = Sb_broadcast.Session
+
+  let default = Msg.Bit false
+
+  let scheme =
+    {
+      Session.scheme_name = "phase-king-seed";
+      rounds = (fun ctx -> (2 * ctx.Ctx.thresh) + 3);
+      create =
+        (fun ctx ~rng:_ ~sid ~sender ~me ~value ->
+          assert ((me = sender) = Option.is_some value);
+          let n = ctx.Ctx.n in
+          let t = ctx.Ctx.thresh in
+          let current = ref (Option.value value ~default) in
+          let strong = ref false in
+          let wrap = Session.wrap ~sid and unwrap = Session.unwrap ~sid in
+          let send_all m = Ctx.to_all ctx ~src:me (wrap m) in
+          let payloads inbox =
+            List.filter_map
+              (fun (e : Envelope.t) ->
+                match (Envelope.src_party e, unwrap e.Envelope.body) with
+                | Some src, Some m -> Some (src, m)
+                | _ -> None)
+              inbox
+          in
+          let step ~round ~inbox =
+            let msgs = payloads inbox in
+            if round = 1 && me <> sender then begin
+              match List.assoc_opt sender msgs with
+              | Some (Msg.Tag ("pk-send", v)) -> current := v
+              | _ -> current := default
+            end;
+            if round >= 2 && round mod 2 = 0 then begin
+              let counts = Hashtbl.create 8 in
+              List.iter
+                (fun (_, m) ->
+                  match m with
+                  | Msg.Tag ("pk-val", v) ->
+                      let key = Msg.serialize v in
+                      let c =
+                        match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0
+                      in
+                      Hashtbl.replace counts key (c + 1, v)
+                  | _ -> ())
+                msgs;
+              let best = ref (0, default) in
+              Hashtbl.iter (fun _ (c, v) -> if c > fst !best then best := (c, v)) counts;
+              current := snd !best;
+              strong := 2 * fst !best > n + (2 * t)
+            end;
+            if round >= 3 && round mod 2 = 1 then begin
+              let king = (round - 3) / 2 in
+              match List.assoc_opt king msgs with
+              | Some (Msg.Tag ("pk-king", v)) -> if not !strong then current := v
+              | _ -> if not !strong then current := default
+            end;
+            if round = 0 then (
+              match value with
+              | Some v -> send_all (Msg.Tag ("pk-send", v))
+              | None -> [])
+            else if round >= 1 && round <= (2 * t) + 1 && round mod 2 = 1 then
+              send_all (Msg.Tag ("pk-val", !current))
+            else if
+              round >= 2 && round <= (2 * t) + 2 && round mod 2 = 0 && me = (round - 2) / 2
+            then send_all (Msg.Tag ("pk-king", !current))
+            else []
+          in
+          let result () = !current in
+          { Session.step; result });
+    }
+end
+
 (* One deterministic adversarial scenario: everything (context,
    network schedule, adversarial traffic) is derived from [seed]
    alone, so running two schemes under the same seed feeds them
    identical traffic and their honest outputs must match exactly. *)
-let differential_run ?(thresh = 1) scheme ~sender ~adv ~seed =
-  let ctx = Ctx.make ~rng:(Sb_util.Rng.create (70000 + seed)) ~n:5 ~thresh ~k:8 () in
-  let inputs = Array.init 5 (fun i -> Msg.Bit ((seed + i) mod 2 = 0)) in
+let differential_run ?(n = 5) ?(thresh = 1) scheme ~sender ~adv ~seed =
+  let ctx = Ctx.make ~rng:(Sb_util.Rng.create (70000 + seed)) ~n ~thresh ~k:8 () in
+  let inputs = Array.init n (fun i -> Msg.Bit ((seed + i) mod 2 = 0)) in
   Network.run ctx
     ~rng:(Sb_util.Rng.create (80000 + seed))
     ~protocol:(session_protocol scheme ~sender) ~adversary:(adv ~seed) ~inputs ()
@@ -1100,6 +1179,119 @@ let eig_chaos ~seed =
         });
   }
 
+(* Chaos traffic for phase-king, from the corrupted sender 0 and the
+   next t - 1 parties. Values come from a pool of bits, two field
+   elements, two lists and a nested tag. In every exchange round each
+   corrupted party picks, per destination, one of: an exact tie (it
+   counts the honest pk-val payloads rushed to that destination and
+   tops a second value up to the leading count), a contested tally of
+   random values, copies of the leading value (a uniform round, with
+   non-bit values once the sender has spread them), or silence. Kings
+   it controls equivocate, and every round carries a wrong-sid copy,
+   an untagged pk-val and a junk payload that the scan must skip. *)
+let pk_pool =
+  [|
+    Msg.Bit true;
+    Msg.Bit false;
+    Msg.Fe (Sb_crypto.Field.of_int 7);
+    Msg.List [ Msg.Int 1; Msg.Bit false ];
+    Msg.Tag ("pk-val", Msg.Bit true);
+    Msg.Fe (Sb_crypto.Field.of_int 11);
+    Msg.List [ Msg.Int 1; Msg.Bit true ];
+  |]
+
+let pk_chaos ~seed =
+  {
+    Adversary.name = "pk-chaos";
+    choose_corrupt = (fun ctx ~rng:_ -> List.init ctx.Ctx.thresh Fun.id);
+    init =
+      (fun ctx ~rng:_ ~corrupted ~inputs:_ ~aux:_ ->
+        let n = ctx.Ctx.n in
+        let arng = Sb_util.Rng.create (99000 + seed) in
+        let pick () = pk_pool.(Sb_util.Rng.int arng (Array.length pk_pool)) in
+        let wrap = Sb_broadcast.Session.wrap ~sid:"test" in
+        let send ~src ~dst kind v = Envelope.make ~src ~dst (wrap (Msg.Tag (kind, v))) in
+        (* Honest pk-val payloads rushed to [dst], by serialized value,
+           in first-seen order. *)
+        let honest_counts rushed dst =
+          List.fold_left
+            (fun acc (e : Envelope.t) ->
+              match (Envelope.dst_party e, e.Envelope.body) with
+              | Some d, Msg.Tag ("test", Msg.Tag ("pk-val", v)) when d = dst ->
+                  let k = Msg.serialize v in
+                  if List.mem_assoc k acc then
+                    List.map
+                      (fun (k', (c, v')) -> if k' = k then (k', (c + 1, v')) else (k', (c, v')))
+                      acc
+                  else acc @ [ (k, (1, v)) ]
+              | _ -> acc)
+            [] rushed
+        in
+        let exchange ~src ~dst rushed =
+          let counts = honest_counts rushed dst in
+          let lead_c, lead_v =
+            List.fold_left
+              (fun (bc, bv) (_, (c, v)) -> if c > bc then (c, v) else (bc, bv))
+              (0, pick ()) counts
+          in
+          match Sb_util.Rng.int arng 4 with
+          | 0 ->
+              (* Exact tie: a second value topped up to the lead. *)
+              let other =
+                let rec go () =
+                  let v = pick () in
+                  if Msg.equal v lead_v then go () else v
+                in
+                go ()
+              in
+              let have =
+                match List.assoc_opt (Msg.serialize other) counts with
+                | Some (c, _) -> c
+                | None -> 0
+              in
+              List.init (max 1 (lead_c - have)) (fun _ -> send ~src ~dst "pk-val" other)
+          | 1 ->
+              List.init (1 + Sb_util.Rng.int arng 3) (fun _ -> send ~src ~dst "pk-val" (pick ()))
+          | 2 -> List.init (1 + Sb_util.Rng.int arng 2) (fun _ -> send ~src ~dst "pk-val" lead_v)
+          | _ -> []
+        in
+        let noise ~src ~dst =
+          [
+            Envelope.make ~src ~dst
+              (Sb_broadcast.Session.wrap ~sid:"test2" (Msg.Tag ("pk-val", pick ())));
+            Envelope.make ~src ~dst (Msg.Tag ("pk-val", pick ()));
+            Envelope.make ~src ~dst (wrap (Msg.Str "junk"));
+          ]
+        in
+        {
+          Adversary.act =
+            (fun view ->
+              let round = view.Adversary.round in
+              List.concat_map
+                (fun src ->
+                  List.concat
+                    (List.init n (fun dst ->
+                         let main =
+                           if round = 0 && src = 0 then
+                             (* At even seeds one non-bit value for
+                                everybody, else a per-destination
+                                split. *)
+                             let v =
+                               if seed mod 2 = 0 then pk_pool.(2 + (seed / 2 mod 3)) else pick ()
+                             in
+                             [ send ~src ~dst "pk-send" v ]
+                           else if round mod 2 = 1 then
+                             exchange ~src ~dst view.Adversary.rushed
+                           else if round >= 2 && src = (round - 2) / 2 then
+                             [ send ~src ~dst "pk-king" (pick ()) ]
+                           else []
+                         in
+                         main @ noise ~src ~dst)))
+                corrupted);
+          adv_output = (fun () -> Msg.Unit);
+        });
+  }
+
 let outputs_t = Alcotest.(list (pair int string))
 
 let test_bracha_differential () =
@@ -1176,6 +1368,30 @@ let test_eig_differential () =
          ~seed)
   done
 
+(* Outputs plus every honest envelope, round by round, at n = 4..7
+   with one or two corrupted parties: a fast path that left the
+   Hashtbl tie order would change a decided value or a pk-val
+   relayed by some honest party. *)
+let test_phase_king_differential () =
+  let run scheme ~n ~thresh ~seed =
+    let r = differential_run ~n ~thresh scheme ~sender:0 ~adv:pk_chaos ~seed in
+    ( serialized_outputs r,
+      List.map
+        (fun (rr : Trace.round_record) ->
+          List.map (Format.asprintf "%a" Envelope.pp) rr.Trace.honest_sent)
+        r.Network.trace )
+  in
+  List.iter
+    (fun (n, thresh) ->
+      for seed = 1 to 12 do
+        Alcotest.check
+          Alcotest.(pair outputs_t (list (list string)))
+          (Printf.sprintf "phase-king vs seed (n=%d t=%d seed %d)" n thresh seed)
+          (run Seed_phase_king.scheme ~n ~thresh ~seed)
+          (run Sb_broadcast.Phase_king.scheme ~n ~thresh ~seed)
+      done)
+    [ (4, 1); (5, 1); (5, 2); (6, 1); (6, 2); (7, 2) ]
+
 (* --- session tags ---------------------------------------------------- *)
 
 let test_inbox_for_mixed () =
@@ -1248,6 +1464,73 @@ let test_wrap_unwrap_partial () =
         msgs)
     [ "s0"; "s1"; "s10"; ""; "test" ]
 
+(* [Parallel.bucket_by_sid] against its oracle, the per-session
+   [Session.inbox_for] filter: for every k < n, bucket k holds the very
+   envelopes the filter keeps for [session_id k], in inbox order.
+   Near-miss tags (leading zero, bare prefix, trailing junk, k = n, a
+   10-digit index, other prefixes) and untagged bodies land nowhere. *)
+let test_bucket_by_sid () =
+  let check_inbox ~n inbox =
+    let buckets = Sb_broadcast.Parallel.bucket_by_sid ~n inbox in
+    Alcotest.(check int) "one bucket per session" n (Array.length buckets);
+    Array.iteri
+      (fun k bucket ->
+        let oracle =
+          Sb_broadcast.Session.inbox_for ~sid:(Sb_broadcast.Parallel.session_id k) inbox
+        in
+        Alcotest.(check int) (Printf.sprintf "n=%d bucket %d size" n k) (List.length oracle)
+          (List.length bucket);
+        List.iter2
+          (fun a b ->
+            Alcotest.(check bool) (Printf.sprintf "n=%d bucket %d: same envelope" n k) true
+              (a == b))
+          oracle bucket)
+      buckets
+  in
+  let body tag = Msg.Tag (tag, Msg.Int 1) in
+  let near_misses n =
+    [
+      body "bc:s01";
+      body "bc:s";
+      body "bc:s1x";
+      body ("bc:s" ^ string_of_int n);
+      body "bc:s1234567890";
+      body "bd:s1";
+      body "bc:t1";
+      Msg.Str "bc:s1";
+      Msg.Int 1;
+      Msg.List [ body "bc:s1" ];
+    ]
+  in
+  List.iter
+    (fun n ->
+      let rng = Sb_util.Rng.create (500 + n) in
+      let pool =
+        near_misses n
+        @ List.init n (fun k -> body (Sb_broadcast.Parallel.session_id k))
+      in
+      let pool = Array.of_list pool in
+      for _ = 1 to 20 do
+        let inbox =
+          List.init (Sb_util.Rng.int rng 40) (fun _ ->
+              Envelope.make ~src:(Sb_util.Rng.int rng n) ~dst:0
+                pool.(Sb_util.Rng.int rng (Array.length pool)))
+        in
+        check_inbox ~n inbox
+      done;
+      (* Every near miss alone is dropped from every bucket. *)
+      List.iter
+        (fun m ->
+          let buckets =
+            Sb_broadcast.Parallel.bucket_by_sid ~n [ Envelope.make ~src:0 ~dst:0 m ]
+          in
+          Alcotest.(check int)
+            (Format.asprintf "n=%d: %a lands nowhere" n Msg.pp m)
+            0
+            (Array.fold_left (fun acc b -> acc + List.length b) 0 buckets))
+        (near_misses n))
+    [ 1; 2; 5; 10; 12 ]
+
 let () =
   let scheme_cases name scheme =
     [
@@ -1284,6 +1567,8 @@ let () =
           Alcotest.test_case "send-echo slots = seed semantics" `Quick
             test_send_echo_differential;
           Alcotest.test_case "eig distinct = seed semantics" `Quick test_eig_differential;
+          Alcotest.test_case "phase-king one-pass tally = seed semantics" `Quick
+            test_phase_king_differential;
         ] );
       ( "phase-king",
         [
@@ -1318,6 +1603,8 @@ let () =
           Alcotest.test_case "concurrent eig contract" `Quick
             (test_parallel_contract Sb_broadcast.Parallel.concurrent
                Sb_broadcast.Eig.scheme);
+          Alcotest.test_case "bucket_by_sid = per-session inbox_for" `Quick
+            test_bucket_by_sid;
           Alcotest.test_case "round counts" `Quick test_sequential_rounds_linear;
           Alcotest.test_case "windows" `Quick test_window;
         ] );

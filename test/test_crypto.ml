@@ -659,6 +659,83 @@ let test_commit_binding_hash () =
     (Commit.verify s c
        { o with Commit.nonce = String.make (String.length o.Commit.nonce) '\000' })
 
+(* The commit memo's differential: every Hash [verify] verdict equals
+   [verify_uncached], on random (commitment, opening) triples and
+   their tamperings (value, nonce, commitment), mixed with keys forced
+   into one slot, each checked twice so lookups both hit and find
+   their slot taken. Each case runs in whichever domain the pool hands
+   it to, against that domain's table. *)
+let commit_memo_cases seed =
+  let rng = Sb_util.Rng.create seed in
+  let s = Commit.create Commit.Hash in
+  let flip str =
+    if str = "" then "x"
+    else begin
+      let b = Bytes.of_string str in
+      Bytes.set b 0 (Char.chr (Char.code str.[0] lxor 1));
+      Bytes.to_string b
+    end
+  in
+  let committed () =
+    Commit.commit s rng (Sb_util.Rng.bytes rng (Sb_util.Rng.int rng 24))
+  in
+  let honest = List.init 30 (fun _ -> committed ()) in
+  let tampered =
+    List.concat_map
+      (fun (c, (o : Commit.opening)) ->
+        [
+          (c, { o with Commit.value = flip o.Commit.value });
+          (c, { o with Commit.nonce = flip o.Commit.nonce });
+          (flip c, o);
+        ])
+      honest
+  in
+  (* A second honest key in the first key's slot. *)
+  let c0, o0 = List.hd honest in
+  let rec same_slot () =
+    let c, o = committed () in
+    if Commit.slot c o = Commit.slot c0 o0 then (c, o) else same_slot ()
+  in
+  let forced =
+    [ (c0, o0); same_slot (); (c0, { o0 with Commit.nonce = flip o0.Commit.nonce }) ]
+  in
+  let triples = forced @ honest @ tampered @ List.rev forced @ honest @ tampered @ forced in
+  List.mapi
+    (fun i (c, o) ->
+      ( Printf.sprintf "seed %d case %d" seed i,
+        Commit.verify s c o,
+        Commit.verify_uncached s c o ))
+    triples
+
+let test_commit_memo domains () =
+  let pool = Sb_par.Pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () ->
+      Sb_par.Pool.map_chunks pool ~f:commit_memo_cases (Array.init 8 (fun i -> 80 + i)))
+  |> Array.iter
+       (List.iter (fun (label, memo, plain) -> Alcotest.(check bool) label plain memo))
+
+(* Why the Ideal backend is never memoized: [equivocate] rebinds a
+   placeholder, so the same (commitment, opening) triple is rejected
+   before and accepted after. *)
+let test_commit_ideal_rebinding domains () =
+  let pool = Sb_par.Pool.create ~domains () in
+  let case seed =
+    let s = Commit.create Commit.Ideal in
+    let c = Commit.commit_placeholder s (Sb_util.Rng.create seed) in
+    let o = { Commit.value = "late"; nonce = "" } in
+    let before = Commit.verify s c o in
+    ignore (Commit.equivocate s c "late");
+    (before, Commit.verify s c o)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () -> Sb_par.Pool.map_chunks pool ~f:case (Array.init 4 (fun i -> 90 + i)))
+  |> Array.iter (fun (before, after) ->
+         Alcotest.(check bool) "placeholder rejected before equivocate" false before;
+         Alcotest.(check bool) "accepted after equivocate" true after)
+
 (* --- Sig ---------------------------------------------------------- *)
 
 let test_sig_verify () =
@@ -842,6 +919,10 @@ let () =
           Alcotest.test_case "equivocation" `Quick test_commit_equivocation;
           Alcotest.test_case "hash not equivocable" `Quick test_commit_hash_no_equivocation;
           Alcotest.test_case "hash binding" `Quick test_commit_binding_hash;
+          Alcotest.test_case "memo = uncached, 1 domain" `Quick (test_commit_memo 1);
+          Alcotest.test_case "memo = uncached, 2 domains" `Quick (test_commit_memo 2);
+          Alcotest.test_case "ideal rebinding, 1 domain" `Quick (test_commit_ideal_rebinding 1);
+          Alcotest.test_case "ideal rebinding, 2 domains" `Quick (test_commit_ideal_rebinding 2);
         ] );
       ( "sig",
         [

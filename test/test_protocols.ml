@@ -570,7 +570,7 @@ let test_wire_iter_from_parties () =
   in
   let visits tag =
     let seen = ref [] in
-    Sb_protocols.Wire.iter_from_parties ~tag
+    Envelope.iter_from_parties ~tag
       (fun src m -> seen := (src, Msg.to_int_exn m) :: !seen)
       inbox;
     List.rev !seen
