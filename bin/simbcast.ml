@@ -144,8 +144,9 @@ let exits =
     Cmd.Exit.info 0 ~doc:"on success.";
     Cmd.Exit.info 1
       ~doc:
-        "on a failed cross-check ($(b,check) against the recorded exact cells), a perf \
-         regression ($(b,perf-diff)) or an I/O error writing an output file.";
+        "on a failed cross-check ($(b,check) against the recorded exact cells, or an \
+         $(b,experiment) whose paper-shape check prints MISMATCH), a perf regression \
+         ($(b,perf-diff)) or an I/O error writing an output file.";
     Cmd.Exit.info Cmd.Exit.cli_error
       ~doc:"on a usage error: an unparseable, out-of-range or inconsistent argument.";
     Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error.";
@@ -611,6 +612,7 @@ let experiment_cmd =
         in
         finish_obs ~experiments ?trace ~tag:(String.lowercase_ascii o.Core.Experiments.id)
           metrics report;
+        if not o.Core.Experiments.ok then exit 1;
         `Ok ()
   in
   Cmd.v

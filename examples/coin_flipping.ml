@@ -42,7 +42,7 @@ let coin_fixer =
                   Hashtbl.replace seen p ();
                   if b then acc := not !acc
               | _ -> ())
-            (view.Adversary.delivered @ view.Adversary.rushed);
+            (Lazy.force view.Adversary.delivered @ Lazy.force view.Adversary.rushed);
           if view.Adversary.round = n - 1 then
             [ Envelope.broadcast ~src:(n - 1) (Msg.Tag ("naive-value", Msg.Bit !acc)) ]
           else []

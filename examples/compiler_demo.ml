@@ -81,7 +81,7 @@ let fixer (compiled : Protocol.t) =
                   Hashtbl.replace seen p ();
                   if b then acc := not !acc
               | _ -> ())
-            (view.Adversary.delivered @ view.Adversary.rushed);
+            (Lazy.force view.Adversary.delivered @ Lazy.force view.Adversary.rushed);
           if local = n - 1 then
             [
               Envelope.broadcast ~src:(n - 1)

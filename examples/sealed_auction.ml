@@ -38,7 +38,7 @@ let snipe_adversary =
                       | None -> ())
                   | _ -> ())
               | _ -> ())
-            (view.Adversary.delivered @ view.Adversary.rushed);
+            (Lazy.force view.Adversary.delivered @ Lazy.force view.Adversary.rushed);
           if view.Adversary.round = sniper then begin
             let best = Array.fold_left max 0 (Array.sub bids 0 sniper) in
             let my_bid = min ((1 lsl bits) - 1) (best + 1) in

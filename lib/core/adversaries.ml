@@ -64,7 +64,7 @@ let echo ~mode ~copier ~target ?(negate = false) () =
              (concurrent: the same round). *)
           List.iter
             (fun e -> match payload_of e with Some b -> heard := Some b | None -> ())
-            (view.Adversary.delivered @ view.Adversary.rushed);
+            (Lazy.force view.Adversary.delivered @ Lazy.force view.Adversary.rushed);
           let my_round = match mode with `Sequential -> copier | `Concurrent -> 0 in
           if view.Adversary.round = my_round then
             let b = Option.value !heard ~default:false in
@@ -101,7 +101,7 @@ let reveal_withhold p ~corrupt ~reveal_round ~reveal_tag_prefix ~honest_probe =
   let base = Adversary.semi_honest p ~corrupt in
   filtered base ~name:"reveal-withhold"
     ~filter:(fun ctx view out ->
-      if view.Adversary.round = reveal_round ctx && honest_probe ctx view.Adversary.rushed then
+      if view.Adversary.round = reveal_round ctx && honest_probe ctx (Lazy.force view.Adversary.rushed) then
         List.filter (fun e -> not (tag_starts_with reveal_tag_prefix e)) out
       else out)
 
@@ -154,7 +154,7 @@ let copycat_dealer ~copier ~target =
                   when String.equal t comm_tag && e.Envelope.src = Envelope.Party target ->
                     Some (Envelope.broadcast ~src:copier (Msg.Tag (my_tag, payload)))
                 | _ -> None)
-              view.Adversary.rushed
+              (Lazy.force view.Adversary.rushed)
         in
         { Adversary.act; adv_output = (fun () -> Msg.Unit) });
   }

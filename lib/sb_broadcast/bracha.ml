@@ -47,8 +47,8 @@ let scheme =
         let ready_sent = ref false in
         let tag = Session.tag sid in
         (* Wrap once, share the body across all n envelopes; drawn from
-           the ctx arena when one is installed. *)
-        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+           the outbox's arena when it has one. *)
+        let send_all out m = Outbox.to_all out ~n ~src:me (Msg.Tag (tag, m)) in
         let tally_for v = find_tally tallies v !tallies in
         (* Built once per session: the shared scan calls it per
            tagged envelope without allocating. *)
@@ -67,9 +67,8 @@ let scheme =
               end
           | _ -> ()
         in
-        let maybe_ready () =
-          if !ready_sent then []
-          else
+        let maybe_ready out =
+          if not !ready_sent then
             match
               List.find_opt
                 (fun s -> s.echoes >= echo_quorum || s.readies >= t + 1)
@@ -77,22 +76,22 @@ let scheme =
             with
             | Some s ->
                 ready_sent := true;
-                send_all (Msg.Tag ("br-ready", s.v))
-            | None -> []
+                send_all out (Msg.Tag ("br-ready", s.v))
+            | None -> ()
         in
-        let step ~round ~inbox =
-          Envelope.iter_from_parties ~tag record_one inbox;
+        let step ~round ~inbox ~out =
+          Inbox.iter_from_parties ~tag record_one inbox;
           match round with
           | 0 -> (
               match value with
-              | Some v -> send_all (Msg.Tag ("br-init", v))
-              | None -> [])
+              | Some v -> send_all out (Msg.Tag ("br-init", v))
+              | None -> ())
           | 1 ->
               if not !echoed then begin
                 (* The sender's first br-init, skipping anything else it
                    sent before it. *)
                 let init = ref None in
-                Envelope.iter_from_parties ~tag
+                Inbox.iter_from_parties ~tag
                   (fun src m ->
                     match m with
                     | Msg.Tag ("br-init", v) when src = sender && Option.is_none !init ->
@@ -102,12 +101,11 @@ let scheme =
                 match !init with
                 | Some v ->
                     echoed := true;
-                    send_all (Msg.Tag ("br-echo", v))
-                | None -> []
+                    send_all out (Msg.Tag ("br-echo", v))
+                | None -> ()
               end
-              else []
-          | 2 | 3 -> maybe_ready ()
-          | _ -> []
+          | 2 | 3 -> maybe_ready out
+          | _ -> ()
         in
         let result () =
           match List.find_opt (fun s -> s.readies >= (2 * t) + 1) !tallies with

@@ -63,7 +63,7 @@ let scheme =
         let outbox : (Msg.t * (int * string) list) list ref = ref [] in
         let scratch = Bitvec.Mut.create n in
         let tag = Session.tag sid in
-        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+        let send_all out m = Outbox.to_all out ~n ~src:me (Msg.Tag (tag, m)) in
         let valid_sigs b chain =
           List.for_all (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i b s) chain
         in
@@ -80,7 +80,7 @@ let scheme =
            tag (no substrate runs beside a functionality), so the
            party-only scan sees every message the session acts on. *)
         let process ~round inbox =
-          Envelope.iter_from_parties ~tag
+          Inbox.iter_from_parties ~tag
             (fun _src m ->
               if List.length !accepted < 2 then
                 match m with
@@ -104,22 +104,19 @@ let scheme =
                 | _ -> ())
             inbox
         in
-        let step ~round ~inbox =
+        let step ~round ~inbox ~out =
           process ~round inbox;
           if round = 0 then begin
             match value with
             | Some v ->
                 accepted := [ v ];
                 let chain = [ (me, Sb_crypto.Sig.sign sigs ~signer:me (base ~sid v)) ] in
-                send_all (encode v chain)
-            | None -> []
+                send_all out (encode v chain)
+            | None -> ()
           end
           else begin
-            let out =
-              List.concat_map (fun (v, chain) -> send_all (encode v chain)) !outbox
-            in
-            outbox := [];
-            out
+            List.iter (fun (v, chain) -> send_all out (encode v chain)) !outbox;
+            outbox := []
           end
         in
         let result () = match !accepted with [ v ] -> v | _ -> default in

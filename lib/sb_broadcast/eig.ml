@@ -54,7 +54,7 @@ let scheme =
            below, so the scan's party-only filter drops nothing the
            check would accept. *)
         let store ~round inbox =
-          Envelope.iter_from_parties ~tag
+          Inbox.iter_from_parties ~tag
             (fun src m ->
               match Msg.to_list_exn m with
               | pairs ->
@@ -74,27 +74,26 @@ let scheme =
               | exception Invalid_argument _ -> ())
             inbox
         in
-        let broadcast_pairs pairs =
-          if pairs = [] then []
-          else Ctx.to_all ctx ~src:me (Msg.Tag (tag, Msg.List (List.map encode_pair pairs)))
+        let broadcast_pairs out pairs =
+          if pairs <> [] then
+            Outbox.to_all out ~n ~src:me (Msg.Tag (tag, Msg.List (List.map encode_pair pairs)))
         in
-        let step ~round ~inbox =
+        let step ~round ~inbox ~out =
           last_level := [];
           store ~round inbox;
           if round = 0 then (
             match value with
             | Some v ->
                 Hashtbl.replace tree [ sender ] v;
-                broadcast_pairs [ ([ sender ], v) ]
-            | None -> [])
+                broadcast_pairs out [ ([ sender ], v) ]
+            | None -> ())
           else if round <= t then
             (* Relay every level-[round] report not already mentioning me. *)
-            broadcast_pairs
+            broadcast_pairs out
               (List.filter_map
                  (fun (path, v) ->
                    if List.mem me path then None else Some (path @ [ me ], v))
                  !last_level)
-          else []
         in
         let result () =
           let rec resolve path =

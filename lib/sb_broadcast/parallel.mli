@@ -28,13 +28,16 @@ val single : Session.scheme -> Sb_sim.Protocol.t
     the full n-session compositions above cost a factor n more and
     would conflate composition cost with substrate cost. *)
 
-val bucket_by_sid : n:int -> Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list array
+type buckets
+(** One party's reusable state for {!bucket_by_sid}. *)
+
+val buckets : n:int -> buckets
+
+val bucket_by_sid : buckets -> Sb_sim.Inbox.t -> Sb_sim.Inbox.t array
 (** The dispatch [sequential] and [concurrent] parties run on every
-    inbox: bucket [k] holds, in inbox order, exactly the envelopes
-    [Session.inbox_for ~sid:(session_id k)] keeps, for each k < n.
-    The tag parse is strict: ["bc:s"] then the decimal k with no
-    leading zero and at most 9 digits; anything else (other tags,
-    k >= n, untagged bodies) is dropped. *)
+    inbox: slice [k] holds, in inbox order, exactly the envelopes
+    tagged [Session.tag (session_id k)], for each k < n; anything else
+    is dropped. The result is valid until the next call on this domain. *)
 
 val window : mode:[ `Sequential | `Concurrent ] -> scheme_rounds:int -> sender:int -> int * int
 (** [window ~mode ~scheme_rounds ~sender] is the inclusive network-round

@@ -18,7 +18,7 @@ let scheme =
         let current = ref (Option.value value ~default) in
         let strong = ref false in
         let tag = Session.tag sid in
-        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+        let send_all out m = Outbox.to_all out ~n ~src:me (Msg.Tag (tag, m)) in
         (* One pass over an exchange round's pk-val payloads: their
            count, the last one, and whether each equals the one before
            (so all are equal). Built once per session, so the pass
@@ -35,7 +35,7 @@ let scheme =
            equally frequent values, so contested rounds keep it. *)
         let contested_majority inbox =
           let counts = Hashtbl.create 8 in
-          Envelope.iter_from_parties ~tag
+          Inbox.iter_from_parties ~tag
             (fun _ m ->
               match m with
               | Msg.Tag ("pk-val", v) ->
@@ -48,10 +48,10 @@ let scheme =
           Hashtbl.iter (fun _ (c, v) -> if c > fst !best then best := (c, v)) counts;
           !best
         in
-        let step ~round ~inbox =
+        let step ~round ~inbox ~out =
           (* 1. Process whatever this round delivered. *)
           if round = 1 && me <> sender then begin
-            match Envelope.first_from ~tag ~src:sender inbox with
+            match Inbox.first_from ~tag ~src:sender inbox with
             | Some (Msg.Tag ("pk-send", v)) -> current := v
             | _ -> current := default
           end;
@@ -64,7 +64,7 @@ let scheme =
             count := 0;
             last := default;
             uniform := true;
-            Envelope.iter_from_parties ~tag scan_val inbox;
+            Inbox.iter_from_parties ~tag scan_val inbox;
             let c, v = if !uniform then (!count, !last) else contested_majority inbox in
             current := v;
             strong := 2 * c > n + (2 * t)
@@ -72,23 +72,22 @@ let scheme =
           if round >= 3 && round mod 2 = 1 then begin
             (* Delivery of phase ((round-3)/2)'s king value. *)
             let king = (round - 3) / 2 in
-            match Envelope.first_from ~tag ~src:king inbox with
+            match Inbox.first_from ~tag ~src:king inbox with
             | Some (Msg.Tag ("pk-king", v)) -> if not !strong then current := v
             | _ -> if not !strong then current := default
           end;
           (* 2. Send this round's traffic. *)
           if round = 0 then (
             match value with
-            | Some v -> send_all (Msg.Tag ("pk-send", v))
-            | None -> [])
+            | Some v -> send_all out (Msg.Tag ("pk-send", v))
+            | None -> ())
           else if round >= 1 && round <= (2 * t) + 1 && round mod 2 = 1 then
             (* Phase (round-1)/2 all-to-all exchange. *)
-            send_all (Msg.Tag ("pk-val", !current))
+            send_all out (Msg.Tag ("pk-val", !current))
           else if round >= 2 && round <= (2 * t) + 2 && round mod 2 = 0 && me = (round - 2) / 2
           then
             (* I am this phase's king. *)
-            send_all (Msg.Tag ("pk-king", !current))
-          else []
+            send_all out (Msg.Tag ("pk-king", !current))
         in
         let result () = !current in
         { Session.step; result });

@@ -21,35 +21,33 @@ let scheme =
         let echo_seen = Sb_util.Bitvec.Mut.create n in
         let echo_val = Array.make n default in
         let tag = Session.tag sid in
-        let send_all m = Ctx.to_all ctx ~src:me (Msg.Tag (tag, m)) in
+        let send_all out m = Outbox.to_all out ~n ~src:me (Msg.Tag (tag, m)) in
         let record_echo src = function
           | Msg.Tag ("echo", v) ->
               Sb_util.Bitvec.Mut.set echo_seen src true;
               echo_val.(src) <- v
           | _ -> ()
         in
-        let step ~round ~inbox =
+        let step ~round ~inbox ~out =
           match round with
           | 0 -> (
               match value with
               | Some v ->
                   received := Some v;
-                  send_all v
-              | None -> [])
+                  send_all out v
+              | None -> ())
           | 1 ->
               (* Echo what the sender said (or the default if silent). *)
               if me <> sender then
                 received :=
                   Some
-                    (match Envelope.first_from ~tag ~src:sender inbox with
+                    (match Inbox.first_from ~tag ~src:sender inbox with
                     | Some m -> m
                     | None -> default);
               let v = Option.value !received ~default in
-              send_all (Msg.Tag ("echo", v))
-          | 2 ->
-              Envelope.iter_from_parties ~tag record_echo inbox;
-              []
-          | _ -> []
+              send_all out (Msg.Tag ("echo", v))
+          | 2 -> Inbox.iter_from_parties ~tag record_echo inbox
+          | _ -> ()
         in
         let result () =
           (* Majority over all n echo slots, absentees counted as default. *)

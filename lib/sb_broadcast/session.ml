@@ -1,5 +1,5 @@
 type t = {
-  step : round:int -> inbox:Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list;
+  step : round:int -> inbox:Sb_sim.Inbox.t -> out:Sb_sim.Outbox.t -> unit;
   result : unit -> Sb_sim.Msg.t;
 }
 
@@ -16,24 +16,22 @@ type scheme = {
     t;
 }
 
-let tag sid = "bc:" ^ sid
+(* The tags of the compositions' session ids "s0" .. "s255" are built
+   once: every party's session k then carries the same string, which
+   the inbox scans compare by address before comparing bytes. *)
+let interned = Array.init 256 (fun k -> "bc:s" ^ string_of_int k)
 
-(* Each of these builds the tag when applied to [~sid] alone, so a
-   session that binds them once pays for the string once, not once
-   per envelope. *)
+let tag sid =
+  let l = String.length sid in
+  let rec index i k =
+    if i = l then if k < 256 then k else -1
+    else match sid.[i] with '0' .. '9' as c -> index (i + 1) ((k * 10) + Char.code c - 48) | _ -> -1
+  in
+  let k = if l >= 2 && l <= 4 && sid.[0] = 's' && (l = 2 || sid.[1] <> '0') then index 1 0 else -1 in
+  if k >= 0 then interned.(k) else "bc:" ^ sid
+
+(* Builds the tag when applied to [~sid] alone, so a caller that binds
+   it once pays for the string once, not once per message. *)
 let wrap ~sid =
   let t = tag sid in
   fun m -> Sb_sim.Msg.Tag (t, m)
-
-let unwrap ~sid =
-  let t = tag sid in
-  function Sb_sim.Msg.Tag (t', m) when String.equal t' t -> Some m | _ -> None
-
-(* A lone session's inbox is all its own traffic, so the common case
-   is one read-only scan that hands the list back uncopied. *)
-let inbox_for ~sid =
-  let t = tag sid in
-  let mine (e : Sb_sim.Envelope.t) =
-    match e.body with Sb_sim.Msg.Tag (t', _) -> String.equal t' t | _ -> false
-  in
-  fun envs -> if List.for_all mine envs then envs else List.filter mine envs

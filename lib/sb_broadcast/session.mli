@@ -3,8 +3,8 @@
     A session is one sender broadcasting one value to everybody. Its
     messages are wrapped in [Msg.Tag ("bc:" ^ sid, …)] so that many
     sessions — possibly of different broadcast protocols — can share
-    the network simultaneously; [inbox_for] recovers the envelopes that
-    belong to a given session.
+    the network simultaneously; the compositions ({!Parallel}) hand each
+    session only the envelopes carrying its tag.
 
     Local rounds start at 0 when the session starts; a session that
     begins at network round r0 maps network round r to local round
@@ -13,9 +13,12 @@
     afterwards. *)
 
 type t = {
-  step : round:int -> inbox:Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list;
-      (** [round] is the LOCAL round. [inbox] must already be filtered
-          to this session's envelopes. *)
+  step : round:int -> inbox:Sb_sim.Inbox.t -> out:Sb_sim.Outbox.t -> unit;
+      (** [round] is the LOCAL round; [inbox] holds only this
+          session's envelopes. {!Sb_sim.Party.t}'s contract: the caller
+          owns [inbox] and [out]; the inbox slice is valid only during
+          the call, so do not retain it; only append to [out], sends
+          already wrapped in the session's tag. *)
   result : unit -> Sb_sim.Msg.t;
 }
 
@@ -38,20 +41,12 @@ type scheme = {
 val tag : string -> string
 (** [tag sid] is the message tag used by session [sid]. The substrates
     build it once per session and read their inboxes through
-    {!Sb_sim.Envelope.iter_from_parties} and
-    {!Sb_sim.Envelope.first_from} with it: one tagged scan that checks
-    the tag and the party sender of each envelope in place. *)
-
-(** [wrap], [unwrap] and [inbox_for] build [tag sid] when applied to
-    [~sid] alone. A session binds them once, e.g.
-    [let unwrap = Session.unwrap ~sid in ...], instead of applying
-    them in full per envelope; full application behaves the same but
-    builds the tag string on every call. *)
+    {!Sb_sim.Inbox.iter_from_parties} and
+    {!Sb_sim.Inbox.first_from} with it: one tagged scan that checks
+    the tag and the party sender of each envelope in place. The tags of
+    the compositions' session ids ["s0"] .. ["s255"] are shared strings,
+    so those scans mostly match by address. *)
 
 val wrap : sid:string -> Sb_sim.Msg.t -> Sb_sim.Msg.t
-val unwrap : sid:string -> Sb_sim.Msg.t -> Sb_sim.Msg.t option
-
-val inbox_for : sid:string -> Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list
-(** Envelopes whose body carries this session's tag, in inbox order.
-    When every envelope carries it — always so for a session running
-    alone — the argument itself is returned, not a copy. *)
+(** [wrap ~sid m] is [Msg.Tag (tag sid, m)]. Applied to [~sid] alone it
+    builds the tag once; bind it per session, not per message. *)

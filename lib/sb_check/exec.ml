@@ -72,6 +72,10 @@ type state = {
   mutable queue : keyed list;  (* next round's deliveries, enqueue order *)
   mutable held : (int * keyed list) list;
       (* (due round, held envelopes newest first), ascending due *)
+  (* Scratch for one step's inbox and sends; forks share it. *)
+  recv : Envelope.Buf.t;
+  view : Inbox.t;
+  sends : Outbox.t;
 }
 
 (* Every chain starts from the same 16 bytes, so every chain input is
@@ -97,6 +101,9 @@ let create config =
     hist = Array.make n no_history;
     queue = [];
     held = [];
+    recv = Envelope.Buf.create ();
+    view = Inbox.create ();
+    sends = Outbox.create ();
   }
 
 (* Deliver the pending queue and step every party — crashed parties
@@ -108,19 +115,25 @@ let deliver_and_collect ~track st ~round =
   let n = st.cfg.ctx.Ctx.n in
   let out = ref [] in
   for me = n - 1 downto 0 do
-    let inbox = List.filter (fun k -> Envelope.delivered_to k.env me) st.queue in
-    if track then begin
-      let b = Buffer.create (16 * (List.length inbox + 1)) in
-      Buffer.add_string b st.hist.(me);
-      add_keys b inbox;
-      st.hist.(me) <- Digest.string (Buffer.contents b)
-    end;
-    let sent =
-      st.sessions.(me).Sb_broadcast.Session.step ~round
-        ~inbox:(List.map (fun k -> k.env) inbox)
-    in
-    let key e = if track then Digest.string (envelope_key e) else "" in
-    out := List.map (fun e -> { env = e; key = key e }) sent @ !out
+    let b = Buffer.create 64 in
+    if track then Buffer.add_string b st.hist.(me);
+    Envelope.Buf.clear st.recv;
+    List.iter
+      (fun k ->
+        if Envelope.delivered_to k.env me then begin
+          Envelope.Buf.push st.recv 0 k.env;
+          if track then Buffer.add_string b k.key
+        end)
+      st.queue;
+    if track then st.hist.(me) <- Digest.string (Buffer.contents b);
+    Inbox.set st.view st.recv.envs ~off:0 ~len:st.recv.len;
+    st.sessions.(me).Sb_broadcast.Session.step ~round ~inbox:st.view ~out:st.sends;
+    (* This party's sends, in order, ahead of the later parties'. *)
+    for i = Outbox.length st.sends - 1 downto 0 do
+      let e = Outbox.get st.sends i in
+      out := { env = e; key = (if track then Digest.string (envelope_key e) else "") } :: !out
+    done;
+    Outbox.clear st.sends
   done;
   !out
 

@@ -22,7 +22,7 @@ let decode_pairs tag inbox =
             (function Msg.List [ Msg.Int w; Msg.Fe v ] -> Some (src, w, v) | _ -> None)
             l
       | _ -> [])
-    inbox
+    (Inbox.to_list inbox)
 
 let protocol ~name ~circuit ~encode ~decode =
   let total_rounds = rounds circuit in
@@ -95,7 +95,7 @@ let protocol ~name ~circuit ~encode ~decode =
     in
     (* Emit degree-reduction subshares for every layer-[layer] mult
        whose operands are ready. *)
-    let reshare_layer layer values =
+    let reshare_layer ~out layer values =
       let payload_for = Array.make n [] in
       Array.iteri
         (fun w g ->
@@ -112,13 +112,12 @@ let protocol ~name ~circuit ~encode ~decode =
               | _ -> ())
           | _ -> ())
         gates;
-      List.concat
-        (List.init n (fun j ->
-             if payload_for.(j) = [] then []
-             else
-               [ Envelope.make ~src:id ~dst:j (encode_pairs mul_tag.(layer) payload_for.(j)) ]))
+      for j = 0 to n - 1 do
+        if payload_for.(j) <> [] then
+          Outbox.push out (Envelope.make ~src:id ~dst:j (encode_pairs mul_tag.(layer) payload_for.(j)))
+      done
     in
-    let step ~round ~inbox =
+    let step ~round ~inbox ~out =
       (* 1. Absorb whatever arrived. *)
       if round = 1 then
         List.iter
@@ -178,12 +177,12 @@ let protocol ~name ~circuit ~encode ~decode =
                   shares
             | _ -> ())
           gates;
-        List.concat
-          (List.init n (fun j ->
-               if payload_for.(j) = [] then []
-               else [ Envelope.make ~src:id ~dst:j (encode_pairs "bgw:in" payload_for.(j)) ]))
+        for j = 0 to n - 1 do
+          if payload_for.(j) <> [] then
+            Outbox.push out (Envelope.make ~src:id ~dst:j (encode_pairs "bgw:in" payload_for.(j)))
+        done
       end
-      else if round >= 1 && round <= n_layers then reshare_layer (round - 1) (evaluate ())
+      else if round >= 1 && round <= n_layers then reshare_layer ~out (round - 1) (evaluate ())
       else if round = total_rounds - 1 then begin
         (* Broadcast my output shares. *)
         let values = evaluate () in
@@ -195,9 +194,8 @@ let protocol ~name ~circuit ~encode ~decode =
               | None -> None)
             output_wires
         in
-        if pairs = [] then [] else [ Envelope.broadcast ~src:id (encode_pairs "bgw:out" pairs) ]
+        if pairs <> [] then Outbox.push out (Envelope.broadcast ~src:id (encode_pairs "bgw:out" pairs))
       end
-      else []
     in
     { Party.step; output = (fun () -> !result) }
   in

@@ -21,27 +21,21 @@ let protocol =
               in
               Vss_session.create ctx ~rng:(Sb_util.Rng.split rng) ~dealer ~me:id ~secret)
         in
-        let step ~round ~inbox =
+        let step ~round ~inbox ~out =
           let reveal_at = reveal_round ~n in
           (* Feed every session whose phase window covers this round.
              A session's local round r happens at phase_base + r, and
              its judgment step (local 3) coincides with the next
              phase's local 0. *)
-          let session_msgs =
-            List.concat
-              (List.init n (fun dealer ->
-                   let local = round - phase_base dealer in
-                   if local < 0 || local > Vss_session.local_rounds then []
-                   else Vss_session.step sessions.(dealer) ~round:local ~inbox))
-          in
-          if round = reveal_at then
-            session_msgs
-            @ List.concat (List.init n (fun d -> Vss_session.reveal_msgs sessions.(d)))
-          else if round = reveal_at + 1 then begin
-            Array.iter (fun s -> Vss_session.collect_reveals s inbox) sessions;
-            session_msgs
-          end
-          else session_msgs
+          Array.iteri
+            (fun dealer s ->
+              let local = round - phase_base dealer in
+              if local >= 0 && local <= Vss_session.local_rounds then
+                Vss_session.step s ~round:local ~inbox ~out)
+            sessions;
+          if round = reveal_at then Array.iter (fun s -> Vss_session.reveal_msgs s ~out) sessions
+          else if round = reveal_at + 1 then
+            Array.iter (fun s -> Vss_session.collect_reveals s inbox) sessions
         in
         let output () =
           Msg.bits

@@ -54,50 +54,39 @@ let protocol =
           | Msg.Str c when not (Hashtbl.mem confs src) -> Hashtbl.replace confs src c
           | _ -> ()
         in
-        let vss_step ~round ~inbox =
+        let step ~round ~inbox ~out =
           if round <= Vss_session.local_rounds then
-            List.concat (List.init n (fun d -> Vss_session.step sessions.(d) ~round ~inbox))
-          else []
-        in
-        let step ~round ~inbox =
-          let msgs = vss_step ~round ~inbox in
+            Array.iter (fun s -> Vss_session.step s ~round ~inbox ~out) sessions;
           let tree_round = round - tree_base in
-          let extra =
-            if tree_round >= 0 && tree_round <= max_depth then begin
-              Envelope.iter_from_parties ~tag:"cr-tree" fold_child inbox;
-              if tree_round = max_depth - depth && id <> 0 then
-                (* My slot: pass the accumulated value to my parent. *)
-                [ Envelope.make ~src:id ~dst:((id - 1) / 2) (Msg.Tag ("cr-tree", Msg.Str !acc)) ]
-              else if tree_round = max_depth && id = 0 then begin
-                salt := !acc;
-                [ Envelope.broadcast ~src:0 (Msg.Tag ("cr-salt", Msg.Str !salt)) ]
-              end
-              else []
+          if tree_round >= 0 && tree_round <= max_depth then begin
+            Inbox.iter_from_parties ~tag:"cr-tree" fold_child inbox;
+            if tree_round = max_depth - depth && id <> 0 then
+              (* My slot: pass the accumulated value to my parent. *)
+              Outbox.push out
+                (Envelope.make ~src:id ~dst:((id - 1) / 2) (Msg.Tag ("cr-tree", Msg.Str !acc)))
+            else if tree_round = max_depth && id = 0 then begin
+              salt := !acc;
+              Outbox.push out (Envelope.broadcast ~src:0 (Msg.Tag ("cr-salt", Msg.Str !salt)))
             end
-            else if round = confirm_round ~n then begin
-              (match Envelope.first_from ~tag:"cr-salt" ~src:0 inbox with
-              | Some (Msg.Str s) -> salt := s
-              | Some _ | None -> if id <> 0 then salt := "");
-              match Vss_session.dealer_opening sessions.(id) with
-              | Some (secret, blind) ->
-                  [
-                    Envelope.broadcast ~src:id
-                      (Msg.Tag
-                         ("cr-conf", Msg.Str (knowledge_tag ~salt:!salt ~dealer:id ~secret ~blind)));
-                  ]
-              | None -> []
-            end
-            else if round = reveal_round ~n then begin
-              Envelope.iter_from_parties ~tag:"cr-conf" record_conf inbox;
-              List.concat (List.init n (fun d -> Vss_session.reveal_msgs sessions.(d)))
-            end
-            else if round = reveal_round ~n + 1 then begin
-              Array.iter (fun s -> Vss_session.collect_reveals s inbox) sessions;
-              []
-            end
-            else []
-          in
-          msgs @ extra
+          end
+          else if round = confirm_round ~n then begin
+            (match Inbox.first_from ~tag:"cr-salt" ~src:0 inbox with
+            | Some (Msg.Str s) -> salt := s
+            | Some _ | None -> if id <> 0 then salt := "");
+            match Vss_session.dealer_opening sessions.(id) with
+            | Some (secret, blind) ->
+                Outbox.push out
+                  (Envelope.broadcast ~src:id
+                     (Msg.Tag
+                        ("cr-conf", Msg.Str (knowledge_tag ~salt:!salt ~dealer:id ~secret ~blind))))
+            | None -> ()
+          end
+          else if round = reveal_round ~n then begin
+            Inbox.iter_from_parties ~tag:"cr-conf" record_conf inbox;
+            Array.iter (fun s -> Vss_session.reveal_msgs s ~out) sessions
+          end
+          else if round = reveal_round ~n + 1 then
+            Array.iter (fun s -> Vss_session.collect_reveals s inbox) sessions
         in
         let output () =
           Msg.bits

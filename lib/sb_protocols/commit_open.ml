@@ -33,24 +33,24 @@ let protocol =
               Hashtbl.replace opens src { Commit.value; nonce }
           | _ -> ()
         in
-        let step ~round ~inbox =
-          Envelope.iter_from_parties ~tag:commit_tag record_commit inbox;
-          Envelope.iter_from_parties ~tag:open_tag record_open inbox;
+        let step ~round ~inbox ~out =
+          Inbox.iter_from_parties ~tag:commit_tag record_commit inbox;
+          Inbox.iter_from_parties ~tag:open_tag record_open inbox;
           match round with
           | 0 ->
               let bit = Msg.to_bit_exn input in
               let c, o = Commit.commit ctx.Ctx.commit rng (payload ~id ~bit) in
               my_opening := Some o;
-              [ Envelope.broadcast ~src:id (Msg.Tag (commit_tag, Msg.Str c)) ]
+              Outbox.push out (Envelope.broadcast ~src:id (Msg.Tag (commit_tag, Msg.Str c)))
           | 1 -> (
               match !my_opening with
               | Some o ->
-                  [
-                    Envelope.broadcast ~src:id
-                      (Msg.Tag (open_tag, Msg.List [ Msg.Str o.Commit.value; Msg.Str o.Commit.nonce ]));
-                  ]
-              | None -> [])
-          | _ -> []
+                  Outbox.push out
+                    (Envelope.broadcast ~src:id
+                       (Msg.Tag
+                          (open_tag, Msg.List [ Msg.Str o.Commit.value; Msg.Str o.Commit.nonce ])))
+              | None -> ())
+          | _ -> ()
         in
         let output () =
           Msg.bits

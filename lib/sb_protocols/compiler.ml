@@ -59,11 +59,10 @@ let compile program ~using:(base : Protocol.t) =
     let base_rounds = base.Protocol.rounds ctx in
     let state = ref (program.init ~n ~id ~input) in
     let current : Party.t option ref = ref None in
-    let step ~round ~inbox =
+    let step ~round ~inbox ~out =
       let span = base_rounds + 1 in
       let epoch = round / span in
-      if epoch >= program.epochs then []
-      else begin
+      if epoch < program.epochs then begin
         let local = round - (epoch * span) in
         if local = 0 then begin
           (* New epoch: instantiate the base protocol on this epoch's
@@ -75,26 +74,23 @@ let compile program ~using:(base : Protocol.t) =
                  ~input:(Msg.Bit bit))
         end;
         match !current with
-        | None -> []
+        | None -> ()
         | Some party ->
-            let out =
-              if Sb_obs.Trace_ctx.enabled () then begin
-                let sp =
-                  Sb_obs.Trace_ctx.begin_span ~agg:"epoch" ~cat:"phase"
-                    ~args:[ ("epoch", string_of_int epoch) ]
-                    (Printf.sprintf "epoch %d" epoch)
-                in
-                let out =
-                  List.map (wrap_env epoch)
-                    (party.Party.step ~round:local ~inbox:(unwrap_inbox epoch inbox))
-                in
-                Sb_obs.Trace_ctx.end_span sp;
-                out
-              end
-              else
-                List.map (wrap_env epoch)
-                  (party.Party.step ~round:local ~inbox:(unwrap_inbox epoch inbox))
+            let sp =
+              if Sb_obs.Trace_ctx.enabled () then
+                Sb_obs.Trace_ctx.begin_span ~agg:"epoch" ~cat:"phase"
+                  ~args:[ ("epoch", string_of_int epoch) ]
+                  (Printf.sprintf "epoch %d" epoch)
+              else Sb_obs.Trace_ctx.none
             in
+            (* The epoch's party appends, then its sends get the epoch
+               tag. *)
+            let from = Outbox.length out in
+            party.Party.step ~round:local
+              ~inbox:(Inbox.of_list (unwrap_inbox epoch (Inbox.to_list inbox)))
+              ~out;
+            Outbox.retag out ~from (epoch_tag epoch);
+            Sb_obs.Trace_ctx.end_span sp;
             if local = base_rounds then begin
               (* Epoch complete: read the announced vector. *)
               (match party.Party.output () with
@@ -106,8 +102,7 @@ let compile program ~using:(base : Protocol.t) =
                   state := program.observe !state ~epoch w
               | _ -> ());
               current := None
-            end;
-            out
+            end
       end
     in
     { Party.step; output = (fun () -> program.finish !state) }

@@ -17,20 +17,13 @@ let protocol =
               in
               Vss_session.create ctx ~rng:(Sb_util.Rng.split rng) ~dealer ~me:id ~secret)
         in
-        let all_step ~round ~inbox =
-          List.concat
-            (List.init n (fun d -> Vss_session.step sessions.(d) ~round ~inbox))
-        in
-        let step ~round ~inbox =
-          let msgs = all_step ~round ~inbox in
+        let step ~round ~inbox ~out =
+          Array.iter (fun s -> Vss_session.step s ~round ~inbox ~out) sessions;
           if round = reveal_round then
             (* Judgments just ran (local round 3); open everything. *)
-            msgs @ List.concat (List.init n (fun d -> Vss_session.reveal_msgs sessions.(d)))
-          else if round = reveal_round + 1 then begin
-            Array.iter (fun s -> Vss_session.collect_reveals s inbox) sessions;
-            msgs
-          end
-          else msgs
+            Array.iter (fun s -> Vss_session.reveal_msgs s ~out) sessions
+          else if round = reveal_round + 1 then
+            Array.iter (fun s -> Vss_session.collect_reveals s inbox) sessions
         in
         let output () =
           Msg.bits

@@ -24,14 +24,14 @@ let protocol =
     make_party =
       (fun _ ~rng:_ ~id ~input ->
         let result = ref Msg.Unit in
-        let step ~round ~inbox =
-          List.iter
+        let step ~round ~inbox ~out =
+          Inbox.iter
             (fun (e : Envelope.t) ->
               match e.Envelope.body with
               | Msg.Tag (t, m) when String.equal t output_tag -> result := m
               | _ -> ())
             inbox;
-          if round = 0 then [ Envelope.to_func ~src:id (Msg.Tag (input_tag, input)) ] else []
+          if round = 0 then Outbox.push out (Envelope.to_func ~src:id (Msg.Tag (input_tag, input)))
         in
         { Party.step; output = (fun () -> !result) });
   }

@@ -6,17 +6,15 @@ let wrap ~bits (base : Protocol.t) =
   if bits < 1 || bits > 30 then invalid_arg "Multi.wrap: bits out of range";
   if base.Protocol.make_functionality <> None then
     invalid_arg "Multi.wrap: base protocol uses a functionality";
-  let wrap_env j (e : Envelope.t) =
-    { e with Envelope.body = Msg.Tag (instance_tag j, e.Envelope.body) }
-  in
   let unwrap_inbox j inbox =
-    List.filter_map
-      (fun (e : Envelope.t) ->
-        match e.Envelope.body with
-        | Msg.Tag (t, body) when String.equal t (instance_tag j) ->
-            Some { e with Envelope.body = body }
-        | _ -> None)
-      inbox
+    Inbox.of_list
+      (List.filter_map
+         (fun (e : Envelope.t) ->
+           match e.Envelope.body with
+           | Msg.Tag (t, body) when String.equal t (instance_tag j) ->
+               Some { e with Envelope.body = body }
+           | _ -> None)
+         (Inbox.to_list inbox))
   in
   {
     Protocol.name = Printf.sprintf "%s-x%d" base.Protocol.name bits;
@@ -32,11 +30,14 @@ let wrap ~bits (base : Protocol.t) =
               base.Protocol.make_party ctx ~rng:(Sb_util.Rng.split rng) ~id
                 ~input:(Msg.Bit ((value lsr j) land 1 = 1)))
         in
-        let step ~round ~inbox =
-          List.concat
-            (List.init bits (fun j ->
-                 List.map (wrap_env j)
-                   (instances.(j).Party.step ~round ~inbox:(unwrap_inbox j inbox))))
+        (* Each instance appends, then its sends get its tag. *)
+        let step ~round ~inbox ~out =
+          Array.iteri
+            (fun j (inst : Party.t) ->
+              let from = Outbox.length out in
+              inst.Party.step ~round ~inbox:(unwrap_inbox j inbox) ~out;
+              Outbox.retag out ~from (instance_tag j))
+            instances
         in
         let output () =
           (* Reassemble per-party integers from the per-bit announced

@@ -14,11 +14,10 @@ let make ~name ~rounds ~my_round =
         let n = ctx.Ctx.n in
         let heard : Msg.t option array = Array.make n None in
         let hear src m = if heard.(src) = None then heard.(src) <- Some m in
-        let step ~round ~inbox =
-          Envelope.iter_from_parties ~tag:value_tag hear inbox;
+        let step ~round ~inbox ~out =
+          Inbox.iter_from_parties ~tag:value_tag hear inbox;
           if round = my_round ctx id then
-            [ Envelope.broadcast ~src:id (Msg.Tag (value_tag, input)) ]
-          else []
+            Outbox.push out (Envelope.broadcast ~src:id (Msg.Tag (value_tag, input)))
         in
         let output () =
           Msg.bits

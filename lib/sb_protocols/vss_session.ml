@@ -103,49 +103,48 @@ let phase_name = function
   | 3 -> "vss.judge"
   | _ -> "vss.idle"
 
-let step_impl t ~round ~inbox =
+let step_impl t ~round ~inbox ~out =
   match round with
   | 0 -> (
       (* Deal: broadcast commitment, send shares point-to-point. *)
       match t.dealt with
-      | None -> []
+      | None -> ()
       | Some d ->
           t.commitment <- Some d.Pedersen.commitment;
           t.my_share <- Some d.Pedersen.shares.(t.me);
-          Envelope.broadcast ~src:t.me
-            (Msg.Tag
-               ( t.tag_comm,
-                 Msg.List
-                   (Array.to_list (Array.map (fun g -> Msg.Ge g) d.Pedersen.commitment)) ))
-          :: List.filter_map
-               (fun j ->
-                 if j = t.me then None
-                 else
-                   Some
-                     (Envelope.make ~src:t.me ~dst:j
-                        (Msg.Tag (t.tag_share, encode_share d.Pedersen.shares.(j)))))
-               (List.init t.ctx.Ctx.n Fun.id))
+          Outbox.push out
+            (Envelope.broadcast ~src:t.me
+               (Msg.Tag
+                  ( t.tag_comm,
+                    Msg.List
+                      (Array.to_list (Array.map (fun g -> Msg.Ge g) d.Pedersen.commitment)) )));
+          for j = 0 to t.ctx.Ctx.n - 1 do
+            if j <> t.me then
+              Outbox.push out
+                (Envelope.make ~src:t.me ~dst:j
+                   (Msg.Tag (t.tag_share, encode_share d.Pedersen.shares.(j))))
+          done)
   | 1 ->
       (* Receive commitment and share; complain if anything is off. *)
       if t.me <> t.dealer then begin
-        (match Envelope.first_from ~tag:t.tag_comm ~src:t.dealer inbox with
+        (match Inbox.first_from ~tag:t.tag_comm ~src:t.dealer inbox with
         | Some m -> t.commitment <- decode_commitment t.ctx m
         | None -> ());
-        match Envelope.first_from ~tag:t.tag_share ~src:t.dealer inbox with
+        match Inbox.first_from ~tag:t.tag_share ~src:t.dealer inbox with
         | Some m -> t.my_share <- decode_share_pair t.me m
         | None -> ()
       end;
       let unhappy = not (my_share_valid t) in
-      [ Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_complain, Msg.Bit unhappy)) ]
-  | 2 ->
+      Outbox.push out (Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_complain, Msg.Bit unhappy)))
+  | 2 -> (
       (* Record broadcast complaints, in inbox order; the dealer
          answers them. *)
       let complainers = ref [] in
-      Envelope.iter_from_parties ~tag:t.tag_complain
+      Inbox.iter_from_parties ~tag:t.tag_complain
         (fun src -> function Msg.Bit true -> complainers := src :: !complainers | _ -> ())
         inbox;
       t.complainers <- List.rev !complainers;
-      (match t.dealt with
+      match t.dealt with
       | Some d when t.complainers <> [] ->
           let answers =
             List.map
@@ -155,12 +154,12 @@ let step_impl t ~round ~inbox =
                     Msg.Fe d.Pedersen.shares.(j).Pedersen.blind ])
               t.complainers
           in
-          [ Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_resp, Msg.List answers)) ]
-      | _ -> [])
-  | 3 ->
+          Outbox.push out (Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_resp, Msg.List answers)))
+      | _ -> ())
+  | 3 -> (
       (* Judge: every complaint needs a valid broadcast response. *)
       let responses =
-        match Envelope.first_from ~tag:t.tag_resp ~src:t.dealer inbox with
+        match Inbox.first_from ~tag:t.tag_resp ~src:t.dealer inbox with
         | Some (Msg.List answers) ->
             List.filter_map
               (function
@@ -170,7 +169,7 @@ let step_impl t ~round ~inbox =
               answers
         | Some _ | None -> []
       in
-      (match t.commitment with
+      match t.commitment with
       | None -> t.disqualified <- true
       | Some c ->
           let answered j =
@@ -179,33 +178,30 @@ let step_impl t ~round ~inbox =
           if not (List.for_all answered t.complainers) then t.disqualified <- true
           else if List.mem t.me t.complainers then
             (* Adopt the (valid) public response as my share. *)
-            t.my_share <- List.assoc_opt t.me responses);
-      []
-  | _ -> []
+            t.my_share <- List.assoc_opt t.me responses)
+  | _ -> ()
 
-let step t ~round ~inbox =
+let step t ~round ~inbox ~out =
   if Sb_obs.Trace_ctx.enabled () then begin
     let sp = Sb_obs.Trace_ctx.begin_span ~cat:"phase" (phase_name round) in
-    let out = step_impl t ~round ~inbox in
-    Sb_obs.Trace_ctx.end_span sp;
-    out
+    step_impl t ~round ~inbox ~out;
+    Sb_obs.Trace_ctx.end_span sp
   end
-  else step_impl t ~round ~inbox
+  else step_impl t ~round ~inbox ~out
 
 let disqualified t = t.disqualified
 
-let reveal_msgs t =
-  if t.disqualified || not (my_share_valid t) then []
-  else
+let reveal_msgs t ~out =
+  if (not t.disqualified) && my_share_valid t then
     match t.my_share with
-    | Some s -> [ Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_reveal, encode_share s)) ]
-    | None -> []
+    | Some s -> Outbox.push out (Envelope.broadcast ~src:t.me (Msg.Tag (t.tag_reveal, encode_share s)))
+    | None -> ()
 
 let collect_reveals t inbox =
   match t.commitment with
   | None -> ()
   | Some c ->
-      Envelope.iter_from_parties ~tag:t.tag_reveal
+      Inbox.iter_from_parties ~tag:t.tag_reveal
         (fun src m ->
           if src >= 0 && src < Array.length t.reveals && Option.is_none t.reveals.(src) then
             match decode_share_pair src m with

@@ -44,19 +44,20 @@ val local_rounds : int
 (** 3: deal, complain, respond. Judgment is available from local round
     3 on. *)
 
-val step : t -> round:int -> inbox:Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list
+val step : t -> round:int -> inbox:Sb_sim.Inbox.t -> out:Sb_sim.Outbox.t -> unit
 (** [round] is local; the inbox may be the party's full inbox (this
-    session filters by its own tags). *)
+    session filters by its own tags). Sends are appended to [out]
+    ({!Sb_sim.Party.t}'s step contract). *)
 
 val disqualified : t -> bool
 (** Meaningful from local round 3 (after the response round's
     deliveries have been fed to [step]). *)
 
-val reveal_msgs : t -> Sb_sim.Envelope.t list
-(** The broadcast this party makes to open the sharing (empty if it
-    holds no verifying share or the dealer is disqualified). *)
+val reveal_msgs : t -> out:Sb_sim.Outbox.t -> unit
+(** Append the broadcast this party makes to open the sharing (nothing
+    if it holds no verifying share or the dealer is disqualified). *)
 
-val collect_reveals : t -> Sb_sim.Envelope.t list -> unit
+val collect_reveals : t -> Sb_sim.Inbox.t -> unit
 (** Records the reveals in the inbox (this session's reveal tag, party
     senders only), keyed by sender: a reveal is accepted iff it decodes
     as a share pair for the sender's own index that verifies against

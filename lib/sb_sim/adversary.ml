@@ -1,7 +1,7 @@
 type view = {
   round : int;
-  delivered : Envelope.t list;
-  rushed : Envelope.t list;
+  delivered : Envelope.t list Lazy.t;
+  rushed : Envelope.t list Lazy.t;
 }
 
 type strategy = {
@@ -53,12 +53,14 @@ let honestly_running (p : Protocol.t) ~corrupt ~transform_inputs name =
               (id, p.Protocol.make_party ctx ~rng:(Sb_util.Rng.split rng) ~id ~input))
             corrupted
         in
+        let out = Outbox.create ?pool:ctx.Ctx.pool () in
         let act view =
-          List.concat_map
+          List.iter
             (fun (id, party) ->
-              let inbox = List.filter (fun e -> Envelope.delivered_to e id) view.delivered in
-              party.Party.step ~round:view.round ~inbox)
-            parties
+              let inbox = List.filter (fun e -> Envelope.delivered_to e id) (Lazy.force view.delivered) in
+              party.Party.step ~round:view.round ~inbox:(Inbox.of_list inbox) ~out)
+            parties;
+          Outbox.drain out
         in
         let adv_output () =
           (* The honest-looking adversary's "output" is its corrupted

@@ -19,9 +19,12 @@
 
 type view = {
   round : int;
-  delivered : Envelope.t list;  (** to corrupted parties, this round *)
-  rushed : Envelope.t list;  (** honest parties' same-round traffic *)
+  delivered : Envelope.t list Lazy.t;  (** to corrupted parties, this round *)
+  rushed : Envelope.t list Lazy.t;  (** honest parties' same-round traffic *)
 }
+(** Both lists are built only when forced, from storage the network
+    reuses: force them during the round's [act] (later raises
+    [Invalid_argument]); a forced list may be kept. *)
 
 type strategy = {
   act : view -> Envelope.t list;

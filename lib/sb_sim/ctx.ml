@@ -19,8 +19,3 @@ let make ?(backend = Sb_crypto.Commit.Hash) ?pool ~rng ~n ~thresh ~k () =
     crs = Sb_util.Rng.bytes rng k;
     pool;
   }
-
-let to_all ctx ~src body =
-  match ctx.pool with
-  | Some a -> Envelope.Arena.to_all a ~n:ctx.n ~src body
-  | None -> Envelope.to_all ~n:ctx.n ~src body

@@ -14,9 +14,11 @@ type t = {
   sigs : Sb_crypto.Sig.scheme;
   crs : string;  (** common reference string, k bytes *)
   pool : Envelope.Arena.arena option;
-      (** When present, {!to_all} draws envelope records from this
-          arena instead of allocating; set by large-n callers that run
-          {!Network.run} with [~reuse_envelopes:true]. *)
+      (** When present, the network's outbox draws send-all envelope
+          records ({!Outbox.to_all}) from this arena instead of
+          allocating; set by large-n callers that run {!Network.run}
+          with [~reuse_envelopes:true], which also keeps its mailboxes
+          and outbox in the arena. *)
 }
 
 val make :
@@ -32,8 +34,3 @@ val make :
     no envelope pool. Requires 0 <= thresh < n and k >= 1. [?pool]
     does not touch [rng], so pooled and unpooled setups draw
     identical randomness. *)
-
-val to_all : t -> src:int -> Msg.t -> Envelope.t list
-(** One copy to every party ({!Envelope.to_all}), drawn from the
-    context's arena when one is installed — the substrates' send-all
-    path. Byte-identical envelopes either way. *)

@@ -8,32 +8,39 @@ type endpoint = Party of int | Func | All
 type t = { mutable src : endpoint; mutable dst : endpoint; mutable body : Msg.t }
 
 (* One shared [Party i] value per party index, so building an
-   envelope allocates the record and nothing else. Both the plain
-   constructors and the [Arena] read this table: on the arena path a
-   fresh endpoint stored into a recycled (major-heap) record would
-   also cost a write-barrier entry and a promotion. The table grows to
-   the largest index served (one sized up front for the largest sweep
-   measurably raised the model checker's peak resident memory); a
-   grown copy keeps every value already handed out and is published
-   with a compare-and-set, so domains that race to grow it agree on
-   the values. Endpoints are immutable,
-   so sharing them changes no structural comparison; negative indices
-   and indices from [max_shared] on get a fresh value. *)
+   envelope allocates the record and nothing else; on the arena path a
+   fresh endpoint stored into a recycled (major-heap) record would also
+   cost a write-barrier entry and a promotion. Beside each endpoint
+   sits its header size, which the comm tally reads per envelope. The
+   table grows to the largest index served (sizing it up front for the
+   largest sweep raised the model checker's peak memory); a grown copy
+   keeps every value handed out and is published with a
+   compare-and-set, so racing domains agree. Negative indices and
+   indices from [max_shared] on get a fresh value. *)
 let max_shared = 1 lsl 16
-let parties : endpoint array Atomic.t = Atomic.make [||]
+
+(* Header bytes of a rendered [Party i]: "P" plus the decimal id. *)
+let party_header i =
+  let rec digits acc n = if n < 10 then acc else digits (acc + 1) (n / 10) in
+  1 + digits 1 i
+
+type table = { eps : endpoint array; headers : int array }
+
+let parties : table Atomic.t = Atomic.make { eps = [||]; headers = [||] }
 
 let rec grow i =
   let t = Atomic.get parties in
-  let len = Array.length t in
-  if i < len then t.(i)
+  let len = Array.length t.eps in
+  if i < len then t.eps.(i)
   else begin
     let len' = min max_shared (max (i + 1) (max 16 (2 * len))) in
-    let t' = Array.init len' (fun j -> if j < len then t.(j) else Party j) in
-    if Atomic.compare_and_set parties t t' then t'.(i) else grow i
+    let eps = Array.init len' (fun j -> if j < len then t.eps.(j) else Party j) in
+    let t' = { eps; headers = Array.init len' party_header } in
+    if Atomic.compare_and_set parties t t' then eps.(i) else grow i
   end
 
 let party i =
-  let t = Atomic.get parties in
+  let t = (Atomic.get parties).eps in
   if i >= 0 && i < Array.length t then Array.unsafe_get t i
   else if i < 0 || i >= max_shared then Party i
   else grow i
@@ -42,13 +49,6 @@ let make ~src ~dst body = { src = party src; dst = party dst; body }
 let broadcast ~src body = { src = party src; dst = All; body }
 let to_func ~src body = { src = party src; dst = Func; body }
 let from_func ~dst body = { src = Func; dst = party dst; body }
-
-let to_all ~n ~src body =
-  let from = party src in
-  List.init n (fun dst -> { src = from; dst = party dst; body })
-
-let to_others ~n ~src body =
-  List.filter_map (fun dst -> if dst = src then None else Some (make ~src ~dst body)) (List.init n Fun.id)
 
 let src_party e = match e.src with Party i -> Some i | Func | All -> None
 let src_is e i = match e.src with Party j -> j = i | Func | All -> false
@@ -60,31 +60,37 @@ let is_from_func e = match e.src with Func -> true | Party _ | All -> false
 let delivered_to e i =
   match e.dst with Party j -> j = i | All -> true | Func -> false
 
-(* The one tagged inbox scan: every substrate and VSS party reads its
-   inbox through these once per step, so they read the sender field
-   in place and build no option or list per envelope. *)
-let rec iter_from_parties ~tag f = function
-  | [] -> ()
-  | { body = Msg.Tag (t, m); src = Party src; _ } :: rest when String.equal t tag ->
-      f src m;
-      iter_from_parties ~tag f rest
-  | _ :: rest -> iter_from_parties ~tag f rest
-
-let rec first_from ~tag ~src = function
-  | [] -> None
-  | { body = Msg.Tag (t, m); src = Party s; _ } :: _ when s = src && String.equal t tag ->
-      Some m
-  | _ :: rest -> first_from ~tag ~src rest
-
-(* Addressing header cost: endpoints render as "P<id>", "F" or "*"
-   (one char plus the decimal id for parties). *)
+(* Endpoints render as "P<id>", "F" or "*". *)
 let endpoint_size = function
   | Party i ->
-      let rec digits acc n = if n < 10 then acc else digits (acc + 1) (n / 10) in
-      1 + digits 1 i
+      let h = (Atomic.get parties).headers in
+      if i >= 0 && i < Array.length h then Array.unsafe_get h i else party_header i
   | Func | All -> 1
 
 let wire_size e = endpoint_size e.src + endpoint_size e.dst + Msg.size_bytes e.body
+
+(* Two parallel arrays rather than an array of records, so a push
+   allocates nothing once capacity is reached. *)
+module Buf = struct
+  type env = t
+  type t = { mutable seqs : int array; mutable envs : env array; mutable len : int }
+
+  let create () = { seqs = [||]; envs = [||]; len = 0 }
+  let clear b = b.len <- 0
+
+  let push b seq e =
+    if b.len = Array.length b.envs then begin
+      let cap = max 8 (2 * b.len) in
+      let seqs = Array.make cap 0 and envs = Array.make cap e in
+      Array.blit b.seqs 0 seqs 0 b.len;
+      Array.blit b.envs 0 envs 0 b.len;
+      b.seqs <- seqs;
+      b.envs <- envs
+    end;
+    Array.unsafe_set b.seqs b.len seq;
+    Array.unsafe_set b.envs b.len e;
+    b.len <- b.len + 1
+end
 
 (* Two-sided envelope arena for the large-n delivery path. Allocation
    draws recycled records from the current side; [flip] switches sides
@@ -96,21 +102,17 @@ let wire_size e = endpoint_size e.src + endpoint_size e.dst + Msg.size_bytes e.b
    values, so protocol state that retains payloads is unaffected;
    only the envelope records themselves are recycled, which is why
    reuse is incompatible with trace recording, fault delay queues, or
-   adversaries that stash delivered envelopes across rounds. The
-   endpoints come from the shared [parties] table above. *)
+   adversaries that stash delivered envelopes across rounds. [stash]
+   keeps the network's mailboxes and outbox across runs. *)
 module Arena = struct
   type side = { mutable pool : t array; mutable len : int }
 
-  type arena = { sides : side array; mutable cur : int; mutable flips : int }
+  type arena = { sides : side array; mutable cur : int; mutable flips : int; mutable stash : Buf.t array }
 
   let fresh () = { src = Func; dst = Func; body = Msg.Unit }
 
   let create () =
-    {
-      sides = [| { pool = [||]; len = 0 }; { pool = [||]; len = 0 } |];
-      cur = 0;
-      flips = 0;
-    }
+    { sides = [| { pool = [||]; len = 0 }; { pool = [||]; len = 0 } |]; cur = 0; flips = 0; stash = [||] }
 
   let flips a = a.flips
 
@@ -118,6 +120,12 @@ module Arena = struct
     a.cur <- 1 - a.cur;
     a.flips <- a.flips + 1;
     a.sides.(a.cur).len <- 0
+
+  let stash a k =
+    let len = Array.length a.stash in
+    if len < k then
+      a.stash <- Array.init k (fun i -> if i < len then a.stash.(i) else Buf.create ());
+    a.stash
 
   let alloc a ~src ~dst body =
     let s = a.sides.(a.cur) in
@@ -141,11 +149,22 @@ module Arena = struct
     e
 
   let make a ~src ~dst body = alloc a ~src:(party src) ~dst:(party dst) body
-
-  let to_all a ~n ~src body =
-    let from = party src in
-    List.init n (fun dst -> alloc a ~src:from ~dst:(party dst) body)
 end
+
+(* The send-all fan-out: one envelope per party, sharing the body and
+   the sender's endpoint, drawn from [arena] when given. *)
+let to_all_into ?arena b ~n ~src body =
+  let from = party src in
+  if n > 0 then ignore (party (min (n - 1) (max_shared - 1)));
+  (* The table now covers every shared destination: read it once. *)
+  let eps = (Atomic.get parties).eps in
+  for dst = 0 to n - 1 do
+    let d = if dst < Array.length eps then Array.unsafe_get eps dst else party dst in
+    Buf.push b 0
+      (match arena with
+      | None -> { src = from; dst = d; body }
+      | Some a -> Arena.alloc a ~src:from ~dst:d body)
+  done
 
 let pp_endpoint fmt = function
   | Party i -> Format.fprintf fmt "P%d" i

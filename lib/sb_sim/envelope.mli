@@ -35,26 +35,7 @@ val broadcast : src:int -> Msg.t -> t
 val to_func : src:int -> Msg.t -> t
 val from_func : dst:int -> Msg.t -> t
 
-val to_all : n:int -> src:int -> Msg.t -> t list
-(** One copy to every party, including the sender itself (self-delivery
-    keeps broadcast code uniform). *)
-
-val to_others : n:int -> src:int -> Msg.t -> t list
-
 val src_party : t -> int option
-
-val iter_from_parties : tag:string -> (int -> Msg.t -> unit) -> t list -> unit
-(** [iter_from_parties ~tag f inbox] calls [f src m] for every envelope
-    in the inbox whose body is [Tag (tag, m)] and whose sender is
-    [Party src], in inbox order; [Func] and [All] senders are skipped.
-    The one tagged inbox scan, shared by the broadcast substrates and
-    the VSS protocols: it reads the sender in place and allocates
-    nothing itself. Tags compare as whole strings, so ["vss:1:comm"]
-    never matches ["vss:11:comm"]. *)
-
-val first_from : tag:string -> src:int -> t list -> Msg.t option
-(** The first [tag]-tagged payload sent by party [src] in the inbox,
-    if any. *)
 
 val src_is : t -> int -> bool
 (** [src_is e i] = [src_party e = Some i] without allocating the
@@ -72,7 +53,8 @@ val delivered_to : t -> int -> bool
 val endpoint_size : endpoint -> int
 (** Bytes of one rendered endpoint ("P<id>", "F" or "*") — the
     addressing-header component of {!wire_size}, exposed so callers
-    that cache body sizes can still account headers per envelope. *)
+    that cache body sizes can still account headers per envelope. A
+    shared endpoint's size is a table read. *)
 
 val wire_size : t -> int
 (** Bytes this envelope would occupy on a wire: the {!Msg.size_bytes}
@@ -83,6 +65,22 @@ val wire_size : t -> int
 
 val pp : Format.formatter -> t -> unit
 
+(** A growable envelope array with a sequence stamp per slot: the
+    storage behind {!Router} mailboxes and the {!Outbox} (which stamps
+    0). Slots at and beyond [len] are stale. *)
+module Buf : sig
+  type env := t
+  type t = { mutable seqs : int array; mutable envs : env array; mutable len : int }
+
+  val create : unit -> t
+
+  val clear : t -> unit
+  (** Empty the buffer, keeping its capacity. *)
+
+  val push : t -> int -> env -> unit
+  (** [push b seq e] appends [e] stamped [seq]. *)
+end
+
 (** Two-sided envelope arena for the large-n delivery path: records
     handed out at flip cycle [f] are recycled at cycle [f+2], giving
     every envelope exactly one full round of grace when
@@ -91,13 +89,10 @@ val pp : Format.formatter -> t -> unit
     are recycled, so the arena must not be combined with trace
     recording, delay-fault queues, or adversaries that retain
     delivered envelopes across rounds ([Network.run] enforces the
-    first two).
-
-    Endpoints are the shared ones {!make} uses. Recycled records live
-    in the major heap, so a fresh endpoint stored into one would go
-    through the write barrier and be promoted at the next minor
-    collection; a shared one was allocated once, at start-up. Arena
-    envelopes stay structurally equal to the ones {!make} builds. *)
+    first two). Arena envelopes share {!make}'s endpoints (a fresh one
+    stored into a recycled major-heap record would be promoted) and
+    stay structurally equal to the ones {!make} builds. The arena also
+    keeps the network's mailboxes and outbox across runs ({!stash}). *)
 module Arena : sig
   type arena
 
@@ -113,11 +108,15 @@ module Arena : sig
       flips have happened. *)
 
   val make : arena -> src:int -> dst:int -> Msg.t -> t
-  (** Party-to-party envelope drawn from the current side (the record
-      is recycled, the fields are freshly set to the shared
-      endpoints). *)
+  (** Party-to-party envelope drawn from the current side. *)
 
-  val to_all : arena -> n:int -> src:int -> Msg.t -> t list
-  (** Arena-backed {!Envelope.to_all}: same envelopes in the same
-      order, drawn from the pool. *)
+  val stash : arena -> int -> Buf.t array
+  (** The arena's retained buffers, grown to at least [k]. They keep
+      their capacity and contents between calls; one run at a time
+      owns them. *)
 end
+
+val to_all_into : ?arena:Arena.arena -> Buf.t -> n:int -> src:int -> Msg.t -> unit
+(** Append one copy of the body to every party [0 .. n-1], the sender
+    included, in party order, sharing the body and the sender's
+    endpoint; with [arena] the records are drawn from it. *)

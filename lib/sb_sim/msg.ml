@@ -68,7 +68,6 @@ let of_bitvec v = bits (Array.to_list (Sb_util.Bitvec.to_bools v))
 
 let to_bit_exn = function Bit b -> b | m -> invalid_arg ("Msg.to_bit_exn: " ^ to_string m)
 let to_int_exn = function Int i -> i | m -> invalid_arg ("Msg.to_int_exn: " ^ to_string m)
-let to_fe_exn = function Fe f -> f | m -> invalid_arg ("Msg.to_fe_exn: " ^ to_string m)
 let to_str_exn = function Str s -> s | m -> invalid_arg ("Msg.to_str_exn: " ^ to_string m)
 let to_list_exn = function List l -> l | m -> invalid_arg ("Msg.to_list_exn: " ^ to_string m)
 

@@ -39,7 +39,6 @@ val to_bitvec_exn : t -> Sb_util.Bitvec.t
 
 val to_bit_exn : t -> bool
 val to_int_exn : t -> int
-val to_fe_exn : t -> Sb_crypto.Field.t
 val to_str_exn : t -> string
 val to_list_exn : t -> t list
 

@@ -46,75 +46,20 @@ let g_msgs_ps = Sb_obs.Metrics.gauge "sim.msgs_per_sec"
 let g_bytes_ps = Sb_obs.Metrics.gauge "sim.bytes_per_sec"
 let wall_lock = Mutex.create ()
 
-(* count_channels runs on every round of every run, metrics on or off.
-   These tallies count into int refs: without flambda a tuple
-   accumulator would allocate once per envelope. *)
-let count_channels envs =
-  (* (broadcast, p2p) among party-sourced traffic; ideal-channel
-     envelopes are counted separately under sim.envelopes.func. *)
-  let b = ref 0 and p = ref 0 in
-  List.iter
-    (fun e ->
-      if Envelope.is_func_bound e then ()
-      else if Envelope.is_broadcast e then incr b
-      else incr p)
-    envs;
-  (!b, !p)
-
-let count_bytes envs =
-  (* (broadcast, p2p) wire bytes; a broadcast envelope is one channel
-     use and counted once, matching sim.broadcasts. *)
-  let b = ref 0 and p = ref 0 in
-  List.iter
-    (fun e ->
-      if Envelope.is_func_bound e then ()
-      else if Envelope.is_broadcast e then b := !b + Envelope.wire_size e
-      else p := !p + Envelope.wire_size e)
-    envs;
-  (!b, !p)
-
-(* Per-run communication tally for [?record_comm]: like count_channels
-   + count_bytes in one pass, added into the caller's counters, with a
-   one-slot physical-equality cache for body sizes — a send-all
-   fan-out shares one body across n envelopes, so the size walk runs
-   once per distinct body instead of once per envelope. Independent of
-   the global metrics registry: the large-n experiments need per-run
-   numbers without retaining traces and without adding counters to
-   every report's metrics block. *)
-let comm_tally cached_body cached_size ~bcast ~bcast_bytes ~p2p_bytes envs =
-  List.iter
-    (fun e ->
-      if not (Envelope.is_func_bound e) then begin
-        let body = e.Envelope.body in
-        let size =
-          if body == !cached_body then !cached_size
-          else begin
-            let s = Msg.size_bytes body in
-            cached_body := body;
-            cached_size := s;
-            s
-          end
-        in
-        let w =
-          Envelope.endpoint_size e.Envelope.src
-          + Envelope.endpoint_size e.Envelope.dst
-          + size
-        in
-        if Envelope.is_broadcast e then begin
-          incr bcast;
-          bcast_bytes := !bcast_bytes + w
-        end
-        else p2p_bytes := !p2p_bytes + w
-      end)
-    envs
-
 type interceptor = round:int -> Envelope.t list -> Envelope.t list
+
+(* Delivery storage for runs without an arena: each domain lends its
+   last run's mailboxes and outbox to its next run, so a stream of small
+   runs stops growing fresh buffers. A run takes the storage out of the
+   slot and puts it back on return (a nested run, or one after a run
+   that raised, starts fresh); storage past 2^16 slots is not kept. *)
+let spare : Envelope.Arena.arena option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* The round loop runs five explicit phases over a route-indexed
    delivery queue (see Router):
 
      deliver    parties and the adversary read this round's mailboxes;
-     collect    honest parties step and emit their outgoing envelopes;
+     collect    honest parties step, appending to the run's one outbox;
      rush       the adversary observes same-round honest traffic and
                 answers; spoofed sources are dropped;
      intercept  the fault interceptor filters the flat outgoing queue
@@ -127,19 +72,19 @@ type interceptor = round:int -> Envelope.t list -> Envelope.t list
 
    The router preserves enqueue order per recipient (Router's ordering
    invariant), so each phase sees byte-for-byte what the seed
-   list-filter engine showed it; only the delivery cost changed, from
-   O(parties x envelopes) to O(envelopes) per round. *)
+   list-filter engine showed it. Without an interceptor no envelope
+   list is built: one pass over the outbox and the adversary's reply
+   checks authentication, counts channels, tallies communication and
+   routes. Lists exist only for the trace, the interceptor and an
+   adversary that forces its view. *)
 let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~inputs
     ?(aux = Msg.Unit) ?(record_trace = true) ?(record_comm = false)
     ?(reuse_envelopes = false) ?faults () =
   let n = ctx.n in
   if Array.length inputs <> n then invalid_arg "Network.run: wrong number of inputs";
-  (* Envelope recycling mutates records two rounds after allocation;
-     anything that retains envelopes across rounds — the run trace,
-     delay-fault re-injection queues — would see them change under its
-     feet. (Adversaries that stash delivered envelopes across rounds
-     are equally incompatible; that contract is documented, not
-     checkable here.) *)
+  (* Recycled records change under anything that keeps envelopes
+     across rounds: the trace, delay-fault queues (and adversaries that
+     stash deliveries, which is documented, not checkable). *)
   if reuse_envelopes && (record_trace || Option.is_some faults) then
     invalid_arg "Network.run: reuse_envelopes requires record_trace:false and no faults";
   (* Independent randomness streams, in a fixed order for reproducibility.
@@ -160,9 +105,10 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
   List.iter (fun i -> is_corrupt.(i) <- true) corrupted;
   let honest = List.filter (fun i -> not is_corrupt.(i)) (List.init n Fun.id) in
   let parties =
-    List.map
-      (fun id -> (id, protocol.make_party ctx ~rng:party_rngs.(id) ~id ~input:inputs.(id)))
-      honest
+    Array.of_list
+      (List.map
+         (fun id -> (id, protocol.make_party ctx ~rng:party_rngs.(id) ~id ~input:inputs.(id)))
+         honest)
   in
   let functionality =
     match protocol.make_functionality with
@@ -175,36 +121,42 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       ~aux
   in
   let total_rounds = protocol.rounds ctx in
-  (* Two routers ping-pong across rounds: [mailboxes] holds this
-     round's deliveries, [staging] is cleared and refilled with the
-     next round's queue, then they swap. *)
-  (* Preallocating mailbox capacity under reuse avoids the first
-     rounds' doubling-growth copies; capacity is retained across the
-     run either way. *)
-  let router_cap = if reuse_envelopes then n else 0 in
-  let mailboxes = ref (Router.create ~cap:router_cap n) in
-  let staging = ref (Router.create ~cap:router_cap n) in
+  (* Two routers ping-pong across rounds ([mailboxes] delivers this
+     round, [staging] is refilled with the next round's queue). They
+     and the outbox live in the ctx arena under reuse, else in the
+     domain's spare storage. *)
+  let lent = if reuse_envelopes then None else Some (Domain.DLS.get spare) in
+  let storage =
+    match (lent, ctx.pool) with
+    | None, Some a | Some (Some a), _ -> a
+    | _ -> Envelope.Arena.create ()
+  in
+  if Option.is_some lent then Domain.DLS.set spare None;
+  let st = Envelope.Arena.stash storage ((2 * n) + 1) in
+  let mailboxes = ref (Router.create ~stash:st n) in
+  let staging = ref (Router.create ~stash:(Array.sub st n n) n) in
+  let out = Outbox.create ?pool:ctx.pool ~buf:st.(2 * n) () in
+  (* [ends.(k)]: where honest party k's appends end in the outbox. *)
+  let ends = Array.make (Array.length parties) 0 in
   let trace = ref [] in
-  (* ?record_comm accumulators (per-run, metrics-independent). *)
+  (* ?record_comm accumulators, metrics-independent; a send-all shares
+     one body across n envelopes, so the last body's size is cached. *)
   let c_bcast = ref 0 and c_p2p_bytes = ref 0 and c_bcast_bytes = ref 0 in
   let c_deliveries = ref 0 in
-  let cached_body = ref Msg.Unit in
-  let cached_size = ref (Msg.size_bytes Msg.Unit) in
-  (* Monte-Carlo sampling passes [record_trace:false]: the per-round
-     envelope lists are then dropped as soon as the round ends instead
-     of being retained for the whole run, and the p2p tally below is
-     the only thing kept. *)
+  let cached_body = ref Msg.Unit and cached_size = ref (Msg.size_bytes Msg.Unit) in
   let p2p_count = ref 0 in
   Sb_obs.Metrics.incr m_runs;
   let metrics_run = Sb_obs.Metrics.enabled () in
   let run_t0 = if metrics_run then Unix.gettimeofday () else 0.0 in
-  (* Causal tracing (Trace_ctx): off by default, one boolean load here.
-     When enabled, this run becomes one session span tree — session ->
-     round -> {collect/rush/intercept/route} phases -> party — plus a
-     flow edge per delivered envelope from the span that sent it into
-     the round span that delivers it. Like metrics, none of this
-     touches the split RNG streams. *)
+  (* Causal tracing (Trace_ctx), off by default: one session span tree
+     — session -> round -> {collect/rush/intercept/route} phases ->
+     party — plus a flow edge per delivered envelope from the span that
+     sent it into the round that delivers it. No RNG stream is touched. *)
   let tracing = Sb_obs.Trace_ctx.enabled () in
+  let phase name =
+    if tracing then Sb_obs.Trace_ctx.begin_span ~agg:name ~cat:"phase" name
+    else Sb_obs.Trace_ctx.none
+  in
   let s_session =
     if tracing then
       Sb_obs.Trace_ctx.begin_session protocol.name
@@ -217,12 +169,13 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
           ]
     else Sb_obs.Trace_ctx.none
   in
-  let party_span =
-    if tracing then Array.make n Sb_obs.Trace_ctx.none else [||]
-  in
+  let party_span = if tracing then Array.make n Sb_obs.Trace_ctx.none else [||] in
   (* Sender spans of envelopes routed into the next round; when that
      round's span opens these become its incoming flow edges. *)
   let pending : Sb_obs.Trace_ctx.h list ref = ref [] in
+  (* The round whose adversary view may still be forced: its lists are
+     built from storage the next round reuses. *)
+  let view_round = ref 0 in
   for round = 0 to total_rounds do
     (* Under reuse, flip the context arena: the side flipped onto last
        held round r-2's allocations, delivered and consumed at r-1 —
@@ -246,59 +199,40 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       end
       else Sb_obs.Trace_ctx.none
     in
-    (* 1. Deliver + collect: honest parties step on their mailboxes. *)
-    let honest_out =
-      if tracing then begin
-        let s_collect =
-          Sb_obs.Trace_ctx.begin_span ~agg:"collect" ~cat:"phase" "collect"
-        in
-        let out =
-          List.concat_map
-            (fun (id, party) ->
-              let sp =
-                Sb_obs.Trace_ctx.begin_span ~agg:"party" ~cat:"party"
-                  ~args:[ ("id", string_of_int id) ]
-                  (Printf.sprintf "P%d" id)
-              in
-              party_span.(id) <- sp;
-              let inbox =
-                Sb_obs.Trace_ctx.with_span ~agg:"deliver" ~cat:"phase" "deliver"
-                  (fun () -> Router.inbox inbox_router id)
-              in
-              let out = party.Party.step ~round ~inbox in
-              List.iter (fun e -> assert (Envelope.src_is e id)) out;
-              Sb_obs.Trace_ctx.end_span sp;
-              out)
-            parties
-        in
-        Sb_obs.Trace_ctx.end_span s_collect;
-        out
-      end
-      else
-        List.concat_map
-          (fun (id, party) ->
-            let out = party.Party.step ~round ~inbox:(Router.inbox inbox_router id) in
-            (* Authenticated channels: an honest party only speaks as itself. *)
-            List.iter (fun e -> assert (Envelope.src_is e id)) out;
-            out)
-          parties
-    in
+    (* 1. Deliver + collect. *)
+    Outbox.clear out;
+    let s_collect = phase "collect" in
+    Array.iteri
+      (fun k (id, party) ->
+        if tracing then begin
+          let sp =
+            Sb_obs.Trace_ctx.begin_span ~agg:"party" ~cat:"party"
+              ~args:[ ("id", string_of_int id) ]
+              (Printf.sprintf "P%d" id)
+          in
+          party_span.(id) <- sp;
+          let inbox =
+            Sb_obs.Trace_ctx.with_span ~agg:"deliver" ~cat:"phase" "deliver" (fun () ->
+                Router.inbox inbox_router id)
+          in
+          party.Party.step ~round ~inbox ~out;
+          Sb_obs.Trace_ctx.end_span sp
+        end
+        else party.Party.step ~round ~inbox:(Router.inbox inbox_router id) ~out;
+        ends.(k) <- Outbox.length out)
+      parties;
+    Sb_obs.Trace_ctx.end_span s_collect;
+    let n_honest = Outbox.length out in
     (* 2. Rush: the adversary sees same-round honest traffic — minus
        the ideal channel to the functionality — plus everything the
        router delivered to the corrupted set this round. *)
-    let s_rush =
-      if tracing then Sb_obs.Trace_ctx.begin_span ~agg:"rush" ~cat:"phase" "rush"
-      else Sb_obs.Trace_ctx.none
-    in
-    (* Both queue copies below are skipped when they would copy
-       everything: most rounds send nothing to the functionality, and
-       an honest run's adversary never speaks. *)
+    let s_rush = phase "rush" in
+    view_round := round;
+    let current () = if !view_round <> round then invalid_arg "Adversary.view: stale" in
     let rushed =
-      if List.exists Envelope.is_func_bound honest_out then
-        List.filter (fun e -> not (Envelope.is_func_bound e)) honest_out
-      else honest_out
+      lazy (current (); List.filter (fun e -> not (Envelope.is_func_bound e)) (Outbox.to_list out))
     in
-    let delivered = Router.delivered_to_any inbox_router corrupted in
+    let delivered = lazy (current (); Router.delivered_to_any inbox_router corrupted) in
     let adv_out_raw = strategy.Adversary.act { round; delivered; rushed } in
     (* Drop spoofed envelopes. *)
     let adv_out =
@@ -308,103 +242,113 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
         adv_out_raw
     in
     Sb_obs.Trace_ctx.end_span s_rush;
-    (* 3. Intercept: fault injection at the delivery queue. Crashed
-       senders are silenced (even towards the functionality),
-       lossy/partitioned links drop, delayed envelopes are re-injected
-       in a later round. Everything above this point saw the traffic
-       as sent; the interceptor always receives the full flattened
-       queue, before any routing. *)
-    let s_intercept =
-      if tracing then
-        Sb_obs.Trace_ctx.begin_span ~agg:"intercept" ~cat:"phase" "intercept"
-      else Sb_obs.Trace_ctx.none
-    in
-    let all_out =
-      if last then [] else if adv_out = [] then honest_out else honest_out @ adv_out
-    in
-    let all_out =
-      match intercept with None -> all_out | Some f -> f ~round all_out
+    (* 3. Intercept: fault injection at the delivery queue, which it
+       receives in full, as sent and before any routing. *)
+    let s_intercept = phase "intercept" in
+    let intercepted =
+      Option.map (fun f -> f ~round (if last then [] else Outbox.to_list out @ adv_out)) intercept
     in
     Sb_obs.Trace_ctx.end_span s_intercept;
-    (* 4. Route: the functionality consumes Func-bound traffic of this
-       round, then the queue — party traffic first, then the
-       functionality's replies — is dispatched into the next round's
-       mailboxes. *)
-    let s_route =
-      if tracing then Sb_obs.Trace_ctx.begin_span ~agg:"route" ~cat:"phase" "route"
-      else Sb_obs.Trace_ctx.none
-    in
-    let func_in = List.filter Envelope.is_func_bound all_out in
-    let func_out = functionality.Functionality.f_step ~round ~inbox:func_in in
-    List.iter (fun e -> assert (Envelope.is_from_func e)) func_out;
-    Log.debug (fun m ->
-        m "%s round %d: honest=%d adv=%d func_in=%d func_out=%d%s" protocol.name round
-          (List.length honest_out) (List.length adv_out) (List.length func_in)
-          (List.length func_out)
-          (if last then " (final)" else ""));
-    (* 5. Record round observations, then queue next-round deliveries.
-       The p2p tally is one int-ref pass per queue, so keeping it
-       incrementally costs next to nothing even with metrics off. *)
-    if not last then begin
-      let _, hp = count_channels honest_out and _, ap = count_channels adv_out in
-      p2p_count := !p2p_count + hp + ap
-    end;
-    if record_comm && not last then begin
-      let tally =
-        comm_tally cached_body cached_size ~bcast:c_bcast ~bcast_bytes:c_bcast_bytes
-          ~p2p_bytes:c_p2p_bytes
-      in
-      tally honest_out;
-      tally adv_out
-    end;
-    if metrics_on then begin
-      Sb_obs.Metrics.incr m_rounds;
-      Sb_obs.Metrics.incr ~by:(List.length honest_out) m_honest;
-      Sb_obs.Metrics.incr ~by:(List.length adv_out) m_adv;
-      Sb_obs.Metrics.incr ~by:(List.length func_out) m_func;
-      Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - List.length adv_out) m_forged;
-      let hb, hp = count_channels honest_out and ab, ap = count_channels adv_out in
-      Sb_obs.Metrics.incr ~by:(hb + ab) m_bcast;
-      Sb_obs.Metrics.incr ~by:(hp + ap) m_p2p;
-      let hbb, hpb = count_bytes honest_out and abb, apb = count_bytes adv_out in
-      Sb_obs.Metrics.incr ~by:(hbb + abb) m_bytes_bcast;
-      Sb_obs.Metrics.incr ~by:(hpb + apb) m_bytes_p2p;
-      Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
-    end;
+    (* 4. Route: one pass over the honest and adversarial sends; the
+       functionality steps after it, and its replies are routed last. *)
+    let s_route = phase "route" in
     let next = !staging in
     Router.clear next;
-    List.iter
-      (fun e -> if not (Envelope.is_func_bound e) then Router.route next e)
-      all_out;
-    Router.route_all next func_out;
+    let bcasts = ref 0 and p2ps = ref 0 and bcast_bytes = ref 0 and p2p_bytes = ref 0 in
+    let func_in = ref [] in
+    let route_here = Option.is_none intercept && not last in
+    let src_of e =
+      match Envelope.src_party e with
+      | Some i when not is_corrupt.(i) -> party_span.(i)
+      | Some _ -> s_rush
+      | None -> s_route
+    in
+    let route e =
+      Router.route next e;
+      if tracing && not last then pending := src_of e :: !pending
+    in
+    let account (e : Envelope.t) =
+      match e.Envelope.dst with
+      | Envelope.Func -> if route_here then func_in := e :: !func_in
+      | dst ->
+          let bc = match dst with Envelope.All -> true | _ -> false in
+          incr (if bc then bcasts else p2ps);
+          if metrics_on then begin
+            let b = if bc then bcast_bytes else p2p_bytes in
+            b := !b + Envelope.wire_size e
+          end;
+          if record_comm && not last then begin
+            let body = e.Envelope.body in
+            if body != !cached_body then begin
+              cached_body := body;
+              cached_size := Msg.size_bytes body
+            end;
+            let b = if bc then c_bcast_bytes else c_p2p_bytes in
+            b := !b + Envelope.endpoint_size e.Envelope.src + Envelope.endpoint_size dst + !cached_size;
+            if bc then incr c_bcast
+          end;
+          if route_here then route e
+    in
+    (* The common case — routing, nothing to tally — inline. *)
+    let plain = route_here && not (metrics_on || record_comm || tracing) in
+    let k = ref 0 in
+    for j = 0 to n_honest - 1 do
+      while j >= ends.(!k) do
+        incr k
+      done;
+      let e = Outbox.get out j in
+      (* Authenticated channels: an honest party only speaks as itself. *)
+      assert (Envelope.src_is e (fst parties.(!k)));
+      if not plain then account e
+      else if Envelope.is_func_bound e then func_in := e :: !func_in
+      else begin
+        incr (if Envelope.is_broadcast e then bcasts else p2ps);
+        Router.route next e
+      end
+    done;
+    List.iter account adv_out;
+    let func_in =
+      match intercepted with
+      | None -> List.rev !func_in
+      | Some all_out ->
+          List.iter (fun e -> if not (Envelope.is_func_bound e) then route e) all_out;
+          List.filter Envelope.is_func_bound all_out
+    in
+    let func_out = functionality.Functionality.f_step ~round ~inbox:func_in in
+    List.iter (fun e -> assert (Envelope.is_from_func e)) func_out;
+    List.iter (Router.route next) func_out;
+    if tracing && not last then List.iter (fun _ -> pending := s_route :: !pending) func_out;
+    let n_adv = List.length adv_out in
+    if Logs.Src.level log_src = Some Logs.Debug then
+      Log.debug (fun m ->
+          m "%s round %d: honest=%d adv=%d func_in=%d func_out=%d%s" protocol.name round
+            n_honest n_adv (List.length func_in) (List.length func_out)
+            (if last then " (final)" else ""));
+    (* 5. Record round observations. *)
+    if not last then p2p_count := !p2p_count + !p2ps;
+    if metrics_on then begin
+      Sb_obs.Metrics.incr m_rounds;
+      Sb_obs.Metrics.incr ~by:n_honest m_honest;
+      Sb_obs.Metrics.incr ~by:n_adv m_adv;
+      Sb_obs.Metrics.incr ~by:(List.length func_out) m_func;
+      Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - n_adv) m_forged;
+      Sb_obs.Metrics.incr ~by:!bcasts m_bcast;
+      Sb_obs.Metrics.incr ~by:!p2ps m_p2p;
+      Sb_obs.Metrics.incr ~by:!bcast_bytes m_bytes_bcast;
+      Sb_obs.Metrics.incr ~by:!p2p_bytes m_bytes_p2p;
+      Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
+    end;
     if record_comm then c_deliveries := !c_deliveries + Router.total next;
     Sb_obs.Trace_ctx.end_span s_route;
-    if tracing && not last then begin
-      (* One causal edge per delivered envelope: sender span -> next
-         round's span. Honest senders resolve to their party span,
-         corrupted senders to the rush phase (where the adversary
-         spoke), functionality replies to the route phase (where the
-         functionality stepped). *)
-      let src_of e =
-        match Envelope.src_party e with
-        | Some i when not is_corrupt.(i) -> party_span.(i)
-        | Some _ -> s_rush
-        | None -> s_route
-      in
-      List.iter
-        (fun e ->
-          if not (Envelope.is_func_bound e) then pending := src_of e :: !pending)
-        all_out;
-      List.iter (fun _ -> pending := s_route :: !pending) func_out
-    end;
     staging := inbox_router;
     mailboxes := next;
     Sb_obs.Trace_ctx.end_span s_round;
     if record_trace && not last then
       trace :=
-        { Trace.round; honest_sent = honest_out; adv_sent = adv_out; func_sent = func_out }
+        { Trace.round; honest_sent = Outbox.to_list out; adv_sent = adv_out; func_sent = func_out }
         :: !trace
   done;
+  view_round := -1;
   if tracing then begin
     pending := [];
     Sb_obs.Trace_ctx.end_span s_session
@@ -426,6 +370,8 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     end;
     Mutex.unlock wall_lock
   end;
+  if Option.is_some lent && Array.for_all (fun (b : Envelope.Buf.t) -> Array.length b.envs <= 1 lsl 16) st
+  then Domain.DLS.set spare (Some storage);
   let trace = List.rev !trace in
   if Sb_obs.Sink.attached () > 0 then
     Sb_obs.Event.emit "network.run"
@@ -442,7 +388,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
                (Trace.per_round_counts trace)) );
       ];
   {
-    outputs = List.map (fun (id, party) -> (id, party.Party.output ())) parties;
+    outputs = Array.to_list (Array.map (fun (id, party) -> (id, party.Party.output ())) parties);
     adv_output = strategy.Adversary.adv_output ();
     corrupted;
     rounds_used = total_rounds;

@@ -1,23 +1,21 @@
 (** The partially synchronous network of §3.1, executable.
 
-    Delivery is route-indexed: each round's queue lives in a {!Router}
-    whose per-recipient mailboxes preserve enqueue order, so inboxes
-    are read in linear time instead of re-filtering a flat list per
-    party, while staying byte-identical to the flat-list semantics
-    (Router's ordering invariant; pinned by test/test_router.ml).
-    Wire-size accounting rides on the same loop: with metrics enabled,
-    [sim.bytes.broadcast] and [sim.bytes.p2p] accumulate
+    Delivery is route-indexed ({!Router}): inboxes are mailbox slices,
+    byte-identical to re-filtering the flat queue per party. With
+    metrics on, [sim.bytes.broadcast] and [sim.bytes.p2p] accumulate
     {!Envelope.wire_size} over party-sourced traffic.
 
     Each round proceeds in a fixed order that encodes the model
     (deliver -> collect -> rush -> intercept -> route):
 
     + honest parties step on the envelopes delivered this round and
-      produce their outgoing envelopes;
+      append their outgoing envelopes to the run's {!Outbox} ({!Party}
+      states the step contract);
     + the adversary observes (a) everything just delivered to corrupted
       parties and (b) the honest parties' outgoing traffic of this very
       round — rushing — except functionality-bound envelopes, which
-      travel on the ideal channel;
+      travel on the ideal channel; both lists are built only if the
+      adversary forces them ({!Adversary.view});
     + the adversary emits the corrupted parties' envelopes; anything
       with a non-corrupted source is dropped (authenticated channels);
     + the functionality consumes all Func-addressed envelopes of the
@@ -92,7 +90,8 @@ val run :
     [reuse_envelopes] (default [false]): when [true] and [ctx] carries
     an arena pool ({!Ctx.make} [?pool]), the run flips the arena once
     per round so envelope records allocated two rounds ago are
-    recycled. Requires [record_trace:false] and no [faults]
+    recycled, and keeps its mailboxes and outbox in the arena
+    ({!Envelope.Arena.stash}). Requires [record_trace:false] and no [faults]
     (Invalid_argument otherwise): both retain envelopes past the
     one-round grace window. Adversaries that stash delivered envelopes
     across rounds must not be combined with this flag. Outputs are

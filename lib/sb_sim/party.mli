@@ -1,18 +1,22 @@
 (** An honest party is a stateful step machine.
 
     The network calls [step] once per round with the envelopes delivered
-    this round (sent in the previous round) and sends out whatever the
-    party returns. After the final round's [step] (whose return value is
-    discarded — there is no round left to deliver it in), [output] is
-    read once.
+    this round (sent in the previous round); the step appends what it
+    sends to [out]. The final round's sends are discarded; then
+    [output] is read once. Parties are closures over mutable state;
+    constructors live with each protocol.
 
-    Parties are ordinary closures over mutable state; constructors live
-    with each protocol. *)
+    {b Step contract.} The network owns both arguments and reuses their
+    storage every round: the [inbox] slice is valid only during the
+    call, so do not retain it (keep envelopes or bodies instead); [out]
+    is shared with the other parties' steps, so only append to it. *)
 
-type t = {
-  step : round:int -> inbox:Envelope.t list -> Envelope.t list;
-  output : unit -> Msg.t;
-}
+type step = round:int -> inbox:Inbox.t -> out:Outbox.t -> unit
+type t = { step : step; output : unit -> Msg.t }
 
 val silent : output:Msg.t -> t
 (** A party that never sends and outputs a constant; useful in tests. *)
+
+val of_list_step : (round:int -> inbox:Envelope.t list -> Envelope.t list) -> step
+(** Adapt a step written against lists (inbox in, sends out) to the
+    contract above; for pinned reference copies, not hot paths. *)

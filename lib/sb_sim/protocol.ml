@@ -4,5 +4,3 @@ type t = {
   make_functionality : (Ctx.t -> rng:Sb_util.Rng.t -> Functionality.t) option;
   make_party : Ctx.t -> rng:Sb_util.Rng.t -> id:int -> input:Msg.t -> Party.t;
 }
-
-let with_name name p = { p with name }

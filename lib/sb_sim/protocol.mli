@@ -14,5 +14,3 @@ type t = {
   make_functionality : (Ctx.t -> rng:Sb_util.Rng.t -> Functionality.t) option;
   make_party : Ctx.t -> rng:Sb_util.Rng.t -> id:int -> input:Msg.t -> Party.t;
 }
-
-val with_name : string -> t -> t

@@ -1,144 +1,57 @@
-(* Growable (seq, envelope) buffer. Two parallel arrays rather than an
-   array of records: pushing a direct envelope then costs no
-   allocation once capacity is reached, and the merge loops touch only
-   the int array until they emit. *)
-type buf = {
-  mutable seqs : int array;
-  mutable envs : Envelope.t array;
-  mutable len : int;
-}
+module Buf = Envelope.Buf
 
-let dummy = Envelope.make ~src:0 ~dst:0 Msg.Unit
-
-let buf_create () = { seqs = [||]; envs = [||]; len = 0 }
-
-let buf_create_cap cap =
-  if cap = 0 then buf_create ()
-  else { seqs = Array.make cap 0; envs = Array.make cap dummy; len = 0 }
-
-let buf_push b seq env =
-  let cap = Array.length b.seqs in
-  if b.len = cap then begin
-    let cap' = max 8 (2 * cap) in
-    let seqs' = Array.make cap' 0 and envs' = Array.make cap' dummy in
-    Array.blit b.seqs 0 seqs' 0 b.len;
-    Array.blit b.envs 0 envs' 0 b.len;
-    b.seqs <- seqs';
-    b.envs <- envs'
-  end;
-  b.seqs.(b.len) <- seq;
-  b.envs.(b.len) <- env;
-  b.len <- b.len + 1
-
-let buf_clear b = b.len <- 0
-
-(* [bcast_list] memoizes the broadcast buffer as a list. Broadcast-
-   channel protocols leave most direct buffers empty, so every party's
-   inbox for a round is the *same* immutable list — build it once and
-   share the spine instead of re-materialising it per party. *)
-type t = {
-  direct : buf array;
-  bcast : buf;
-  mutable next_seq : int;
-  mutable bcast_list : Envelope.t list option;
-}
-
-let create ?(cap = 0) n =
-  {
-    direct = Array.init n (fun _ -> buf_create_cap cap);
-    bcast = buf_create_cap cap;
-    next_seq = 0;
-    bcast_list = None;
-  }
+(* One mailbox per party; a broadcast is pushed into every mailbox, so
+   an inbox is always its mailbox, sliced in place. [view] is the one
+   slice [inbox] hands out. *)
+type t = { boxes : Buf.t array; view : Inbox.t; mutable next_seq : int }
 
 let clear t =
-  Array.iter buf_clear t.direct;
-  buf_clear t.bcast;
-  t.next_seq <- 0;
-  t.bcast_list <- None
+  Array.iter Buf.clear t.boxes;
+  t.next_seq <- 0
+
+let create ?stash n =
+  let boxes =
+    match stash with Some s -> Array.sub s 0 n | None -> Array.init n (fun _ -> Buf.create ())
+  in
+  let t = { boxes; view = Inbox.create (); next_seq = 0 } in
+  clear t;
+  t
 
 let route t (e : Envelope.t) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   match e.Envelope.dst with
-  | Envelope.Party i -> buf_push t.direct.(i) seq e
-  | Envelope.All ->
-      t.bcast_list <- None;
-      buf_push t.bcast seq e
+  | Envelope.Party i -> Buf.push t.boxes.(i) seq e
+  | Envelope.All -> Array.iter (fun b -> Buf.push b seq e) t.boxes
   | Envelope.Func -> invalid_arg "Router.route: functionality-bound envelope"
 
-let route_all t envs = List.iter (route t) envs
-
-let bcast_as_list t =
-  match t.bcast_list with
-  | Some l -> l
-  | None ->
-      let b = t.bcast in
-      let rec build bi acc = if bi < 0 then acc else build (bi - 1) (b.envs.(bi) :: acc) in
-      let l = build (b.len - 1) [] in
-      t.bcast_list <- Some l;
-      l
-
-(* Backward two-way merge by sequence stamp: build the list largest
-   stamp first, so no List.rev. Stamps are globally unique, so strict
-   comparison is enough. When the direct buffer is empty the merge
-   degenerates to the shared broadcast list. *)
 let inbox t i =
-  let d = t.direct.(i) and b = t.bcast in
-  if d.len = 0 then bcast_as_list t
-  else
-    let rec go di bi acc =
-      if di < 0 then
-        let rec rest bi acc = if bi < 0 then acc else rest (bi - 1) (b.envs.(bi) :: acc) in
-        rest bi acc
-      else if bi < 0 then
-        let rec rest di acc = if di < 0 then acc else rest (di - 1) (d.envs.(di) :: acc) in
-        rest di acc
-      else if d.seqs.(di) > b.seqs.(bi) then go (di - 1) bi (d.envs.(di) :: acc)
-      else go di (bi - 1) (b.envs.(bi) :: acc)
-    in
-    go (d.len - 1) (b.len - 1) []
+  let b = t.boxes.(i) in
+  Inbox.set t.view b.envs ~off:0 ~len:b.len;
+  t.view
 
-(* K-way merge over a set of buffers, again largest-stamp-first. Each
-   direct envelope lives in exactly one mailbox, so no deduplication is
-   needed. The cursor count is small (the corrupted set, or n + 1 for
-   [to_list]) and a linear max-scan keeps the code free of a heap. *)
-let merge_bufs bufs =
-  let k = Array.length bufs in
-  let pos = Array.map (fun b -> b.len - 1) bufs in
-  let rec next acc =
+(* K-way merge by stamp, largest first so the list needs no reversal;
+   a broadcast sits in every mailbox under one stamp and is taken once.
+   A linear max-scan over the few cursors keeps the code free of a
+   heap. *)
+let merge (bufs : Buf.t array) =
+  let pos = Array.map (fun (b : Buf.t) -> b.len - 1) bufs in
+  let rec next acc last =
     let best = ref (-1) in
-    for j = 0 to k - 1 do
-      if pos.(j) >= 0 && (!best < 0 || bufs.(j).seqs.(pos.(j)) > bufs.(!best).seqs.(pos.(!best)))
-      then best := j
+    for j = 0 to Array.length pos - 1 do
+      let p = pos.(j) in
+      if p >= 0 && (!best < 0 || bufs.(j).seqs.(p) > bufs.(!best).seqs.(pos.(!best))) then best := j
     done;
     if !best < 0 then acc
     else begin
-      let j = !best in
-      let e = bufs.(j).envs.(pos.(j)) in
-      pos.(j) <- pos.(j) - 1;
-      next (e :: acc)
+      let b = bufs.(!best) and p = pos.(!best) in
+      pos.(!best) <- p - 1;
+      if b.seqs.(p) = last then next acc last else next (b.envs.(p) :: acc) b.seqs.(p)
     end
   in
-  next []
+  next [] (-1)
 
-let delivered_to_any t ids =
-  match ids with
-  | [] -> []
-  | [ i ] -> inbox t i
-  | ids ->
-      if List.for_all (fun i -> t.direct.(i).len = 0) ids then bcast_as_list t
-      else merge_bufs (Array.of_list (t.bcast :: List.map (fun i -> t.direct.(i)) ids))
-
-let to_list t = merge_bufs (Array.append [| t.bcast |] t.direct)
-
-let length t = Array.fold_left (fun acc b -> acc + b.len) t.bcast.len t.direct
-
-(* Delivery count including broadcast fan-out: what the flat-queue
-   reconstruction [to_list]/[inbox] would sum to across all parties —
-   without materialising any list. O(n) in the party count. *)
-let total t =
-  Array.fold_left
-    (fun acc b -> acc + b.len)
-    (t.bcast.len * Array.length t.direct)
-    t.direct
+let delivered_to_any t ids = merge (Array.of_list (List.map (fun i -> t.boxes.(i)) ids))
+let to_list t = merge t.boxes
+let length t = t.next_seq
+let total t = Array.fold_left (fun acc (b : Buf.t) -> acc + b.len) 0 t.boxes

@@ -4,31 +4,25 @@
     list per party ([List.filter (delivered_to id)]), which costs
     O(parties x envelopes) per round — cubic in n for the
     O(n^2)-message broadcast substrates. A router instead dispatches
-    each envelope once at enqueue time into per-recipient mailboxes;
-    broadcast envelopes are stored once in a shared buffer and fanned
-    out at read time. Reading an inbox is then linear in its size.
+    each envelope once, at enqueue time, into the mailbox of every
+    party it reaches; reading an inbox is then a slice of one mailbox.
 
     {b Ordering invariant.} Every routed envelope is stamped with a
-    global sequence number in enqueue order, and every read-side
-    operation merges its buffers by that stamp. Consequently
-    [inbox t i] is exactly
+    global sequence number in enqueue order, so each mailbox is in
+    enqueue order and [Inbox.to_list (inbox t i)] is exactly
     [List.filter (fun e -> Envelope.delivered_to e i) queue] for the
-    flat [queue] in enqueue order — envelope for envelope, in the same
-    order — which is what keeps the refactored engine byte-identical
-    to the seed list-filter delivery. The differential tests in
-    [test/test_router.ml] pin this equivalence.
+    flat [queue] — envelope for envelope, in the same order — which
+    keeps the engine byte-identical to the seed list-filter delivery.
+    [test/test_router.ml] pins this equivalence.
 
     Routers are single-domain mutable values; the network owns two and
     ping-pongs them between rounds via {!clear}. *)
 
 type t
 
-val create : ?cap:int -> int -> t
-(** [create n] makes an empty router for parties [0 .. n-1].
-    [?cap] preallocates every mailbox (and the broadcast buffer) with
-    that capacity, so a run whose per-round per-recipient volume is
-    known up front never grows a buffer mid-round. Default 0: grow on
-    demand. *)
+val create : ?stash:Envelope.Buf.t array -> int -> t
+(** [create n] makes an empty router for parties [0 .. n-1], storing
+    into the first [n] buffers of [stash] (cleared) when given. *)
 
 val clear : t -> unit
 (** Empty all mailboxes, retaining their capacity (the round loop
@@ -36,17 +30,15 @@ val clear : t -> unit
 
 val route : t -> Envelope.t -> unit
 (** Enqueue one envelope: direct and functionality-sourced traffic
-    goes to the destination party's mailbox, broadcast traffic to the
-    shared broadcast buffer. Raises [Invalid_argument] on a
-    functionality-bound envelope — those are consumed by the
-    functionality before routing, never delivered to a party. *)
+    goes to the destination party's mailbox, broadcast traffic to every
+    mailbox. Raises [Invalid_argument] on a functionality-bound
+    envelope — those are consumed by the functionality before routing,
+    never delivered to a party. *)
 
-val route_all : t -> Envelope.t list -> unit
-(** [route] each envelope in list order. *)
-
-val inbox : t -> int -> Envelope.t list
-(** Everything delivered to party [i], in enqueue order: the merge of
-    [i]'s direct mailbox with the broadcast buffer. *)
+val inbox : t -> int -> Inbox.t
+(** Everything delivered to party [i], in enqueue order: a slice of
+    [i]'s mailbox through the router's one view, valid until the next
+    [inbox], [route] or [clear]. *)
 
 val delivered_to_any : t -> int list -> Envelope.t list
 (** [delivered_to_any t ids] is every envelope delivered to at least
@@ -56,16 +48,14 @@ val delivered_to_any : t -> int list -> Envelope.t list
     in an empty set). *)
 
 val to_list : t -> Envelope.t list
-(** The full routed queue in enqueue order (every direct mailbox plus
-    the broadcast buffer, merged); the flat list the seed engine would
-    have carried. Test and debugging aid. *)
+(** The full routed queue in enqueue order, each envelope once: the
+    flat list the seed engine would have carried. Test and debugging
+    aid. *)
 
 val length : t -> int
 (** Routed envelope count (broadcasts counted once). *)
 
 val total : t -> int
 (** Delivery count including broadcast fan-out: the sum over parties
-    of their {!inbox} lengths, i.e. what reconstructing the flat
-    queue and re-filtering per party would count — computed in O(n)
-    with no list materialised. Feeds the [deliveries] tally of
-    [Network.run ~record_comm]. *)
+    of their {!inbox} lengths, in O(n). Feeds the [deliveries] tally
+    of [Network.run ~record_comm]. *)

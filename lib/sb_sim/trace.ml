@@ -22,7 +22,6 @@ let broadcast_count trace =
     (fun acc r -> acc + List.length (bcasts r.honest_sent) + List.length (bcasts r.adv_sent))
     0 trace
 
-let total_transmissions trace = p2p_message_count trace + broadcast_count trace
 
 let wire_bytes trace =
   let add acc envs =

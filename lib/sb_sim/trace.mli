@@ -21,11 +21,6 @@ val p2p_message_count : t -> int
 val broadcast_count : t -> int
 (** Envelopes sent on the broadcast channel. *)
 
-val total_transmissions : t -> int
-(** p2p + broadcast: the message-complexity figure reported by
-    experiment E8 (one broadcast = one channel use, as in the model
-    the protocols are written for). *)
-
 val wire_bytes : t -> int * int
 (** [(broadcast, p2p)] wire bytes of party-sourced traffic
     ({!Envelope.wire_size} summed; functionality channel excluded,

@@ -509,6 +509,21 @@ let test_profile_runs () =
   Alcotest.(check bool) "prints flame paths" true (contains printed "/round/");
   Sys.remove out
 
+(* An experiment's exit status follows its paper-shape check: E6 holds
+   (exit 0, "OK"), while E5 at seed 2 deterministically reports
+   MISMATCH, and that must fail the command (exit 1) rather than pass
+   silently. *)
+let test_experiment_mismatch_exits_1 () =
+  let ok = temp ".e6.out" and bad = temp ".e5s2.out" in
+  Alcotest.(check int) "passing e6 exits 0" 0 (command ~out:ok [ "experiment"; "e6"; "--quick" ]);
+  Alcotest.(check bool) "e6 prints OK" true
+    (contains (read_file ok) "E6: paper-shape check OK");
+  Alcotest.(check int) "MISMATCH exits 1" 1
+    (command ~out:bad [ "experiment"; "e5"; "--quick"; "--seed"; "2"; "--jobs"; "2" ]);
+  Alcotest.(check bool) "e5 --seed 2 prints MISMATCH" true
+    (contains (read_file bad) "E5: paper-shape check MISMATCH");
+  List.iter Sys.remove [ ok; bad ]
+
 let () =
   (if Array.length Sys.argv < 2 then (
      prerr_endline "usage: test_cli SIMBCAST_BINARY";
@@ -528,6 +543,8 @@ let () =
             test_trace_keeps_reports_identical;
           Alcotest.test_case "perf-diff exit codes" `Quick test_perf_diff_exit_codes;
           Alcotest.test_case "experiment --seed" `Quick test_experiment_seed;
+          Alcotest.test_case "experiment MISMATCH exits 1" `Quick
+            test_experiment_mismatch_exits_1;
           Alcotest.test_case "experiment --n-max validation" `Quick
             test_experiment_n_max_validation;
           Alcotest.test_case "e17 quick report validates" `Quick

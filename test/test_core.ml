@@ -25,14 +25,14 @@ let synthetic ~name f =
     make_party =
       (fun ctx ~rng:_ ~id ~input ->
         let heard = Array.make ctx.Ctx.n false in
-        let step ~round ~inbox =
-          List.iter
+        let step ~round ~inbox ~out =
+          Inbox.iter
             (fun (e : Envelope.t) ->
               match (Envelope.src_party e, e.Envelope.body) with
               | Some src, Msg.Tag ("syn", Msg.Bit b) -> heard.(src) <- b
               | _ -> ())
             inbox;
-          if round = 0 then [ Envelope.broadcast ~src:id (Msg.Tag ("syn", input)) ] else []
+          if round = 0 then Outbox.push out (Envelope.broadcast ~src:id (Msg.Tag ("syn", input)))
         in
         let output () =
           (* Derive a shared coin from the CRS so all parties agree. *)
@@ -401,6 +401,105 @@ let test_negating_echo () =
         (Sb_util.Bitvec.get r.Core.Announced.w 4))
     [ "00000"; "10000"; "11111" ]
 
+(* The adversary's lazy view against the eager lists it replaced: a spy
+   forces [delivered] and [rushed] every round and the trace rebuilds
+   both — rushed = the round's honest sends minus functionality-bound
+   ones, delivered = last round's routed traffic (party sends, then
+   functionality replies) that reaches a corrupted party. Every
+   adversary in [Core.Adversaries], 3 seeds each; forcing the view
+   changes no output. *)
+let test_lazy_view_matches_eager () =
+  let module A = Core.Adversaries in
+  let p = Sb_protocols.Gennaro.protocol and co = Sb_protocols.Commit_open.protocol in
+  let cases =
+    [
+      ("passive", Sb_protocols.Naive.concurrent, A.passive);
+      ("semi-honest", p, A.semi_honest p ~corrupt:[ 3; 4 ]);
+      ("substitute-constant", co, A.substitute_constant co ~corrupt:[ 4 ] ~value:true);
+      ("substitute-random", Sb_protocols.Cgma.protocol,
+        A.substitute_random Sb_protocols.Cgma.protocol ~corrupt:[ 1 ]);
+      ("a-star", Sb_protocols.Pi_g.protocol, A.a_star ~corrupt:(3, 4));
+      ("echo", Sb_protocols.Naive.sequential, A.echo ~mode:`Sequential ~copier:4 ~target:0 ());
+      ("echo-concurrent", Sb_protocols.Naive.concurrent,
+        A.echo ~mode:`Concurrent ~copier:1 ~target:3 ~negate:true ());
+      ("reveal-withhold", co,
+        A.reveal_withhold co ~corrupt:[ 4 ] ~reveal_round:(fun _ -> 1)
+          ~reveal_tag_prefix:"co-open" ~honest_probe:A.probe_commit_open_parity);
+      ("reveal-withhold-vss", p,
+        A.reveal_withhold p ~corrupt:[ 3; 4 ]
+          ~reveal_round:(fun _ -> Sb_protocols.Gennaro.reveal_round)
+          ~reveal_tag_prefix:"vss:" ~honest_probe:(A.probe_vss_secret ~dealer:0));
+      ("copycat", p, A.copycat_dealer ~copier:4 ~target:0);
+      ("silent", Sb_broadcast.Parallel.concurrent Sb_broadcast.Bracha.scheme, A.silent ~corrupt:[ 2 ]);
+    ]
+  in
+  let show l = List.map (Format.asprintf "%a" Envelope.pp) l in
+  let spy log (adv : Adversary.t) =
+    {
+      adv with
+      Adversary.init =
+        (fun ctx ~rng ~corrupted ~inputs ~aux ->
+          let s = adv.Adversary.init ctx ~rng ~corrupted ~inputs ~aux in
+          {
+            s with
+            Adversary.act =
+              (fun view ->
+                log :=
+                  ( view.Adversary.round,
+                    Lazy.force view.Adversary.delivered,
+                    Lazy.force view.Adversary.rushed )
+                  :: !log;
+                s.Adversary.act view);
+          });
+    }
+  in
+  let seen = ref 0 in
+  List.iter
+    (fun (name, protocol, adversary) ->
+      for seed = 1 to 3 do
+        let what = Printf.sprintf "%s seed %d" name seed in
+        let run adversary =
+          let ctx = Ctx.make ~rng:(Sb_util.Rng.create (600 + seed)) ~n:5 ~thresh:2 ~k:8 () in
+          let inputs = Array.init 5 (fun i -> Msg.Bit ((seed lsr (i mod 3)) land 1 = 1)) in
+          Network.run ctx ~rng:(Sb_util.Rng.create (700 + seed)) ~protocol ~adversary ~inputs ()
+        in
+        let log = ref [] in
+        let plain = run adversary and spied = run (spy log adversary) in
+        let outputs (r : Network.result) =
+          (Msg.serialize r.Network.adv_output, List.map (fun (i, m) -> (i, Msg.serialize m)) r.Network.outputs)
+        in
+        Alcotest.(check (pair string (list (pair int string))))
+          (what ^ ": forcing the view changes nothing") (outputs plain) (outputs spied);
+        let trace = Array.of_list spied.Network.trace in
+        let reaches_corrupt e = List.exists (Envelope.delivered_to e) spied.Network.corrupted in
+        List.iter
+          (fun (round, delivered, rushed) ->
+            let routed =
+              if round = 0 then []
+              else
+                let r = trace.(round - 1) in
+                List.filter
+                  (fun e -> not (Envelope.is_func_bound e))
+                  (r.Trace.honest_sent @ r.Trace.adv_sent)
+                @ r.Trace.func_sent
+            in
+            let honest =
+              if round < Array.length trace then trace.(round).Trace.honest_sent
+              else (* the final, untraced round: nothing is compared *) rushed
+            in
+            seen := !seen + List.length delivered + List.length rushed;
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s round %d: delivered" what round)
+              (show (List.filter reaches_corrupt routed)) (show delivered);
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s round %d: rushed" what round)
+              (show (List.filter (fun e -> not (Envelope.is_func_bound e)) honest))
+              (show rushed))
+          !log
+      done)
+    cases;
+  Alcotest.(check bool) (Printf.sprintf "compared %d envelopes" !seen) true (!seen > 1000)
+
 let () =
   Alcotest.run "core"
     [
@@ -454,5 +553,6 @@ let () =
           Alcotest.test_case "echo order assert" `Quick test_echo_requires_order;
           Alcotest.test_case "substitute constant" `Quick test_substitute_constant;
           Alcotest.test_case "negating echo" `Quick test_negating_echo;
+          Alcotest.test_case "lazy view = eager lists" `Quick test_lazy_view_matches_eager;
         ] );
     ]

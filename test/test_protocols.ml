@@ -570,9 +570,9 @@ let test_wire_iter_from_parties () =
   in
   let visits tag =
     let seen = ref [] in
-    Envelope.iter_from_parties ~tag
+    Inbox.iter_from_parties ~tag
       (fun src m -> seen := (src, Msg.to_int_exn m) :: !seen)
-      inbox;
+      (Inbox.of_list inbox);
     List.rev !seen
   in
   let pairs = Alcotest.(list (pair int int)) in
@@ -593,17 +593,21 @@ let honest_vss_sharing () =
         Sb_protocols.Vss_session.create ctx ~rng:(Sb_util.Rng.split rng) ~dealer:0 ~me
           ~secret:(if me = 0 then Some secret else None))
   in
-  let sent = ref [] in
+  let sent = ref [] and out = Outbox.create () in
   for round = 0 to Sb_protocols.Vss_session.local_rounds do
-    let out =
-      List.concat
-        (List.init n (fun me ->
-             let inbox = List.filter (fun e -> Envelope.delivered_to e me) !sent in
-             Sb_protocols.Vss_session.step sessions.(me) ~round ~inbox))
-    in
-    sent := out
+    for me = 0 to n - 1 do
+      let inbox = List.filter (fun e -> Envelope.delivered_to e me) !sent in
+      Sb_protocols.Vss_session.step sessions.(me) ~round ~inbox:(Inbox.of_list inbox) ~out
+    done;
+    sent := Outbox.drain out
   done;
-  let reveals = Array.map (fun s -> List.hd (Sb_protocols.Vss_session.reveal_msgs s)) sessions in
+  let reveals =
+    Array.map
+      (fun s ->
+        Sb_protocols.Vss_session.reveal_msgs s ~out;
+        List.hd (Outbox.drain out))
+      sessions
+  in
   (sessions.(1), secret, reveals)
 
 let test_collect_reveals () =
@@ -611,7 +615,7 @@ let test_collect_reveals () =
   let check what expected inbox =
     (* A fresh sharing per case: reveals accumulate across calls. *)
     let session, secret, _ = honest_vss_sharing () in
-    Sb_protocols.Vss_session.collect_reveals session inbox;
+    Sb_protocols.Vss_session.collect_reveals session (Inbox.of_list inbox);
     Alcotest.(check (option fe)) what
       (if expected then Some secret else None)
       (Sb_protocols.Vss_session.secret session)

@@ -30,6 +30,16 @@ let envs_testable = Alcotest.testable pp_envs env_list_equal
 
 (* --- Router unit tests -------------------------------------------- *)
 
+let to_all ~n ~src body = List.init n (fun dst -> Envelope.make ~src ~dst body)
+
+let to_others ~n ~src body =
+  List.filter (fun (e : Envelope.t) -> not (Envelope.delivered_to e src)) (to_all ~n ~src body)
+
+(* The oracle every inbox read must equal: the flat queue filtered to
+   what reaches party [i], in enqueue order. *)
+let filtered queue i = List.filter (fun e -> Envelope.delivered_to e i) queue
+let inbox r i = Inbox.to_list (Router.inbox r i)
+
 (* A mixed queue touching every addressing mode the router accepts:
    direct, broadcast, self-sends, functionality replies. *)
 let mixed_queue n =
@@ -37,11 +47,11 @@ let mixed_queue n =
     [
       [ Envelope.make ~src:0 ~dst:1 (Msg.Str "a") ];
       [ Envelope.broadcast ~src:1 (Msg.Int 1) ];
-      Envelope.to_all ~n ~src:2 (Msg.Str "fan");
+      to_all ~n ~src:2 (Msg.Str "fan");
       [ Envelope.make ~src:3 ~dst:3 (Msg.Bit true) ];
       [ Envelope.from_func ~dst:0 (Msg.Str "reply") ];
       [ Envelope.broadcast ~src:0 (Msg.Int 2) ];
-      Envelope.to_others ~n ~src:1 (Msg.Str "rest");
+      to_others ~n ~src:1 (Msg.Str "rest");
     ]
 
 let test_router_inbox_matches_filter () =
@@ -50,13 +60,51 @@ let test_router_inbox_matches_filter () =
   let r = Router.create n in
   List.iter (Router.route r) queue;
   for i = 0 to n - 1 do
-    Alcotest.check envs_testable
-      (Printf.sprintf "inbox %d" i)
-      (List.filter (fun e -> Envelope.delivered_to e i) queue)
-      (Router.inbox r i)
+    Alcotest.check envs_testable (Printf.sprintf "inbox %d" i) (filtered queue i) (inbox r i)
   done;
   Alcotest.check envs_testable "to_list is the queue" queue (Router.to_list r);
   Alcotest.(check int) "length" (List.length queue) (Router.length r)
+
+(* Random mixes of direct, broadcast and functionality-sourced traffic,
+   on routers built fresh and on one reused across queues from a
+   stash: every inbox slice is the filtered queue, envelope for
+   envelope (physically the same records), and reading one party's
+   inbox never disturbs another's. *)
+let test_router_inbox_random_mixes () =
+  let rng = Sb_util.Rng.create 9090 in
+  List.iter
+    (fun n ->
+      let stash = Array.init (n + 2) (fun _ -> Envelope.Buf.create ()) in
+      let reused = Router.create ~stash n in
+      for _ = 1 to 40 do
+        let queue =
+          List.init (Sb_util.Rng.int rng 60) (fun k ->
+              let src = Sb_util.Rng.int rng n and dst = Sb_util.Rng.int rng n in
+              match Sb_util.Rng.int rng 3 with
+              | 0 -> Envelope.make ~src ~dst (Msg.Int k)
+              | 1 -> Envelope.broadcast ~src (Msg.Int k)
+              | _ -> Envelope.from_func ~dst (Msg.Int k))
+        in
+        Router.clear reused;
+        List.iter
+          (fun r ->
+            List.iter (Router.route r) queue;
+            for i = 0 to n - 1 do
+              let got = inbox r i in
+              Alcotest.(check int)
+                (Printf.sprintf "n=%d inbox %d length" n i)
+                (List.length (filtered queue i)) (List.length got);
+              List.iter2
+                (fun a b ->
+                  Alcotest.(check bool) (Printf.sprintf "n=%d inbox %d: same envelope" n i) true
+                    (a == b))
+                (filtered queue i) got
+            done;
+            Alcotest.(check int) "total" (List.length (List.concat_map (filtered queue) (List.init n Fun.id)))
+              (Router.total r))
+          [ Router.create n; reused ]
+      done)
+    [ 1; 2; 5; 9 ]
 
 let test_router_delivered_to_any () =
   let n = 4 in
@@ -83,14 +131,12 @@ let test_router_rejects_func_bound () =
 let test_router_clear_and_reuse () =
   let n = 3 in
   let r = Router.create n in
-  List.iter (Router.route r) (Envelope.to_all ~n ~src:0 Msg.Unit);
+  List.iter (Router.route r) (to_all ~n ~src:0 Msg.Unit);
   Router.clear r;
   Alcotest.(check int) "empty after clear" 0 (Router.length r);
   let queue = [ Envelope.broadcast ~src:2 (Msg.Str "x"); Envelope.make ~src:1 ~dst:0 Msg.Unit ] in
-  Router.route_all r queue;
-  Alcotest.check envs_testable "reused inbox 0"
-    (List.filter (fun e -> Envelope.delivered_to e 0) queue)
-    (Router.inbox r 0)
+  List.iter (Router.route r) queue;
+  Alcotest.check envs_testable "reused inbox 0" (filtered queue 0) (inbox r 0)
 
 let test_router_total () =
   (* [total] counts deliveries — broadcasts once per party — so it must
@@ -101,7 +147,7 @@ let test_router_total () =
   List.iter (Router.route r) queue;
   let by_inbox = ref 0 in
   for i = 0 to n - 1 do
-    by_inbox := !by_inbox + List.length (Router.inbox r i)
+    by_inbox := !by_inbox + Inbox.length (Router.inbox r i)
   done;
   Alcotest.(check int) "total" !by_inbox (Router.total r);
   Router.clear r;
@@ -119,9 +165,9 @@ let recording tbl (p : Protocol.t) =
         let inner = p.Protocol.make_party ctx ~rng ~id ~input in
         {
           Party.step =
-            (fun ~round ~inbox ->
-              Hashtbl.replace tbl (round, id) inbox;
-              inner.Party.step ~round ~inbox);
+            (fun ~round ~inbox ~out ->
+              Hashtbl.replace tbl (round, id) (Inbox.to_list inbox);
+              inner.Party.step ~round ~inbox ~out);
           output = inner.Party.output;
         });
   }
@@ -228,6 +274,8 @@ let () =
       ( "router",
         [
           Alcotest.test_case "inbox = filtered queue" `Quick test_router_inbox_matches_filter;
+          Alcotest.test_case "inbox slices = filtered random mixes" `Quick
+            test_router_inbox_random_mixes;
           Alcotest.test_case "delivered_to_any" `Quick test_router_delivered_to_any;
           Alcotest.test_case "rejects func-bound" `Quick test_router_rejects_func_bound;
           Alcotest.test_case "clear and reuse" `Quick test_router_clear_and_reuse;

@@ -3,6 +3,20 @@
 
 open Sb_sim
 
+(* The list-building send-all the test parties and adversaries below
+   are written against. *)
+module Envelope = struct
+  include Envelope
+
+  let to_all ~n ~src body = List.init n (fun dst -> make ~src ~dst body)
+end
+
+(* [Outbox.to_all] on an arena, as a list. *)
+let arena_to_all a ~n ~src body =
+  let out = Outbox.create ~pool:a () in
+  Outbox.to_all out ~n ~src body;
+  Outbox.to_list out
+
 let rng () = Sb_util.Rng.create 777
 
 let make_ctx ?(n = 4) ?(thresh = 1) ?(k = 8) () =
@@ -258,9 +272,13 @@ let test_envelope_addressing () =
   Alcotest.(check bool) "not func" false (Envelope.is_func_bound e);
   let f = Envelope.to_func ~src:0 Msg.Unit in
   Alcotest.(check bool) "func bound" true (Envelope.is_func_bound f);
-  Alcotest.(check int) "to_all count" 4 (List.length (Envelope.to_all ~n:4 ~src:0 Msg.Unit));
-  Alcotest.(check int) "to_others count" 3
-    (List.length (Envelope.to_others ~n:4 ~src:0 Msg.Unit))
+  let out = Outbox.create () in
+  Outbox.to_all out ~n:4 ~src:0 Msg.Unit;
+  Alcotest.(check int) "to_all count" 4 (Outbox.length out);
+  Alcotest.(check (list (option int))) "to_all addresses every party in order"
+    [ Some 0; Some 1; Some 2; Some 3 ]
+    (List.map Envelope.dst_party (Outbox.drain out));
+  Alcotest.(check int) "drained" 0 (Outbox.length out)
 
 let test_envelope_wire_size () =
   (* Header: "P<id>" per party endpoint, one char for F/All; body:
@@ -283,9 +301,9 @@ let test_arena_generations () =
      rewritten. *)
   let a = Envelope.Arena.create () in
   Alcotest.(check int) "fresh arena" 0 (Envelope.Arena.flips a);
-  let batch0 = Envelope.Arena.to_all a ~n:4 ~src:0 (Msg.Str "g0") in
+  let batch0 = arena_to_all a ~n:4 ~src:0 (Msg.Str "g0") in
   Envelope.Arena.flip a;
-  let batch1 = Envelope.Arena.to_all a ~n:4 ~src:1 (Msg.Str "g1") in
+  let batch1 = arena_to_all a ~n:4 ~src:1 (Msg.Str "g1") in
   List.iter
     (fun e1 ->
       Alcotest.(check bool) "one flip apart: no aliasing with live batch" false
@@ -293,7 +311,7 @@ let test_arena_generations () =
     batch1;
   Envelope.Arena.flip a;
   Alcotest.(check int) "two flips" 2 (Envelope.Arena.flips a);
-  let batch2 = Envelope.Arena.to_all a ~n:4 ~src:2 (Msg.Str "g2") in
+  let batch2 = arena_to_all a ~n:4 ~src:2 (Msg.Str "g2") in
   List.iteri
     (fun i e2 ->
       Alcotest.(check bool) "two flips apart: same records recycled in order" true
@@ -323,7 +341,7 @@ let test_arena_generations () =
   (* Growing from n = 4 to n = 600 keeps the endpoints already handed
      out and addresses every new party correctly. *)
   let p2 = (List.nth batch0 2).Envelope.dst in
-  let wide = Envelope.Arena.to_all a ~n:600 ~src:599 (Msg.Str "wide") in
+  let wide = arena_to_all a ~n:600 ~src:599 (Msg.Str "wide") in
   Alcotest.(check int) "600 envelopes" 600 (List.length wide);
   List.iteri
     (fun i e ->
@@ -433,7 +451,7 @@ let relay_protocol =
           | None -> ());
           if round = 0 && id = 0 then Envelope.to_all ~n:ctx.Ctx.n ~src:0 input else []
         in
-        { Party.step; output = (fun () -> !got) });
+        { Party.step = Party.of_list_step step; output = (fun () -> !got) });
   }
 
 let test_network_delivers_next_round () =
@@ -459,7 +477,7 @@ let test_network_rushing_visibility () =
           {
             Adversary.act =
               (fun view ->
-                if view.Adversary.round = 0 then seen := view.Adversary.rushed;
+                if view.Adversary.round = 0 then seen := (Lazy.force view.Adversary.rushed);
                 []);
             adv_output = (fun () -> Msg.Unit);
           });
@@ -498,6 +516,38 @@ let test_network_drops_spoofed () =
   List.iter
     (fun (_, out) -> Alcotest.(check bool) "real value survives" true (Msg.equal out (Msg.Int 1)))
     r.Network.outputs
+
+(* Authenticated channels hold for honest parties too: the network
+   checks every outbox append against the party that stepped, so a
+   party that appends under another sender's name — here party 2 as
+   party [as_], after party 0 appended legitimately and party 1 sent
+   nothing — trips the assertion. Appending as itself runs clean. *)
+let test_network_outbox_spoof_asserts () =
+  let protocol ~as_ =
+    {
+      Protocol.name = "outbox-spoof";
+      rounds = (fun _ -> 2);
+      make_functionality = None;
+      make_party =
+        (fun _ ~rng:_ ~id ~input:_ ->
+          let step ~round ~inbox:_ ~out =
+            if round = 1 && id = 0 then Outbox.push out (Envelope.broadcast ~src:0 Msg.Unit);
+            if round = 1 && id = 2 then Outbox.push out (Envelope.make ~src:as_ ~dst:3 Msg.Unit)
+          in
+          { Party.step; output = (fun () -> Msg.Unit) });
+    }
+  in
+  let run ~as_ =
+    Network.honest_run (make_ctx ()) ~rng:(rng ()) ~protocol:(protocol ~as_)
+      ~inputs:(Array.make 4 Msg.Unit)
+  in
+  Alcotest.(check int) "appending as itself is fine" 1 (run ~as_:2).Network.p2p_messages;
+  List.iter
+    (fun as_ ->
+      match run ~as_ with
+      | _ -> Alcotest.failf "a spoofed append as party %d went through" as_
+      | exception Assert_failure _ -> ())
+    [ 1; 3 ]
 
 let test_network_adversary_can_speak_as_corrupted () =
   let ctx = make_ctx () in
@@ -552,7 +602,7 @@ let xor_func_protocol =
             inbox;
           if round = 0 then [ Envelope.to_func ~src:id input ] else []
         in
-        { Party.step; output = (fun () -> !got) });
+        { Party.step = Party.of_list_step step; output = (fun () -> !got) });
   }
 
 let test_functionality_computes () =
@@ -576,7 +626,7 @@ let test_functionality_hidden_from_adversary () =
           {
             Adversary.act =
               (fun view ->
-                if List.exists Envelope.is_func_bound view.Adversary.rushed then leak := true;
+                if List.exists Envelope.is_func_bound (Lazy.force view.Adversary.rushed) then leak := true;
                 []);
             adv_output = (fun () -> Msg.Unit);
           });
@@ -614,7 +664,7 @@ let mixed_protocol ~func =
               (fun e -> func || not (Envelope.is_func_bound e))
               (mixed_out ~n:ctx.Ctx.n id)
         in
-        { Party.step; output = (fun () -> Msg.Unit) });
+        { Party.step = Party.of_list_step step; output = (fun () -> Msg.Unit) });
   }
 
 (* Corrupts party 3; records the round-0 rushed view and answers with
@@ -629,7 +679,7 @@ let recording_adversary ~seen ~speak =
           Adversary.act =
             (fun view ->
               if view.Adversary.round = 0 then begin
-                seen := view.Adversary.rushed;
+                seen := (Lazy.force view.Adversary.rushed);
                 speak
               end
               else []);
@@ -734,7 +784,7 @@ let test_broadcast_channel_semantics () =
               inbox;
             if round = 0 && id = 1 then [ Envelope.broadcast ~src:1 input ] else []
           in
-          { Party.step; output = (fun () -> Msg.List !got) });
+          { Party.step = Party.of_list_step step; output = (fun () -> Msg.List !got) });
     }
   in
   let spoofer =
@@ -834,6 +884,8 @@ let () =
           Alcotest.test_case "delivers next round" `Quick test_network_delivers_next_round;
           Alcotest.test_case "rushing visibility" `Quick test_network_rushing_visibility;
           Alcotest.test_case "drops spoofed" `Quick test_network_drops_spoofed;
+          Alcotest.test_case "spoofed outbox append asserts" `Quick
+            test_network_outbox_spoof_asserts;
           Alcotest.test_case "corrupted may speak" `Quick
             test_network_adversary_can_speak_as_corrupted;
           Alcotest.test_case "rushed keeps honest order" `Quick test_network_rushed_order;
