@@ -17,6 +17,7 @@ let dist_of_name name n =
   match name with
   | "uniform" -> Ok (Sb_dist.Dist.uniform n)
   | "xor-parity" -> Ok (Sb_dist.Dist.xor_parity ~even:true n)
+  | "copy-pair" when n < 2 -> Error (Printf.sprintf "-d copy-pair needs n >= 2 (got %d)" n)
   | "copy-pair" -> Ok (Sb_dist.Dist.copy_pair n)
   | "biased" -> Ok (Sb_dist.Dist.product 0.25 n)
   | "almost-uniform" ->
@@ -28,18 +29,29 @@ let dist_of_name name n =
 
 let adversary_names = [ "passive"; "semi-honest"; "echo"; "a-star"; "withhold"; "silent" ]
 
-let adversary_of_name name (protocol : Sb_sim.Protocol.t) n =
+(* Every named adversary but [passive] corrupts the last one or two
+   parties, which the bound t must allow. *)
+let adversary_of_name name (protocol : Sb_sim.Protocol.t) ~n ~thresh =
+  let corrupting k adversary =
+    if k <= thresh then Ok adversary
+    else
+      Error
+        (Printf.sprintf "-a %s corrupts %d %s, more than t = %d (n = %d)" name k
+           (if k = 1 then "party" else "parties")
+           thresh n)
+  in
   match name with
   | "passive" -> Ok Core.Adversaries.passive
-  | "semi-honest" -> Ok (Core.Adversaries.semi_honest protocol ~corrupt:[ n - 2; n - 1 ])
+  | "semi-honest" ->
+      corrupting 2 (Core.Adversaries.semi_honest protocol ~corrupt:[ n - 2; n - 1 ])
   | "echo" ->
       let mode =
         if String.equal protocol.Sb_sim.Protocol.name "naive-concurrent" then `Concurrent
         else `Sequential
       in
-      Ok (Core.Adversaries.echo ~mode ~copier:(n - 1) ~target:0 ())
-  | "a-star" -> Ok (Core.Adversaries.a_star ~corrupt:(n - 2, n - 1))
-  | "silent" -> Ok (Core.Adversaries.silent ~corrupt:[ n - 1 ])
+      corrupting 1 (Core.Adversaries.echo ~mode ~copier:(n - 1) ~target:0 ())
+  | "a-star" -> corrupting 2 (Core.Adversaries.a_star ~corrupt:(n - 2, n - 1))
+  | "silent" -> corrupting 1 (Core.Adversaries.silent ~corrupt:[ n - 1 ])
   | "withhold" ->
       let reveal_round, prefix, probe =
         if String.equal protocol.Sb_sim.Protocol.name "commit-open" then
@@ -54,7 +66,7 @@ let adversary_of_name name (protocol : Sb_sim.Protocol.t) n =
             "vss:",
             Core.Adversaries.probe_vss_secret ~dealer:0 )
       in
-      Ok
+      corrupting 1
         (Core.Adversaries.reveal_withhold protocol ~corrupt:[ n - 1 ] ~reveal_round
            ~reveal_tag_prefix:prefix ~honest_probe:probe)
   | other ->
@@ -81,9 +93,20 @@ let protocol_of_name name =
                         (("commit-open" :: Sb_protocols.Registry.names)
                         @ List.map fst substrates)))))
 
-let n_arg =
+(* [-n] outside the range a subcommand supports fails in its conv: a
+   usage error naming the flag. Input distributions are tabulated, so
+   a subcommand that draws inputs caps n at [Dist.max_n]. *)
+let n_arg ?(lo = 1) ?(hi = Sb_dist.Dist.max_n) () =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ when hi = max_int ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer in %d..%d, got %S" lo hi s))
+  in
   let doc = "Number of parties." in
-  Arg.(value & opt int 5 & info [ "n"; "parties" ] ~doc)
+  let parties = Arg.conv ~docv:"N" (parse, Format.pp_print_int) in
+  Arg.(value & opt parties 5 & info [ "n"; "parties" ] ~doc)
 
 let thresh_arg =
   let doc = "Corruption bound t (default (n-1)/2)." in
@@ -92,10 +115,6 @@ let thresh_arg =
 let seed_arg =
   let doc = "Master seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
-
-let samples_arg =
-  let doc = "Monte-Carlo sample budget." in
-  Arg.(value & opt int 6000 & info [ "samples" ] ~doc)
 
 let protocol_arg =
   let doc = "Protocol name (see `simbcast list`)." in
@@ -127,6 +146,10 @@ let jobs_arg =
      positive). Results are byte-identical for every value, including 1."
   in
   Arg.(value & opt (some pos_int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
+
+let samples_arg =
+  let doc = "Monte-Carlo sample budget (positive)." in
+  Arg.(value & opt pos_int 6000 & info [ "samples" ] ~doc ~docv:"N")
 
 let setup_jobs = function
   | None -> ()
@@ -323,7 +346,7 @@ let run_cmd =
     with
     | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e -> fail "%s" e
     | Ok protocol, Ok plan, Ok given, Ok thresh -> (
-        match adversary_of_name adversary_name protocol n with
+        match adversary_of_name adversary_name protocol ~n ~thresh with
         | Error e -> fail "%s" e
         | Ok adversary ->
             let rng = Sb_util.Rng.create seed in
@@ -358,9 +381,9 @@ let run_cmd =
     (Cmd.info "run" ~exits ~doc:"Run one protocol execution and print the announced vector")
     Term.(
       ret
-        (const run $ pos_protocol_arg $ protocol_arg $ n_arg $ thresh_arg $ seed_arg
-       $ inputs_arg $ adversary_arg $ faults_arg $ verbose_arg $ metrics_arg $ report_arg
-       $ trace_arg $ jobs_arg))
+        (const run $ pos_protocol_arg $ protocol_arg $ n_arg ~hi:max_int () $ thresh_arg
+       $ seed_arg $ inputs_arg $ adversary_arg $ faults_arg $ verbose_arg $ metrics_arg
+       $ report_arg $ trace_arg $ jobs_arg))
 
 (* --- classify ------------------------------------------------------- *)
 
@@ -395,7 +418,7 @@ let classify_cmd =
   Cmd.v
     (Cmd.info "classify" ~exits
        ~doc:"Classify input distributions into the paper's classes")
-    Term.(ret (const run $ dist_prefix $ n_arg))
+    Term.(ret (const run $ dist_prefix $ n_arg ~lo:3 ()))
 
 (* --- test ----------------------------------------------------------- *)
 
@@ -414,10 +437,11 @@ let test_cmd =
     match protocol_of_name pname with
     | Error e -> fail "%s" e
     | Ok protocol -> (
-        match (adversary_of_name aname protocol n, dist_of_name dname n) with
+        let thresh = (n - 1) / 2 in
+        match (adversary_of_name aname protocol ~n ~thresh, dist_of_name dname n) with
         | Error e, _ | _, Error e -> fail "%s" e
         | Ok adversary, Ok dist -> (
-            let setup = Core.Setup.{ default with n; thresh = (n - 1) / 2; samples; seed } in
+            let setup = Core.Setup.{ default with n; thresh; samples; seed } in
             match tester with
             | "cr" ->
                 let r = Core.Cr_test.run setup ~protocol ~adversary ~dist () in
@@ -477,8 +501,8 @@ let test_cmd =
        ~doc:"Run an independence tester on (protocol, adversary, distribution)")
     Term.(
       ret
-        (const run $ tester_arg $ protocol_arg $ adversary_arg $ dist_arg $ n_arg $ samples_arg
-       $ seed_arg $ metrics_arg $ report_arg $ jobs_arg))
+        (const run $ tester_arg $ protocol_arg $ adversary_arg $ dist_arg $ n_arg ()
+       $ samples_arg $ seed_arg $ metrics_arg $ report_arg $ jobs_arg))
 
 (* --- exact ----------------------------------------------------------- *)
 
@@ -510,6 +534,8 @@ let exact_cmd =
               ~honest:(List.init (n - 1) Fun.id)
               ~corrupted:[ n - 1 ];
             `Ok ()
+        | "pi-g" when n < 2 ->
+            fail "-n %d: the pi-g scenario corrupts two parties, so needs n >= 2" n
         | "pi-g" ->
             let w =
               Core.Exact.push_coin dist (Core.Exact.pi_g_astar_map ~l1:(n - 2) ~l2:(n - 1))
@@ -523,7 +549,7 @@ let exact_cmd =
   Cmd.v
     (Cmd.info "exact" ~exits
        ~doc:"Compute CR/G independence gaps in closed form for analytically known scenarios")
-    Term.(ret (const run $ scenario_arg $ dist_arg $ n_arg))
+    Term.(ret (const run $ scenario_arg $ dist_arg $ n_arg ()))
 
 (* --- experiment ------------------------------------------------------ *)
 
@@ -727,7 +753,7 @@ let fault_sweep_cmd =
           omission, delay, partition); see also experiment e15")
     Term.(
       ret
-        (const run $ sweep_protocol_arg $ n_arg $ thresh_arg $ seed_arg $ samples_arg
+        (const run $ sweep_protocol_arg $ n_arg () $ thresh_arg $ seed_arg $ samples_arg
        $ faults_arg $ drops_arg $ crashes_arg $ metrics_arg $ report_arg $ trace_arg
        $ jobs_arg))
 
@@ -887,7 +913,7 @@ let sessions_cmd =
           report's sessions block; results are byte-identical at every --jobs value")
     Term.(
       ret
-        (const run $ protos_arg $ count_arg $ n_arg $ thresh_arg $ seed_arg $ dist_arg
+        (const run $ protos_arg $ count_arg $ n_arg () $ thresh_arg $ seed_arg $ dist_arg
        $ metrics_arg $ report_arg $ session_log_arg $ jobs_arg))
 
 (* --- workload -------------------------------------------------------- *)

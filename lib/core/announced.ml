@@ -7,6 +7,7 @@ type run = {
   corrupted : int list;
   consistent : bool;
   adv_output : Msg.t;
+  outputs : (int * Msg.t) list;
 }
 
 let to_vector n m =
@@ -15,6 +16,12 @@ let to_vector n m =
       Some (Bitvec.init n (fun i ->
                 match List.nth l i with Msg.Bit b -> b | _ -> false))
   | _ -> None
+
+let announce n outputs =
+  match List.map (fun (_, m) -> to_vector n m) outputs with
+  | Some first :: rest ->
+      (first, List.for_all (function Some v -> Bitvec.equal v first | None -> false) rest)
+  | [] | None :: _ -> (Bitvec.zero n, false)
 
 (* One Monte-Carlo execution = one sample; testers and experiments all
    funnel through here, so this counter is the run's sample budget as
@@ -31,17 +38,15 @@ let run_once setup ~protocol ~adversary ~x ?(aux = Msg.Unit) ?faults rng =
     Network.run ctx ~rng ~protocol ~adversary ~inputs ~aux ~record_trace:false
       ?faults ()
   in
-  let vectors =
-    List.map (fun (_, m) -> to_vector setup.Setup.n m) r.Network.outputs
-  in
-  let w, consistent =
-    match vectors with
-    | [] -> (Bitvec.zero setup.Setup.n, false)
-    | Some first :: rest ->
-        (first, List.for_all (function Some v -> Bitvec.equal v first | None -> false) rest)
-    | None :: _ -> (Bitvec.zero setup.Setup.n, false)
-  in
-  { x; w; corrupted = r.Network.corrupted; consistent; adv_output = r.Network.adv_output }
+  let w, consistent = announce setup.Setup.n r.Network.outputs in
+  {
+    x;
+    w;
+    corrupted = r.Network.corrupted;
+    consistent;
+    adv_output = r.Network.adv_output;
+    outputs = r.Network.outputs;
+  }
 
 let sample setup ~protocol ~adversary ~dist ?(aux = Msg.Unit) ?faults rng f =
   for _ = 1 to setup.Setup.samples do
@@ -53,7 +58,7 @@ let sample setup ~protocol ~adversary ~dist ?(aux = Msg.Unit) ?faults rng f =
    pure fold in chunk order over pre-split streams), so it is chosen
    for load balance alone — several chunks per worker at every
    realistic pool size. *)
-let psample_chunks = 32
+let fan_out_width = 32
 
 (* Per-domain share of the sample budget, surfaced in run reports. *)
 let note_domain_samples len =
@@ -61,35 +66,36 @@ let note_domain_samples len =
     (Sb_obs.Metrics.counter
        (Printf.sprintf "par.domain%d.samples" (Sb_par.Pool.worker_index ())))
 
-let psample ?pool setup ~protocol ~adversary ~dist ?(aux = Msg.Unit) ?faults ~init ~f ~merge rng =
+let fan_out ?pool ~total ~draws_per_item ~init ~f ~merge rng =
   let pool = match pool with Some p -> p | None -> Sb_par.Pool.default () in
-  let total = setup.Setup.samples in
-  (* The sequential loop above performs exactly two master splits per
-     sample (input draw, execution); streams 2i and 2i+1 are those same
-     children, so every chunking — including one chunk — replays the
-     sequential per-sample randomness byte for byte. *)
-  let streams = Sb_par.Partition.streams rng ~total ~draws_per_item:2 in
-  let chunks = Sb_par.Partition.chunks ~total ~jobs:psample_chunks in
+  let streams = Sb_par.Partition.streams rng ~total ~draws_per_item in
+  let chunks = Sb_par.Partition.chunks ~total ~jobs:fan_out_width in
   let accs =
     Sb_par.Pool.map_chunks pool chunks ~f:(fun { Sb_par.Partition.lo; len } ->
         let acc = init () in
         for i = lo to lo + len - 1 do
-          let x = Sb_dist.Dist.sample dist streams.(2 * i) in
-          f acc i
-            (run_once setup ~protocol ~adversary ~x ~aux ?faults
-               streams.((2 * i) + 1))
+          f acc i (fun k -> streams.((draws_per_item * i) + k))
         done;
         note_domain_samples len;
         acc)
   in
   if Array.length accs = 0 then init ()
   else begin
-    let first = accs.(0) in
     for k = 1 to Array.length accs - 1 do
-      merge ~into:first accs.(k)
+      merge ~into:accs.(0) accs.(k)
     done;
-    first
+    accs.(0)
   end
+
+(* The sequential loop above performs exactly two master splits per
+   sample (input draw, execution); an item's streams 0 and 1 are those
+   same children, so every chunking — including one chunk — replays
+   the sequential per-sample randomness byte for byte. *)
+let psample ?pool setup ~protocol ~adversary ~dist ?(aux = Msg.Unit) ?faults ~init ~f ~merge rng =
+  fan_out ?pool ~total:setup.Setup.samples ~draws_per_item:2 ~init ~merge rng
+    ~f:(fun acc i stream ->
+      let x = Sb_dist.Dist.sample dist (stream 0) in
+      f acc i (run_once setup ~protocol ~adversary ~x ~aux ?faults (stream 1)))
 
 let corrupted_of setup ~protocol ~adversary =
   let rng = Rng.create setup.Setup.seed in

@@ -338,22 +338,16 @@ let e6_singleton_trivial setup =
      protocol achieves 2. *)
   let match_rate x =
     let m = max 200 (setup.Setup.samples / 10) in
-    let rng = Rng.create setup.Setup.seed in
-    let streams = Sb_par.Partition.streams rng ~total:m ~draws_per_item:1 in
-    let chunks = Sb_par.Partition.chunks ~total:m ~jobs:32 in
     let hits =
-      Sb_par.Pool.reduce (Sb_par.Pool.default ()) chunks
-        ~f:(fun { Sb_par.Partition.lo; len } ->
-          let h = ref 0 in
-          for t = lo to lo + len - 1 do
-            let r = Announced.run_once setup ~protocol:p ~adversary:echo ~x streams.(t) in
-            if Bitvec.get r.Announced.w (n - 1) = Bitvec.get x 0 then incr h
-          done;
-          Announced.note_domain_samples len;
-          !h)
-        ~merge:( + ) ~init:0
+      Announced.fan_out ~total:m ~draws_per_item:1
+        ~init:(fun () -> ref 0)
+        ~f:(fun h _ stream ->
+          let r = Announced.run_once setup ~protocol:p ~adversary:echo ~x (stream 0) in
+          if Bitvec.get r.Announced.w (n - 1) = Bitvec.get x 0 then incr h)
+        ~merge:(fun ~into h -> into := !into + !h)
+        (Rng.create setup.Setup.seed)
     in
-    float_of_int hits /. float_of_int m
+    float_of_int !hits /. float_of_int m
   in
   let ra = match_rate alpha and rb = match_rate beta in
   let sb_advantage = ra +. rb -. 1.0 in

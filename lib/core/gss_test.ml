@@ -50,32 +50,19 @@ let run_with ~pair_mode setup ~protocol ~adversary ?w ?runs_per_point () =
     let corrupted_arr = Array.of_list corrupted in
     let n_corr = Array.length corrupted_arr in
     let n_assign = Array.length assignments_arr in
-    let total = n_assign * runs_per_point in
-    let rng = Rng.create setup.Setup.seed in
-    let streams = Sb_par.Partition.streams rng ~total ~draws_per_item:1 in
-    let chunks = Sb_par.Partition.chunks ~total ~jobs:32 in
     let counts =
-      Sb_par.Pool.reduce (Sb_par.Pool.default ()) chunks
-        ~f:(fun { Sb_par.Partition.lo; len } ->
-          let m = Array.make_matrix n_assign n_corr 0 in
-          for t = lo to lo + len - 1 do
-            let a = t / runs_per_point in
-            let run = Announced.run_once setup ~protocol ~adversary ~x:xs.(a) streams.(t) in
-            for k = 0 to n_corr - 1 do
-              if Bitvec.get run.Announced.w corrupted_arr.(k) then m.(a).(k) <- m.(a).(k) + 1
-            done
-          done;
-          Announced.note_domain_samples len;
-          m)
-        ~merge:(fun acc m ->
-          match acc with
-          | None -> Some m
-          | Some acc ->
-              Array.iteri (fun a row -> Array.iteri (fun k c -> acc.(a).(k) <- acc.(a).(k) + c) row) m;
-              Some acc)
-        ~init:None
+      Announced.fan_out ~total:(n_assign * runs_per_point) ~draws_per_item:1
+        ~init:(fun () -> Array.make_matrix n_assign n_corr 0)
+        ~f:(fun m t stream ->
+          let a = t / runs_per_point in
+          let run = Announced.run_once setup ~protocol ~adversary ~x:xs.(a) (stream 0) in
+          for k = 0 to n_corr - 1 do
+            if Bitvec.get run.Announced.w corrupted_arr.(k) then m.(a).(k) <- m.(a).(k) + 1
+          done)
+        ~merge:(fun ~into m ->
+          Array.iteri (fun a row -> Array.iteri (fun k c -> into.(a).(k) <- into.(a).(k) + c) row) m)
+        (Rng.create setup.Setup.seed)
     in
-    let counts = match counts with Some m -> m | None -> Array.make_matrix n_assign n_corr 0 in
     let estimates =
       List.mapi
         (fun a assignment ->

@@ -79,71 +79,49 @@ let crash_plan ~n ~count =
 
 let drop_plan rate = if rate = 0.0 then [] else [ Sb_fault.Plan.drop rate ]
 
-(* Same budget funnel as Announced.run_once. *)
-let m_samples = Sb_obs.Metrics.counter "exp.samples_drawn"
-
-let run_cell_once setup ~protocol ~adversary ~faults ~crashed ~x rng =
-  Sb_obs.Metrics.incr m_samples;
-  let n = setup.Setup.n in
-  let ctx = Setup.fresh_ctx setup (Rng.split rng) in
-  let inputs = Array.init n (fun i -> Msg.Bit (Bitvec.get x i)) in
-  let r =
-    Network.run ctx ~rng ~protocol ~adversary ~inputs ~record_trace:false ~faults ()
-  in
-  let survivors =
-    List.filter (fun (i, _) -> not (List.mem i crashed)) r.Network.outputs
-  in
-  match survivors with
+(* Agreement and validity over the survivors: the honest parties the
+   plan did not crash. With no survivors both hold vacuously. *)
+let survivors_verdict ~n ~crashed (r : Announced.run) =
+  match List.filter (fun (i, _) -> not (List.mem i crashed)) r.Announced.outputs with
   | [] -> (true, true)
-  | (_, m0) :: rest ->
+  | ((_, m0) :: rest) as survivors ->
       let agree = List.for_all (fun (_, m) -> Msg.equal m m0) rest in
       let valid =
         match Announced.to_vector n m0 with
         | Some w ->
-            List.for_all (fun (j, _) -> Bitvec.get w j = Bitvec.get x j) survivors
+            List.for_all
+              (fun (j, _) -> Bitvec.get w j = Bitvec.get r.Announced.x j)
+              survivors
         | None -> false
       in
       (agree, valid)
 
-(* The Announced.psample discipline, with per-run fault interceptors:
-   two master splits per sample (input, execution), a fixed 32-chunk
-   layout, positional merge — cells are byte-identical for every
-   [--jobs] value. *)
-let chunk_width = 32
-
 let measure ?pool setup ~protocol ~adversary ~dist ~plan rng =
-  (match Sb_fault.Plan.validate ~n:setup.Setup.n plan with
+  let n = setup.Setup.n in
+  (match Sb_fault.Plan.validate ~n plan with
   | Ok () -> ()
   | Error e -> invalid_arg ("Resilience.measure: " ^ e));
-  let faults = Sb_fault.Inject.compile ~n:setup.Setup.n plan in
   let crashed = Sb_fault.Plan.crashed_parties plan in
-  let pool = match pool with Some p -> p | None -> Sb_par.Pool.default () in
-  let total = setup.Setup.samples in
-  let streams = Sb_par.Partition.streams rng ~total ~draws_per_item:2 in
-  let chunks = Sb_par.Partition.chunks ~total ~jobs:chunk_width in
-  let accs =
-    Sb_par.Pool.map_chunks pool chunks ~f:(fun { Sb_par.Partition.lo; len } ->
-        let agreed = ref 0 and valid = ref 0 in
-        for i = lo to lo + len - 1 do
-          let x = Sb_dist.Dist.sample dist streams.(2 * i) in
-          let a, v =
-            run_cell_once setup ~protocol ~adversary ~faults ~crashed ~x
-              streams.((2 * i) + 1)
-          in
-          if a then incr agreed;
-          if v then incr valid
-        done;
-        Announced.note_domain_samples len;
-        (!agreed, !valid))
+  let agreed, valid =
+    Announced.psample ?pool setup ~protocol ~adversary ~dist
+      ~faults:(Sb_fault.Inject.compile ~n plan)
+      ~init:(fun () -> (ref 0, ref 0))
+      ~f:(fun (agreed, valid) _ r ->
+        let a, v = survivors_verdict ~n ~crashed r in
+        if a then incr agreed;
+        if v then incr valid)
+      ~merge:(fun ~into:(agreed, valid) (a, v) ->
+        agreed := !agreed + !a;
+        valid := !valid + !v)
+      rng
   in
-  let agreed = Array.fold_left (fun acc (a, _) -> acc + a) 0 accs in
-  let valid = Array.fold_left (fun acc (_, v) -> acc + v) 0 accs in
+  let total = setup.Setup.samples in
   {
     protocol = protocol.Protocol.name;
     plan;
     samples = total;
-    agree = Sb_stats.Estimate.wilson ~successes:agreed total;
-    valid = Sb_stats.Estimate.wilson ~successes:valid total;
+    agree = Sb_stats.Estimate.wilson ~successes:!agreed total;
+    valid = Sb_stats.Estimate.wilson ~successes:!valid total;
   }
 
 (* --- boundary witnesses (n = 4, t = 1) ----------------------------- *)

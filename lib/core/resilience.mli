@@ -15,9 +15,9 @@
     holds, so both predicates quantify over survivors only — exactly
     the parties the crash-stop model still obligates.
 
-    Sampling uses the same pre-split-stream chunking as
-    {!Announced.psample}: cells are byte-identical across [--jobs]
-    settings for a fixed seed. *)
+    Cells are sampled with {!Announced.psample} (each execution gets
+    its own fault interceptor), so they are byte-identical across
+    [--jobs] settings for a fixed seed. *)
 
 type cell = {
   protocol : string;

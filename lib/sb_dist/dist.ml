@@ -8,8 +8,10 @@ type t = {
 
 let n d = d.n
 
+let max_n = 20
+
 let of_pmf n raw =
-  if n < 0 || n > 20 then invalid_arg "Dist.of_pmf: n out of range";
+  if n < 0 || n > max_n then invalid_arg "Dist.of_pmf: n out of range";
   let size = 1 lsl n in
   if Array.length raw <> size then invalid_arg "Dist.of_pmf: wrong pmf length";
   (* Pass 1 validates and sums; pass 2 normalises and accumulates the

@@ -3,7 +3,7 @@
     The announced-value spaces in this reproduction are small, so
     distributions are stored as full probability mass arrays of length
     2^n, indexed by {!Sb_util.Bitvec.to_int}. {!of_pmf} accepts
-    n ≤ 20: the testers stay at n ≤ ~16, and the auction workload's
+    n ≤ {!max_n} = 20: the testers stay at n ≤ ~16, and the auction workload's
     premium lots draw 20-party inputs (a mass and a cdf table of 2^20
     floats, 8 MiB each). That
     makes every quantity the paper's definitions mention — marginals,
@@ -15,8 +15,11 @@ type t
 val n : t -> int
 (** Number of coordinates (parties). *)
 
+val max_n : int
+(** The largest supported number of coordinates (20). *)
+
 val of_pmf : int -> float array -> t
-(** [of_pmf n pmf] with [Array.length pmf = 2^n]; validates
+(** [of_pmf n pmf] with [0 <= n <= max_n] and [Array.length pmf = 2^n]; validates
     non-negativity and normalises to sum 1. Raises [Invalid_argument]
     on bad input. *)
 

@@ -16,9 +16,6 @@ let chunks ~total ~jobs =
         { lo; len })
   end
 
-let rng_for ~streams ~draws_per_item i =
-  Array.sub streams (draws_per_item * i) draws_per_item
-
 let streams rng ~total ~draws_per_item =
   if draws_per_item <= 0 then invalid_arg "Partition.streams: draws_per_item";
   Sb_util.Rng.split_n rng (total * draws_per_item)

@@ -21,6 +21,3 @@ val streams : Sb_util.Rng.t -> total:int -> draws_per_item:int -> Sb_util.Rng.t 
     [k]-th draw is stream [draws_per_item * i + k] — exactly the child
     a sequential loop performing [draws_per_item] [Rng.split]s per
     iteration would have obtained. *)
-
-val rng_for : streams:Sb_util.Rng.t array -> draws_per_item:int -> int -> Sb_util.Rng.t array
-(** The slice of [streams] belonging to item [i]. *)

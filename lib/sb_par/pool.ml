@@ -110,8 +110,6 @@ let map_chunks t ~f arr =
       results
   end
 
-let reduce t ~f ~merge ~init arr = Array.fold_left merge init (map_chunks t ~f arr)
-
 (* --- process-default pool ------------------------------------------- *)
 
 let default_domains = ref (max 1 (Domain.recommended_domain_count ()))

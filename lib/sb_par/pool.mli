@@ -26,11 +26,6 @@ val map_chunks : t -> f:('a -> 'b) -> 'a array -> 'b array
     failing chunk is re-raised (with its backtrace) after all tasks
     have settled; the pool itself stays usable. *)
 
-val reduce : t -> f:('a -> 'b) -> merge:('acc -> 'b -> 'acc) -> init:'acc -> 'a array -> 'acc
-(** [reduce t ~f ~merge ~init chunks] maps then folds the per-chunk
-    results in chunk index order — the merge order never depends on
-    scheduling. *)
-
 val shutdown : t -> unit
 (** Join all workers. Idempotent; subsequent [map_chunks] calls raise
     [Invalid_argument]. *)

@@ -53,9 +53,8 @@ type aggregate = {
   worker_stats : worker_stat array;
 }
 
-(* Deterministic batch counters; the per-shard counters are keyed by
-   shard index (fixed layout), not by pool domain, so they are part of
-   the jobs-invariant surface alongside exp.* and sim.*. *)
+(* Deterministic batch counters, part of the jobs-invariant surface
+   alongside exp.* and sim.*. *)
 let m_sessions = Sb_obs.Metrics.counter "session.sessions"
 let m_consistent = Sb_obs.Metrics.counter "session.consistent"
 
@@ -65,19 +64,17 @@ let g_sessions_ps = Sb_obs.Metrics.gauge "session.sessions_per_sec"
 let g_msgs_ps = Sb_obs.Metrics.gauge "session.msgs_per_sec"
 let g_bytes_ps = Sb_obs.Metrics.gauge "session.bytes_per_sec"
 
-(* Scheduler observability. Everything under sched.* depends on how
-   the claiming race unfolds (except sched.claims, which always sums
-   to the shard count), so the prefix is deliberately OUTSIDE the
-   jobs-invariant surface the CI smoke steps compare (exp./sim./
-   fault./session.). *)
+(* Scheduler observability. Everything under sched.* depends on which
+   worker took which shard off the pool queue (except sched.claims,
+   which always sums to the shard count), so the prefix is
+   deliberately OUTSIDE the jobs-invariant surface the CI smoke steps
+   compare (exp./sim./fault./session.). *)
 let m_claims = Sb_obs.Metrics.counter "sched.claims"
 let m_steals = Sb_obs.Metrics.counter "sched.steals"
 
-(* Metric handles are interned per index instead of re-running
+(* Metric handles are interned per worker slot instead of re-running
    Printf.sprintf + registry lookup on every batch. The tables are
-   touched only from the submitting thread: shard counters are
-   pre-resolved into an array before the parallel section, worker
-   stats are recorded after the join. *)
+   touched only from the submitting thread, after the join. *)
 let interned tbl make k =
   match Hashtbl.find_opt tbl k with
   | Some h -> h
@@ -85,13 +82,6 @@ let interned tbl make k =
       let h = make k in
       Hashtbl.add tbl k h;
       h
-
-let shard_counter =
-  let tbl = Hashtbl.create 64 in
-  fun k ->
-    interned tbl
-      (fun k -> Sb_obs.Metrics.counter (Printf.sprintf "session.shard%d.sessions" k))
-      k
 
 let worker_shards_counter =
   let tbl = Hashtbl.create 16 in
@@ -138,14 +128,6 @@ let spec_at b i =
     if b.(mid) <= i then lo := mid else hi := mid
   done;
   !lo
-
-let consistent_w ~n outputs =
-  let vectors = List.map (fun (_, m) -> Core.Announced.to_vector n m) outputs in
-  match vectors with
-  | [] -> (Bitvec.zero n, false)
-  | Some first :: rest ->
-      (first, List.for_all (function Some v -> Bitvec.equal v first | None -> false) rest)
-  | None :: _ -> (Bitvec.zero n, false)
 
 let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
     specs rng =
@@ -209,9 +191,8 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
   let streams = Sb_par.Partition.streams rng ~total ~draws_per_item:2 in
   let shards = Shard.layout ~counts ~rng in
   let nshards = Array.length shards in
-  let counters = Array.map (fun (sh : Shard.t) -> shard_counter sh.Shard.index) shards in
-  let results : session_report array array = Array.make nshards [||] in
   let shard_wall = Array.make nshards 0.0 in
+  let shard_worker = Array.make nshards 0 in
   let session_wall = Array.make total 0.0 in
   let run_shard (sh : Shard.t) =
     let t0 = Unix.gettimeofday () in
@@ -246,7 +227,7 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
             Network.run ctx ~rng:streams.((2 * i) + 1) ~protocol:s.protocol ~adversary
               ~inputs ?faults ~record_trace:false ()
           in
-          let w, consistent = consistent_w ~n r.Network.outputs in
+          let w, consistent = Core.Announced.announce n r.Network.outputs in
           session_wall.(i) <- Unix.gettimeofday () -. t1;
           {
             index = i;
@@ -260,54 +241,38 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
             p2p = r.Network.p2p_messages;
           })
     in
-    if Sb_obs.Metrics.enabled () then begin
-      Sb_obs.Metrics.incr ~by:sh.Shard.len counters.(sh.Shard.index);
-      Core.Announced.note_domain_samples sh.Shard.len
-    end;
+    if Sb_obs.Metrics.enabled () then Core.Announced.note_domain_samples sh.Shard.len;
     shard_wall.(sh.Shard.index) <- Unix.gettimeofday () -. t0;
+    shard_worker.(sh.Shard.index) <- Sb_par.Pool.worker_index ();
     reports
   in
   let comm0 = comm_snapshot () in
   let t0 = Unix.gettimeofday () in
-  (* One long-lived task per worker slot; each loops claiming shard
-     indices from a shared atomic counter. Results land in distinct
-     slots of [results] and are merged by shard index, so the outcome
-     is independent of who claimed what. A claim outside the worker's
-     contiguous home range (the even split of shards over workers)
-     counts as a steal. *)
+  (* One pool task per shard. The pool's FIFO queue hands shards out
+     in index order to whichever worker is free, so a heavy-tailed mix
+     does not leave workers idle behind a straggler. Results come back
+     by shard index, so the outcome is independent of who ran what. *)
+  let results = Sb_par.Pool.map_chunks pool shards ~f:run_shard in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  (* Worker stats from the per-shard (worker, wall) records. A shard
+     outside its worker's contiguous home range (the even split of
+     shards over workers) counts as a steal. *)
   let workers = Sb_par.Pool.size pool in
-  let next = Atomic.make 0 in
-  let home_of = Array.make nshards 0 in
+  let home = Array.make nshards 0 in
   Array.iteri
-    (fun w (c : Sb_par.Partition.chunk) ->
-      for k = c.Sb_par.Partition.lo to c.Sb_par.Partition.lo + c.Sb_par.Partition.len - 1 do
-        home_of.(k) <- w
-      done)
+    (fun w (c : Sb_par.Partition.chunk) -> Array.fill home c.lo c.len w)
     (Sb_par.Partition.chunks ~total:nshards ~jobs:workers);
   let worker_stats =
-    Sb_par.Pool.map_chunks pool (Array.init workers Fun.id) ~f:(fun w ->
-        let t0 = Unix.gettimeofday () in
-        let claimed = ref 0 and stolen = ref 0 and sess = ref 0 in
-        let rec loop () =
-          let k = Atomic.fetch_and_add next 1 in
-          if k < nshards then begin
-            results.(k) <- run_shard shards.(k);
-            incr claimed;
-            if home_of.(k) <> w then incr stolen;
-            sess := !sess + shards.(k).Shard.len;
-            loop ()
-          end
-        in
-        loop ();
+    Array.init workers (fun w ->
+        let ran = List.filter (fun k -> shard_worker.(k) = w) (List.init nshards Fun.id) in
         {
           worker = w;
-          shards_run = !claimed;
-          stolen = !stolen;
-          sessions_run = !sess;
-          busy_s = Unix.gettimeofday () -. t0;
+          shards_run = List.length ran;
+          stolen = List.length (List.filter (fun k -> home.(k) <> w) ran);
+          sessions_run = List.fold_left (fun acc k -> acc + shards.(k).Shard.len) 0 ran;
+          busy_s = List.fold_left (fun acc k -> acc +. shard_wall.(k)) 0.0 ran;
         })
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
   let bc0, p2p0, bcb0, p2pb0 = comm0 in
   let bc1, p2p1, bcb1, p2pb1 = comm_snapshot () in
   let reports = Array.concat (Array.to_list results) in

@@ -10,9 +10,10 @@
     The batch is cut into contiguous shards ({!Shard.layout}); each
     shard builds its execution context (signature registry, commitment
     scheme, CRS) once and reuses it for every session it owns. There
-    are many more shards than workers, and each worker loops claiming
-    shard indices from a shared atomic counter, so a heavy-tailed mix
-    (a few large-n Dolev-Strong sessions among thousands of cheap
+    are many more shards than workers, and every shard is one task on
+    the pool ({!Sb_par.Pool.map_chunks}), whose FIFO queue hands shards
+    out in index order to whichever worker is free — so a heavy-tailed
+    mix (a few large-n Dolev-Strong sessions among thousands of cheap
     Bracha votes) does not leave workers idle behind a straggler
     shard. (The historical coarse
     ≤{!Shard.width}-shard layout survives only as an input to E18's
@@ -27,8 +28,8 @@
     size, including 1.
 
     Observability is wired through [sb_obs]: the deterministic
-    counters [session.sessions], [session.consistent] and the
-    per-shard [session.shard<k>.sessions]; the scheduler-race surface
+    counters [session.sessions] and [session.consistent]; the
+    scheduler-race surface
     under [sched.*] ([sched.claims], [sched.steals], per-worker
     [sched.worker<w>.shards] / [.sessions] counters and
     [.busy_s] gauges) which is deliberately OUTSIDE the jobs-invariant
@@ -87,10 +88,10 @@ type session_report = {
 
 type worker_stat = {
   worker : int;  (** worker slot, [0 .. pool size - 1] *)
-  shards_run : int;  (** shards this worker claimed *)
-  stolen : int;  (** claims outside the worker's contiguous home range *)
+  shards_run : int;  (** shards this worker took off the pool queue *)
+  stolen : int;  (** shards outside the worker's contiguous home range *)
   sessions_run : int;
-  busy_s : float;  (** wall-clock inside the claiming loop *)
+  busy_s : float;  (** sum of the wall clocks of the shards this worker ran *)
 }
 
 type aggregate = {
@@ -107,7 +108,7 @@ type aggregate = {
   msgs_per_sec : float;
   bytes_per_sec : float;
   workers : int;  (** pool size *)
-  steals : int;  (** total stolen claims; 0 with 1 worker.
+  steals : int;  (** total stolen shards; 0 with 1 worker.
                      Scheduling-race-dependent, like every field below —
                      none of them enter {!aggregate_to_json}. *)
   shard_wall_s : float array;  (** per-shard wall clock, by shard index *)
@@ -134,18 +135,21 @@ val run :
   aggregate * session_report array
 (** [run ~setup ~dist specs rng] executes every session of [specs]
     (in spec order: sessions [0 .. c0-1] run the first spec, and so
-    on), claimed shard by shard by the workers of [pool] (default
+    on), shard by shard on the workers of [pool] (default
     {!Sb_par.Pool.default}). Sessions run against
     [adversary] (default {!Core.Adversaries.passive}) on inputs drawn
     per-session from the spec's dist (default the batch [dist]) or
     produced by the spec's explicit [inputs]. The report array is
-    indexed by global session index.
+    indexed by global session index. Worker stats are derived from
+    which pool slot ({!Sb_par.Pool.worker_index}) ran each shard, so
+    call [run] from outside [pool]'s tasks.
 
     Determinism: session [i]'s input and execution generators are
     streams [2i] and [2i+1] of the master, the shard layout is a pure
     function of the spec counts, and results merge by
     shard index — so the reports and every deterministic [aggregate]
-    field are independent of the pool size and of the claiming race.
+    field are independent of the pool size and of which worker ran
+    which shard.
 
     Raises [Invalid_argument] up front on an empty spec list, a
     non-positive count, a party override < 2, an input dist whose

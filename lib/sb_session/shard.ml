@@ -1,4 +1,4 @@
-let width = 32
+let width = Core.Announced.fan_out_width
 let steal_target = 8
 
 type t = {
@@ -12,7 +12,7 @@ type t = {
 (* Shards per spec: about [steal_target] sessions per shard, but never
    fewer than [width] shards per spec (and never more than one per
    session), so a straggler spec decomposes into many small units the
-   claiming loop can spread across workers. A pure function of the
+   pool queue can spread across workers. A pure function of the
    per-spec session counts, never of the pool size, so the layout (and
    with it every shard-local RNG stream) is jobs-invariant. *)
 let per_spec counts =

@@ -18,15 +18,16 @@
     fixed-base exponentiation tables are module-global already). *)
 
 val width : int
-(** Per-spec shard floor (32) — the same fixed constant the Monte-Carlo
-    samplers use, and the total shard budget of E18's modeled static
-    layout ([Sb_workload.E18.static_layout]). *)
+(** Per-spec shard floor: {!Core.Announced.fan_out_width} (32), the
+    chunk count of the Monte-Carlo samplers, and the total shard
+    budget of E18's modeled static layout
+    ([Sb_workload.E18.static_layout]). *)
 
 val steal_target : int
 (** Target sessions per shard (8): each spec gets about
     [count / steal_target] shards, floored at {!width} per spec and
     capped at one session per shard, so heavy specs decompose into
-    many small units for the work-stealing claimer. *)
+    many small units for the pool's workers to share. *)
 
 type t = {
   index : int;  (** shard number, [0 .. shards-1], global *)

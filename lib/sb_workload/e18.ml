@@ -10,7 +10,8 @@ open Sb_session
    The ≥1.5× acceptance gate is evaluated on a *modeled* 4-worker
    makespan: run the batch once, measure every session's wall clock,
    then greedy-list-schedule the per-shard costs of each layout onto 4
-   workers. The static layout no longer executes anywhere; it exists
+   workers — the policy of the pool's FIFO task queue, which the engine
+   feeds one task per shard. The static layout no longer executes anywhere; it exists
    only here, as a function of the counts. The model is deterministic
    given the measured costs and independent of how many cores the
    host actually has, so the gate is meaningful in single-core CI too.
@@ -37,10 +38,10 @@ let static_layout counts =
               (Sb_par.Partition.chunks ~total:c ~jobs:shards))
           counts))
 
-(* Greedy list scheduling in claim (= shard index) order: each shard
-   goes to the earliest-free worker. This models both layouts — a
-   per-shard task queue and the steal path's atomic claim loop are
-   exactly this policy at their respective granularities. *)
+(* Greedy list scheduling in shard index order: each shard goes to the
+   earliest-free worker. This models both layouts — it is exactly the
+   policy of the pool's FIFO task queue, which the engine feeds one
+   task per shard, at each layout's granularity. *)
 let makespan ~workers costs =
   let load = Array.make workers 0.0 in
   Array.iter
@@ -88,7 +89,7 @@ let run (setup : Core.Setup.t) =
       (fun () -> Engine.run ~pool ~setup:setup5 ~dist specs (Rng.create seed))
   in
   (* Measurement pass: one worker, so per-session walls are clean of
-     claiming noise. *)
+     scheduling noise. *)
   let agg1, reports1 = run_with ~domains:1 in
   let cost (lo, len) =
     let acc = ref 0.0 in

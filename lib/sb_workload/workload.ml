@@ -83,7 +83,7 @@ let election =
     let mask = (1 lsl committee) - 1 in
     let specs =
       [
-        (* Heavy spec first: the claim order follows spec order, so
+        (* Heavy spec first: the pool queue follows spec order, so
            stragglers are in flight before the cheap tail. *)
         Engine.spec ~parties:trustees ?faults
           ~inputs:(fun j -> Bitvec.of_int trustees tally.(audit_id j))

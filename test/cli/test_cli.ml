@@ -44,6 +44,30 @@ let check_usage_error ~shows what args =
     (contains (read_file out) shows);
   Sys.remove out
 
+(* Out-of-range sizes and budgets, and adversaries or distributions
+   that do not fit n, are usage errors naming the flag; each row used
+   to escape as an uncaught exception (exit 125). *)
+let test_range_rejected () =
+  List.iter
+    (fun (shows, args) -> check_usage_error ~shows (String.concat " " args) args)
+    [
+      ("--samples", [ "test"; "--samples"; "0" ]);
+      ("--samples", [ "fault-sweep"; "--samples"; "0" ]);
+      ("-n", [ "run"; "-n"; "0" ]);
+      ("-n", [ "test"; "-n"; "0" ]);
+      ("-n", [ "test"; "-n"; "21"; "--samples"; "10" ]);
+      ("-n", [ "classify"; "-n"; "2" ]);
+      ("-n", [ "classify"; "-n"; "21" ]);
+      ("-n", [ "exact"; "-n"; "21" ]);
+      ("-n", [ "exact"; "-n"; "1" ]);
+      ("-n", [ "fault-sweep"; "-n"; "21"; "--samples"; "10" ]);
+      ("-n", [ "sessions"; "bracha"; "--count"; "2"; "-n"; "0" ]);
+      ("-n", [ "sessions"; "bracha"; "--count"; "2"; "-n"; "21" ]);
+      ("-a", [ "test"; "-n"; "1"; "-a"; "semi-honest"; "--samples"; "10" ]);
+      ("-a", [ "run"; "-n"; "2"; "-a"; "a-star" ]);
+      ("-d", [ "test"; "-n"; "1"; "-d"; "copy-pair"; "--samples"; "10" ]);
+    ]
+
 (* --- experiment --seed ------------------------------------------------ *)
 
 (* The default seed is 1, so naming it changes nothing; another seed
@@ -538,6 +562,8 @@ let () =
             test_help_documents_exits;
           Alcotest.test_case "run -x usage errors" `Quick test_run_inputs_rejected;
           Alcotest.test_case "out-of-range --thresh usage errors" `Quick test_thresh_rejected;
+          Alcotest.test_case "out-of-range -n, --samples, -a, -d usage errors" `Quick
+            test_range_rejected;
           Alcotest.test_case "traced run emits valid trace JSON" `Quick test_run_trace_output;
           Alcotest.test_case "tracing keeps reports identical (jobs 1, 2)" `Quick
             test_trace_keeps_reports_identical;

@@ -61,17 +61,24 @@ let test_pool_shutdown () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* The samplers' shared loop over a 4-domain pool: 100 items in 32
+   chunks, folded with a non-commutative merge that exposes any
+   scheduling dependence. *)
 let test_pool_reduce_order () =
   let pool = Sb_par.Pool.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Sb_par.Pool.shutdown pool)
     (fun () ->
-      (* A non-commutative merge exposes any scheduling dependence. *)
       let s =
-        Sb_par.Pool.reduce pool ~f:string_of_int ~merge:( ^ ) ~init:""
-          (Array.init 10 Fun.id)
+        Core.Announced.fan_out ~pool ~total:100 ~draws_per_item:1
+          ~init:(fun () -> Buffer.create 16)
+          ~f:(fun b i _ -> Buffer.add_string b (string_of_int i))
+          ~merge:(fun ~into b -> Buffer.add_buffer into b)
+          (Rng.create 1)
       in
-      Alcotest.(check string) "merge folds in chunk order" "0123456789" s)
+      Alcotest.(check string) "merge folds in chunk order"
+        (String.concat "" (List.init 100 string_of_int))
+        (Buffer.contents s))
 
 (* --- psample determinism ------------------------------------------- *)
 
@@ -83,37 +90,53 @@ let with_jobs j f =
   Sb_par.Pool.set_default_domains j;
   Fun.protect ~finally:(fun () -> Sb_par.Pool.set_default_domains 1) f
 
-let ones_sequential ~dist =
-  let n = setup.Core.Setup.n in
-  let counts = Array.make n 0 in
-  let rng = Rng.create setup.Core.Setup.seed in
-  Core.Announced.sample setup ~protocol ~adversary ~dist rng (fun r ->
-      for i = 0 to n - 1 do
-        if Bitvec.get r.Core.Announced.w i then counts.(i) <- counts.(i) + 1
-      done);
-  counts
+(* Every sample's announced vector lands in its index slot, so a
+   stream handed to the wrong sample shows, not only a wrong total. *)
+let slots () = Array.make setup.Core.Setup.samples ""
+let record ws i (r : Core.Announced.run) = ws.(i) <- Bitvec.to_string r.Core.Announced.w
+let merge_slots ~into src = Array.iteri (fun i w -> if w <> "" then into.(i) <- w) src
 
-let ones_parallel ~dist =
-  let n = setup.Core.Setup.n in
+let ws_sequential ~dist =
+  let ws = slots () and i = ref 0 in
+  Core.Announced.sample setup ~protocol ~adversary ~dist (Rng.create setup.Core.Setup.seed)
+    (fun r ->
+      record ws !i r;
+      incr i);
+  ws
+
+let ws_parallel ~dist =
+  Core.Announced.psample setup ~protocol ~adversary ~dist ~init:slots ~f:record
+    ~merge:merge_slots (Rng.create setup.Core.Setup.seed)
+
+(* One split per item, the shape of the G** and E6 samplers: the
+   item's one stream draws the input from a child and then runs. *)
+let one_draw ~dist s =
+  let x = Sb_dist.Dist.sample dist (Rng.split s) in
+  Core.Announced.run_once setup ~protocol ~adversary ~x s
+
+let ws_sequential_one_draw ~dist =
+  let ws = slots () in
   let rng = Rng.create setup.Core.Setup.seed in
-  Core.Announced.psample setup ~protocol ~adversary ~dist
-    ~init:(fun () -> Array.make n 0)
-    ~f:(fun acc _ r ->
-      for i = 0 to n - 1 do
-        if Bitvec.get r.Core.Announced.w i then acc.(i) <- acc.(i) + 1
-      done)
-    ~merge:(fun ~into src -> Array.iteri (fun i c -> into.(i) <- into.(i) + c) src)
-    rng
+  Array.iteri (fun i _ -> record ws i (one_draw ~dist (Rng.split rng))) ws;
+  ws
+
+let ws_fan_out_one_draw ~dist =
+  Core.Announced.fan_out ~total:setup.Core.Setup.samples ~draws_per_item:1 ~init:slots
+    ~f:(fun ws i stream -> record ws i (one_draw ~dist (stream 0)))
+    ~merge:merge_slots (Rng.create setup.Core.Setup.seed)
 
 let test_psample_matches_sequential () =
   let dist = Sb_dist.Dist.uniform setup.Core.Setup.n in
-  let seq = ones_sequential ~dist in
+  let seq = ws_sequential ~dist and seq1 = ws_sequential_one_draw ~dist in
   List.iter
     (fun j ->
       with_jobs j (fun () ->
-          Alcotest.(check (array int))
+          Alcotest.(check (array string))
             (Printf.sprintf "jobs=%d equals the sequential loop" j)
-            seq (ones_parallel ~dist)))
+            seq (ws_parallel ~dist);
+          Alcotest.(check (array string))
+            (Printf.sprintf "jobs=%d, one draw per item, equals the sequential loop" j)
+            seq1 (ws_fan_out_one_draw ~dist)))
     [ 1; 2; 4 ]
 
 let test_pedersen_jobs_invariant () =
