@@ -158,9 +158,9 @@ let minimize ~default config property decisions =
   in
   let minimal = fix decisions in
   (* Trim trailing healthy rounds for a compact printable schedule. *)
-  let rec trim = function [] :: rest when rest = [] -> [] | d :: rest -> (
-      match trim rest with [] when d = [] -> [] | t -> d :: t)
+  let rec trim = function
     | [] -> []
+    | d :: rest -> ( match trim rest with [] when d = [] -> [] | t -> d :: t)
   in
   trim minimal
 
@@ -219,7 +219,8 @@ let check ?(max_states = 200_000) ?(default = Msg.Bit false) ?observe ~scheme ct
             seen pending digest (Some (Exec.Mid (Exec.outgoing node)));
             List.iter
               (fun d -> if not (stopped ()) then visit (Exec.successor node d))
-              (decisions_for config node)
+              (decisions_for config node);
+            Exec.release node
       end
     in
     visit (Exec.root config)
@@ -286,17 +287,7 @@ let check ?(max_states = 200_000) ?(default = Msg.Bit false) ?observe ~scheme ct
 (* --- witness rendering ----------------------------------------------- *)
 
 let plan_of_witness w =
-  List.concat
-    (List.mapi
-       (fun round decision ->
-         List.concat_map
-           (fun (p, action) ->
-             match action with
-             | Exec.Crash -> [ Sb_fault.Plan.crash ~party:p ~round ]
-             | Exec.Omit -> [ Sb_fault.Plan.drop ~src:p ~at:round 1.0 ]
-             | Exec.Delay -> [ Sb_fault.Plan.delay ~src:p ~at:round 1 ])
-           decision)
-       w.w_decisions)
+  List.concat (List.mapi (fun round d -> Exec.plan_of_decision ~round d) w.w_decisions)
 
 let bit_str = function Msg.Bit b -> (if b then "1" else "0") | m -> Msg.serialize m
 

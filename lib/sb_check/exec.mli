@@ -1,36 +1,21 @@
-(** Deterministic single-session executor for the model checker.
+(** The model checker's executor and search states.
 
-    One broadcast session — one sender, one value, n parties driven as
-    {!Sb_broadcast.Session.t} closures — is replayed from scratch under
-    an explicit per-round fault schedule. The round structure mirrors
-    {!Sb_sim.Network.run} exactly (deliver → collect → intercept →
-    route, with the final round delivery-only) and the fault semantics
-    mirror {!Sb_fault.Inject.compile}: a crash silences all of the
-    party's traffic from its crash round on, omissions and delays are
-    all-or-nothing for the round — the clean benign-fault granularity,
-    [drop:1:p->*\@r] / [delay:1:p->*\@r] — acting only on
-    distinct-endpoint point-to-point envelopes, and delayed envelopes
-    re-enter the queue ahead of that round's fresh traffic.
-    A terminal state replayed here therefore agrees with a composed
-    [Network.run] execution of the same session under the compiled
-    {!Checker.plan_of_witness} fault plan — the counterexample
-    round-trip tests pin this down.
+    One broadcast session ({!single_session}) runs as a passive
+    {!Sb_sim.Network} run stepped round by round
+    ({!Sb_sim.Network.start}); each round's decision is applied as the
+    [--faults] specs {!plan_of_decision} emits, by
+    {!Sb_fault.Inject.filter}, so a witness replays under [--faults]
+    by construction.
 
-    Sessions are mutable closures and cannot be snapshotted. The
-    checker's search therefore expands each state from its parent: an
-    expanded {!node} keeps its live sessions after its round's delivery
-    plus that round's outgoing traffic, so a successor's digest costs
-    one interception and no session step, and only a successor that
-    misses the memo table is stepped. The first such successor takes
-    over the parent's sessions; later ones rebuild them by re-executing
-    the parent's decision prefix (without digesting it). States are
-    identified across paths by a canonical digest over the per-party
-    inbox histories, the crash pattern, and the in-flight queue
-    (delivered and held envelopes); each envelope is serialized and
-    keyed by its MD5 once, when it is sent, and the state digests hash
-    those fixed-width keys. {!replay} is the from-scratch executor over the
-    same round pipeline — the oracle the incremental search is tested
-    against. *)
+    Sessions cannot be snapshotted, so a state is expanded from its
+    parent: an expanded {!node} owns its run after its round's collect;
+    the fault state is a value, so a successor's digest costs one
+    filter call and no session step. The first successor that misses
+    the memo table takes over the run; later ones rebuild it from the
+    decision prefix. A digest covers the per-party inbox histories, the
+    crash pattern and the in-flight queue (delivered and held), each
+    envelope keyed once, when sent. {!replay} is the from-scratch
+    executor — the oracle the search is tested against. *)
 
 type action =
   | Crash  (** halt: all traffic from this round on is suppressed *)
@@ -60,6 +45,15 @@ type status =
   | Terminal of Sb_sim.Msg.t array  (** per-party session results *)
 
 type snapshot = { digest : string; status : status }
+
+val single_session :
+  Sb_broadcast.Session.scheme -> sender:int -> value:Sb_sim.Msg.t -> Sb_sim.Protocol.t
+(** One session as a protocol: [sender] broadcasts [value], outputs are
+    session results, inputs are ignored. *)
+
+val plan_of_decision : round:int -> decision -> Sb_fault.Plan.t
+(** [crash:p\@r], [drop:1:p->*\@r] (omit) or [delay:1:p->*\@r] per
+    entry, in order. *)
 
 val total_rounds : config -> int
 (** Number of decision slots: the scheme's send rounds. A decision
@@ -107,6 +101,10 @@ val expand : pending -> expansion
 (** Step the state's delivery round. The first successor of a node
     expanded takes over the node's sessions; later ones rebuild them
     from round 0. Expand each [pending] at most once. *)
+
+val release : node -> unit
+(** Close the node's run if no successor took it over; call it once
+    the node's successors are done ({!Sb_sim.Network.start}). *)
 
 val crashed : node -> int -> bool
 (** Whether party [i] crashed in a round before the node's. *)

@@ -13,106 +13,99 @@ let group_of groups i =
   in
   go 0 groups
 
+(* Never written in place: [crash_round] is copied before a crash
+   lowers an entry; [held] is (due round, newest first), ascending.
+   [drops]/[delays] count the faults so far, for [compile]'s metrics. *)
+type 'a state = { crash_round : int array; held : (int * 'a list) list; drops : int; delays : int }
+
+let init ~n = { crash_round = Array.make n max_int; held = []; drops = 0; delays = 0 }
+let crashed st i = st.crash_round.(i) <> max_int
+let held st = List.map (fun (due, l) -> (due, List.rev l)) st.held
+
+let with_crashes plan crash_round =
+  List.fold_left
+    (fun cr -> function
+      | Plan.Crash { party; round } when round < cr.(party) ->
+          let cr = if cr == crash_round then Array.copy cr else cr in
+          cr.(party) <- round;
+          cr
+      | _ -> cr)
+    crash_round plan
+
+let rec hold due x = function
+  | (d, l) :: rest when d = due -> (d, x :: l) :: rest
+  | ((d, _) as entry) :: rest when d < due -> entry :: hold due x rest
+  | rest -> (due, [ x ]) :: rest
+
+(* Envelopes due this round, in arrival order; ones due earlier are lost. *)
+let rec release round = function
+  | (d, _) :: rest when d < round -> release round rest
+  | (d, l) :: rest when d = round -> (List.rev l, rest)
+  | held -> ([], held)
+
+let rec partitioned ~round ~src ~dst = function
+  | [] -> false
+  | Plan.Partition { groups; first; last } :: _
+    when round >= first && round <= last && group_of groups src <> group_of groups dst ->
+      true
+  | _ :: rest -> partitioned ~round ~src ~dst rest
+
+(* The fate of point-to-point traffic from [src] to [dst]: partitions,
+   then the drop/delay rules in plan order. A coin is drawn only for a
+   drop rule that matches (in scope and link), so scoped rules never
+   perturb the fault stream elsewhere. *)
+let fate ~rng ~round ~src ~dst plan =
+  let rec rules = function
+    | [] -> `Keep
+    | Plan.Drop { link; p; at } :: rest
+      when (match at with None -> true | Some r -> r = round) && Plan.link_matches link ~src ~dst ->
+        if Sb_util.Rng.bernoulli rng p then `Drop else rules rest
+    | Plan.Delay { link; by; at } :: _
+      when (match at with None -> true | Some r -> r = round) && Plan.link_matches link ~src ~dst ->
+        `Delay by
+    | _ :: rest -> rules rest
+  in
+  if partitioned ~round ~src ~dst plan then `Drop else rules plan
+
+let filter plan ~rng st ~round ~env queue =
+  let crash_round = with_crashes plan st.crash_round in
+  let released, held = release round st.held in
+  let held = ref held and drops = ref st.drops and delays = ref st.delays in
+  let keep =
+    List.filter
+      (fun x ->
+        match env x with
+        | { Envelope.src = Envelope.Party s; _ } when round >= crash_round.(s) -> false
+        | { Envelope.src = Envelope.Party s; dst = Envelope.Party d; _ } when s <> d -> (
+            (* A real point-to-point link: fault rules apply. *)
+            match fate ~rng ~round ~src:s ~dst:d plan with
+            | `Keep -> true
+            | `Drop ->
+                incr drops;
+                false
+            | `Delay by ->
+                incr delays;
+                held := hold (round + by) x !held;
+                false)
+        | _ ->
+            (* Self-delivery, the broadcast channel, and both directions
+               of the ideal functionality channel are reliable; only
+               crash-stop touches them. *)
+            true)
+      queue
+  in
+  ({ crash_round; held = !held; drops = !drops; delays = !delays }, released @ keep)
+
 let compile ~n (plan : Plan.t) =
   (match Plan.validate ~n plan with
   | Ok () -> ()
   | Error e -> invalid_arg ("Sb_fault.Inject.compile: " ^ e));
-  let crash_round = Array.make n max_int in
-  List.iter
-    (function
-      | Plan.Crash { party; round } ->
-          crash_round.(party) <- min crash_round.(party) round
-      | _ -> ())
-    plan;
-  let partitions =
-    List.filter_map
-      (function Plan.Partition { groups; first; last } -> Some (groups, first, last) | _ -> None)
-      plan
-  in
-  (* Drop/delay rules keep their relative plan order. *)
-  let rules =
-    List.filter_map
-      (function
-        | Plan.Drop { link; p; at } -> Some (`Drop (link, p, at))
-        | Plan.Delay { link; by; at } -> Some (`Delay (link, by, at))
-        | Plan.Crash _ | Plan.Partition _ -> None)
-      plan
-  in
   fun ~rng ->
-    (* Per-run state: which crashes have been tallied, and envelopes in
-       flight, keyed by the round they should re-enter the queue as if
-       sent in (appended in arrival order, released in that order). *)
-    let crash_counted = Array.make n false in
-    let held : (int, Envelope.t list ref) Hashtbl.t = Hashtbl.create 8 in
-    let hold ~due e =
-      match Hashtbl.find_opt held due with
-      | Some l -> l := e :: !l
-      | None -> Hashtbl.add held due (ref [ e ])
-    in
-    let partitioned ~round ~src ~dst =
-      List.exists
-        (fun (groups, first, last) ->
-          round >= first && round <= last && group_of groups src <> group_of groups dst)
-        partitions
-    in
+    let st = ref (init ~n) in
     fun ~round envs ->
-      Array.iteri
-        (fun i r ->
-          if round >= r && not crash_counted.(i) then begin
-            crash_counted.(i) <- true;
-            Sb_obs.Metrics.incr m_crashes
-          end)
-        crash_round;
-      let released =
-        match Hashtbl.find_opt held round with
-        | Some l ->
-            Hashtbl.remove held round;
-            List.rev !l
-        | None -> []
-      in
-      let keep =
-        List.filter
-          (fun (e : Envelope.t) ->
-            match Envelope.src_party e with
-            | Some i when round >= crash_round.(i) -> false
-            | src -> (
-                match (src, Envelope.dst_party e) with
-                | Some s, Some d when s <> d ->
-                    (* A real point-to-point link: fault rules apply. *)
-                    if partitioned ~round ~src:s ~dst:d then begin
-                      Sb_obs.Metrics.incr m_drops;
-                      false
-                    end
-                    else
-                      (* A rule with a round scope is inert outside its
-                         sending round; the Bernoulli coin is drawn only
-                         for rules that actually match, so scoped rules
-                         never perturb the fault stream elsewhere. *)
-                      let in_scope = function None -> true | Some r -> r = round in
-                      let rec apply = function
-                        | [] -> true
-                        | `Drop (l, p, at) :: rest ->
-                            if in_scope at && Plan.link_matches l ~src:s ~dst:d then
-                              if Sb_util.Rng.bernoulli rng p then begin
-                                Sb_obs.Metrics.incr m_drops;
-                                false
-                              end
-                              else apply rest
-                            else apply rest
-                        | `Delay (l, by, at) :: rest ->
-                            if in_scope at && Plan.link_matches l ~src:s ~dst:d then begin
-                              Sb_obs.Metrics.incr m_delayed;
-                              hold ~due:(round + by) e;
-                              false
-                            end
-                            else apply rest
-                      in
-                      apply rules
-                | _ ->
-                    (* Self-delivery, the broadcast channel, and both
-                       directions of the ideal functionality channel
-                       are reliable; only crash-stop touches them. *)
-                    true))
-          envs
-      in
-      released @ keep
+      let st', kept = filter plan ~rng !st ~round ~env:Fun.id envs in
+      Array.iter (fun r -> if r = round then Sb_obs.Metrics.incr m_crashes) st'.crash_round;
+      Sb_obs.Metrics.incr ~by:(st'.drops - !st.drops) m_drops;
+      Sb_obs.Metrics.incr ~by:(st'.delays - !st.delays) m_delayed;
+      st := st';
+      kept

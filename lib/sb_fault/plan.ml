@@ -81,7 +81,6 @@ let spec_to_string = function
         first last
 
 let to_string plan = String.concat ";" (List.map spec_to_string plan)
-let pp fmt plan = Format.pp_print_string fmt (to_string plan)
 
 (* --- parsing -------------------------------------------------------- *)
 

@@ -97,5 +97,3 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse the [--faults] grammar above. Does not range-check ids
     against an [n] — combine with {!validate}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,7 @@ type t = {
   pool : Envelope.Arena.arena option;
       (** When present, the network's outbox draws send-all envelope
           records ({!Outbox.to_all}) from this arena instead of
-          allocating; set by large-n callers that run {!Network.run}
+          allocating; set by large-n callers of {!Network.honest_run}
           with [~reuse_envelopes:true], which also keeps its mailboxes
           and outbox in the arena. *)
 }

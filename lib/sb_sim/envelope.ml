@@ -95,7 +95,7 @@ end
 (* Two-sided envelope arena for the large-n delivery path. Allocation
    draws recycled records from the current side; [flip] switches sides
    and resets the side it lands on, handing its records back for
-   reuse. Flipped once per round by [Network.run ~reuse_envelopes],
+   reuse. Flipped once per round by [Network.honest_run ~reuse_envelopes],
    this gives every allocation exactly one round of grace: records
    handed out at round r are recycled at round r+2, after their
    delivery round r+1 has consumed them. Bodies are immutable [Msg.t]

@@ -84,12 +84,12 @@ end
 (** Two-sided envelope arena for the large-n delivery path: records
     handed out at flip cycle [f] are recycled at cycle [f+2], giving
     every envelope exactly one full round of grace when
-    {!Network.run} flips once per round under [~reuse_envelopes].
+    {!Network.honest_run} flips once per round under [~reuse_envelopes].
     Bodies stay immutable {!Msg.t} values; only the envelope records
     are recycled, so the arena must not be combined with trace
     recording, delay-fault queues, or adversaries that retain
-    delivered envelopes across rounds ([Network.run] enforces the
-    first two). Arena envelopes share {!make}'s endpoints (a fresh one
+    delivered envelopes across rounds ([Network.honest_run] rules
+    out the first two). Arena envelopes share {!make}'s endpoints (a fresh one
     stored into a recycled major-heap record would be promoted) and
     stay structurally equal to the ones {!make} builds. The arena also
     keeps the network's mailboxes and outbox across runs ({!stash}). *)

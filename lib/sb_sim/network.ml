@@ -48,6 +48,13 @@ let wall_lock = Mutex.create ()
 
 type interceptor = round:int -> Envelope.t list -> Envelope.t list
 
+type started = {
+  collect : round:int -> unit;
+  sent : unit -> Envelope.t list;
+  route : round:int -> Envelope.t list option -> unit;
+  finish : unit -> result;
+}
+
 (* Delivery storage for runs without an arena: each domain lends its
    last run's mailboxes and outbox to its next run, so a stream of small
    runs stops growing fresh buffers. A run takes the storage out of the
@@ -55,49 +62,23 @@ type interceptor = round:int -> Envelope.t list -> Envelope.t list
    that raised, starts fresh); storage past 2^16 slots is not kept. *)
 let spare : Envelope.Arena.arena option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-(* The round loop runs five explicit phases over a route-indexed
-   delivery queue (see Router):
-
-     deliver    parties and the adversary read this round's mailboxes;
-     collect    honest parties step, appending to the run's one outbox;
-     rush       the adversary observes same-round honest traffic and
-                answers; spoofed sources are dropped;
-     intercept  the fault interceptor filters the flat outgoing queue
-                (honest + adversarial + functionality-bound traffic,
-                exactly as sent);
-     route      the functionality consumes Func-bound envelopes, and
-                the surviving queue — party traffic first, then
-                functionality replies — is dispatched into the next
-                round's router.
-
-   The router preserves enqueue order per recipient (Router's ordering
-   invariant), so each phase sees byte-for-byte what the seed
-   list-filter engine showed it. Without an interceptor no envelope
-   list is built: one pass over the outbox and the adversary's reply
-   checks authentication, counts channels, tallies communication and
-   routes. Lists exist only for the trace, the interceptor and an
-   adversary that forces its view. *)
-let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~inputs
-    ?(aux = Msg.Unit) ?(record_trace = true) ?(record_comm = false)
-    ?(reuse_envelopes = false) ?faults () =
+(* Set a run up and return its round's two halves as closures over its
+   locals; interception sits between them, in the caller. Routing
+   keeps enqueue order per recipient (Router's ordering invariant).
+   Without a queue to route, no envelope list is built: one pass over
+   the sends checks authentication, counts, tallies and routes. Only a
+   [metered] run feeds the sim.* counters. *)
+let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) ~rng
+    ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~inputs ~aux =
   let n = ctx.n in
   if Array.length inputs <> n then invalid_arg "Network.run: wrong number of inputs";
-  (* Recycled records change under anything that keeps envelopes
-     across rounds: the trace, delay-fault queues (and adversaries that
-     stash deliveries, which is documented, not checkable). *)
-  if reuse_envelopes && (record_trace || Option.is_some faults) then
-    invalid_arg "Network.run: reuse_envelopes requires record_trace:false and no faults";
   (* Independent randomness streams, in a fixed order for reproducibility.
-     The fault stream is split last, and only when a fault hook is
-     installed, so fault-free runs replay the exact seed streams. *)
+     A caller's fault stream is split after these, and only when a
+     fault hook is installed, so fault-free runs replay the exact seed
+     streams. *)
   let party_rngs = Array.init n (fun _ -> Sb_util.Rng.split rng) in
   let adv_rng = Sb_util.Rng.split rng in
   let func_rng = Sb_util.Rng.split rng in
-  let intercept =
-    match faults with
-    | None -> None
-    | Some make -> Some (make ~rng:(Sb_util.Rng.split rng))
-  in
   let corrupted = adversary.choose_corrupt ctx ~rng:adv_rng in
   assert (Sb_util.Subset.is_valid n corrupted);
   assert (List.length corrupted <= ctx.thresh);
@@ -125,13 +106,14 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
      round, [staging] is refilled with the next round's queue). They
      and the outbox live in the ctx arena under reuse, else in the
      domain's spare storage. *)
-  let lent = if reuse_envelopes then None else Some (Domain.DLS.get spare) in
   let storage =
-    match (lent, ctx.pool) with
-    | None, Some a | Some (Some a), _ -> a
+    match (reuse_envelopes, ctx.pool, Domain.DLS.get spare) with
+    | true, Some a, _ -> a
+    | false, _, Some a ->
+        Domain.DLS.set spare None;
+        a
     | _ -> Envelope.Arena.create ()
   in
-  if Option.is_some lent then Domain.DLS.set spare None;
   let st = Envelope.Arena.stash storage ((2 * n) + 1) in
   let mailboxes = ref (Router.create ~stash:st n) in
   let staging = ref (Router.create ~stash:(Array.sub st n n) n) in
@@ -145,9 +127,6 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
   let c_deliveries = ref 0 in
   let cached_body = ref Msg.Unit and cached_size = ref (Msg.size_bytes Msg.Unit) in
   let p2p_count = ref 0 in
-  Sb_obs.Metrics.incr m_runs;
-  let metrics_run = Sb_obs.Metrics.enabled () in
-  let run_t0 = if metrics_run then Unix.gettimeofday () else 0.0 in
   (* Causal tracing (Trace_ctx), off by default: one session span tree
      — session -> round -> {collect/rush/intercept/route} phases ->
      party — plus a flow edge per delivered envelope from the span that
@@ -173,20 +152,23 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
   (* Sender spans of envelopes routed into the next round; when that
      round's span opens these become its incoming flow edges. *)
   let pending : Sb_obs.Trace_ctx.h list ref = ref [] in
-  (* The round whose adversary view may still be forced: its lists are
-     built from storage the next round reuses. *)
+  (* The round whose adversary view may still be forced (its lists are
+     built from storage the next round reuses); -1 once closed. *)
   let view_round = ref 0 in
-  for round = 0 to total_rounds do
+  (* What [collect] leaves for [route] within one round. *)
+  let s_round = ref Sb_obs.Trace_ctx.none and s_rush = ref Sb_obs.Trace_ctx.none in
+  let s_intercept = ref Sb_obs.Trace_ctx.none in
+  let adv_out_raw = ref [] and adv_out = ref [] in
+  (* Deliver + collect + rush. *)
+  let collect ~round =
+    if !view_round < 0 then invalid_arg "Network: the run is closed";
     (* Under reuse, flip the context arena: the side flipped onto last
        held round r-2's allocations, delivered and consumed at r-1 —
        dead by now, so its records are recycled for this round. *)
     if reuse_envelopes then
       (match ctx.pool with Some a -> Envelope.Arena.flip a | None -> ());
-    let metrics_on = Sb_obs.Metrics.enabled () in
-    let t0 = if metrics_on then Unix.gettimeofday () else 0.0 in
     let inbox_router = !mailboxes in
-    let last = round = total_rounds in
-    let s_round =
+    s_round :=
       if tracing then begin
         let s =
           Sb_obs.Trace_ctx.begin_span ~agg:"round" ~cat:"round"
@@ -197,9 +179,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
         pending := [];
         s
       end
-      else Sb_obs.Trace_ctx.none
-    in
-    (* 1. Deliver + collect. *)
+      else Sb_obs.Trace_ctx.none;
     Outbox.clear out;
     let s_collect = phase "collect" in
     Array.iteri
@@ -222,41 +202,44 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
         ends.(k) <- Outbox.length out)
       parties;
     Sb_obs.Trace_ctx.end_span s_collect;
-    let n_honest = Outbox.length out in
-    (* 2. Rush: the adversary sees same-round honest traffic — minus
-       the ideal channel to the functionality — plus everything the
-       router delivered to the corrupted set this round. *)
-    let s_rush = phase "rush" in
+    (* Rush: the adversary sees same-round honest traffic — minus the
+       ideal channel to the functionality — plus everything the router
+       delivered to the corrupted set this round. *)
+    let s = phase "rush" in
+    s_rush := s;
     view_round := round;
     let current () = if !view_round <> round then invalid_arg "Adversary.view: stale" in
     let rushed =
       lazy (current (); List.filter (fun e -> not (Envelope.is_func_bound e)) (Outbox.to_list out))
     in
     let delivered = lazy (current (); Router.delivered_to_any inbox_router corrupted) in
-    let adv_out_raw = strategy.Adversary.act { round; delivered; rushed } in
+    adv_out_raw := strategy.Adversary.act { round; delivered; rushed };
     (* Drop spoofed envelopes. *)
-    let adv_out =
+    adv_out :=
       List.filter
         (fun e ->
           match Envelope.src_party e with Some i -> is_corrupt.(i) | None -> false)
-        adv_out_raw
-    in
-    Sb_obs.Trace_ctx.end_span s_rush;
-    (* 3. Intercept: fault injection at the delivery queue, which it
-       receives in full, as sent and before any routing. *)
-    let s_intercept = phase "intercept" in
-    let intercepted =
-      Option.map (fun f -> f ~round (if last then [] else Outbox.to_list out @ adv_out)) intercept
-    in
-    Sb_obs.Trace_ctx.end_span s_intercept;
-    (* 4. Route: one pass over the honest and adversarial sends; the
-       functionality steps after it, and its replies are routed last. *)
+        !adv_out_raw;
+    Sb_obs.Trace_ctx.end_span s;
+    (* Interception is the caller's; [route] closes its span. *)
+    s_intercept := phase "intercept"
+  in
+  let sent () = match !adv_out with [] -> Outbox.to_list out | a -> Outbox.to_list out @ a in
+  (* One pass over the sends, then the functionality, whose replies
+     are routed last; [queue], when given, is routed instead. *)
+  let route ~round queue =
+    if !view_round < 0 then invalid_arg "Network: the run is closed";
+    Sb_obs.Trace_ctx.end_span !s_intercept;
+    let last = round = total_rounds in
+    let metrics_on = metered && Sb_obs.Metrics.enabled () and s_rush = !s_rush and adv_out = !adv_out in
+    let n_honest = Outbox.length out in
+    let inbox_router = !mailboxes in
     let s_route = phase "route" in
     let next = !staging in
     Router.clear next;
     let bcasts = ref 0 and p2ps = ref 0 and bcast_bytes = ref 0 and p2p_bytes = ref 0 in
     let func_in = ref [] in
-    let route_here = Option.is_none intercept && not last in
+    let route_here = Option.is_none queue && not last in
     let src_of e =
       match Envelope.src_party e with
       | Some i when not is_corrupt.(i) -> party_span.(i)
@@ -308,7 +291,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     done;
     List.iter account adv_out;
     let func_in =
-      match intercepted with
+      match queue with
       | None -> List.rev !func_in
       | Some all_out ->
           List.iter (fun e -> if not (Envelope.is_func_bound e) then route e) all_out;
@@ -324,40 +307,86 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
           m "%s round %d: honest=%d adv=%d func_in=%d func_out=%d%s" protocol.name round
             n_honest n_adv (List.length func_in) (List.length func_out)
             (if last then " (final)" else ""));
-    (* 5. Record round observations. *)
+    (* Record round observations. *)
     if not last then p2p_count := !p2p_count + !p2ps;
     if metrics_on then begin
       Sb_obs.Metrics.incr m_rounds;
       Sb_obs.Metrics.incr ~by:n_honest m_honest;
       Sb_obs.Metrics.incr ~by:n_adv m_adv;
       Sb_obs.Metrics.incr ~by:(List.length func_out) m_func;
-      Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - n_adv) m_forged;
+      Sb_obs.Metrics.incr ~by:(List.length !adv_out_raw - n_adv) m_forged;
       Sb_obs.Metrics.incr ~by:!bcasts m_bcast;
       Sb_obs.Metrics.incr ~by:!p2ps m_p2p;
       Sb_obs.Metrics.incr ~by:!bcast_bytes m_bytes_bcast;
-      Sb_obs.Metrics.incr ~by:!p2p_bytes m_bytes_p2p;
-      Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
+      Sb_obs.Metrics.incr ~by:!p2p_bytes m_bytes_p2p
     end;
     if record_comm then c_deliveries := !c_deliveries + Router.total next;
     Sb_obs.Trace_ctx.end_span s_route;
     staging := inbox_router;
     mailboxes := next;
-    Sb_obs.Trace_ctx.end_span s_round;
+    Sb_obs.Trace_ctx.end_span !s_round;
     if record_trace && not last then
       trace :=
         { Trace.round; honest_sent = Outbox.to_list out; adv_sent = adv_out; func_sent = func_out }
         :: !trace
+  in
+  (* Closing hands the storage back, once; outputs may be read at any
+     point, and are final after the last round. *)
+  let finish () =
+    if !view_round >= 0 then begin
+      view_round := -1;
+      if tracing then begin
+        pending := [];
+        Sb_obs.Trace_ctx.end_span s_session
+      end;
+      if (not reuse_envelopes) && Array.for_all (fun (b : Envelope.Buf.t) -> Array.length b.envs <= 1 lsl 16) st
+      then Domain.DLS.set spare (Some storage)
+    end;
+    {
+      outputs = Array.to_list (Array.map (fun (id, party) -> (id, party.Party.output ())) parties);
+      adv_output = strategy.Adversary.adv_output ();
+      corrupted;
+      rounds_used = total_rounds;
+      p2p_messages = !p2p_count;
+      trace = List.rev !trace;
+      comm =
+        (if record_comm then
+           Some
+             {
+               broadcasts = !c_bcast;
+               broadcast_bytes = !c_bcast_bytes;
+               p2p_bytes = !c_p2p_bytes;
+               deliveries = !c_deliveries;
+             }
+         else None);
+    }
+  in
+  { collect; sent; route; finish }
+
+(* The round loop: collect, offer the as-sent queue to the interceptor
+   (none in the final round, whose sends are discarded), route. The
+   run count and the wall-clock metrics live here, with the loop that
+   owns the clock. *)
+let drive ctx (protocol : Protocol.t) s ~intercept =
+  let metrics_run = Sb_obs.Metrics.enabled () in
+  let run_t0 = if metrics_run then Unix.gettimeofday () else 0.0 in
+  Sb_obs.Metrics.incr m_runs;
+  let total_rounds = protocol.rounds ctx in
+  for round = 0 to total_rounds do
+    let timed = Sb_obs.Metrics.enabled () in
+    let t0 = if timed then Unix.gettimeofday () else 0.0 in
+    s.collect ~round;
+    let queue =
+      Option.map (fun f -> f ~round (if round = total_rounds then [] else s.sent ())) intercept
+    in
+    s.route ~round queue;
+    if timed then Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
   done;
-  view_round := -1;
-  if tracing then begin
-    pending := [];
-    Sb_obs.Trace_ctx.end_span s_session
-  end;
+  let r = s.finish () in
   if metrics_run && Sb_obs.Metrics.enabled () then begin
     (* Fold this run's wall time into the cumulative total and refresh
-       the throughput gauges from the cumulative counters. Gauges are
-       wall-clock derived and therefore not part of the deterministic
-       counter surface. *)
+       the throughput gauges (wall-clock derived, so not part of the
+       deterministic counter surface). *)
     let wall = Unix.gettimeofday () -. run_t0 in
     Mutex.lock wall_lock;
     let total = Sb_obs.Metrics.gauge_value g_wall +. wall in
@@ -370,42 +399,39 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     end;
     Mutex.unlock wall_lock
   end;
-  if Option.is_some lent && Array.for_all (fun (b : Envelope.Buf.t) -> Array.length b.envs <= 1 lsl 16) st
-  then Domain.DLS.set spare (Some storage);
-  let trace = List.rev !trace in
   if Sb_obs.Sink.attached () > 0 then
     Sb_obs.Event.emit "network.run"
       ~fields:
       [
         ("protocol", Sb_obs.Json.Str protocol.name);
-        ("rounds", Sb_obs.Json.Int total_rounds);
-        ("corrupted", Sb_obs.Json.Int (List.length corrupted));
-        ("p2p", Sb_obs.Json.Int !p2p_count);
+        ("rounds", Sb_obs.Json.Int r.rounds_used);
+        ("corrupted", Sb_obs.Json.Int (List.length r.corrupted));
+        ("p2p", Sb_obs.Json.Int r.p2p_messages);
         ( "per_round",
           Sb_obs.Json.List
             (List.map
                (fun (h, a, f) -> Sb_obs.Json.List [ Sb_obs.Json.Int h; Sb_obs.Json.Int a; Sb_obs.Json.Int f ])
-               (Trace.per_round_counts trace)) );
+               (Trace.per_round_counts r.trace)) );
       ];
-  {
-    outputs = Array.to_list (Array.map (fun (id, party) -> (id, party.Party.output ())) parties);
-    adv_output = strategy.Adversary.adv_output ();
-    corrupted;
-    rounds_used = total_rounds;
-    p2p_messages = !p2p_count;
-    trace;
-    comm =
-      (if record_comm then
-         Some
-           {
-             broadcasts = !c_bcast;
-             broadcast_bytes = !c_bcast_bytes;
-             p2p_bytes = !c_p2p_bytes;
-             deliveries = !c_deliveries;
-           }
-       else None);
-  }
+  r
 
-let honest_run ?record_trace ?record_comm ?reuse_envelopes ctx ~rng ~protocol ~inputs =
-  run ctx ~rng ~protocol ~adversary:(Adversary.passive protocol) ~inputs ?record_trace
-    ?record_comm ?reuse_envelopes ()
+let start ctx ~rng ~protocol ~adversary ~inputs =
+  begin_run ~metered:false ~record_trace:false ~record_comm:false ~reuse_envelopes:false ctx ~rng
+    ~protocol ~adversary ~inputs ~aux:Msg.Unit
+
+let run ctx ~rng ~protocol ~adversary ~inputs ?(aux = Msg.Unit) ?(record_trace = true) ?faults () =
+  let s =
+    begin_run ~metered:true ~record_trace ~record_comm:false ~reuse_envelopes:false ctx ~rng
+      ~protocol ~adversary ~inputs ~aux
+  in
+  drive ctx protocol s ~intercept:(Option.map (fun make -> make ~rng:(Sb_util.Rng.split rng)) faults)
+
+let honest_run ?(record_trace = true) ?(record_comm = false) ?(reuse_envelopes = false) ctx
+    ~rng ~protocol ~inputs =
+  (* Recycled records change under the trace, which keeps them. *)
+  if reuse_envelopes && record_trace then
+    invalid_arg "Network.honest_run: reuse_envelopes requires record_trace:false";
+  drive ctx protocol
+    (begin_run ~metered:true ~record_trace ~record_comm ~reuse_envelopes ctx ~rng
+       ~protocol ~adversary:(Adversary.passive protocol) ~inputs ~aux:Msg.Unit)
+    ~intercept:None

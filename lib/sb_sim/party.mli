@@ -14,9 +14,6 @@
 type step = round:int -> inbox:Inbox.t -> out:Outbox.t -> unit
 type t = { step : step; output : unit -> Msg.t }
 
-val silent : output:Msg.t -> t
-(** A party that never sends and outputs a constant; useful in tests. *)
-
 val of_list_step : (round:int -> inbox:Envelope.t list -> Envelope.t list) -> step
 (** Adapt a step written against lists (inbox in, sends out) to the
     contract above; for pinned reference copies, not hot paths. *)

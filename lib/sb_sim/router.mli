@@ -58,4 +58,4 @@ val length : t -> int
 val total : t -> int
 (** Delivery count including broadcast fan-out: the sum over parties
     of their {!inbox} lengths, in O(n). Feeds the [deliveries] tally
-    of [Network.run ~record_comm]. *)
+    of [Network.honest_run ~record_comm]. *)

@@ -24,22 +24,6 @@ let scheme_exn name =
   | Some s -> s
   | None -> Alcotest.failf "unknown scheme %s" name
 
-(* A single broadcast session as a Protocol.t, so Network.run can
-   drive exactly what Exec.replay simulates. *)
-let single_session (scheme : Sb_broadcast.Session.scheme) ~sender ~value =
-  {
-    Protocol.name = "single-" ^ scheme.Sb_broadcast.Session.scheme_name;
-    rounds = scheme.Sb_broadcast.Session.rounds;
-    make_functionality = None;
-    make_party =
-      (fun ctx ~rng ~id ~input:_ ->
-        let s =
-          scheme.Sb_broadcast.Session.create ctx ~rng ~sid:"chk" ~sender ~me:id
-            ~value:(if id = sender then Some value else None)
-        in
-        { Party.step = s.Sb_broadcast.Session.step; output = s.Sb_broadcast.Session.result });
-  }
-
 let witness_of ~sender ~value ~faulty decisions =
   {
     Checker.w_property = Checker.Agreement;
@@ -54,7 +38,7 @@ let witness_of ~sender ~value ~faulty decisions =
 let network_results ctx scheme ~sender ~value ~faulty decisions =
   let n = ctx.Ctx.n in
   let plan = Checker.plan_of_witness (witness_of ~sender ~value ~faulty decisions) in
-  let protocol = single_session scheme ~sender ~value in
+  let protocol = Exec.single_session scheme ~sender ~value in
   let inputs = Array.init n (fun i -> if i = sender then value else Msg.Bit false) in
   let r =
     Network.run ctx
@@ -358,6 +342,11 @@ let test_check_metrics () =
     (c "check.memo_hits");
   Alcotest.(check int) "check.terminals counter" r.Checker.stats.terminals
     (c "check.terminals");
+  (* The search's runs and filter calls are no executed faults or
+     network runs: they feed no sim.* or fault.* counter. *)
+  List.iter
+    (fun name -> Alcotest.(check int) (name ^ " untouched") 0 (c name))
+    [ "sim.runs"; "sim.rounds"; "sim.p2p"; "fault.drops"; "fault.delayed"; "fault.crashes" ];
   Sb_obs.Metrics.reset ();
   Sb_obs.Metrics.set_enabled false
 

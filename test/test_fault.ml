@@ -154,6 +154,49 @@ let test_first_matching_rule_wins () =
   Alcotest.(check int) "dropped" 0 (List.length (f ~round:0 [ p2p ~src:0 ~dst:1 ]));
   Alcotest.(check int) "nothing was held" 0 (List.length (f ~round:1 []))
 
+(* The filter's state is a value: filtering one state under two plans,
+   or at two rounds, leaves it as it was, and held envelopes come back
+   in the order they arrived. Elements are the caller's: here tagged
+   pairs, read through [~env:snd]. *)
+let test_state_forks () =
+  let rng = Sb_util.Rng.create 11 in
+  let filter plan st ~round queue = Inject.filter plan ~rng st ~round ~env:snd queue in
+  let a = ("a", p2p ~src:0 ~dst:1) and b = ("b", p2p ~src:0 ~dst:2) in
+  let c = ("c", p2p ~src:1 ~dst:2) and d = ("d", p2p ~src:3 ~dst:2) in
+  let tags l = List.map fst l in
+  let held st = List.map (fun (due, l) -> (due, tags l)) (Inject.held st) in
+  let crashed st = List.filter (Inject.crashed st) [ 0; 1; 2; 3 ] in
+  let s0 = Inject.init ~n:4 in
+  let s1, q1 =
+    filter [ Plan.crash ~party:3 ~round:0; Plan.delay ~src:0 2 ] s0 ~round:0 [ a; b; c; d ]
+  in
+  Alcotest.(check (list string)) "round 0 delivers the rest" [ "c" ] (tags q1);
+  Alcotest.(check (list (pair int (list string)))) "round 0 holds" [ (2, [ "a"; "b" ]) ] (held s1);
+  Alcotest.(check (list int)) "round 0 crash recorded" [ 3 ] (crashed s1);
+  Alcotest.(check (list (pair int (list string)))) "the initial state holds nothing" [] (held s0);
+  Alcotest.(check (list int)) "the initial state has no crash" [] (crashed s0);
+  (* Two forks of s1 at round 1. *)
+  let left, ql = filter [ Plan.crash ~party:1 ~round:1 ] s1 ~round:1 [ c; d ] in
+  let right, qr = filter [ Plan.delay ~src:1 1 ] s1 ~round:1 [ c; d ] in
+  Alcotest.(check (list string)) "left: 1 and 3 silenced" [] (tags ql);
+  Alcotest.(check (list int)) "left crashes" [ 1; 3 ] (crashed left);
+  Alcotest.(check (list string)) "right: 1's envelope held, 3 silenced" [] (tags qr);
+  Alcotest.(check (list (pair int (list string))))
+    "right: a later delay joins the same due round after the earlier ones"
+    [ (2, [ "a"; "b"; "c" ]) ]
+    (held right);
+  Alcotest.(check (list (pair int (list string)))) "s1 still holds its own" [ (2, [ "a"; "b" ]) ]
+    (held s1);
+  Alcotest.(check (list int)) "s1 crashes unchanged" [ 3 ] (crashed s1);
+  (* Releases, in arrival order, ahead of the round's own traffic. *)
+  let _, q2 = filter [] right ~round:2 [ d; ("e", p2p ~src:2 ~dst:0) ] in
+  Alcotest.(check (list string)) "released in arrival order, then the round's survivors"
+    [ "a"; "b"; "c"; "e" ] (tags q2);
+  let _, q2' = filter [] s1 ~round:2 [] in
+  Alcotest.(check (list string)) "the fork point releases only its own" [ "a"; "b" ] (tags q2');
+  Alcotest.(check (list string)) "left still releases a and b" [ "a"; "b" ]
+    (tags (snd (filter [] left ~round:2 [])))
+
 (* --- end-to-end ----------------------------------------------------- *)
 
 let uniform n = Sb_dist.Dist.uniform n
@@ -328,6 +371,7 @@ let () =
             test_round_scoped_drop_and_delay;
           Alcotest.test_case "partition window" `Quick test_partition_window;
           Alcotest.test_case "first matching rule wins" `Quick test_first_matching_rule_wins;
+          Alcotest.test_case "state forks" `Quick test_state_forks;
         ] );
       ( "resilience",
         [

@@ -431,6 +431,59 @@ let test_arena_vs_plain () =
        ]
     @ [ (Sb_broadcast.Eig.scheme, 7, 2) ])
 
+(* Recycled records would change under a retained trace, so the arena
+   path refuses to run with tracing left on. *)
+let test_reuse_requires_no_trace () =
+  let protocol = Sb_broadcast.Parallel.single Sb_broadcast.Send_echo.scheme in
+  let pooled = Ctx.make ~pool:(Envelope.Arena.create ()) ~rng:(rng ()) ~n:4 ~thresh:1 ~k:8 () in
+  Alcotest.check_raises "reuse with the trace on"
+    (Invalid_argument "Network.honest_run: reuse_envelopes requires record_trace:false")
+    (fun () ->
+      ignore
+        (Network.honest_run ~reuse_envelopes:true pooled ~rng:(rng ()) ~protocol
+           ~inputs:(Array.make 4 (Msg.Bit true))))
+
+(* A started run stepped by hand — routing in place or routing the
+   as-sent queue it hands out — reaches what [run] reaches; a closed run
+   refuses to step, and a run closed half-way leaves later runs
+   unchanged. *)
+let test_started_halves () =
+  let n = 5 in
+  let ctx = make_ctx ~n () in
+  let protocol = Sb_broadcast.Parallel.concurrent Sb_broadcast.Bracha.scheme in
+  let inputs = Array.init n (fun i -> Msg.Bit (i mod 2 = 0)) in
+  let adversary = Adversary.passive protocol in
+  let reference = Network.run ctx ~rng:(rng ()) ~protocol ~adversary ~inputs () in
+  let stepped queue_of =
+    let s = Network.start ctx ~rng:(rng ()) ~protocol ~adversary ~inputs in
+    for round = 0 to protocol.Protocol.rounds ctx do
+      s.Network.collect ~round;
+      s.Network.route ~round (queue_of s)
+    done;
+    let r = s.Network.finish () in
+    Alcotest.check_raises "a finished run refuses to step"
+      (Invalid_argument "Network: the run is closed") (fun () -> s.Network.collect ~round:0);
+    r
+  in
+  let same what (r : Network.result) =
+    Alcotest.(check (list (pair int string)))
+      (what ^ ": outputs")
+      (List.map (fun (i, m) -> (i, Msg.serialize m)) reference.Network.outputs)
+      (List.map (fun (i, m) -> (i, Msg.serialize m)) r.Network.outputs);
+    Alcotest.(check int) (what ^ ": p2p messages") reference.Network.p2p_messages
+      r.Network.p2p_messages;
+    Alcotest.(check bool) (what ^ ": no trace") true (r.Network.trace = [])
+  in
+  same "routed in place" (stepped (fun _ -> None));
+  same "routed as sent" (stepped (fun s -> Some (s.Network.sent ())));
+  let s = Network.start ctx ~rng:(rng ()) ~protocol ~adversary ~inputs in
+  s.Network.collect ~round:0;
+  ignore (s.Network.finish ());
+  Alcotest.check_raises "a run closed early refuses to route"
+    (Invalid_argument "Network: the run is closed") (fun () -> s.Network.route ~round:0 None);
+  same "after a run closed early"
+    (Network.run ctx ~rng:(rng ()) ~protocol ~adversary ~inputs ~record_trace:false ())
+
 (* --- Network: basic delivery ------------------------------------- *)
 
 (* A protocol where party 0 sends its input to everyone in round 0 and
@@ -897,6 +950,8 @@ let () =
           Alcotest.test_case "broadcast channel semantics" `Quick
             test_broadcast_channel_semantics;
           Alcotest.test_case "aux input plumbing" `Quick test_aux_input_reaches_adversary;
+          Alcotest.test_case "reuse requires no trace" `Quick test_reuse_requires_no_trace;
+          Alcotest.test_case "started run halves = run" `Quick test_started_halves;
         ] );
       ( "functionality",
         [
