@@ -49,18 +49,27 @@ let scheme =
           | 2 -> Inbox.iter_from_parties ~tag record_echo inbox
           | _ -> ()
         in
+        let slot src = if Sb_util.Bitvec.Mut.get echo_seen src then echo_val.(src) else default in
+        (* Majority over all n echo slots, absentees counted as default.
+           When every slot holds one value (the honest case) that value
+           wins, which the table below would also return as its last
+           write; only contested slots pay for serializing and hashing. *)
         let result () =
-          (* Majority over all n echo slots, absentees counted as default. *)
-          let counts = Hashtbl.create 8 in
-          for src = 0 to n - 1 do
-            let v = if Sb_util.Bitvec.Mut.get echo_seen src then echo_val.(src) else default in
-            let key = Msg.serialize v in
-            let c = match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0 in
-            Hashtbl.replace counts key (c + 1, v)
-          done;
-          let best = ref (0, default) in
-          Hashtbl.iter (fun _ (c, v) -> if c > fst !best then best := (c, v)) counts;
-          snd !best
+          let last = slot (n - 1) in
+          let rec uniform src = src = n - 1 || (Msg.equal (slot src) last && uniform (src + 1)) in
+          if uniform 0 then last
+          else begin
+            let counts = Hashtbl.create 8 in
+            for src = 0 to n - 1 do
+              let v = slot src in
+              let key = Msg.serialize v in
+              let c = match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0 in
+              Hashtbl.replace counts key (c + 1, v)
+            done;
+            let best = ref (0, default) in
+            Hashtbl.iter (fun _ (c, v) -> if c > fst !best then best := (c, v)) counts;
+            snd !best
+          end
         in
         { Session.step; result });
   }

@@ -49,6 +49,7 @@ let endpoint_key = function
   | Envelope.Party i -> if i < 16 then party_keys.(i) else "P" ^ string_of_int i
   | Envelope.Func -> "F"
   | Envelope.All -> "*"
+  | Envelope.Each n -> "P0..P" ^ string_of_int (n - 1)
 
 (* An envelope with its key — its endpoints and the MD5 of its
    serialized body (hashed once per send-all, whose n envelopes share

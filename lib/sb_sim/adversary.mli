@@ -24,10 +24,14 @@ type view = {
 }
 (** Both lists are built only when forced, from storage the network
     reuses: force them during the round's [act] (later raises
-    [Invalid_argument]); a forced list may be kept. *)
+    [Invalid_argument]); a forced list may be kept. They hold
+    point-to-point copies, never a send-all record
+    ({!Envelope.expand_onto}). *)
 
 type strategy = {
   act : view -> Envelope.t list;
+      (** A send-all record ({!Envelope.to_all}) in the answer counts,
+          filters and is traced as its copies. *)
   adv_output : unit -> Msg.t;
 }
 

@@ -1,4 +1,4 @@
-type endpoint = Party of int | Func | All
+type endpoint = Party of int | Func | All | Each of int
 
 (* Fields are mutable solely so [Arena] can recycle records on the
    large-n hot path; everywhere else envelopes are treated as
@@ -24,9 +24,11 @@ let party_header i =
   let rec digits acc n = if n < 10 then acc else digits (acc + 1) (n / 10) in
   1 + digits 1 i
 
-type table = { eps : endpoint array; headers : int array }
+(* [eachs.(j)] is the shared [Each (j + 1)]: a send-all to [j + 1]
+   parties needs the table to reach index [j] anyway. *)
+type table = { eps : endpoint array; headers : int array; eachs : endpoint array }
 
-let parties : table Atomic.t = Atomic.make { eps = [||]; headers = [||] }
+let parties : table Atomic.t = Atomic.make { eps = [||]; headers = [||]; eachs = [||] }
 
 let rec grow i =
   let t = Atomic.get parties in
@@ -35,7 +37,8 @@ let rec grow i =
   else begin
     let len' = min max_shared (max (i + 1) (max 16 (2 * len))) in
     let eps = Array.init len' (fun j -> if j < len then t.eps.(j) else Party j) in
-    let t' = { eps; headers = Array.init len' party_header } in
+    let eachs = Array.init len' (fun j -> if j < len then t.eachs.(j) else Each (j + 1)) in
+    let t' = { eps; headers = Array.init len' party_header; eachs } in
     if Atomic.compare_and_set parties t t' then eps.(i) else grow i
   end
 
@@ -50,24 +53,41 @@ let broadcast ~src body = { src = party src; dst = All; body }
 let to_func ~src body = { src = party src; dst = Func; body }
 let from_func ~dst body = { src = Func; dst = party dst; body }
 
-let src_party e = match e.src with Party i -> Some i | Func | All -> None
-let src_is e i = match e.src with Party j -> j = i | Func | All -> false
-let dst_party e = match e.dst with Party i -> Some i | Func | All -> None
-let is_broadcast e = match e.dst with All -> true | Party _ | Func -> false
-let is_func_bound e = match e.dst with Func -> true | Party _ | All -> false
-let is_from_func e = match e.src with Func -> true | Party _ | All -> false
+let each n =
+  let t = (Atomic.get parties).eachs in
+  if n >= 1 && n <= Array.length t then Array.unsafe_get t (n - 1)
+  else if n < 1 || n > max_shared then Each n
+  else begin
+    ignore (grow (n - 1));
+    (Atomic.get parties).eachs.(n - 1)
+  end
+
+let src_party e = match e.src with Party i -> Some i | Func | All | Each _ -> None
+let src_is e i = match e.src with Party j -> j = i | Func | All | Each _ -> false
+let dst_party e = match e.dst with Party i -> Some i | Func | All | Each _ -> None
+let is_broadcast e = match e.dst with All -> true | Party _ | Func | Each _ -> false
+let is_func_bound e = match e.dst with Func -> true | Party _ | All | Each _ -> false
+let is_from_func e = match e.src with Func -> true | Party _ | All | Each _ -> false
 
 let delivered_to e i =
-  match e.dst with Party j -> j = i | All -> true | Func -> false
+  match e.dst with Party j -> j = i | All -> true | Func -> false | Each n -> i >= 0 && i < n
 
-(* Endpoints render as "P<id>", "F" or "*". *)
+let copies e = match e.dst with Each n -> n | Party _ | Func | All -> 1
+
+(* Endpoints render as "P<id>", "F" or "*"; [Each n] as the n headers
+   "P0" .. "P<n-1>": one "P" and one digit each, plus one more digit
+   for every index from each power of ten on. *)
 let endpoint_size = function
   | Party i ->
       let h = (Atomic.get parties).headers in
       if i >= 0 && i < Array.length h then Array.unsafe_get h i else party_header i
   | Func | All -> 1
+  | Each n ->
+      let rec extra acc p = if p >= n then acc else extra (acc + n - p) (p * 10) in
+      extra (2 * n) 10
 
-let wire_size e = endpoint_size e.src + endpoint_size e.dst + Msg.size_bytes e.body
+let headers_size e = (copies e * endpoint_size e.src) + endpoint_size e.dst
+let wire_size e = headers_size e + (copies e * Msg.size_bytes e.body)
 
 (* Two parallel arrays rather than an array of records, so a push
    allocates nothing once capacity is reached. *)
@@ -151,25 +171,31 @@ module Arena = struct
   let make a ~src ~dst body = alloc a ~src:(party src) ~dst:(party dst) body
 end
 
-(* The send-all fan-out: one envelope per party, sharing the body and
-   the sender's endpoint, drawn from [arena] when given. *)
-let to_all_into ?arena b ~n ~src body =
-  let from = party src in
-  if n > 0 then ignore (party (min (n - 1) (max_shared - 1)));
-  (* The table now covers every shared destination: read it once. *)
-  let eps = (Atomic.get parties).eps in
-  for dst = 0 to n - 1 do
-    let d = if dst < Array.length eps then Array.unsafe_get eps dst else party dst in
-    Buf.push b 0
-      (match arena with
-      | None -> { src = from; dst = d; body }
-      | Some a -> Arena.alloc a ~src:from ~dst:d body)
-  done
+let to_all ?arena ~n ~src body =
+  if n < 1 then invalid_arg "Envelope.to_all: no party";
+  match arena with
+  | None -> { src = party src; dst = each n; body }
+  | Some a -> Arena.alloc a ~src:(party src) ~dst:(each n) body
+
+let copy_to e i = { e with dst = party i }
+
+(* Built back to front, so a send-all costs its n copies and no list
+   reversal. *)
+let expand_onto e acc =
+  match e.dst with
+  | Each n ->
+      let acc = ref acc in
+      for i = n - 1 downto 0 do
+        acc := copy_to e i :: !acc
+      done;
+      !acc
+  | Party _ | Func | All -> e :: acc
 
 let pp_endpoint fmt = function
   | Party i -> Format.fprintf fmt "P%d" i
   | Func -> Format.pp_print_string fmt "F"
   | All -> Format.pp_print_string fmt "*"
+  | Each n -> Format.fprintf fmt "P0..P%d" (n - 1)
 
 let pp fmt e =
   Format.fprintf fmt "%a->%a: %a" pp_endpoint e.src pp_endpoint e.dst Msg.pp e.body

@@ -9,10 +9,21 @@
     adversary still reads it before choosing the corrupted parties'
     same-round traffic.
 
+    [Each n] is a send-all record: one record standing for the n
+    point-to-point envelopes to parties [0 .. n-1], in party order
+    (built by {!to_all}). It is n messages on the wire, not a broadcast:
+    every count and size treats it as its n copies ({!copies},
+    {!wire_size}), and everything that hands out envelope lists
+    ([Outbox.to_list], [Router.to_list], the adversary's views, the
+    trace, a fault interceptor's queue) hands out the copies
+    ({!expand_onto}). Only outboxes, mailboxes and inbox slices hold
+    the record itself; in party [i]'s inbox it stands for the copy
+    addressed to [i].
+
     The network authenticates senders — a party cannot spoof another's
     [src] — matching the standard point-to-point model. *)
 
-type endpoint = Party of int | Func | All
+type endpoint = Party of int | Func | All | Each of int
 
 type t = { mutable src : endpoint; mutable dst : endpoint; mutable body : Msg.t }
 (** Fields are mutable solely for {!Arena} recycling on the large-n
@@ -47,21 +58,34 @@ val is_func_bound : t -> bool
 val is_from_func : t -> bool
 
 val delivered_to : t -> int -> bool
-(** Whether the envelope reaches party [i]'s inbox: direct address or
-    broadcast. *)
+(** Whether the envelope reaches party [i]'s inbox: direct address,
+    broadcast, or a send-all ([Each n], [0 <= i < n]). *)
 
-val endpoint_size : endpoint -> int
-(** Bytes of one rendered endpoint ("P<id>", "F" or "*") — the
-    addressing-header component of {!wire_size}, exposed so callers
-    that cache body sizes can still account headers per envelope. A
-    shared endpoint's size is a table read. *)
+val copies : t -> int
+(** Point-to-point envelopes the record stands for: [n] for a send-all
+    to [n] parties, 1 for anything else. *)
+
+val copy_to : t -> int -> t
+(** [copy_to e i] is [e] readdressed to party [i] (a fresh record
+    sharing [e]'s sender and body): a send-all's copy for [i]. *)
+
+val expand_onto : t -> t list -> t list
+(** [expand_onto e acc] puts [e]'s envelopes in front of [acc]: a
+    send-all's [n] copies to parties [0 .. n-1], in party order, or
+    [e] itself. *)
+
+val headers_size : t -> int
+(** Addressing-header bytes of all of the record's envelopes (endpoints
+    as rendered by {!pp}: ["P<id>"], ["F"], or ["*"]), in O(1): the
+    part of {!wire_size} that does not depend on the body, exposed so
+    callers that cache body sizes can still account headers. *)
 
 val wire_size : t -> int
 (** Bytes this envelope would occupy on a wire: the {!Msg.size_bytes}
-    of the body plus a canonical addressing header (endpoints as
-    rendered by {!pp}: ["P<id>"], ["F"], or ["*"]). A broadcast
-    envelope is one channel use: its size counts once, not once per
-    recipient — matching how [sim.broadcasts] counts messages. *)
+    of the body plus its addressing header ({!headers_size}). A
+    broadcast envelope is one channel use: its size counts once, not
+    once per recipient — matching how [sim.broadcasts] counts messages.
+    A send-all counts its [n] copies: [n] bodies and [n] headers. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -91,7 +115,7 @@ end
     delivered envelopes across rounds ([Network.honest_run] rules
     out the first two). Arena envelopes share {!make}'s endpoints (a fresh one
     stored into a recycled major-heap record would be promoted) and
-    stay structurally equal to the ones {!make} builds. The arena also
+    stay structurally equal to the ones {!make} and {!to_all} build. The arena also
     keeps the network's mailboxes and outbox across runs ({!stash}). *)
 module Arena : sig
   type arena
@@ -116,7 +140,7 @@ module Arena : sig
       owns them. *)
 end
 
-val to_all_into : ?arena:Arena.arena -> Buf.t -> n:int -> src:int -> Msg.t -> unit
-(** Append one copy of the body to every party [0 .. n-1], the sender
-    included, in party order, sharing the body and the sender's
-    endpoint; with [arena] the records are drawn from it. *)
+val to_all : ?arena:Arena.arena -> n:int -> src:int -> Msg.t -> t
+(** The send-all record from [src] to every party [0 .. n-1], the
+    sender included ([dst = Each n], a shared value like the [Party]
+    endpoints); drawn from [arena] when given. Requires [n >= 1]. *)

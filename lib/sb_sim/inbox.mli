@@ -2,7 +2,10 @@
     read-only slice of an envelope array that its owner (the network's
     router, a composition's bucketing) reuses every round. An inbox is
     valid only during the step it is passed to; keep envelopes or
-    bodies, never the inbox. *)
+    bodies, never the inbox. A send-all arrives as its one record
+    ([dst = Each n], see {!Envelope}): in this inbox it stands for the
+    copy addressed to the inbox's party, so read [src] and [body], not
+    [dst]. *)
 
 type t
 

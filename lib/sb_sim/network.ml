@@ -121,11 +121,9 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
   (* [ends.(k)]: where honest party k's appends end in the outbox. *)
   let ends = Array.make (Array.length parties) 0 in
   let trace = ref [] in
-  (* ?record_comm accumulators, metrics-independent; a send-all shares
-     one body across n envelopes, so the last body's size is cached. *)
+  (* ?record_comm accumulators, metrics-independent. *)
   let c_bcast = ref 0 and c_p2p_bytes = ref 0 and c_bcast_bytes = ref 0 in
   let c_deliveries = ref 0 in
-  let cached_body = ref Msg.Unit and cached_size = ref (Msg.size_bytes Msg.Unit) in
   let p2p_count = ref 0 in
   (* Causal tracing (Trace_ctx), off by default: one session span tree
      — session -> round -> {collect/rush/intercept/route} phases ->
@@ -213,7 +211,8 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
       lazy (current (); List.filter (fun e -> not (Envelope.is_func_bound e)) (Outbox.to_list out))
     in
     let delivered = lazy (current (); Router.delivered_to_any inbox_router corrupted) in
-    adv_out_raw := strategy.Adversary.act { round; delivered; rushed };
+    (* The adversary's send-alls count, filter and trace as copies. *)
+    adv_out_raw := List.fold_right Envelope.expand_onto (strategy.Adversary.act { round; delivered; rushed }) [];
     (* Drop spoofed envelopes. *)
     adv_out :=
       List.filter
@@ -232,7 +231,6 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
     Sb_obs.Trace_ctx.end_span !s_intercept;
     let last = round = total_rounds in
     let metrics_on = metered && Sb_obs.Metrics.enabled () and s_rush = !s_rush and adv_out = !adv_out in
-    let n_honest = Outbox.length out in
     let inbox_router = !mailboxes in
     let s_route = phase "route" in
     let next = !staging in
@@ -248,47 +246,59 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
     in
     let route e =
       Router.route next e;
-      if tracing && not last then pending := src_of e :: !pending
+      if tracing && not last then begin
+        let sp = src_of e in
+        for _ = 1 to Envelope.copies e do
+          pending := sp :: !pending
+        done
+      end
     in
     let account (e : Envelope.t) =
       match e.Envelope.dst with
       | Envelope.Func -> if route_here then func_in := e :: !func_in
       | dst ->
           let bc = match dst with Envelope.All -> true | _ -> false in
-          incr (if bc then bcasts else p2ps);
-          if metrics_on then begin
-            let b = if bc then bcast_bytes else p2p_bytes in
-            b := !b + Envelope.wire_size e
-          end;
-          if record_comm && not last then begin
-            let body = e.Envelope.body in
-            if body != !cached_body then begin
-              cached_body := body;
-              cached_size := Msg.size_bytes body
+          let copies = Envelope.copies e in
+          if bc then incr bcasts else p2ps := !p2ps + copies;
+          let tally = record_comm && not last in
+          if metrics_on || tally then begin
+            let size = Envelope.wire_size e in
+            if metrics_on then begin
+              let b = if bc then bcast_bytes else p2p_bytes in
+              b := !b + size
             end;
-            let b = if bc then c_bcast_bytes else c_p2p_bytes in
-            b := !b + Envelope.endpoint_size e.Envelope.src + Envelope.endpoint_size dst + !cached_size;
-            if bc then incr c_bcast
+            if tally then begin
+              let b = if bc then c_bcast_bytes else c_p2p_bytes in
+              b := !b + size;
+              if bc then incr c_bcast
+            end
           end;
           if route_here then route e
     in
     (* The common case — routing, nothing to tally — inline. *)
     let plain = route_here && not (metrics_on || record_comm || tracing) in
+    let n_honest = ref 0 in
     let k = ref 0 in
-    for j = 0 to n_honest - 1 do
+    for j = 0 to Outbox.length out - 1 do
       while j >= ends.(!k) do
         incr k
       done;
       let e = Outbox.get out j in
       (* Authenticated channels: an honest party only speaks as itself. *)
       assert (Envelope.src_is e (fst parties.(!k)));
+      n_honest := !n_honest + Envelope.copies e;
       if not plain then account e
-      else if Envelope.is_func_bound e then func_in := e :: !func_in
-      else begin
-        incr (if Envelope.is_broadcast e then bcasts else p2ps);
-        Router.route next e
-      end
+      else
+        match e.Envelope.dst with
+        | Envelope.Func -> func_in := e :: !func_in
+        | Envelope.All ->
+            incr bcasts;
+            Router.route next e
+        | Envelope.Party _ | Envelope.Each _ ->
+            p2ps := !p2ps + Envelope.copies e;
+            Router.route next e
     done;
+    let n_honest = !n_honest in
     List.iter account adv_out;
     let func_in =
       match queue with

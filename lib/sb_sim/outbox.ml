@@ -5,7 +5,7 @@ let create ?pool ?(buf = Envelope.Buf.create ()) () =
   { buf; pool }
 
 let push t e = Envelope.Buf.push t.buf 0 e
-let to_all t ~n ~src body = Envelope.to_all_into ?arena:t.pool t.buf ~n ~src body
+let to_all t ~n ~src body = if n > 0 then push t (Envelope.to_all ?arena:t.pool ~n ~src body)
 let length t = t.buf.len
 let get t i = t.buf.envs.(i)
 
@@ -15,7 +15,13 @@ let retag t ~from tag =
     t.buf.envs.(i) <- { e with Envelope.body = Msg.Tag (tag, e.Envelope.body) }
   done
 
-let to_list t = List.init t.buf.len (get t)
+let to_list t =
+  let acc = ref [] in
+  for i = t.buf.len - 1 downto 0 do
+    acc := Envelope.expand_onto t.buf.envs.(i) !acc
+  done;
+  !acc
+
 let clear t = Envelope.Buf.clear t.buf
 
 let drain t =

@@ -15,20 +15,27 @@ val create : ?pool:Envelope.Arena.arena -> ?buf:Envelope.Buf.t -> unit -> t
 val push : t -> Envelope.t -> unit
 
 val to_all : t -> n:int -> src:int -> Msg.t -> unit
-(** Append one copy of the body to every party [0 .. n-1], the sender
-    included, in party order — the substrates' send-all. *)
+(** Send the body to every party [0 .. n-1], the sender included — the
+    substrates' send-all. It appends one record, {!Envelope.to_all}
+    (nothing when [n = 0]), which stands for the [n] point-to-point
+    envelopes in party order: {!to_list} and {!drain} hand out those
+    copies, {!length} and {!get} see the one record. *)
 
 val length : t -> int
+(** Records appended since the last {!clear}: a send-all is one. *)
 
 val get : t -> int -> Envelope.t
-(** [get t i], for [0 <= i < length t]: the [i]-th append since the
-    last {!clear}. *)
+(** [get t i], for [0 <= i < length t]: the [i]-th record appended
+    since the last {!clear}. *)
 
 val retag : t -> from:int -> string -> unit
-(** [retag t ~from tag] replaces every envelope from index [from] on by
+(** [retag t ~from tag] replaces every record from index [from] on by
     a copy with its body wrapped as [Msg.Tag (tag, body)]. *)
 
 val to_list : t -> Envelope.t list
+(** The envelopes appended since the last {!clear}, in order, each
+    send-all expanded into its copies ({!Envelope.expand_onto}). *)
+
 val clear : t -> unit
 
 val drain : t -> Envelope.t list

@@ -1,8 +1,8 @@
 module Buf = Envelope.Buf
 
-(* One mailbox per party; a broadcast is pushed into every mailbox, so
-   an inbox is always its mailbox, sliced in place. [view] is the one
-   slice [inbox] hands out. *)
+(* One mailbox per party; a broadcast is pushed into every mailbox and
+   a send-all into the first n, so an inbox is always its mailbox,
+   sliced in place. [view] is the one slice [inbox] hands out. *)
 type t = { boxes : Buf.t array; view : Inbox.t; mutable next_seq : int }
 
 let clear t =
@@ -23,6 +23,10 @@ let route t (e : Envelope.t) =
   match e.Envelope.dst with
   | Envelope.Party i -> Buf.push t.boxes.(i) seq e
   | Envelope.All -> Array.iter (fun b -> Buf.push b seq e) t.boxes
+  | Envelope.Each n ->
+      for i = 0 to n - 1 do
+        Buf.push t.boxes.(i) seq e
+      done
   | Envelope.Func -> invalid_arg "Router.route: functionality-bound envelope"
 
 let inbox t i =
@@ -30,11 +34,13 @@ let inbox t i =
   Inbox.set t.view b.envs ~off:0 ~len:b.len;
   t.view
 
-(* K-way merge by stamp, largest first so the list needs no reversal;
-   a broadcast sits in every mailbox under one stamp and is taken once.
-   A linear max-scan over the few cursors keeps the code free of a
-   heap. *)
-let merge (bufs : Buf.t array) =
+(* K-way merge by stamp over the mailboxes of [ids] (ascending), largest
+   first so the list needs no reversal; a broadcast sits in every
+   mailbox under one stamp and is taken once, and a send-all is taken
+   once as its copies to the parties in [ids]. A linear max-scan over
+   the few cursors keeps the code free of a heap. *)
+let merge t ids =
+  let bufs = Array.map (fun i -> t.boxes.(i)) ids in
   let pos = Array.map (fun (b : Buf.t) -> b.len - 1) bufs in
   let rec next acc last =
     let best = ref (-1) in
@@ -46,12 +52,17 @@ let merge (bufs : Buf.t array) =
     else begin
       let b = bufs.(!best) and p = pos.(!best) in
       pos.(!best) <- p - 1;
-      if b.seqs.(p) = last then next acc last else next (b.envs.(p) :: acc) b.seqs.(p)
+      if b.seqs.(p) = last then next acc last
+      else
+        let e = b.envs.(p) in
+        let copy i acc = if Envelope.delivered_to e i then Envelope.copy_to e i :: acc else acc in
+        match e.Envelope.dst with
+        | Envelope.Each _ -> next (Array.fold_right copy ids acc) b.seqs.(p)
+        | Envelope.Party _ | Envelope.Func | Envelope.All -> next (e :: acc) b.seqs.(p)
     end
   in
   next [] (-1)
 
-let delivered_to_any t ids = merge (Array.of_list (List.map (fun i -> t.boxes.(i)) ids))
-let to_list t = merge t.boxes
-let length t = t.next_seq
+let delivered_to_any t ids = merge t (Array.of_list (List.sort_uniq compare ids))
+let to_list t = merge t (Array.init (Array.length t.boxes) Fun.id)
 let total t = Array.fold_left (fun acc (b : Buf.t) -> acc + b.len) 0 t.boxes

@@ -11,8 +11,10 @@
     global sequence number in enqueue order, so each mailbox is in
     enqueue order and [Inbox.to_list (inbox t i)] is exactly
     [List.filter (fun e -> Envelope.delivered_to e i) queue] for the
-    flat [queue] — envelope for envelope, in the same order — which
-    keeps the engine byte-identical to the seed list-filter delivery.
+    flat [queue] of routed records — record for record, in the same
+    order — and reading each send-all record there as its copy to [i]
+    gives the filter of the expanded queue, which keeps the engine
+    byte-identical to the seed list-filter delivery.
     [test/test_router.ml] pins this equivalence.
 
     Routers are single-domain mutable values; the network owns two and
@@ -31,31 +33,33 @@ val clear : t -> unit
 val route : t -> Envelope.t -> unit
 (** Enqueue one envelope: direct and functionality-sourced traffic
     goes to the destination party's mailbox, broadcast traffic to every
-    mailbox. Raises [Invalid_argument] on a functionality-bound
-    envelope — those are consumed by the functionality before routing,
-    never delivered to a party. *)
+    mailbox, a send-all record ([Each n]) to the mailboxes of parties
+    [0 .. n-1] — the one record under one stamp, like a broadcast.
+    Raises [Invalid_argument] on a functionality-bound envelope — those
+    are consumed by the functionality before routing, never delivered
+    to a party. *)
 
 val inbox : t -> int -> Inbox.t
 (** Everything delivered to party [i], in enqueue order: a slice of
     [i]'s mailbox through the router's one view, valid until the next
-    [inbox], [route] or [clear]. *)
+    [inbox], [route] or [clear]. A send-all sits in it as its one
+    record. *)
 
 val delivered_to_any : t -> int list -> Envelope.t list
 (** [delivered_to_any t ids] is every envelope delivered to at least
     one party in [ids] — each envelope once, in enqueue order: the
-    adversary's view of traffic reaching the corrupted set. [ids] must
-    be duplicate-free. Empty [ids] yields [] (broadcasts reach nobody
-    in an empty set). *)
+    adversary's view of traffic reaching the corrupted set. A send-all
+    record yields its copies to the parties in [ids] it reaches, in
+    party order, exactly as filtering the expanded queue would. [ids]
+    must be duplicate-free. Empty [ids] yields [] (broadcasts reach
+    nobody in an empty set). *)
 
 val to_list : t -> Envelope.t list
-(** The full routed queue in enqueue order, each envelope once: the
-    flat list the seed engine would have carried. Test and debugging
-    aid. *)
-
-val length : t -> int
-(** Routed envelope count (broadcasts counted once). *)
+(** The full routed queue in enqueue order, each envelope once and each
+    send-all as its copies ({!Envelope.expand_onto}): the flat list the
+    seed engine would have carried. Test and debugging aid. *)
 
 val total : t -> int
-(** Delivery count including broadcast fan-out: the sum over parties
+(** Delivery count including broadcast and send-all fan-out: the sum over parties
     of their {!inbox} lengths, in O(n). Feeds the [deliveries] tally
     of [Network.honest_run ~record_comm]. *)

@@ -10,16 +10,7 @@ type t = Bytes.t
 let[@inline] get t i = Bytes.get_int64_le t (8 * i)
 let[@inline] set t i v = Bytes.set_int64_le t (8 * i) v
 
-(* splitmix64: used only to expand seeds into full xoshiro states. *)
-let splitmix_next state =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let of_words s0 s1 s2 s3 =
+let[@inline] of_words s0 s1 s2 s3 =
   let t = Bytes.create 32 in
   set t 0 s0;
   set t 1 s1;
@@ -27,14 +18,26 @@ let of_words s0 s1 s2 s3 =
   set t 3 s3;
   t
 
-let of_seed64 seed =
-  let st = ref seed in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
+(* splitmix64, used only to expand seeds into full xoshiro states: the
+   k-th output mixes [seed + k * gamma]. The state is threaded through
+   immutable locals, so nothing but the 32-byte state is allocated. *)
+let gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+let[@inline] of_seed64 seed =
+  let open Int64 in
+  let x0 = add seed gamma in
+  let x1 = add x0 gamma in
+  let x2 = add x1 gamma in
+  let x3 = add x2 gamma in
+  let s0 = mix x0 and s1 = mix x1 and s2 = mix x2 and s3 = mix x3 in
   (* xoshiro must not start from the all-zero state. *)
-  if Int64.(logor (logor s0 s1) (logor s2 s3)) = 0L then of_words 1L 2L 3L 4L
+  if equal (logor (logor s0 s1) (logor s2 s3)) 0L then of_words 1L 2L 3L 4L
   else of_words s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
@@ -70,19 +73,27 @@ let int t bound =
   assert (bound > 0);
   if bound = 1 then 0
   else begin
-    (* Smallest power-of-two mask covering [bound], then reject. *)
-    let rec width w = if 1 lsl w >= bound then w else width (w + 1) in
-    let w = width 1 in
-    let rec draw () =
-      let v = bits t w in
-      if v < bound then v else draw ()
-    in
-    draw ()
+    (* Smallest power-of-two mask covering [bound], then reject. Loops
+       over local refs, not local closures, so a draw allocates
+       nothing. *)
+    let w = ref 1 in
+    while 1 lsl !w < bound do
+      incr w
+    done;
+    let v = ref (bits t !w) in
+    while !v >= bound do
+      v := bits t !w
+    done;
+    !v
   end
 
 let bool t = bits t 1 = 1
-let float t = Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1p-53
-let bernoulli t p = float t < p
+(* The top 53 bits scaled into [0, 1). [bernoulli] compares the
+   unboxed value in place; [float] boxes only its result, which a
+   caller outside this module receives through the call. *)
+let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1p-53
+let float t = unit_float t
+let bernoulli t p = unit_float t < p
 
 (* One draw per byte, in index order: the stream the golden values in
    test_util pin. *)

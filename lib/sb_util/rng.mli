@@ -20,7 +20,8 @@ val split : t -> t
 (** [split t] derives a fresh generator whose future output is
     statistically uncorrelated with [t]'s. Both generators advance
     independently afterwards; [t] itself is perturbed so repeated splits
-    yield distinct children. *)
+    yield distinct children. Allocates the child's 32-byte state and
+    nothing else. *)
 
 val split_n : t -> int -> t array
 (** [split_n t n] derives [n] fresh generators in one pass, advancing
@@ -46,16 +47,19 @@ val bits : t -> int -> int
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive.
-    Uses rejection sampling, so the distribution is exactly uniform. *)
+    Uses rejection sampling, so the distribution is exactly uniform.
+    Allocates nothing. *)
 
 val bool : t -> bool
 (** One uniform bit. *)
 
 val float : t -> float
-(** Uniform in [\[0, 1)]. *)
+(** Uniform in [\[0, 1)]: the top 53 bits of one draw, scaled. The
+    returned float is boxed (two words) unless the call is inlined. *)
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
+(** [bernoulli t p] is [true] with probability [p]: [float t < p],
+    compared without boxing, so a draw allocates nothing. *)
 
 val bytes : t -> int -> string
 (** [bytes t len] returns [len] uniform bytes. *)

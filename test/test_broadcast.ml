@@ -1274,7 +1274,7 @@ let pk_chaos ~seed =
           List.fold_left
             (fun acc (e : Envelope.t) ->
               match (Envelope.dst_party e, e.Envelope.body) with
-              | Some d, Msg.Tag ("test", Msg.Tag ("pk-val", v)) when d = dst ->
+              | Some d, Msg.Tag ("bc:test", Msg.Tag ("pk-val", v)) when d = dst ->
                   let k = Msg.serialize v in
                   if List.mem_assoc k acc then
                     List.map
@@ -1401,6 +1401,56 @@ let test_dolev_strong_equivocator_differential () =
       outputs
   done
 
+(* Echo traffic from parties 1..t; the sender 0 stays honest. In a
+   uniform run each corrupted party echoes, to every destination, a
+   fresh copy of the value the honest parties echo there (Msg.equal,
+   not the same value), sometimes after a conflicting echo that the
+   later write overwrites: every slot is equal, so the one-pass
+   majority decides. In a contested run each destination gets a random
+   pool value, that copy, or silence (an absentee counts as default). *)
+let se_mixed ~uniform ~seed =
+  {
+    Adversary.name = "se-mixed";
+    choose_corrupt = (fun ctx ~rng:_ -> List.init ctx.Ctx.thresh (fun i -> i + 1));
+    init =
+      (fun ctx ~rng:_ ~corrupted ~inputs:_ ~aux:_ ->
+        let arng = Sb_util.Rng.create (95000 + seed) in
+        let pool = [| Msg.Bit true; Msg.Bit false; Msg.Int 2; Msg.Str "x"; Msg.Tag ("echo", Msg.Bit true) |] in
+        let pick () = pool.(Sb_util.Rng.int arng (Array.length pool)) in
+        let echo ~src ~dst v =
+          Envelope.make ~src ~dst (Sb_broadcast.Session.wrap ~sid:"test" (Msg.Tag ("echo", v)))
+        in
+        let honest_echo rushed dst =
+          List.find_map
+            (fun (e : Envelope.t) ->
+              match (Envelope.dst_party e, e.Envelope.body) with
+              | Some d, Msg.Tag ("bc:test", Msg.Tag ("echo", v)) when d = dst -> Some v
+              | _ -> None)
+            rushed
+        in
+        let copy v = Option.get (Msg.deserialize (Msg.serialize v)) in
+        {
+          Adversary.act =
+            (fun view ->
+              if view.Adversary.round <> 1 then []
+              else
+                let rushed = Lazy.force view.Adversary.rushed in
+                List.concat_map
+                  (fun src ->
+                    List.concat
+                      (List.init ctx.Ctx.n (fun dst ->
+                           let v = copy (Option.get (honest_echo rushed dst)) in
+                           match (uniform, Sb_util.Rng.int arng 3) with
+                           | true, 0 -> [ echo ~src ~dst (pick ()); echo ~src ~dst v ]
+                           | true, _ -> [ echo ~src ~dst v ]
+                           | false, 0 -> [ echo ~src ~dst (pick ()) ]
+                           | false, 1 -> [ echo ~src ~dst v ]
+                           | false, _ -> [])))
+                  corrupted);
+          adv_output = (fun () -> Msg.Unit);
+        });
+  }
+
 let test_send_echo_differential () =
   for seed = 1 to 25 do
     (* Corrupted non-sender flooding conflicting echoes. *)
@@ -1415,7 +1465,35 @@ let test_send_echo_differential () =
          ~seed)
       (differential_outputs Sb_broadcast.Send_echo.scheme ~sender:0
          ~adv:(se_chaos ~corrupt:0) ~seed)
-  done
+  done;
+  (* Uniform and contested echo slots at n = 4..7. A uniform run
+     decides the honest sender's value. *)
+  List.iter
+    (fun (n, thresh) ->
+      List.iter
+        (fun uniform ->
+          for seed = 1 to 8 do
+            let what =
+              Printf.sprintf "send-echo vs seed (%s, n=%d t=%d seed %d)"
+                (if uniform then "uniform" else "contested")
+                n thresh seed
+            in
+            let run scheme =
+              serialized_outputs
+                (differential_run ~n ~thresh scheme ~sender:0 ~adv:(se_mixed ~uniform) ~seed)
+            in
+            let got = run Sb_broadcast.Send_echo.scheme in
+            Alcotest.check outputs_t what (run (List_session.to_scheme Seed_send_echo.scheme)) got;
+            if uniform then
+              List.iter
+                (fun (_, out) ->
+                  Alcotest.(check string) (what ^ ": sender's value")
+                    (Msg.serialize (Msg.Bit (seed mod 2 = 0)))
+                    out)
+                got
+          done)
+        [ true; false ])
+    [ (4, 1); (5, 2); (6, 1); (7, 2) ]
 
 let test_eig_differential () =
   for seed = 1 to 25 do

@@ -62,14 +62,19 @@ let test_router_inbox_matches_filter () =
   for i = 0 to n - 1 do
     Alcotest.check envs_testable (Printf.sprintf "inbox %d" i) (filtered queue i) (inbox r i)
   done;
-  Alcotest.check envs_testable "to_list is the queue" queue (Router.to_list r);
-  Alcotest.(check int) "length" (List.length queue) (Router.length r)
+  Alcotest.check envs_testable "to_list is the queue" queue (Router.to_list r)
 
-(* Random mixes of direct, broadcast and functionality-sourced traffic,
-   on routers built fresh and on one reused across queues from a
-   stash: every inbox slice is the filtered queue, envelope for
-   envelope (physically the same records), and reading one party's
-   inbox never disturbs another's. *)
+(* The per-destination oracle: every send-all record as its n copies. *)
+let expanded queue = List.concat_map (fun e -> Envelope.expand_onto e []) queue
+
+(* Random mixes of direct, broadcast, send-all and functionality-sourced
+   traffic, on routers built fresh and on one reused across queues from
+   a stash: every inbox slice is the filtered record queue, record for
+   record (physically the same records: a send-all sits in each mailbox
+   it reaches as its one record), reading one party's inbox never
+   disturbs another's, and the list views — [to_list] and
+   [delivered_to_any] for every subset of parties — equal the filtered
+   per-destination queue. *)
 let test_router_inbox_random_mixes () =
   let rng = Sb_util.Rng.create 9090 in
   List.iter
@@ -80,11 +85,13 @@ let test_router_inbox_random_mixes () =
         let queue =
           List.init (Sb_util.Rng.int rng 60) (fun k ->
               let src = Sb_util.Rng.int rng n and dst = Sb_util.Rng.int rng n in
-              match Sb_util.Rng.int rng 3 with
+              match Sb_util.Rng.int rng 4 with
               | 0 -> Envelope.make ~src ~dst (Msg.Int k)
               | 1 -> Envelope.broadcast ~src (Msg.Int k)
+              | 2 -> Envelope.to_all ~n:(1 + Sb_util.Rng.int rng n) ~src (Msg.Int k)
               | _ -> Envelope.from_func ~dst (Msg.Int k))
         in
+        let flat = expanded queue in
         Router.clear reused;
         List.iter
           (fun r ->
@@ -100,8 +107,16 @@ let test_router_inbox_random_mixes () =
                     (a == b))
                 (filtered queue i) got
             done;
-            Alcotest.(check int) "total" (List.length (List.concat_map (filtered queue) (List.init n Fun.id)))
-              (Router.total r))
+            Alcotest.(check int) "total" (List.length (List.concat_map (filtered flat) (List.init n Fun.id)))
+              (Router.total r);
+            Alcotest.check envs_testable (Printf.sprintf "n=%d to_list" n) flat (Router.to_list r);
+            for mask = 0 to (1 lsl n) - 1 do
+              let ids = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+              Alcotest.check envs_testable
+                (Printf.sprintf "n=%d delivered_to_any mask %d" n mask)
+                (List.filter (fun e -> List.exists (Envelope.delivered_to e) ids) flat)
+                (Router.delivered_to_any r (if mask land 1 = 1 then List.rev ids else ids))
+            done)
           [ Router.create n; reused ]
       done)
     [ 1; 2; 5; 9 ]
@@ -133,7 +148,7 @@ let test_router_clear_and_reuse () =
   let r = Router.create n in
   List.iter (Router.route r) (to_all ~n ~src:0 Msg.Unit);
   Router.clear r;
-  Alcotest.(check int) "empty after clear" 0 (Router.length r);
+  Alcotest.check envs_testable "empty after clear" [] (Router.to_list r);
   let queue = [ Envelope.broadcast ~src:2 (Msg.Str "x"); Envelope.make ~src:1 ~dst:0 Msg.Unit ] in
   List.iter (Router.route r) queue;
   Alcotest.check envs_testable "reused inbox 0" (filtered queue 0) (inbox r 0)

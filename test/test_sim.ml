@@ -11,11 +11,12 @@ module Envelope = struct
   let to_all ~n ~src body = List.init n (fun dst -> make ~src ~dst body)
 end
 
-(* [Outbox.to_all] on an arena, as a list. *)
-let arena_to_all a ~n ~src body =
+(* Records drawn from an arena: [n] party-to-party envelopes from [src]
+   to each party, then the send-all record [Outbox.to_all] appends. *)
+let arena_batch a ~n ~src body =
   let out = Outbox.create ~pool:a () in
   Outbox.to_all out ~n ~src body;
-  Outbox.to_list out
+  List.init n (fun dst -> Envelope.Arena.make a ~src ~dst body) @ [ Outbox.get out 0 ]
 
 let rng () = Sb_util.Rng.create 777
 
@@ -272,13 +273,29 @@ let test_envelope_addressing () =
   Alcotest.(check bool) "not func" false (Envelope.is_func_bound e);
   let f = Envelope.to_func ~src:0 Msg.Unit in
   Alcotest.(check bool) "func bound" true (Envelope.is_func_bound f);
+  (* A send-all is one record in the outbox and its n copies in every
+     list handed out. *)
   let out = Outbox.create () in
   Outbox.to_all out ~n:4 ~src:0 Msg.Unit;
-  Alcotest.(check int) "to_all count" 4 (Outbox.length out);
-  Alcotest.(check (list (option int))) "to_all addresses every party in order"
-    [ Some 0; Some 1; Some 2; Some 3 ]
-    (List.map Envelope.dst_party (Outbox.drain out));
-  Alcotest.(check int) "drained" 0 (Outbox.length out)
+  Alcotest.(check int) "to_all appends one record" 1 (Outbox.length out);
+  let r = Outbox.get out 0 in
+  Alcotest.(check int) "the record stands for 4 envelopes" 4 (Envelope.copies r);
+  Alcotest.(check bool) "not a broadcast" false (Envelope.is_broadcast r);
+  Alcotest.(check (list bool)) "delivered to parties 0..3 only"
+    [ false; true; true; true; true; false ]
+    (List.map (Envelope.delivered_to r) [ -1; 0; 1; 2; 3; 4 ]);
+  Alcotest.(check bool) "shared destination" true
+    (r.Envelope.dst == (Sb_sim.Envelope.to_all ~n:4 ~src:2 Msg.Unit).Envelope.dst);
+  Outbox.push out (Envelope.make ~src:0 ~dst:1 (Msg.Int 7));
+  Alcotest.(check (list (option int))) "to_list expands the send-all in party order"
+    [ Some 0; Some 1; Some 2; Some 3; Some 1 ]
+    (List.map Envelope.dst_party (Outbox.to_list out));
+  Alcotest.(check bool) "copies = Envelope.make" true
+    (List.filteri (fun i _ -> i < 4) (Outbox.drain out)
+    = List.init 4 (fun dst -> Envelope.make ~src:0 ~dst Msg.Unit));
+  Alcotest.(check int) "drained" 0 (Outbox.length out);
+  Outbox.to_all out ~n:0 ~src:0 Msg.Unit;
+  Alcotest.(check int) "a send-all to nobody appends nothing" 0 (Outbox.length out)
 
 let test_envelope_wire_size () =
   (* Header: "P<id>" per party endpoint, one char for F/All; body:
@@ -298,12 +315,12 @@ let test_arena_generations () =
   (* The two-sided pool's safety contract: a record handed out at flip
      f is never re-handed while it can still sit in a live mailbox
      (flip f+1); from flip f+2 on the same records come back, fields
-     rewritten. *)
+     rewritten. Party-to-party and send-all records share the pool. *)
   let a = Envelope.Arena.create () in
   Alcotest.(check int) "fresh arena" 0 (Envelope.Arena.flips a);
-  let batch0 = arena_to_all a ~n:4 ~src:0 (Msg.Str "g0") in
+  let batch0 = arena_batch a ~n:4 ~src:0 (Msg.Str "g0") in
   Envelope.Arena.flip a;
-  let batch1 = arena_to_all a ~n:4 ~src:1 (Msg.Str "g1") in
+  let batch1 = arena_batch a ~n:4 ~src:1 (Msg.Str "g1") in
   List.iter
     (fun e1 ->
       Alcotest.(check bool) "one flip apart: no aliasing with live batch" false
@@ -311,7 +328,7 @@ let test_arena_generations () =
     batch1;
   Envelope.Arena.flip a;
   Alcotest.(check int) "two flips" 2 (Envelope.Arena.flips a);
-  let batch2 = arena_to_all a ~n:4 ~src:2 (Msg.Str "g2") in
+  let batch2 = arena_batch a ~n:4 ~src:2 (Msg.Str "g2") in
   List.iteri
     (fun i e2 ->
       Alcotest.(check bool) "two flips apart: same records recycled in order" true
@@ -321,8 +338,11 @@ let test_arena_generations () =
       Alcotest.(check bool) "recycled fields are rewritten" true
         (Msg.equal e2.Envelope.body (Msg.Str "g2") && Envelope.src_party e2 = Some 2))
     batch2;
+  Alcotest.(check bool) "recycled send-all = Envelope.to_all" true
+    (List.nth batch2 4 = Sb_sim.Envelope.to_all ~n:4 ~src:2 (Msg.Str "g2"));
   (* Endpoints are shared: one [Party i] value per party, the same
-     across generations and between the src and dst roles. *)
+     across generations and between the src and dst roles, and one
+     [Each n] per n. *)
   List.iter2
     (fun e0 e1 ->
       Alcotest.(check bool) "dst endpoint shared across generations" true
@@ -339,19 +359,22 @@ let test_arena_generations () =
   Alcotest.(check bool) "Arena.make shares endpoints" true
     (made.Envelope.dst == (List.nth batch0 1).Envelope.dst);
   (* Growing from n = 4 to n = 600 keeps the endpoints already handed
-     out and addresses every new party correctly. *)
+     out, and the wide send-all expands to every new party. *)
   let p2 = (List.nth batch0 2).Envelope.dst in
-  let wide = arena_to_all a ~n:600 ~src:599 (Msg.Str "wide") in
-  Alcotest.(check int) "600 envelopes" 600 (List.length wide);
+  let wide = Sb_sim.Envelope.to_all ~arena:a ~n:600 ~src:599 (Msg.Str "wide") in
+  Alcotest.(check bool) "grown send-all = Envelope.to_all" true
+    (wide = Sb_sim.Envelope.to_all ~n:600 ~src:599 (Msg.Str "wide"));
+  let copies = Envelope.expand_onto wide [] in
+  Alcotest.(check int) "600 envelopes" 600 (List.length copies);
   List.iteri
     (fun i e ->
       Alcotest.(check bool)
         (Printf.sprintf "grown arena: 599 -> %d" i)
         true
         (e = Envelope.make ~src:599 ~dst:i (Msg.Str "wide")))
-    wide;
+    copies;
   Alcotest.(check bool) "endpoints survive growth" true
-    ((List.nth wide 2).Envelope.dst == p2);
+    ((List.nth copies 2).Envelope.dst == p2);
   Alcotest.(check bool) "grown Arena.make = Envelope.make" true
     (Envelope.Arena.make a ~src:0 ~dst:599 Msg.Unit = Envelope.make ~src:0 ~dst:599 Msg.Unit)
 
@@ -430,6 +453,142 @@ let test_arena_vs_plain () =
          Sb_broadcast.Dolev_strong.scheme;
        ]
     @ [ (Sb_broadcast.Eig.scheme, 7, 2) ])
+
+(* Send-all accounting: a send-all is one record on the round path and
+   n messages everywhere they are counted. Every party sends, in each
+   of three rounds, a send-all, a broadcast and one direct envelope;
+   the corrupted party 4 returns a raw send-all record of its own and a
+   spoofed one from party 0. Each count must equal its sum over the
+   expanded trace, so counting records instead of envelopes fails. *)
+let send_all_mix : Protocol.t =
+  {
+    Protocol.name = "send-all-mix";
+    rounds = (fun _ -> 3);
+    make_functionality = None;
+    make_party =
+      (fun ctx ~rng:_ ~id ~input:_ ->
+        let n = ctx.Ctx.n in
+        {
+          Party.step =
+            (fun ~round ~inbox:_ ~out ->
+              if round < 3 then begin
+                Outbox.to_all out ~n ~src:id (Msg.Int ((10 * round) + id));
+                Outbox.push out (Envelope.broadcast ~src:id (Msg.Str "bc"));
+                Outbox.push out (Envelope.make ~src:id ~dst:((id + 1) mod n) (Msg.Str "next"))
+              end);
+          output = (fun () -> Msg.Unit);
+        });
+  }
+
+let send_all_adversary =
+  {
+    Adversary.name = "send-all";
+    choose_corrupt = (fun _ ~rng:_ -> [ 4 ]);
+    init =
+      (fun ctx ~rng:_ ~corrupted:_ ~inputs:_ ~aux:_ ->
+        let n = ctx.Ctx.n in
+        {
+          Adversary.act =
+            (fun view ->
+              if view.Adversary.round >= 3 then []
+              else
+                [
+                  Sb_sim.Envelope.to_all ~n ~src:4 (Msg.Str "adv");
+                  Sb_sim.Envelope.to_all ~n ~src:0 (Msg.Str "forged");
+                ]);
+          adv_output = (fun () -> Msg.Unit);
+        });
+  }
+
+let test_send_all_accounting () =
+  let n = 5 in
+  let ctx ?pool () = Ctx.make ?pool ~rng:(rng ()) ~n ~thresh:1 ~k:8 () in
+  let inputs = Array.make n Msg.Unit in
+  let counter name = Sb_obs.Metrics.counter_value (Sb_obs.Metrics.counter name) in
+  let sum f (trace : Trace.t) = List.fold_left (fun acc r -> acc + f r) 0 trace in
+  let check_run what ?faults adversary =
+    (* [queues]: what the interceptor hands on to a next round. *)
+    let queues = ref [] in
+    let faults =
+      Option.map
+        (fun plan ~rng ->
+          let inner = Sb_fault.Inject.compile ~n plan ~rng in
+          fun ~round envs ->
+            let envs = inner ~round envs in
+            (* The final round delivers nothing further. *)
+            if round < 3 then queues := envs :: !queues;
+            envs)
+        faults
+    in
+    Sb_obs.Metrics.reset ();
+    Sb_obs.Metrics.set_enabled true;
+    Sb_obs.Trace_ctx.reset ();
+    Sb_obs.Trace_ctx.set_enabled true;
+    let r, flows =
+      Fun.protect
+        ~finally:(fun () ->
+          Sb_obs.Metrics.set_enabled false;
+          Sb_obs.Trace_ctx.set_enabled false)
+        (fun () ->
+          let r =
+            Network.run (ctx ()) ~rng:(rng ()) ~protocol:send_all_mix ~adversary ~inputs ?faults ()
+          in
+          (r, List.length (Sb_obs.Trace_ctx.flows ())))
+    in
+    let trace = r.Network.trace in
+    let p2p = Trace.p2p_message_count trace in
+    let bcast_bytes, p2p_bytes = Trace.wire_bytes trace in
+    let check name expected got = Alcotest.(check int) (what ^ ": " ^ name) expected got in
+    check "p2p messages" p2p r.Network.p2p_messages;
+    check "sim.p2p" p2p (counter "sim.p2p");
+    check "sim.broadcasts" (Trace.broadcast_count trace) (counter "sim.broadcasts");
+    check "sim.bytes.p2p" p2p_bytes (counter "sim.bytes.p2p");
+    check "sim.bytes.broadcast" bcast_bytes (counter "sim.bytes.broadcast");
+    check "sim.envelopes.honest"
+      (sum (fun r -> List.length r.Trace.honest_sent) trace)
+      (counter "sim.envelopes.honest");
+    check "sim.envelopes.adv" (sum (fun r -> List.length r.Trace.adv_sent) trace) (counter "sim.envelopes.adv");
+    check "trace: no send-all record" 0
+      (sum
+         (fun r ->
+           List.length
+             (List.filter (fun e -> Envelope.copies e > 1) (r.Trace.honest_sent @ r.Trace.adv_sent)))
+         trace);
+    (* One flow edge per routed envelope: the as-sent party traffic, or
+       the interceptor's output. *)
+    let routed =
+      match faults with
+      | None -> sum (fun r -> List.length r.Trace.honest_sent + List.length r.Trace.adv_sent) trace
+      | Some _ -> List.fold_left (fun acc q -> acc + List.length q) 0 !queues
+    in
+    check "flow edges" routed flows;
+    (r, counter "sim.forgeries_dropped")
+  in
+  let plain, forged = check_run "plain" send_all_adversary in
+  Alcotest.(check int) "4 honest x 3 rounds x (n + 2) envelopes, plus the adversary's n a round"
+    ((4 * 3 * (n + 2)) + (3 * n))
+    (List.fold_left
+       (fun acc r -> acc + List.length r.Trace.honest_sent + List.length r.Trace.adv_sent)
+       0 plain.Network.trace);
+  Alcotest.(check int) "plain: a spoofed send-all is n forgeries a round" (3 * n) forged;
+  let faulty, _ =
+    check_run "drop+delay" ~faults:[ Sb_fault.Plan.drop ~src:1 0.5; Sb_fault.Plan.delay ~src:2 1 ]
+      send_all_adversary
+  in
+  Alcotest.(check int) "drop+delay: accounting is as sent" plain.Network.p2p_messages
+    faulty.Network.p2p_messages;
+  (* The comm tally on the plain and the arena path: the trace sums. *)
+  let honest, _ = check_run "passive" (Adversary.passive send_all_mix) in
+  let expected = comm_of_trace n honest.Network.trace in
+  let tally ?pool reuse =
+    Network.honest_run ~record_trace:false ~record_comm:true ~reuse_envelopes:reuse (ctx ?pool ())
+      ~rng:(rng ()) ~protocol:send_all_mix ~inputs
+  in
+  List.iter
+    (fun (what, (r : Network.result)) ->
+      Alcotest.(check bool) (what ^ ": comm = trace sums") true (r.Network.comm = Some expected);
+      Alcotest.(check int) (what ^ ": p2p messages") honest.Network.p2p_messages r.Network.p2p_messages)
+    [ ("plain comm", tally false); ("arena comm", tally ~pool:(Envelope.Arena.create ()) true) ]
 
 (* Recycled records would change under a retained trace, so the arena
    path refuses to run with tracing left on. *)
@@ -931,6 +1090,7 @@ let () =
           Alcotest.test_case "wire size" `Quick test_envelope_wire_size;
           Alcotest.test_case "arena generations" `Quick test_arena_generations;
           Alcotest.test_case "arena vs plain path" `Quick test_arena_vs_plain;
+          Alcotest.test_case "send-all accounting" `Quick test_send_all_accounting;
         ] );
       ( "network",
         [

@@ -166,7 +166,17 @@ let test_rng_golden_draws () =
     "float"
     [ 0x1.42fa5fbf4cfdep-1; 0x1.0849f8c73765dp-1; 0x1.5d1cd0929634ap-2; 0x1.249e003c8c0a9p-1 ]
     (List.init 4 (fun _ -> Rng.float rng));
-  check_stream "after draws" rng [ -8473444138997814218L ]
+  check_stream "after draws" rng [ -8473444138997814218L ];
+  (* [bernoulli] and [int] (rejection sampling) on one stream, recorded
+     from the implementation whose draws allocated. *)
+  let rng = Rng.create 99 in
+  Alcotest.(check (list bool)) "bernoulli i/16"
+    [ false; false; false; false; false; true; true; true; false; false; false; true; true; true; true; true ]
+    (List.init 16 (fun i -> Rng.bernoulli rng (float_of_int i /. 16.)));
+  Alcotest.(check (list int)) "int"
+    [ 0; 12; 19; 7; 18; 82; 21; 6; 41; 18; 20; 0 ]
+    (List.init 12 (fun i -> Rng.int rng (1 + (i * 37 mod 100))));
+  check_stream "after bernoulli and int" rng [ 24630257879871954L ]
 
 let test_bitvec_roundtrip () =
   for v = 0 to 31 do
