@@ -205,7 +205,7 @@ let usage () =
     (String.concat " "
        (List.map (fun (e : Core.Experiments.entry) -> e.Core.Experiments.id)
           (Core.Experiments.catalogue ())));
-  exit 2
+  exit 124
 
 let () =
   (* E18 lives in sb_workload (it needs the session engine); register
@@ -214,7 +214,6 @@ let () =
   Sb_workload.E18.register ();
   (* The bench run is the perf-trajectory artifact: observability on. *)
   Sb_obs.Metrics.set_enabled true;
-  Sb_obs.Span.set_enabled true;
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs_prefix = "--jobs=" in
   let jobs_of a =
@@ -226,7 +225,7 @@ let () =
   (match List.find_map jobs_of args with
   | Some j when j <= 0 ->
       Printf.eprintf "bench: --jobs must be a positive integer, got %d\n" j;
-      exit 2
+      exit 124
   | Some j -> Sb_par.Pool.set_default_domains j
   | None -> ());
   (* Sessions-probe batch size; same validation contract as --jobs. *)
@@ -241,7 +240,7 @@ let () =
     match List.find_map count_of args with
     | Some c when c <= 0 ->
         Printf.eprintf "bench: --count must be a positive integer, got %d\n" c;
-        exit 2
+        exit 124
     | Some c -> c
     | None -> 120
   in

@@ -226,10 +226,7 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
 
 let setup_obs ?trace metrics report =
-  if metrics || report <> None then begin
-    Sb_obs.Metrics.set_enabled true;
-    Sb_obs.Span.set_enabled true
-  end;
+  if metrics || report <> None then Sb_obs.Metrics.set_enabled true;
   match trace with
   | Some _ -> Sb_obs.Trace_ctx.set_enabled true
   | None -> ()
@@ -357,10 +354,7 @@ let run_cmd =
             let faults =
               if plan = [] then None else Some (Sb_fault.Inject.compile ~n plan)
             in
-            let r =
-              Sb_obs.Span.with_span ~attrs:[ ("protocol", pname) ] "run" (fun () ->
-                  Core.Announced.run_once setup ~protocol ~adversary ~x ?faults rng)
-            in
+            let r = Core.Announced.run_once setup ~protocol ~adversary ~x ?faults rng in
             Printf.printf "protocol   : %s\n" protocol.Sb_sim.Protocol.name;
             Printf.printf "adversary  : %s (corrupted %s)\n" adversary.Sb_sim.Adversary.name
               (String.concat "," (List.map string_of_int r.Core.Announced.corrupted));

@@ -1191,27 +1191,17 @@ let m_rows = Sb_obs.Metrics.counter "exp.rows_checked"
 let m_ok = Sb_obs.Metrics.counter "exp.ok"
 let m_mismatch = Sb_obs.Metrics.counter "exp.mismatch"
 
-(* Wrap every runner in a span and roll its outcome into the metrics
-   registry; run reports read the span back for per-experiment
-   wall-clock. Instrumentation draws no randomness, so verdicts are
-   unchanged with observability on or off. *)
-let instrumented id f setup =
-  Sb_obs.Span.with_span ~attrs:[ ("experiment", id) ] ("experiment:" ^ id) (fun () ->
-      let o = f setup in
-      Sb_obs.Metrics.incr ~by:o.rows_checked m_rows;
-      Sb_obs.Metrics.incr (if o.ok then m_ok else m_mismatch);
-      Sb_obs.Event.emit "experiment"
-        ~fields:
-          [
-            ("id", Sb_obs.Json.Str o.id);
-            ("ok", Sb_obs.Json.Bool o.ok);
-            ("rows_checked", Sb_obs.Json.Int o.rows_checked);
-          ];
-      o)
+(* Roll every runner's outcome into the metrics registry. Metrics draw
+   no randomness, so verdicts are unchanged with metrics on or off. *)
+let instrumented f setup =
+  let o = f setup in
+  Sb_obs.Metrics.incr ~by:o.rows_checked m_rows;
+  Sb_obs.Metrics.incr (if o.ok then m_ok else m_mismatch);
+  o
 
 type entry = { id : string; title : string; run : Setup.t -> outcome }
 
-let entry id title f = { id; title; run = instrumented id f }
+let entry id title f = { id; title; run = instrumented f }
 
 let registry =
   [

@@ -80,12 +80,11 @@ type entry = {
   title : string;
   run : Setup.t -> outcome;
 }
-(** One catalogue entry. [run] wraps the raw driver in an
-    observability span ["experiment:<id>"] and rolls rows-checked /
-    verdict counters into {!Sb_obs.Metrics}; with the layer disabled it
-    is the bare driver. Both front ends (bench/main.exe and
-    [simbcast experiment]) dispatch through this registry, so the id
-    lists cannot drift. *)
+(** One catalogue entry. [run] wraps the raw driver and rolls
+    rows-checked / verdict counters into {!Sb_obs.Metrics}; with
+    metrics disabled it is the bare driver. Both front ends
+    (bench/main.exe and [simbcast experiment]) dispatch through this
+    registry, so the id lists cannot drift. *)
 
 val entry : string -> string -> (Setup.t -> outcome) -> entry
 (** Build a catalogue entry (instrumented as described above) — for

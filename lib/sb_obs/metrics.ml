@@ -4,7 +4,6 @@ type gauge = { g_name : string; value : float Atomic.t }
 type histogram = {
   h_name : string;
   h_lock : Mutex.t;      (* guards every mutable field below *)
-  bounds : float array;  (* inclusive upper bounds, strictly increasing *)
   counts : int array;    (* length = Array.length bounds + 1 (overflow) *)
   mutable h_count : int;
   mutable h_sum : float;
@@ -64,66 +63,32 @@ let gauge name =
 let set g v = if !on then Atomic.set g.value v
 let gauge_value g = Atomic.get g.value
 
-(* Default ladder: 1-2-5 decades from 1 to 5e8 — a good fit for
-   microsecond-scale durations and message counts alike. *)
-let default_buckets =
+(* Every histogram's inclusive upper bounds: 1-2-5 decades from 1 to
+   5e8 — a good fit for microsecond-scale durations and message counts
+   alike. *)
+let bounds =
   [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 2e3; 5e3; 1e4; 2e4; 5e4; 1e5; 2e5; 5e5;
      1e6; 2e6; 5e6; 1e7; 2e7; 5e7; 1e8; 2e8; 5e8 |]
 
-(* Histograms interned a second time with different [~buckets] keep the
-   registered bounds (bounds are fixed at creation); warn once per name
-   so the silent divergence is at least visible in the event stream. *)
-let bucket_warned : (string, unit) Hashtbl.t = Hashtbl.create 8
-
-let histogram ?buckets name =
-  let requested = buckets in
-  let buckets = Option.value ~default:default_buckets buckets in
-  let h =
-    intern name
-      (fun () ->
-        let ok = ref (Array.length buckets > 0) in
-        Array.iteri (fun i b -> if i > 0 && b <= buckets.(i - 1) then ok := false) buckets;
-        if not !ok then
-          invalid_arg "Metrics.histogram: bounds must be non-empty, strictly increasing";
-        let h =
-          {
-            h_name = name;
-            h_lock = Mutex.create ();
-            bounds = Array.copy buckets;
-            counts = Array.make (Array.length buckets + 1) 0;
-            h_count = 0;
-            h_sum = 0.0;
-            h_min = Float.nan;
-            h_max = Float.nan;
-          }
-        in
-        Hashtbl.replace registry name (Histogram h);
-        h)
-      (function Histogram h -> Some h | _ -> None)
-  in
-  (match requested with
-  | Some b when b <> h.bounds ->
-      let first =
-        locked (fun () ->
-            if Hashtbl.mem bucket_warned name then false
-            else begin
-              Hashtbl.add bucket_warned name ();
-              true
-            end)
+let histogram name =
+  intern name
+    (fun () ->
+      let h =
+        {
+          h_name = name;
+          h_lock = Mutex.create ();
+          counts = Array.make (Array.length bounds + 1) 0;
+          h_count = 0;
+          h_sum = 0.0;
+          h_min = Float.nan;
+          h_max = Float.nan;
+        }
       in
-      (* Emit outside reg_lock: sinks run arbitrary user code. *)
-      if first then
-        Event.emit "metrics.bucket_mismatch"
-          ~fields:
-            [
-              ("name", Json.Str name);
-              ("registered_buckets", Json.Int (Array.length h.bounds));
-              ("requested_buckets", Json.Int (Array.length b));
-            ]
-  | _ -> ());
-  h
+      Hashtbl.replace registry name (Histogram h);
+      h)
+    (function Histogram h -> Some h | _ -> None)
 
-let bucket_index bounds x =
+let bucket_index x =
   (* First bucket whose upper bound admits x; overflow otherwise. *)
   let n = Array.length bounds in
   let rec bsearch lo hi =
@@ -136,7 +101,7 @@ let bucket_index bounds x =
 
 let observe h x =
   if !on then begin
-    let i = bucket_index h.bounds x in
+    let i = bucket_index x in
     Mutex.lock h.h_lock;
     h.counts.(i) <- h.counts.(i) + 1;
     h.h_count <- h.h_count + 1;
@@ -150,15 +115,15 @@ let quantile_unlocked h q =
   if h.h_count = 0 then Float.nan
   else begin
     let target = q *. float_of_int h.h_count in
-    let nb = Array.length h.bounds in
+    let nb = Array.length bounds in
     let i = ref 0 and cum = ref 0 in
     while !i < nb && float_of_int (!cum + h.counts.(!i)) < target do
       cum := !cum + h.counts.(!i);
       i := !i + 1
     done;
     let i = !i in
-    let lower = if i = 0 then 0.0 else h.bounds.(i - 1) in
-    let upper = if i = nb then h.h_max else h.bounds.(i) in
+    let lower = if i = 0 then 0.0 else bounds.(i - 1) in
+    let upper = if i = nb then h.h_max else bounds.(i) in
     let in_bucket = h.counts.(i) in
     let est =
       if in_bucket = 0 then upper
@@ -203,7 +168,6 @@ let stats h =
 
 let reset () =
   locked (fun () ->
-      Hashtbl.reset bucket_warned;
       Hashtbl.iter
         (fun _ m ->
           match m with

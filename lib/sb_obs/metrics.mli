@@ -32,16 +32,11 @@ val gauge : string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val histogram : ?buckets:float array -> string -> histogram
-(** [buckets] are inclusive upper bounds, strictly increasing; an
-    implicit +inf overflow bucket is appended. The default is a
-    geometric ladder suited to microsecond durations
-    (1, 2, 5, 10, ... 5e8). Bucket bounds are fixed at first creation;
-    a later lookup with different bounds returns the existing
-    histogram unchanged — and, once per name (rearmed by {!reset}),
-    emits a [metrics.bucket_mismatch] event with the registered and
-    requested bucket counts so the divergence is visible to attached
-    sinks rather than silent. *)
+val histogram : string -> histogram
+(** Intern a histogram by name; the first registration wins, so every
+    lookup of a name returns the same histogram. Buckets are a fixed
+    geometric ladder suited to microsecond durations (inclusive upper
+    bounds 1, 2, 5, 10, ... 5e8) plus an overflow bucket. *)
 
 val observe : histogram -> float -> unit
 
@@ -63,7 +58,7 @@ val quantile : histogram -> float -> float
     observed min/max so exact-bound data stays exact. *)
 
 val reset : unit -> unit
-(** Zero every registered metric (names and bucket layouts survive). *)
+(** Zero every registered metric (names survive). *)
 
 val to_table : unit -> Sb_util.Tabular.t
 (** Render every registered metric, sorted by name. *)

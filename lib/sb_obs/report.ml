@@ -1,4 +1,4 @@
-let schema_version = 7
+let schema_version = 8
 
 type experiment_entry = {
   id : string;
@@ -62,7 +62,7 @@ let make ?(tool = "simbcast") ?(tag = "run") ?jobs ?(experiments = []) ?(timings
     @ (match sessions with None -> [] | Some s -> [ ("sessions", s) ])
     @ (match check with None -> [] | Some c -> [ ("check", c) ])
     @ (match workload with None -> [] | Some w -> [ ("workload", w) ])
-    @ [ ("metrics", Metrics.to_json ()); ("spans", Span.to_json ()) ])
+    @ [ ("metrics", Metrics.to_json ()) ])
 
 let write_file path json =
   let oc = open_out path in

@@ -1,10 +1,10 @@
 (** Versioned machine-readable run reports.
 
     A report bundles per-experiment outcomes with the current metrics
-    snapshot and completed spans into one JSON document. The schema is
-    versioned so downstream tooling (perf-trajectory diffing, CI
-    smoke checks) can evolve safely; bump {!schema_version} on any
-    incompatible change and document it in EXPERIMENTS.md. *)
+    snapshot into one JSON document. The schema is versioned so
+    downstream tooling (perf-trajectory diffing, CI smoke checks) can
+    evolve safely; bump {!schema_version} on any incompatible change
+    and document it in EXPERIMENTS.md. *)
 
 val schema_version : int
 
@@ -32,9 +32,9 @@ val make :
   unit ->
   Json.t
 (** Assembles the report from the given outcomes plus
-    [Metrics.to_json ()] and [Span.to_json ()] as they stand. [jobs],
-    when given, is recorded under a ["parallel"] object — the domain
-    count the run used; per-domain sample shares appear alongside as
+    [Metrics.to_json ()] as it stands. [jobs], when given, is recorded
+    under a ["parallel"] object — the domain count the run used;
+    per-domain sample shares appear alongside as
     [par.domain<k>.samples] counters in the metrics snapshot.
 
     Since schema v2 every report also carries a ["comm"] object —
@@ -70,7 +70,11 @@ val make :
     ("quick"/"full"), integer session totals and the application-level
     scale/summary objects, normally [Sb_workload.Workload.to_json].
     The block carries no wall-clock-derived fields, so CI can diff it
-    byte-for-byte across [--jobs] values. *)
+    byte-for-byte across [--jobs] values.
+
+    Schema v8 drops the top-level ["spans"] array: per-experiment wall
+    time is each entry's [wall_clock_s], and per-phase timing is the
+    [--trace] Perfetto export. *)
 
 val write_file : string -> Json.t -> unit
 (** Pretty-printed, trailing newline. *)

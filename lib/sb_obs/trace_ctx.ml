@@ -49,9 +49,7 @@ let completed : span list ref = ref []
 let flow_edges : (int * int) list ref = ref []
 let next_id = Atomic.make 0
 let session_count = Atomic.make 0
-let default_max_sessions = 64
-let max_sessions = ref default_max_sessions
-let set_max_sessions k = max_sessions := max 1 k
+let max_sessions = 64
 
 (* Innermost-first stack of open spans, one per domain. *)
 let stack_key : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
@@ -91,7 +89,7 @@ let begin_session ?(args = []) name =
   if not !on_flag then None
   else
     let k = Atomic.fetch_and_add session_count 1 in
-    if k >= !max_sessions then None
+    if k >= max_sessions then None
     else begin
       let sp = fresh_span ~parent:(-1) ~track:(k + 1) ~agg:name ~cat:"session" ~args name in
       (* Defensive: a session that died mid-run (exception past its
@@ -171,4 +169,4 @@ let spans () =
 
 let flows () = locked (fun () -> List.rev !flow_edges)
 let session_total () = Atomic.get session_count
-let sessions_traced () = min (Atomic.get session_count) !max_sessions
+let sessions_traced () = min (Atomic.get session_count) max_sessions

@@ -10,10 +10,9 @@
     A {e session} (one [Sb_sim.Network.run]) owns a tree of spans; the
     open-span stack is domain-local, so Monte-Carlo samplers may trace
     sessions concurrently from worker domains. Completed spans and
-    flow edges accumulate process-wide (mutex-guarded). At most
-    {!set_max_sessions} sessions are traced per process (default 64);
-    later sessions run untraced so profiling a 100k-sample experiment
-    cannot exhaust memory.
+    flow edges accumulate process-wide (mutex-guarded). At most 64
+    sessions are traced per process; later sessions run untraced so
+    profiling a 100k-sample experiment cannot exhaust memory.
 
     Export/aggregation lives in {!Perfetto}. *)
 
@@ -49,9 +48,6 @@ val enabled : unit -> bool
 val reset : unit -> unit
 (** Drop all collected spans/flows and restart ids and the session
     budget; clears this domain's open stack. *)
-
-val set_max_sessions : int -> unit
-(** Cap on traced sessions per process (clamped to >= 1; default 64). *)
 
 val now_us : unit -> float
 (** Wall clock in microseconds — for callers timing bucket work. *)

@@ -409,20 +409,6 @@ let drive ctx (protocol : Protocol.t) s ~intercept =
     end;
     Mutex.unlock wall_lock
   end;
-  if Sb_obs.Sink.attached () > 0 then
-    Sb_obs.Event.emit "network.run"
-      ~fields:
-      [
-        ("protocol", Sb_obs.Json.Str protocol.name);
-        ("rounds", Sb_obs.Json.Int r.rounds_used);
-        ("corrupted", Sb_obs.Json.Int (List.length r.corrupted));
-        ("p2p", Sb_obs.Json.Int r.p2p_messages);
-        ( "per_round",
-          Sb_obs.Json.List
-            (List.map
-               (fun (h, a, f) -> Sb_obs.Json.List [ Sb_obs.Json.Int h; Sb_obs.Json.Int a; Sb_obs.Json.Int f ])
-               (Trace.per_round_counts r.trace)) );
-      ];
   r
 
 let start ctx ~rng ~protocol ~adversary ~inputs =

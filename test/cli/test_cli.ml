@@ -1,21 +1,22 @@
 (* End-to-end tests against the built simbcast binary (path in
-   argv.(1)): strict argument parsing (no subcommand may silently
-   accept trailing junk), traced-run output validity, report inertness
-   under tracing at jobs 1 and 2, perf-diff exit codes, and the
-   profile subcommand. *)
+   argv.(1)) and bench binary (argv.(2)): strict argument parsing (no
+   subcommand may silently accept trailing junk), traced-run output
+   validity, report inertness under tracing at jobs 1 and 2, perf-diff
+   exit codes, the profile subcommand, and bench's usage errors. *)
 
 open Sb_obs
 
 let simbcast = ref ""
+let bench = ref ""
 
 (* cmdliner's exit code for a command-line parse error — and the one
    usage-error code of every subcommand. *)
 let cli_error = 124
 
-let command ?out args =
+let command ?(bin = !simbcast) ?out args =
   let redirect = match out with None -> "/dev/null" | Some f -> Filename.quote f in
   Sys.command
-    (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote !simbcast)
+    (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote bin)
        (String.concat " " (List.map Filename.quote args))
        redirect)
 
@@ -37,9 +38,9 @@ let contains s sub =
 
 (* A rejected input exits 124 and its diagnostic contains [shows]: the
    offending flag, or cmdliner's "Usage:" line. *)
-let check_usage_error ~shows what args =
+let check_usage_error ?bin ~shows what args =
   let out = temp ".usage.err" in
-  Alcotest.(check int) (what ^ " exits 124") cli_error (command ~out args);
+  Alcotest.(check int) (what ^ " exits 124") cli_error (command ?bin ~out args);
   Alcotest.(check bool) (Printf.sprintf "%s shows %S" what shows) true
     (contains (read_file out) shows);
   Sys.remove out
@@ -240,15 +241,22 @@ let test_trace_keeps_reports_identical () =
       Alcotest.(check int) "plain run exits 0" 0 (command (base @ [ "--report"; plain ]));
       Alcotest.(check int) "traced run exits 0" 0
         (command (base @ [ "--report"; traced; "--trace"; trace ]));
+      let plain_j = parse_file plain and traced_j = parse_file traced in
       Alcotest.(check string)
         (Printf.sprintf "deterministic report surface identical at jobs %d" jobs)
-        (deterministic_subset (parse_file plain))
-        (deterministic_subset (parse_file traced));
-      (* The traced report carries the v3 trace block; the plain one
-         doesn't. *)
+        (deterministic_subset plain_j) (deterministic_subset traced_j);
+      (* Same top-level shape apart from the v3 trace block, which only
+         the traced report carries; no report has had spans since v8. *)
+      let keys = function Json.Obj kvs -> List.map fst kvs | _ -> [] in
+      Alcotest.(check (list string)) "top-level keys agree apart from trace" (keys plain_j)
+        (List.filter (fun k -> k <> "trace") (keys traced_j));
       Alcotest.(check bool) "trace block only when traced" true
-        (Json.member "trace" (parse_file traced) <> None
-        && Json.member "trace" (parse_file plain) = None);
+        (List.mem "trace" (keys traced_j) && not (List.mem "trace" (keys plain_j)));
+      List.iter
+        (fun j ->
+          Alcotest.(check bool) "no spans key" false (List.mem "spans" (keys j));
+          match Report.validate j with Ok () -> () | Error e -> Alcotest.fail e)
+        [ plain_j; traced_j ];
       List.iter Sys.remove [ plain; traced; trace ])
     [ 1; 2 ]
 
@@ -404,7 +412,7 @@ let test_workload_jobs_invariant () =
   (* End-to-end jobs-invariance on the election workload: stdout minus
      the wall-clock-derived throughput and scheduler-race sched lines,
      the JSONL session log, and the report's workload block are
-     identical at jobs 1 and 2 — and the report validates at schema v7
+     identical at jobs 1 and 2 — and the report validates at schema v8
      with the workload block present. *)
   let run jobs =
     let out = temp ".workload.out" and log = temp ".workload.jsonl" in
@@ -548,11 +556,21 @@ let test_experiment_mismatch_exits_1 () =
     (contains (read_file bad) "E5: paper-shape check MISMATCH");
   List.iter Sys.remove [ ok; bad ]
 
+(* --- bench ------------------------------------------------------------ *)
+
+(* bench has its own parser but the same usage-error code; each of
+   these is rejected before any experiment runs. *)
+let test_bench_usage_errors () =
+  List.iter
+    (fun (shows, arg) -> check_usage_error ~bin:!bench ~shows ("bench " ^ arg) [ arg ])
+    [ ("--jobs", "--jobs=0"); ("--count", "--count=0"); ("--bogus", "--bogus"); ("E99", "E99") ]
+
 let () =
-  (if Array.length Sys.argv < 2 then (
-     prerr_endline "usage: test_cli SIMBCAST_BINARY";
+  (if Array.length Sys.argv < 3 then (
+     prerr_endline "usage: test_cli SIMBCAST_BINARY BENCH_BINARY";
      exit 2));
   simbcast := Sys.argv.(1);
+  bench := Sys.argv.(2);
   Alcotest.run ~argv:[| "test_cli" |] "simbcast_cli"
     [
       ( "cli",
@@ -592,5 +610,6 @@ let () =
           Alcotest.test_case "check counterexample replays" `Quick
             test_check_counterexample_replays;
           Alcotest.test_case "profile prints attribution" `Quick test_profile_runs;
+          Alcotest.test_case "bench usage errors" `Quick test_bench_usage_errors;
         ] );
     ]

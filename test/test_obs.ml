@@ -1,24 +1,17 @@
 (* Tests for sb_obs: metric semantics (including bucketed quantiles on
-   known data), span nesting, JSON emission/parsing, report shape, and
-   the layer's one hard contract: instrumentation must not perturb
-   seeded protocol runs. *)
+   known data), JSON emission/parsing, report shape, and the layer's
+   one hard contract: instrumentation must not perturb seeded protocol
+   runs. *)
 
 open Sb_obs
 
-(* Metrics/span state is process-global; every test that enables the
-   layer funnels through this so a failure cannot leak enablement into
-   a later test. *)
+(* Metrics state is process-global; every test that enables the layer
+   funnels through this so a failure cannot leak enablement into a
+   later test. *)
 let with_obs f =
   Metrics.reset ();
-  Span.reset ();
   Metrics.set_enabled true;
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Span.set_enabled false;
-      Sink.detach_all ())
-    f
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
 
 (* --- counters and gauges ------------------------------------------ *)
 
@@ -49,10 +42,10 @@ let test_gauge_semantics () =
 
 let test_histogram_quantiles () =
   with_obs (fun () ->
-      (* Unit-width buckets 1..100; observing each integer once makes
-         the interpolated quantiles exact. *)
-      let buckets = Array.init 100 (fun i -> float_of_int (i + 1)) in
-      let h = Metrics.histogram ~buckets "t.hist" in
+      (* Observing each integer 1..100 once fills the ladder's
+         (20, 50] and (50, 100] buckets uniformly, so the interpolated
+         p50 and p95 land exactly on 50 and 95. *)
+      let h = Metrics.histogram "t.hist" in
       for v = 1 to 100 do
         Metrics.observe h (float_of_int v)
       done;
@@ -62,12 +55,12 @@ let test_histogram_quantiles () =
       Alcotest.(check (float 1e-9)) "mean" 50.5 s.Metrics.mean;
       Alcotest.(check (float 1e-9)) "min" 1.0 s.Metrics.min;
       Alcotest.(check (float 1e-9)) "max" 100.0 s.Metrics.max;
-      Alcotest.(check (float 1.0)) "p50" 50.0 s.Metrics.p50;
-      Alcotest.(check (float 1.0)) "p95" 95.0 s.Metrics.p95)
+      Alcotest.(check (float 1e-9)) "p50" 50.0 s.Metrics.p50;
+      Alcotest.(check (float 1e-9)) "p95" 95.0 s.Metrics.p95)
 
 let test_histogram_single_value () =
   with_obs (fun () ->
-      let h = Metrics.histogram ~buckets:[| 1.0; 10.0; 100.0 |] "t.hist1" in
+      let h = Metrics.histogram "t.hist1" in
       for _ = 1 to 10 do
         Metrics.observe h 7.0
       done;
@@ -80,58 +73,30 @@ let test_histogram_single_value () =
 
 let test_histogram_overflow_bucket () =
   with_obs (fun () ->
-      let h = Metrics.histogram ~buckets:[| 1.0; 2.0 |] "t.hist2" in
+      (* 1e9 lies past the ladder's last bound (5e8). *)
+      let h = Metrics.histogram "t.hist2" in
       Metrics.observe h 0.5;
-      Metrics.observe h 1000.0;
+      Metrics.observe h 1e9;
       let s = Metrics.stats h in
       Alcotest.(check int) "overflow observed" 2 s.Metrics.count;
-      Alcotest.(check (float 1e-9)) "max tracked past last bound" 1000.0 s.Metrics.max)
+      Alcotest.(check (float 1e-9)) "max tracked past last bound" 1e9 s.Metrics.max;
+      Alcotest.(check (float 1e-9)) "top quantile is the observed max" 1e9
+        (Metrics.quantile h 1.0))
+
+let test_histogram_first_registration_wins () =
+  with_obs (fun () ->
+      let h = Metrics.histogram "t.first" in
+      let h' = Metrics.histogram "t.first" in
+      Alcotest.(check bool) "existing histogram returned" true (h == h');
+      Metrics.observe h' 3.0;
+      Alcotest.(check int) "one cell behind both handles" 1 (Metrics.stats h).Metrics.count)
 
 let test_disabled_histogram_observes_nothing () =
   Metrics.reset ();
   Metrics.set_enabled false;
-  let h = Metrics.histogram ~buckets:[| 1.0 |] "t.hist3" in
+  let h = Metrics.histogram "t.hist3" in
   Metrics.observe h 0.5;
   Alcotest.(check int) "no count when disabled" 0 (Metrics.stats h).Metrics.count
-
-(* --- spans --------------------------------------------------------- *)
-
-let test_span_nesting () =
-  with_obs (fun () ->
-      let r =
-        Span.with_span "outer" (fun () -> Span.with_span "inner" (fun () -> 42))
-      in
-      Alcotest.(check int) "value returned" 42 r;
-      match Span.records () with
-      | [ inner; outer ] ->
-          Alcotest.(check string) "inner closes first" "inner" inner.Span.name;
-          Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-          Alcotest.(check (option string)) "inner parent" (Some "outer") inner.Span.parent;
-          Alcotest.(check string) "outer last" "outer" outer.Span.name;
-          Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-          Alcotest.(check (option string)) "outer parent" None outer.Span.parent;
-          Alcotest.(check bool) "outer spans inner" true
-            (outer.Span.duration_s >= inner.Span.duration_s)
-      | rs -> Alcotest.failf "expected 2 spans, got %d" (List.length rs))
-
-let test_span_records_on_exception () =
-  with_obs (fun () ->
-      (try Span.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      match Span.find "boom" with
-      | Some _ -> ()
-      | None -> Alcotest.fail "span not recorded on exception");
-  (* The open-span stack must be popped, too. *)
-  with_obs (fun () ->
-      ignore (Span.with_span "after" (fun () -> 0));
-      match Span.records () with
-      | [ r ] -> Alcotest.(check int) "depth back to 0" 0 r.Span.depth
-      | rs -> Alcotest.failf "expected 1 span, got %d" (List.length rs))
-
-let test_span_disabled_records_nothing () =
-  Span.reset ();
-  Span.set_enabled false;
-  ignore (Span.with_span "ghost" (fun () -> 1));
-  Alcotest.(check int) "no records when disabled" 0 (List.length (Span.records ()))
 
 (* --- json ---------------------------------------------------------- *)
 
@@ -218,126 +183,6 @@ let test_report_validate_rejects () =
   | Ok () -> Alcotest.fail "accepted empty object"
   | Error _ -> ()
 
-(* --- events and sinks ---------------------------------------------- *)
-
-let test_event_emission () =
-  with_obs (fun () ->
-      let sink, read = Sink.memory () in
-      Sink.attach sink;
-      Event.emit ~fields:[ ("k", Json.Int 1) ] "unit-test";
-      Sink.detach sink;
-      Event.emit "after-detach";
-      match read () with
-      | [ line ] -> (
-          match Json.of_string line with
-          | Ok v ->
-              Alcotest.(check (option string)) "ev name" (Some "unit-test")
-                (Option.bind (Json.member "ev" v) Json.to_str_opt);
-              Alcotest.(check (option int)) "field" (Some 1)
-                (Option.bind (Json.member "k" v) Json.to_int_opt)
-          | Error e -> Alcotest.fail e)
-      | lines -> Alcotest.failf "expected 1 line, got %d" (List.length lines))
-
-let seq_of_line line =
-  match Json.of_string line with
-  | Ok v -> Option.bind (Json.member "seq" v) Json.to_int_opt |> Option.get
-  | Error e -> Alcotest.fail e
-
-let test_event_seq_monotone_under_domains () =
-  (* Worker domains emitting concurrently must never duplicate or skip
-     a sequence number: the collected seqs are exactly 1..N. *)
-  with_obs (fun () ->
-      Event.reset ();
-      let sink, read = Sink.memory () in
-      Sink.attach sink;
-      let pool = Sb_par.Pool.create ~domains:3 () in
-      let chunks = Array.init 8 Fun.id in
-      ignore
-        (Sb_par.Pool.map_chunks pool
-           ~f:(fun c ->
-             for i = 0 to 24 do
-               Event.emit
-                 ~fields:[ ("chunk", Json.Int c); ("i", Json.Int i) ]
-                 "unit.par"
-             done;
-             c)
-           chunks);
-      Sb_par.Pool.shutdown pool;
-      let total = 8 * 25 in
-      Alcotest.(check int) "seq advanced once per emit" total (Event.seq ());
-      let seqs = List.sort Int.compare (List.map seq_of_line (read ())) in
-      Alcotest.(check int) "every line delivered" total (List.length seqs);
-      Alcotest.(check (list int)) "seqs are exactly 1..N" (List.init total (fun i -> i + 1))
-        seqs)
-
-let test_sink_fanout_under_domains () =
-  (* Every attached sink receives every line, even when emissions come
-     from several worker domains at once. *)
-  with_obs (fun () ->
-      Event.reset ();
-      let sink_a, read_a = Sink.memory () in
-      let sink_b, read_b = Sink.memory () in
-      Sink.attach sink_a;
-      Sink.attach sink_b;
-      let pool = Sb_par.Pool.create ~domains:3 () in
-      ignore
-        (Sb_par.Pool.map_chunks pool
-           ~f:(fun c ->
-             for _ = 1 to 10 do
-               Event.emit ~fields:[ ("chunk", Json.Int c) ] "unit.fanout"
-             done;
-             c)
-           (Array.init 6 Fun.id));
-      Sb_par.Pool.shutdown pool;
-      let a = List.sort String.compare (read_a ()) in
-      let b = List.sort String.compare (read_b ()) in
-      Alcotest.(check int) "sink a got all lines" 60 (List.length a);
-      Alcotest.(check (list string)) "both sinks saw the same lines" a b)
-
-let test_histogram_bucket_mismatch_warns_once () =
-  with_obs (fun () ->
-      let sink, read = Sink.memory () in
-      Sink.attach sink;
-      let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.mismatch" in
-      let h' = Metrics.histogram ~buckets:[| 5.0; 50.0 |] "t.mismatch" in
-      Alcotest.(check bool) "existing histogram returned" true (h == h');
-      ignore (Metrics.histogram ~buckets:[| 7.0 |] "t.mismatch");
-      ignore (Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.mismatch");
-      ignore (Metrics.histogram "t.mismatch");
-      let mismatches =
-        List.filter_map
-          (fun line ->
-            match Json.of_string line with
-            | Ok v
-              when Option.bind (Json.member "ev" v) Json.to_str_opt
-                   = Some "metrics.bucket_mismatch" ->
-                Some v
-            | _ -> None)
-          (read ())
-      in
-      (match mismatches with
-      | [ ev ] ->
-          Alcotest.(check (option string)) "names the histogram" (Some "t.mismatch")
-            (Option.bind (Json.member "name" ev) Json.to_str_opt);
-          Alcotest.(check (option int)) "registered bucket count" (Some 3)
-            (Option.bind (Json.member "registered_buckets" ev) Json.to_int_opt);
-          Alcotest.(check (option int)) "requested bucket count" (Some 2)
-            (Option.bind (Json.member "requested_buckets" ev) Json.to_int_opt)
-      | evs -> Alcotest.failf "expected exactly 1 mismatch event, got %d" (List.length evs));
-      (* reset rearms the warning. *)
-      Metrics.reset ();
-      ignore (Metrics.histogram ~buckets:[| 9.0 |] "t.mismatch");
-      let after =
-        List.filter (fun l -> String.length l > 0) (read ())
-        |> List.filter (fun line ->
-               match Json.of_string line with
-               | Ok v ->
-                   Option.bind (Json.member "ev" v) Json.to_str_opt
-                   = Some "metrics.bucket_mismatch"
-               | Error _ -> false)
-      in
-      Alcotest.(check int) "reset rearms the one-shot" 2 (List.length after))
-
 (* --- the simulator under instrumentation --------------------------- *)
 
 let fixture_protocol = Sb_protocols.Gennaro.protocol
@@ -357,17 +202,15 @@ let render (r : Sb_sim.Network.result) =
 
 let test_instrumentation_is_inert () =
   (* The acceptance bar: a seeded run yields byte-identical outputs and
-     trace with observability fully on (metrics + spans + sinks) vs
-     fully off. *)
+     trace with metrics on vs off. Tracing's inertness is test_trace's
+     "tracing is inert" case. *)
   Metrics.set_enabled false;
-  Span.set_enabled false;
   let plain = render (run_fixture ()) in
   let observed =
     with_obs (fun () ->
-        let sink, read = Sink.memory () in
-        Sink.attach sink;
         let r = render (run_fixture ()) in
-        Alcotest.(check bool) "events were emitted" true (List.length (read ()) > 0);
+        Alcotest.(check bool) "the run was counted" true
+          (Metrics.counter_value (Metrics.counter "sim.runs") > 0);
         r)
   in
   Alcotest.(check string) "byte-identical outputs and trace" plain observed;
@@ -420,15 +263,12 @@ let test_registry_covers_all_and_finds () =
   | None -> Alcotest.fail "find e5");
   Alcotest.(check bool) "unknown id rejected" true (Core.Experiments.find "e9" = None)
 
-let test_registry_runner_spans_and_counters () =
+let test_registry_runner_counters () =
   with_obs (fun () ->
       let e = Option.get (Core.Experiments.find "E6") in
       let setup = Core.Setup.with_samples 400 Core.Setup.default in
       let o = e.Core.Experiments.run setup in
       Alcotest.(check bool) "outcome ok" true o.Core.Experiments.ok;
-      (match Span.find "experiment:E6" with
-      | Some s -> Alcotest.(check bool) "span has duration" true (s.Span.duration_s >= 0.0)
-      | None -> Alcotest.fail "experiment span missing");
       Alcotest.(check bool) "samples counted" true
         (Metrics.counter_value (Metrics.counter "exp.samples_drawn") > 0);
       Alcotest.(check int) "rows rolled up" o.Core.Experiments.rows_checked
@@ -445,12 +285,8 @@ let () =
           Alcotest.test_case "histogram single value" `Quick test_histogram_single_value;
           Alcotest.test_case "histogram overflow bucket" `Quick test_histogram_overflow_bucket;
           Alcotest.test_case "disabled histogram" `Quick test_disabled_histogram_observes_nothing;
-        ] );
-      ( "span",
-        [
-          Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "records on exception" `Quick test_span_records_on_exception;
-          Alcotest.test_case "disabled records nothing" `Quick test_span_disabled_records_nothing;
+          Alcotest.test_case "histogram first registration wins" `Quick
+            test_histogram_first_registration_wins;
         ] );
       ( "json",
         [
@@ -463,16 +299,6 @@ let () =
           Alcotest.test_case "shape and reparse" `Quick test_report_shape;
           Alcotest.test_case "validate rejects" `Quick test_report_validate_rejects;
         ] );
-      ( "event",
-        [
-          Alcotest.test_case "emission to memory sink" `Quick test_event_emission;
-          Alcotest.test_case "seq monotone under worker domains" `Quick
-            test_event_seq_monotone_under_domains;
-          Alcotest.test_case "sink fan-out under worker domains" `Quick
-            test_sink_fanout_under_domains;
-          Alcotest.test_case "histogram bucket mismatch warns once" `Quick
-            test_histogram_bucket_mismatch_warns_once;
-        ] );
       ( "simulator",
         [
           Alcotest.test_case "instrumentation is inert" `Quick test_instrumentation_is_inert;
@@ -483,6 +309,6 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "ids and find" `Quick test_registry_covers_all_and_finds;
-          Alcotest.test_case "runner instruments" `Quick test_registry_runner_spans_and_counters;
+          Alcotest.test_case "runner instruments" `Quick test_registry_runner_counters;
         ] );
     ]

@@ -14,7 +14,6 @@ let with_trace f =
   Fun.protect
     ~finally:(fun () ->
       Trace_ctx.set_enabled false;
-      Trace_ctx.set_max_sessions 64;
       Trace_ctx.reset ())
     f
 
@@ -63,20 +62,23 @@ let test_disabled_is_inert () =
 
 let test_session_cap () =
   with_trace (fun () ->
-      Trace_ctx.set_max_sessions 2;
-      let s1 = Trace_ctx.begin_session "one" in
-      Trace_ctx.end_span s1;
-      let s2 = Trace_ctx.begin_session "two" in
-      Trace_ctx.end_span s2;
-      let s3 = Trace_ctx.begin_session "three" in
-      Alcotest.(check bool) "first session traced" true (s1 <> Trace_ctx.none);
-      Alcotest.(check bool) "third session dropped" true (s3 = Trace_ctx.none);
+      (* The cap is 64 traced sessions per process; the 65th runs untraced. *)
+      let handles =
+        List.init 64 (fun i ->
+            let s = Trace_ctx.begin_session (Printf.sprintf "s%d" i) in
+            Trace_ctx.end_span s;
+            s)
+      in
+      let extra = Trace_ctx.begin_session "extra" in
+      Alcotest.(check bool) "first 64 sessions traced" true
+        (List.for_all (fun s -> s <> Trace_ctx.none) handles);
+      Alcotest.(check bool) "65th session dropped" true (extra = Trace_ctx.none);
       (* Spans under a dropped session are dropped too: the open stack
          is empty, so children have no parent to attach to. *)
       let orphan = Trace_ctx.begin_span ~cat:"phase" "orphan" in
       Alcotest.(check bool) "child of dropped session dropped" true (orphan = Trace_ctx.none);
-      Alcotest.(check int) "all sessions counted" 3 (Trace_ctx.session_total ());
-      Alcotest.(check int) "traced bounded by cap" 2 (Trace_ctx.sessions_traced ()))
+      Alcotest.(check int) "all sessions counted" 65 (Trace_ctx.session_total ());
+      Alcotest.(check int) "traced bounded by cap" 64 (Trace_ctx.sessions_traced ()))
 
 let test_unbalanced_close_recovers () =
   with_trace (fun () ->
