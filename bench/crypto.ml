@@ -101,15 +101,12 @@ let print_summary entries =
     (find entries "crypto/feldman_verify/n=16")
     (find entries "crypto/reconstruct/n=16")
 
-let write_csv dir entries =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = Filename.concat dir "crypto.csv" in
-  let oc = open_out path in
-  output_string oc "benchmark,ns_per_op,ops_per_s\n";
+let csv entries =
+  let b = Buffer.create 512 in
+  Buffer.add_string b "benchmark,ns_per_op,ops_per_s\n";
   List.iter
     (fun (t : Sb_obs.Report.timing_entry) ->
-      Printf.fprintf oc "%s,%.1f,%.0f\n" t.Sb_obs.Report.bench_name t.Sb_obs.Report.ns_per_run
+      Printf.bprintf b "%s,%.1f,%.0f\n" t.Sb_obs.Report.bench_name t.Sb_obs.Report.ns_per_run
         (1e9 /. t.Sb_obs.Report.ns_per_run))
     entries;
-  close_out oc;
-  Format.printf "wrote %s@." path
+  Buffer.contents b

@@ -5,7 +5,8 @@
      simbcast run -p gennaro-constant -x 10110
      simbcast classify -d xor-parity -n 5
      simbcast test -t cr -p naive-sequential -a echo -d uniform
-     simbcast experiment e5 *)
+     simbcast experiment e5
+     simbcast bench quick tables --csv=out *)
 
 open Cmdliner
 
@@ -231,38 +232,53 @@ let setup_obs ?trace metrics report =
   | Some _ -> Sb_obs.Trace_ctx.set_enabled true
   | None -> ()
 
+(* Output files: a write that fails is an I/O error, exit 1. *)
+let write_trace file =
+  try
+    Sb_obs.Perfetto.write_file file;
+    Printf.printf "wrote %s (%d/%d sessions traced)\n" file
+      (Sb_obs.Trace_ctx.sessions_traced ())
+      (Sb_obs.Trace_ctx.session_total ())
+  with Sys_error msg ->
+    Printf.eprintf "simbcast: cannot write trace: %s\n" msg;
+    exit 1
+
+let write_report file report =
+  try
+    Sb_obs.Report.write_file file report;
+    Printf.printf "wrote %s\n" file
+  with Sys_error msg ->
+    Printf.eprintf "simbcast: cannot write report: %s\n" msg;
+    exit 1
+
+(* [file] under [dir], which is created if missing. *)
+let write_csv dir file contents =
+  let path = Filename.concat dir file in
+  let cannot msg =
+    Printf.eprintf "simbcast: cannot write %s: %s\n" path msg;
+    exit 1
+  in
+  try
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Out_channel.with_open_text path (fun oc -> output_string oc contents);
+    Printf.printf "wrote %s\n" path
+  with
+  | Sys_error msg -> cannot msg
+  | Unix.Unix_error (e, _, _) -> cannot (Unix.error_message e)
+
 (* Instrumentation never touches the split RNG streams, so the printed
    protocol outputs are identical with or without these flags. *)
 let finish_obs ?(experiments = []) ?trace ?sessions ?check ?workload ~tag metrics report =
-  (match trace with
-  | None -> ()
-  | Some file -> (
-      try
-        Sb_obs.Perfetto.write_file file;
-        Printf.printf "wrote %s (%d/%d sessions traced)\n" file
-          (Sb_obs.Trace_ctx.sessions_traced ())
-          (Sb_obs.Trace_ctx.session_total ())
-      with Sys_error msg ->
-        Printf.eprintf "simbcast: cannot write trace: %s\n" msg;
-        exit 1));
+  Option.iter write_trace trace;
   if metrics then Sb_util.Tabular.print (Sb_obs.Metrics.to_table ());
-  match report with
-  | None -> ()
-  | Some file -> (
-      let trace_block =
-        match trace with None -> None | Some _ -> Some (Sb_obs.Perfetto.summary ())
-      in
-      let report =
-        Sb_obs.Report.make ~tool:"simbcast" ~tag
-          ~jobs:(Sb_par.Pool.get_default_domains ())
-          ~experiments ?trace:trace_block ?sessions ?check ?workload ()
-      in
-      try
-        Sb_obs.Report.write_file file report;
-        Printf.printf "wrote %s\n" file
-      with Sys_error msg ->
-        Printf.eprintf "simbcast: cannot write report: %s\n" msg;
-        exit 1)
+  Option.iter
+    (fun file ->
+      let trace_block = Option.map (fun _ -> Sb_obs.Perfetto.summary ()) trace in
+      write_report file
+        (Sb_obs.Report.make ~tool:"simbcast" ~tag
+           ~jobs:(Sb_par.Pool.get_default_domains ())
+           ~experiments ?trace:trace_block ?sessions ?check ?workload ()))
+    report
 
 (* --- list ---------------------------------------------------------- *)
 
@@ -286,7 +302,7 @@ let list_cmd =
     Sb_util.Tabular.print table;
     Printf.printf "distributions: %s\n" (String.concat ", " dist_names);
     Printf.printf "adversaries  : %s\n" (String.concat ", " adversary_names);
-    Printf.printf "experiments  : e1..e8, e10..e18  (see bench/main.exe; e9 = its timing section)\n";
+    Printf.printf "experiments  : e1..e8, e10..e18  (experiment, bench; e9 = its timing section)\n";
     Printf.printf "workloads    : %s  (workload, quick/full tiers)\n"
       (String.concat ", " Sb_workload.Workload.names);
     Printf.printf "fault plans  : crash:P@R  drop:PROB[:S->D][@R]  delay:BY[:S->D][@R]  part:G|G@A-B  (fault-sweep, run --faults)\n";
@@ -545,20 +561,55 @@ let exact_cmd =
        ~doc:"Compute CR/G independence gaps in closed form for analytically known scenarios")
     Term.(ret (const run $ scenario_arg $ dist_arg $ n_arg ()))
 
-(* --- experiment ------------------------------------------------------ *)
+(* --- experiments: bench, experiment, profile ---------------------------- *)
+
+let quick_arg =
+  let doc = "Reduced sample budget." in
+  Arg.(value & flag & info [ "quick" ] ~doc)
+
+let budget quick =
+  if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default
+
+let find_experiment id =
+  match Core.Experiments.find id with
+  | Some e -> Ok e
+  | None ->
+      Error
+        (Printf.sprintf "unknown experiment %S (try: %s)" id
+           (String.concat ", " (Core.Experiments.ids ())))
+
+let timed_run (e : Core.Experiments.entry) setup =
+  let t0 = Unix.gettimeofday () in
+  let o = e.Core.Experiments.run setup in
+  (o, Unix.gettimeofday () -. t0)
+
+(* Table, CSV, notes and verdict of one outcome; returns its report
+   entry. *)
+let print_outcome ?csv ((o : Core.Experiments.outcome), wall) =
+  Sb_util.Tabular.print o.table;
+  Option.iter
+    (fun dir ->
+      write_csv dir (String.lowercase_ascii o.id ^ ".csv") (Sb_util.Tabular.to_csv o.table))
+    csv;
+  List.iter (Printf.printf "note: %s\n") o.notes;
+  Printf.printf "%s: paper-shape check %s (%d rows)\n\n" o.id
+    (if o.ok then "OK" else "MISMATCH")
+    o.rows_checked;
+  {
+    Sb_obs.Report.id = o.id;
+    title = o.title;
+    ok = o.ok;
+    rows_checked = o.rows_checked;
+    wall_clock_s = wall;
+    notes = o.notes;
+  }
+
+let csv_arg ~doc = Arg.(value & opt (some string) None & info [ "csv" ] ~doc ~docv:"DIR")
 
 let experiment_cmd =
   let id_arg =
     let doc = "Experiment id (e1..e8, e10..e18)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
-  in
-  let quick_arg =
-    let doc = "Reduced sample budget." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let csv_arg =
-    let doc = "Also dump the table as $(docv)/<id>.csv." in
-    Arg.(value & opt (some string) None & info [ "csv" ] ~doc ~docv:"DIR")
   in
   let n_max_arg =
     let doc =
@@ -582,17 +633,11 @@ let experiment_cmd =
   let run id quick seed csv n_max metrics report trace jobs =
     setup_obs ?trace metrics report;
     setup_jobs jobs;
-    let setup =
-      Core.Setup.with_seed seed
-        (if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default)
-    in
-    match (Core.Experiments.find id, n_max) with
-    | None, _ ->
-        fail "unknown experiment %S (try: %s)" id
-          (String.concat ", " (Core.Experiments.ids ()))
-    | Some e, Some _ when String.lowercase_ascii e.Core.Experiments.id <> "e17" ->
+    match (find_experiment id, n_max) with
+    | Error e, _ -> fail "%s" e
+    | Ok e, Some _ when String.lowercase_ascii e.Core.Experiments.id <> "e17" ->
         fail "--n-max only applies to experiment e17"
-    | Some e, n_max ->
+    | Ok e, n_max ->
         let e =
           match n_max with
           | None -> e
@@ -600,47 +645,131 @@ let experiment_cmd =
               Core.Experiments.entry "E17" e.Core.Experiments.title
                 (Core.Experiments.e17_scaling ~n_max:m)
         in
-        let t0 = Unix.gettimeofday () in
-        let o = e.Core.Experiments.run setup in
-        let wall = Unix.gettimeofday () -. t0 in
-        Sb_util.Tabular.print o.Core.Experiments.table;
-        (match csv with
-        | None -> ()
-        | Some dir ->
-            (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let path =
-              Filename.concat dir (String.lowercase_ascii o.Core.Experiments.id ^ ".csv")
-            in
-            let oc = open_out path in
-            output_string oc (Sb_util.Tabular.to_csv o.Core.Experiments.table);
-            close_out oc;
-            Printf.printf "wrote %s\n" path);
-        List.iter (Printf.printf "note: %s\n") o.Core.Experiments.notes;
-        Printf.printf "%s: paper-shape check %s\n" o.Core.Experiments.id
-          (if o.Core.Experiments.ok then "OK" else "MISMATCH");
-        let experiments =
-          [
-            {
-              Sb_obs.Report.id = o.Core.Experiments.id;
-              title = o.Core.Experiments.title;
-              ok = o.Core.Experiments.ok;
-              rows_checked = o.Core.Experiments.rows_checked;
-              wall_clock_s = wall;
-              notes = o.Core.Experiments.notes;
-            };
-          ]
-        in
-        finish_obs ~experiments ?trace ~tag:(String.lowercase_ascii o.Core.Experiments.id)
-          metrics report;
-        if not o.Core.Experiments.ok then exit 1;
+        let entry = print_outcome ?csv (timed_run e (Core.Setup.with_seed seed (budget quick))) in
+        finish_obs ~experiments:[ entry ] ?trace ~tag:(String.lowercase_ascii entry.id) metrics
+          report;
+        if not entry.ok then exit 1;
         `Ok ()
   in
   Cmd.v
     (Cmd.info "experiment" ~exits ~doc:"Reproduce one of the paper's claims (E1..E18)")
     Term.(
       ret
-        (const run $ id_arg $ quick_arg $ seed_arg $ csv_arg $ n_max_arg $ metrics_arg
-       $ report_arg $ trace_arg $ jobs_arg))
+        (const run $ id_arg $ quick_arg $ seed_arg
+        $ csv_arg ~doc:"Also dump the table as $(docv)/<id>.csv."
+        $ n_max_arg $ metrics_arg $ report_arg $ trace_arg $ jobs_arg))
+
+(* --- bench ------------------------------------------------------------ *)
+
+type bench_word = Quick | Timing | Tables | Id of Core.Experiments.entry
+
+let bench_cmd =
+  let word =
+    let parse = function
+      | "quick" -> Ok Quick
+      | "timing" -> Ok Timing
+      | "tables" -> Ok Tables
+      | id -> (
+          match find_experiment id with Ok e -> Ok (Id e) | Error m -> Error (`Msg m))
+    in
+    let print ppf = function
+      | Quick -> Format.pp_print_string ppf "quick"
+      | Timing -> Format.pp_print_string ppf "timing"
+      | Tables -> Format.pp_print_string ppf "tables"
+      | Id e -> Format.pp_print_string ppf e.Core.Experiments.id
+    in
+    Arg.conv ~docv:"WORD" (parse, print)
+  in
+  let words_arg =
+    let doc =
+      "$(b,quick) (reduced sample budget), $(b,timing) (only the E9 Bechamel section), \
+       $(b,tables) (skip it), or experiment ids to run instead of the whole catalogue."
+    in
+    Arg.(value & pos_all word [] & info [] ~docv:"WORD" ~doc)
+  in
+  let count_arg =
+    let doc = "Batch size of the sessions probe (must be positive)." in
+    Arg.(value & opt pos_int 120 & info [ "count" ] ~doc ~docv:"N")
+  in
+  let run words csv count jobs =
+    (* The bench run is the perf-trajectory artifact: observability on. *)
+    Sb_obs.Metrics.set_enabled true;
+    setup_jobs jobs;
+    let quick = List.mem Quick words and timing_only = List.mem Timing words in
+    let ids = List.filter_map (function Id e -> Some e | _ -> None) words in
+    let experiments =
+      if timing_only then []
+      else begin
+        let entries =
+          List.map
+            (fun e -> print_outcome ?csv (timed_run e (budget quick)))
+            (if ids = [] then Core.Experiments.catalogue () else ids)
+        in
+        let bad = List.filter (fun (e : Sb_obs.Report.experiment_entry) -> not e.ok) entries in
+        Printf.printf "== summary: %d/%d experiments match the paper's predictions ==\n"
+          (List.length entries - List.length bad)
+          (List.length entries);
+        List.iter
+          (fun (e : Sb_obs.Report.experiment_entry) -> Printf.printf "  MISMATCH: %s\n" e.id)
+          bad;
+        entries
+      end
+    in
+    let e9 =
+      if (not (List.mem Tables words)) && (ids = [] || timing_only) then Bench.E9.run () else []
+    in
+    let crypto = Bench.Crypto.run () in
+    Bench.Crypto.print_summary crypto;
+    Option.iter (fun dir -> write_csv dir "crypto.csv" (Bench.Crypto.csv crypto)) csv;
+    let delivery = Bench.Delivery_probe.run () in
+    Bench.Delivery_probe.print_summary delivery;
+    let sessions, sessions_block = Bench.Sessions.run ~count () in
+    let workloads = Bench.Workloads.run () in
+    let gtester = Bench.Gtester_smoke.run () in
+    Bench.Comm.print ();
+    Option.iter (fun dir -> write_csv dir "comm.csv" (Bench.Comm.csv ())) csv;
+    let tag =
+      if quick then "quick"
+      else if timing_only then "timing"
+      else if ids = [] then "full"
+      else
+        String.concat "_"
+          (List.map (fun (e : Core.Experiments.entry) -> String.lowercase_ascii e.id) ids)
+    in
+    let report =
+      Sb_obs.Report.make ~tool:"bench" ~tag
+        ~jobs:(Sb_par.Pool.get_default_domains ())
+        ~experiments
+        ~timings:(e9 @ (gtester :: crypto) @ delivery @ sessions @ workloads)
+        ?sessions:sessions_block ()
+    in
+    write_report (Printf.sprintf "BENCH_%s.json" tag) report;
+    (* Perf trajectory: one compact row per bench run, appended to a
+       gitignored jsonl log so local runs accumulate a history that
+       `perf-diff` endpoints can be picked from. *)
+    let utc =
+      let t = Unix.gmtime (Unix.time ()) in
+      Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
+        (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
+    in
+    Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 "BENCH_history.jsonl"
+      (fun oc ->
+        output_string oc (Sb_obs.Json.to_string (Sb_obs.Report.history_row ~utc report));
+        output_char oc '\n');
+    print_endline "appended BENCH_history.jsonl"
+  in
+  Cmd.v
+    (Cmd.info "bench" ~exits
+       ~doc:
+         "Regenerate the experiment tables (every one, or the ids given), time the E9 \
+          substrates with Bechamel, run the crypto, delivery, sessions, workload and \
+          G-tester probes, and write the BENCH_<tag>.json report (tag: quick, timing, \
+          full, or the ids) plus a BENCH_history.jsonl row. Exits 0 even when an \
+          experiment prints MISMATCH; the report's $(i,ok) fields carry the verdicts")
+    Term.(
+      const run $ words_arg
+      $ csv_arg ~doc:"Also dump each table, crypto.csv and comm.csv under $(docv)."
+      $ count_arg $ jobs_arg)
 
 (* --- fault-sweep ----------------------------------------------------- *)
 
@@ -758,10 +887,6 @@ let profile_cmd =
     let doc = "Experiment id to profile (e1..e8, e10..e18)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let quick_arg =
-    let doc = "Reduced sample budget." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
   let top_arg =
     let doc = "Rows of the phase-time attribution table to print." in
     Arg.(value & opt int 20 & info [ "top" ] ~doc ~docv:"K")
@@ -770,31 +895,15 @@ let profile_cmd =
     setup_jobs jobs;
     Sb_obs.Metrics.set_enabled true;
     Sb_obs.Trace_ctx.set_enabled true;
-    match Core.Experiments.find id with
-    | None ->
-        fail "unknown experiment %S (try: %s)" id (String.concat ", " (Core.Experiments.ids ()))
-    | Some e ->
-        let setup =
-          if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default
-        in
-        let t0 = Unix.gettimeofday () in
-        let o = e.Core.Experiments.run setup in
-        let wall = Unix.gettimeofday () -. t0 in
+    match find_experiment id with
+    | Error e -> fail "%s" e
+    | Ok e ->
+        let o, wall = timed_run e (budget quick) in
         Printf.printf "%s: %s — %s in %.2fs\n" o.Core.Experiments.id o.Core.Experiments.title
           (if o.Core.Experiments.ok then "OK" else "MISMATCH")
           wall;
         Sb_util.Tabular.print (Sb_obs.Perfetto.flame_table ~top ());
-        (match trace with
-        | None -> ()
-        | Some file -> (
-            try
-              Sb_obs.Perfetto.write_file file;
-              Printf.printf "wrote %s (%d/%d sessions traced)\n" file
-                (Sb_obs.Trace_ctx.sessions_traced ())
-                (Sb_obs.Trace_ctx.session_total ())
-            with Sys_error msg ->
-              Printf.eprintf "simbcast: cannot write trace: %s\n" msg;
-              exit 1));
+        Option.iter write_trace trace;
         `Ok ()
   in
   Cmd.v
@@ -1185,7 +1294,8 @@ let perf_diff_cmd =
 let () =
   (* E18 lives in sb_workload (it needs the session engine, which core
      cannot depend on); adding it to the catalogue here makes
-     `experiment e18` / `profile e18` resolve like any core entry. *)
+     `experiment e18`, `profile e18` and `bench` see it like any core
+     entry. *)
   Sb_workload.E18.register ();
   let info =
     Cmd.info "simbcast" ~version:"1.0.0" ~exits
@@ -1201,6 +1311,7 @@ let () =
             test_cmd;
             exact_cmd;
             experiment_cmd;
+            bench_cmd;
             fault_sweep_cmd;
             profile_cmd;
             sessions_cmd;

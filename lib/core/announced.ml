@@ -66,8 +66,8 @@ let note_domain_samples len =
     (Sb_obs.Metrics.counter
        (Printf.sprintf "par.domain%d.samples" (Sb_par.Pool.worker_index ())))
 
-let fan_out ?pool ~total ~draws_per_item ~init ~f ~merge rng =
-  let pool = match pool with Some p -> p | None -> Sb_par.Pool.default () in
+let fan_out ~total ~draws_per_item ~init ~f ~merge rng =
+  let pool = Sb_par.Pool.default () in
   let streams = Sb_par.Partition.streams rng ~total ~draws_per_item in
   let chunks = Sb_par.Partition.chunks ~total ~jobs:fan_out_width in
   let accs =
@@ -91,8 +91,8 @@ let fan_out ?pool ~total ~draws_per_item ~init ~f ~merge rng =
    sample (input draw, execution); an item's streams 0 and 1 are those
    same children, so every chunking — including one chunk — replays
    the sequential per-sample randomness byte for byte. *)
-let psample ?pool setup ~protocol ~adversary ~dist ?(aux = Msg.Unit) ?faults ~init ~f ~merge rng =
-  fan_out ?pool ~total:setup.Setup.samples ~draws_per_item:2 ~init ~merge rng
+let psample setup ~protocol ~adversary ~dist ?(aux = Msg.Unit) ?faults ~init ~f ~merge rng =
+  fan_out ~total:setup.Setup.samples ~draws_per_item:2 ~init ~merge rng
     ~f:(fun acc i stream ->
       let x = Sb_dist.Dist.sample dist (stream 0) in
       f acc i (run_once setup ~protocol ~adversary ~x ~aux ?faults (stream 1)))

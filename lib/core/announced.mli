@@ -58,7 +58,6 @@ val fan_out_width : int
     alone; no result depends on it. *)
 
 val fan_out :
-  ?pool:Sb_par.Pool.t ->
   total:int ->
   draws_per_item:int ->
   init:(unit -> 'acc) ->
@@ -68,7 +67,7 @@ val fan_out :
   'acc
 (** The one domain-parallel Monte-Carlo loop of [core]. Items
     [0 .. total-1] are cut into at most {!fan_out_width} contiguous
-    chunks run on [pool] (default {!Sb_par.Pool.default}); each chunk
+    chunks run on {!Sb_par.Pool.default}; each chunk
     folds its items into its own [init ()] accumulator with
     [f acc i stream], where [stream k] ([0 <= k < draws_per_item]) is
     item [i]'s [k]-th generator, and credits them to
@@ -85,7 +84,6 @@ val fan_out :
     sequential loop. *)
 
 val psample :
-  ?pool:Sb_par.Pool.t ->
   Setup.t ->
   protocol:Sb_sim.Protocol.t ->
   adversary:Sb_sim.Adversary.t ->

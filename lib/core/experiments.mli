@@ -21,7 +21,8 @@
     | E12 | — (ablation)     | recoverable reveals vs bare commit-open         |
     | E15 | §3.1 model       | resilience under injected faults ({!Resilience}) |
 
-    (E9, wall-clock timing, lives in bench/main.ml with Bechamel.) *)
+    (E9, wall-clock timing, is bench/e9.ml's Bechamel section of
+    [simbcast bench].) *)
 
 type outcome = {
   id : string;
@@ -82,9 +83,9 @@ type entry = {
 }
 (** One catalogue entry. [run] wraps the raw driver and rolls
     rows-checked / verdict counters into {!Sb_obs.Metrics}; with
-    metrics disabled it is the bare driver. Both front ends
-    (bench/main.exe and [simbcast experiment]) dispatch through this
-    registry, so the id lists cannot drift. *)
+    metrics disabled it is the bare driver. Every front end
+    ([simbcast bench], [experiment] and [profile]) dispatches through
+    this registry, so the id lists cannot drift. *)
 
 val entry : string -> string -> (Setup.t -> outcome) -> entry
 (** Build a catalogue entry (instrumented as described above) — for
@@ -93,7 +94,7 @@ val entry : string -> string -> (Setup.t -> outcome) -> entry
 
 val registry : entry list
 (** Every built-in experiment, in canonical order (E9 is the Bechamel
-    timing section of bench/main.ml, not a table). *)
+    timing section of bench/e9.ml, not a table). *)
 
 val register : entry -> unit
 (** Append an entry contributed by a layer above core (e.g. the

@@ -96,14 +96,14 @@ let survivors_verdict ~n ~crashed (r : Announced.run) =
       in
       (agree, valid)
 
-let measure ?pool setup ~protocol ~adversary ~dist ~plan rng =
+let measure setup ~protocol ~adversary ~dist ~plan rng =
   let n = setup.Setup.n in
   (match Sb_fault.Plan.validate ~n plan with
   | Ok () -> ()
   | Error e -> invalid_arg ("Resilience.measure: " ^ e));
   let crashed = Sb_fault.Plan.crashed_parties plan in
   let agreed, valid =
-    Announced.psample ?pool setup ~protocol ~adversary ~dist
+    Announced.psample setup ~protocol ~adversary ~dist
       ~faults:(Sb_fault.Inject.compile ~n plan)
       ~init:(fun () -> (ref 0, ref 0))
       ~f:(fun (agreed, valid) _ r ->

@@ -65,7 +65,6 @@ val drop_plan : float -> Sb_fault.Plan.t
     the rate is 0). *)
 
 val measure :
-  ?pool:Sb_par.Pool.t ->
   Setup.t ->
   protocol:Sb_sim.Protocol.t ->
   adversary:Sb_sim.Adversary.t ->

@@ -59,10 +59,10 @@ let find_scheme name =
   in
   List.assoc_opt bare schemes
 
-let m_states = Sb_obs.Metrics.counter "check.states"
-let m_memo = Sb_obs.Metrics.counter "check.memo_hits"
-let m_terminals = Sb_obs.Metrics.counter "check.terminals"
-let m_violations = Sb_obs.Metrics.counter "check.violations"
+(* Registered on first use, not at module init, so that the report of
+   a binary that links the checker but never runs it (simbcast bench)
+   lists no check.* counters. *)
+let count name by = Sb_obs.Metrics.incr ~by (Sb_obs.Metrics.counter name)
 
 (* --- the per-round decision alphabet -------------------------------- *)
 
@@ -259,10 +259,10 @@ let check ?(max_states = 200_000) ?(default = Msg.Bit false) ?observe ~scheme ct
   let violations =
     List.length (List.filter (function Violated _ -> true | _ -> false) verdicts)
   in
-  Sb_obs.Metrics.incr ~by:!explored m_states;
-  Sb_obs.Metrics.incr ~by:!memo_hits m_memo;
-  Sb_obs.Metrics.incr ~by:!terminals m_terminals;
-  Sb_obs.Metrics.incr ~by:violations m_violations;
+  count "check.states" !explored;
+  count "check.memo_hits" !memo_hits;
+  count "check.terminals" !terminals;
+  count "check.violations" violations;
   match verdicts with
   | [ agreement; validity; unforgeability ] ->
       {

@@ -1,30 +1,19 @@
 type commitment = Modgroup.elt array
 
 (* Coefficient commitments are fixed-base g-exponentiations, so they
-   ride the Modgroup window table via commit_g. *)
+   ride the Modgroup window table via pow_g. *)
 let commit f ~threshold =
   let coeffs = Poly.coeffs f in
   assert (Array.length coeffs <= threshold + 1);
   Array.init (threshold + 1) (fun j ->
-      if j < Array.length coeffs then Modgroup.commit_g coeffs.(j)
-      else Modgroup.commit_g Field.zero)
-
-let expected_share_commitment c index =
-  (* Π_j C_j^{x^j} at x = index + 1, Horner-style in the exponent:
-     acc = C_t, then acc = acc^x * C_{t-1}, ... — carried in
-     Montgomery form across the whole loop, converted back once. *)
-  let x = Field.to_int (Shamir.eval_point index) in
-  let acc = ref Modgroup.Mont.one in
-  for j = Array.length c - 1 downto 0 do
-    acc := Modgroup.Mont.(mul (pow !acc x) (of_elt c.(j)))
-  done;
-  Modgroup.Mont.to_elt !acc
+      if j < Array.length coeffs then Modgroup.pow_g coeffs.(j)
+      else Modgroup.pow_g Field.zero)
 
 let verify_share c (s : Shamir.share) =
-  Modgroup.equal (Modgroup.commit_g s.value) (expected_share_commitment c s.index)
+  Modgroup.equal (Modgroup.pow_g s.value) (Modgroup.horner c (Shamir.eval_point s.index))
 
 let verify_secret c secret =
-  Array.length c > 0 && Modgroup.equal (Modgroup.commit_g secret) c.(0)
+  Array.length c > 0 && Modgroup.equal (Modgroup.pow_g secret) c.(0)
 
 let deal rng ~threshold ~parties ~secret =
   let shares, f = Shamir.share rng ~threshold ~parties ~secret in

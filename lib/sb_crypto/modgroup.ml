@@ -140,7 +140,6 @@ let pow_g e =
     r
   end
   else pow_fixed table_g (Field.to_int e)
-let pow_h e = pow_fixed table_h (Field.to_int e)
 
 let pow_gh a b =
   (* Fused double exponentiation g^a * h^b: one interleaved pass over
@@ -177,6 +176,18 @@ let pow_int b e =
 
 let pow b e = pow_int b (Field.to_int e)
 
+(* Horner in the exponent: acc = c_t, then acc = acc^x * c_(t-1), ...,
+   carried in Montgomery form across the whole polynomial — one of_elt
+   per coefficient, one to_elt at the end, and every ladder step
+   division-free. *)
+let horner c x =
+  let x = Field.to_int x in
+  let acc = ref Mont.one in
+  for j = Array.length c - 1 downto 0 do
+    acc := Mont.(mul (pow !acc x) (of_elt c.(j)))
+  done;
+  Mont.to_elt !acc
+
 (* Extended Euclid modulo the (prime) modulus: every member is a unit
    of Z_P^*, and for h in the order-q subgroup the Z_P^* inverse
    coincides with h^(q-1), the subgroup inverse. Replaces the old
@@ -195,5 +206,4 @@ let is_member x =
 
 let of_int_exn x = if is_member x then x else invalid_arg "Modgroup.of_int_exn: not a member"
 let to_int x = x
-let commit_g e = pow_g e
 let pp fmt x = Format.pp_print_int fmt x

@@ -11,8 +11,8 @@
     The two shared generators [g] and [h] carry fixed-base windowed
     precomputation (4-bit windows over the 30-bit exponent range,
     built once at module init and read-only thereafter, so safe under
-    sb_par domain parallelism): {!pow_g}, {!pow_h} and the fused
-    {!pow_gh} cost a handful of table-lookup multiplies instead of a
+    sb_par domain parallelism): {!pow_g}, {!pow} at [g] or [h] and the
+    fused {!pow_gh} cost a handful of table-lookup multiplies instead of a
     full square-and-multiply ladder. *)
 
 type elt = private int
@@ -49,9 +49,9 @@ val pow_naive : elt -> Field.t -> elt
 
 (** Montgomery-form arithmetic over R = 2^31: an element [x] is
     carried as [x*R mod P], and REDC trades the division in {!mul}
-    for three multiplications. Used directly by the Pedersen/Feldman
-    commitment-evaluation Horner loops, which stay in the Montgomery
-    domain across the whole polynomial and convert back once. *)
+    for three multiplications. Used directly by {!horner}, which stays
+    in the Montgomery domain across the whole polynomial and converts
+    back once. *)
 module Mont : sig
   type m
   (** A group element in Montgomery representation. *)
@@ -69,12 +69,14 @@ end
 val pow_g : Field.t -> elt
 (** [pow_g e] = g^e via the fixed-base window table. *)
 
-val pow_h : Field.t -> elt
-(** [pow_h e] = h^e via the fixed-base window table. *)
-
 val pow_gh : Field.t -> Field.t -> elt
 (** [pow_gh a b] = g^a · h^b, fused over both tables in one pass —
     the Pedersen commitment hot path. *)
+
+val horner : elt array -> Field.t -> elt
+(** [horner c x] = Π_j c.(j)^(x^j), Horner-style in the exponent —
+    the commitment a Pedersen or Feldman share at evaluation point [x]
+    must match. *)
 
 val inv : elt -> elt
 (** Extended-Euclid inverse modulo P (equal to h^(q-1) for members). *)
@@ -87,8 +89,4 @@ val of_int_exn : int -> elt
 (** Checked injection; raises [Invalid_argument] on non-members. *)
 
 val to_int : elt -> int
-val commit_g : Field.t -> elt
-(** [commit_g e] = g^e; the Feldman coefficient commitment
-    (fixed-base). *)
-
 val pp : Format.formatter -> elt -> unit

@@ -33,18 +33,8 @@ let deal rng ~threshold ~parties ~secret =
   in
   { shares; commitment; blind0 }
 
-let expected_commitment c index =
-  (* Horner in the exponent, carried in Montgomery form across the
-     whole polynomial: one of_elt per coefficient, one to_elt at the
-     end, and every ladder step inside pow is division-free. *)
-  let x = Field.to_int (Shamir.eval_point index) in
-  let acc = ref Modgroup.Mont.one in
-  for j = Array.length c - 1 downto 0 do
-    acc := Modgroup.Mont.(mul (pow !acc x) (of_elt c.(j)))
-  done;
-  Modgroup.Mont.to_elt !acc
-
-let verify_share c s = Modgroup.equal (commit_pair s.value s.blind) (expected_commitment c s.index)
+let verify_share c s =
+  Modgroup.equal (commit_pair s.value s.blind) (Modgroup.horner c (Shamir.eval_point s.index))
 
 let verify_opening c ~secret ~blind =
   Array.length c > 0 && Modgroup.equal (commit_pair secret blind) c.(0)

@@ -250,7 +250,7 @@ let names = List.map (fun d -> d.wname) catalogue
 let describe name =
   List.find_map (fun d -> if d.wname = name then Some d.describe else None) catalogue
 
-let run ?pool ?faults ?(quick = false) ~seed name =
+let run ?faults ?(quick = false) ~seed name =
   match List.find_opt (fun d -> d.wname = name) catalogue with
   | None ->
       Error
@@ -260,7 +260,7 @@ let run ?pool ?faults ?(quick = false) ~seed name =
       match d.build ~quick ~faults ~rng:rngs.(0) with
       | exception Invalid_argument msg -> Error msg
       | setup, dist, specs, scale, summarize -> (
-          match Engine.run ?pool ~setup ~dist specs rngs.(1) with
+          match Engine.run ~setup ~dist specs rngs.(1) with
           | exception Invalid_argument msg -> Error msg
           | aggregate, reports ->
               Ok

@@ -47,7 +47,6 @@ val describe : string -> string option
 (** One-line description, for [simbcast list]. *)
 
 val run :
-  ?pool:Sb_par.Pool.t ->
   ?faults:Sb_fault.Plan.t ->
   ?quick:bool ->
   seed:int ->

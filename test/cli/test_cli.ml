@@ -1,22 +1,21 @@
 (* End-to-end tests against the built simbcast binary (path in
-   argv.(1)) and bench binary (argv.(2)): strict argument parsing (no
-   subcommand may silently accept trailing junk), traced-run output
-   validity, report inertness under tracing at jobs 1 and 2, perf-diff
-   exit codes, the profile subcommand, and bench's usage errors. *)
+   argv.(1)): strict argument parsing (no subcommand may silently
+   accept trailing junk), traced-run output validity, report inertness
+   under tracing at jobs 1 and 2, perf-diff exit codes, the profile
+   subcommand, and bench's usage errors and outputs. *)
 
 open Sb_obs
 
 let simbcast = ref ""
-let bench = ref ""
 
 (* cmdliner's exit code for a command-line parse error — and the one
    usage-error code of every subcommand. *)
 let cli_error = 124
 
-let command ?(bin = !simbcast) ?out args =
+let command ?(cwd = ".") ?out args =
   let redirect = match out with None -> "/dev/null" | Some f -> Filename.quote f in
   Sys.command
-    (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote bin)
+    (Printf.sprintf "cd %s && %s %s > %s 2>&1" (Filename.quote cwd) (Filename.quote !simbcast)
        (String.concat " " (List.map Filename.quote args))
        redirect)
 
@@ -38,9 +37,9 @@ let contains s sub =
 
 (* A rejected input exits 124 and its diagnostic contains [shows]: the
    offending flag, or cmdliner's "Usage:" line. *)
-let check_usage_error ?bin ~shows what args =
+let check_usage_error ~shows what args =
   let out = temp ".usage.err" in
-  Alcotest.(check int) (what ^ " exits 124") cli_error (command ?bin ~out args);
+  Alcotest.(check int) (what ^ " exits 124") cli_error (command ~out args);
   Alcotest.(check bool) (Printf.sprintf "%s shows %S" what shows) true
     (contains (read_file out) shows);
   Sys.remove out
@@ -128,8 +127,8 @@ let test_help_documents_exits () =
   let out = temp ".help.out" in
   let subcommands =
     [
-      "list"; "run"; "classify"; "test"; "exact"; "experiment"; "fault-sweep"; "profile";
-      "sessions"; "workload"; "check"; "perf-diff";
+      "list"; "run"; "classify"; "test"; "exact"; "experiment"; "bench"; "fault-sweep";
+      "profile"; "sessions"; "workload"; "check"; "perf-diff";
     ]
   in
   List.iter
@@ -558,19 +557,39 @@ let test_experiment_mismatch_exits_1 () =
 
 (* --- bench ------------------------------------------------------------ *)
 
-(* bench has its own parser but the same usage-error code; each of
-   these is rejected before any experiment runs. *)
+(* Each of these is rejected before any experiment runs. *)
 let test_bench_usage_errors () =
   List.iter
-    (fun (shows, arg) -> check_usage_error ~bin:!bench ~shows ("bench " ^ arg) [ arg ])
+    (fun (shows, arg) -> check_usage_error ~shows ("bench " ^ arg) [ "bench"; arg ])
     [ ("--jobs", "--jobs=0"); ("--count", "--count=0"); ("--bogus", "--bogus"); ("E99", "E99") ]
 
+(* bench and experiment print an outcome through the same code, so
+   their CSVs of one table are byte-identical; bench writes its report
+   to BENCH_<tag>.json in the working directory, where quick wins the
+   tag over the ids. *)
+let test_bench_matches_experiment () =
+  let dir = Filename.temp_dir "simbcast_cli" ".bench" in
+  Alcotest.(check int) "bench exits 0" 0
+    (command ~cwd:dir [ "bench"; "quick"; "tables"; "E1"; "--csv=D1" ]);
+  Alcotest.(check int) "experiment exits 0" 0
+    (command ~cwd:dir [ "experiment"; "e1"; "--quick"; "--csv"; "D2" ]);
+  let in_dir f = Filename.concat dir f in
+  Alcotest.(check string) "e1.csv identical"
+    (read_file (in_dir "D1/e1.csv"))
+    (read_file (in_dir "D2/e1.csv"));
+  (match Report.validate (parse_file (in_dir "BENCH_quick.json")) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "bench report invalid: %s" e);
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+
 let () =
-  (if Array.length Sys.argv < 3 then (
-     prerr_endline "usage: test_cli SIMBCAST_BINARY BENCH_BINARY";
+  (if Array.length Sys.argv < 2 then (
+     prerr_endline "usage: test_cli SIMBCAST_BINARY";
      exit 2));
-  simbcast := Sys.argv.(1);
-  bench := Sys.argv.(2);
+  (* Absolute, so that a test may run it from another directory. *)
+  simbcast :=
+    if Filename.is_relative Sys.argv.(1) then Filename.concat (Sys.getcwd ()) Sys.argv.(1)
+    else Sys.argv.(1);
   Alcotest.run ~argv:[| "test_cli" |] "simbcast_cli"
     [
       ( "cli",
@@ -611,5 +630,7 @@ let () =
             test_check_counterexample_replays;
           Alcotest.test_case "profile prints attribution" `Quick test_profile_runs;
           Alcotest.test_case "bench usage errors" `Quick test_bench_usage_errors;
+          Alcotest.test_case "bench and experiment write the same CSV" `Quick
+            test_bench_matches_experiment;
         ] );
     ]

@@ -61,16 +61,17 @@ let test_pool_shutdown () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+let with_jobs j f =
+  Sb_par.Pool.set_default_domains j;
+  Fun.protect ~finally:(fun () -> Sb_par.Pool.set_default_domains 1) f
+
 (* The samplers' shared loop over a 4-domain pool: 100 items in 32
    chunks, folded with a non-commutative merge that exposes any
    scheduling dependence. *)
 let test_pool_reduce_order () =
-  let pool = Sb_par.Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
-    (fun () ->
+  with_jobs 4 (fun () ->
       let s =
-        Core.Announced.fan_out ~pool ~total:100 ~draws_per_item:1
+        Core.Announced.fan_out ~total:100 ~draws_per_item:1
           ~init:(fun () -> Buffer.create 16)
           ~f:(fun b i _ -> Buffer.add_string b (string_of_int i))
           ~merge:(fun ~into b -> Buffer.add_buffer into b)
@@ -85,10 +86,6 @@ let test_pool_reduce_order () =
 let protocol = Sb_protocols.Gennaro.protocol
 let setup = Core.Setup.with_samples 400 Core.Setup.default
 let adversary = Core.Adversaries.semi_honest protocol ~corrupt:[ 3; 4 ]
-
-let with_jobs j f =
-  Sb_par.Pool.set_default_domains j;
-  Fun.protect ~finally:(fun () -> Sb_par.Pool.set_default_domains 1) f
 
 (* Every sample's announced vector lands in its index slot, so a
    stream handed to the wrong sample shows, not only a wrong total. *)

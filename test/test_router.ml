@@ -262,11 +262,12 @@ let test_jobs_invariance () =
   let _, protocol = List.hd (Core.Resilience.substrates ()) in
   let plan = Core.Resilience.crash_plan ~n:5 ~count:1 in
   let cell domains =
-    let pool = Sb_par.Pool.create ~domains () in
+    let saved = Sb_par.Pool.get_default_domains () in
+    Sb_par.Pool.set_default_domains domains;
     Fun.protect
-      ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+      ~finally:(fun () -> Sb_par.Pool.set_default_domains saved)
       (fun () ->
-        Core.Resilience.measure ~pool setup ~protocol ~adversary:Core.Adversaries.passive
+        Core.Resilience.measure setup ~protocol ~adversary:Core.Adversaries.passive
           ~dist:(Sb_dist.Dist.uniform 5) ~plan (Sb_util.Rng.create 42))
   in
   let c1 = cell 1 in

@@ -70,14 +70,15 @@ let outcome_digest (o : Workload.outcome) =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let run_full name jobs =
-  let pool = Sb_par.Pool.create ~domains:jobs () in
+  let saved = Sb_par.Pool.get_default_domains () in
+  Sb_par.Pool.set_default_domains jobs;
   Sb_obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Sb_obs.Metrics.set_enabled false;
-      Sb_par.Pool.shutdown pool)
+      Sb_par.Pool.set_default_domains saved)
     (fun () ->
-      match Workload.run ~pool ~seed:1 name with
+      match Workload.run ~seed:1 name with
       | Ok o -> o
       | Error e -> Alcotest.failf "workload %s: %s" name e)
 
