@@ -17,21 +17,16 @@ let seed = 11
 
 let entry name ns = { Sb_obs.Report.bench_name = name; ns_per_run = ns; r_square = 1.0 }
 
-let substrate name =
-  match List.assoc_opt name (Core.Resilience.substrates ()) with
-  | Some p -> p
-  | None -> invalid_arg ("sessions probe: unknown substrate " ^ name)
-
 (* Two shapes: a homogeneous batch (pure scheduler+substrate cost) and
    a mixed batch (protocol_at dispatch, uneven per-session cost). *)
 let probes ~count =
   let third = count / 3 in
   [
-    ("sessions/bracha", [ Engine.spec (substrate "concurrent-bracha") count ]);
+    ("sessions/bracha", [ Engine.spec (Sb_protocols.Registry.get "concurrent-bracha") count ]);
     ( "sessions/mixed",
       [
-        Engine.spec (substrate "concurrent-bracha") (count - (2 * third));
-        Engine.spec (substrate "concurrent-dolev-strong") third;
+        Engine.spec (Sb_protocols.Registry.get "concurrent-bracha") (count - (2 * third));
+        Engine.spec (Sb_protocols.Registry.get "concurrent-dolev-strong") third;
         Engine.spec Sb_protocols.Commit_open.protocol third;
       ] );
   ]

@@ -76,23 +76,31 @@ let adversary_of_name name (protocol : Sb_sim.Protocol.t) ~n ~thresh =
 
 let protocol_of_name name =
   match Sb_protocols.Registry.find name with
-  | Some e -> Ok e.Sb_protocols.Registry.protocol
-  | None -> (
-      if String.equal name "commit-open" then Ok Sb_protocols.Commit_open.protocol
-      else
-        let substrates = Core.Resilience.substrates () in
-        match List.assoc_opt name substrates with
-        | Some p -> Ok p
-        | None -> (
-            (* Substrate shorthand: `bracha` for `concurrent-bracha`. *)
-            match List.assoc_opt ("concurrent-" ^ name) substrates with
-            | Some p -> Ok p
-            | None ->
-                Error
-                  (Printf.sprintf "unknown protocol %S (try: %s)" name
-                     (String.concat ", "
-                        (("commit-open" :: Sb_protocols.Registry.names)
-                        @ List.map fst substrates)))))
+  | Some p -> Ok p
+  | None ->
+      Error
+        (Printf.sprintf "unknown protocol %S (try: %s)" name
+           (String.concat ", " Sb_protocols.Registry.names))
+
+(* The experiment catalogue: core's entries plus E18, which lives in
+   sb_workload because it needs the session engine. *)
+let experiments = Core.Experiments.registry @ [ Sb_workload.E18.entry ]
+
+(* Its ids as runs of consecutive numbers: "e1..e8, e10..e18". *)
+let experiment_ids =
+  let rec runs = function
+    | [] -> []
+    | a :: rest ->
+        let rec close b = function c :: r when c = b + 1 -> close c r | r -> (b, r) in
+        let b, rest = close a rest in
+        (if a = b then Printf.sprintf "e%d" a else Printf.sprintf "e%d..e%d" a b) :: runs rest
+  in
+  String.concat ", "
+    (runs
+       (List.map
+          (fun (e : Core.Experiments.entry) ->
+            int_of_string (String.sub e.id 1 (String.length e.id - 1)))
+          experiments))
 
 (* [-n] outside the range a subcommand supports fails in its conv: a
    usage error naming the flag. Input distributions are tabulated, so
@@ -282,7 +290,10 @@ let finish_obs ?(experiments = []) ?trace ?sessions ?check ?workload ~tag metric
 
 (* --- list ---------------------------------------------------------- *)
 
-let claim_cell b = if b then "claims independence" else "parallel only"
+let claim_cell = function
+  | Sb_protocols.Registry.Independence -> "claims independence"
+  | Parallel_only -> "parallel only"
+  | Ablation_target -> "none (ablation target)"
 
 let list_cmd =
   let run () =
@@ -294,15 +305,15 @@ let list_cmd =
         Sb_util.Tabular.add_row table
           [
             e.Sb_protocols.Registry.protocol.Sb_sim.Protocol.name;
-            claim_cell e.Sb_protocols.Registry.claims_independence;
+            claim_cell e.Sb_protocols.Registry.claim;
             e.Sb_protocols.Registry.min_honest_fraction;
           ])
-      Sb_protocols.Registry.all;
-    Sb_util.Tabular.add_row table [ "commit-open"; "none (ablation target)"; "t < n/2" ];
+      (Sb_protocols.Registry.all @ [ Sb_protocols.Registry.commit_open ]);
     Sb_util.Tabular.print table;
     Printf.printf "distributions: %s\n" (String.concat ", " dist_names);
     Printf.printf "adversaries  : %s\n" (String.concat ", " adversary_names);
-    Printf.printf "experiments  : e1..e8, e10..e18  (experiment, bench; e9 = its timing section)\n";
+    Printf.printf "experiments  : %s  (experiment, bench; e9 = its timing section)\n"
+      experiment_ids;
     Printf.printf "workloads    : %s  (workload, quick/full tiers)\n"
       (String.concat ", " Sb_workload.Workload.names);
     Printf.printf "fault plans  : crash:P@R  drop:PROB[:S->D][@R]  delay:BY[:S->D][@R]  part:G|G@A-B  (fault-sweep, run --faults)\n";
@@ -571,12 +582,13 @@ let budget quick =
   if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default
 
 let find_experiment id =
-  match Core.Experiments.find id with
+  match Core.Experiments.find_in experiments id with
   | Some e -> Ok e
   | None ->
       Error
         (Printf.sprintf "unknown experiment %S (try: %s)" id
-           (String.concat ", " (Core.Experiments.ids ())))
+           (String.concat ", "
+              (List.map (fun (e : Core.Experiments.entry) -> e.id) experiments)))
 
 let timed_run (e : Core.Experiments.entry) setup =
   let t0 = Unix.gettimeofday () in
@@ -608,7 +620,7 @@ let csv_arg ~doc = Arg.(value & opt (some string) None & info [ "csv" ] ~doc ~do
 
 let experiment_cmd =
   let id_arg =
-    let doc = "Experiment id (e1..e8, e10..e18)." in
+    let doc = Printf.sprintf "Experiment id (%s)." experiment_ids in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let n_max_arg =
@@ -703,7 +715,7 @@ let bench_cmd =
         let entries =
           List.map
             (fun e -> print_outcome ?csv (timed_run e (budget quick)))
-            (if ids = [] then Core.Experiments.catalogue () else ids)
+            (if ids = [] then experiments else ids)
         in
         let bad = List.filter (fun (e : Sb_obs.Report.experiment_entry) -> not e.ok) entries in
         Printf.printf "== summary: %d/%d experiments match the paper's predictions ==\n"
@@ -729,12 +741,13 @@ let bench_cmd =
     Bench.Comm.print ();
     Option.iter (fun dir -> write_csv dir "comm.csv" (Bench.Comm.csv ())) csv;
     let tag =
-      if quick then "quick"
-      else if timing_only then "timing"
-      else if ids = [] then "full"
-      else
-        String.concat "_"
-          (List.map (fun (e : Core.Experiments.entry) -> String.lowercase_ascii e.id) ids)
+      match
+        (if quick then [ "quick" ] else [])
+        @ if timing_only then []
+          else List.map (fun (e : Core.Experiments.entry) -> String.lowercase_ascii e.id) ids
+      with
+      | [] -> if timing_only then "timing" else "full"
+      | words -> String.concat "_" words
     in
     let report =
       Sb_obs.Report.make ~tool:"bench" ~tag
@@ -764,8 +777,9 @@ let bench_cmd =
          "Regenerate the experiment tables (every one, or the ids given), time the E9 \
           substrates with Bechamel, run the crypto, delivery, sessions, workload and \
           G-tester probes, and write the BENCH_<tag>.json report (tag: quick, timing, \
-          full, or the ids) plus a BENCH_history.jsonl row. Exits 0 even when an \
-          experiment prints MISMATCH; the report's $(i,ok) fields carry the verdicts")
+          full, or the ids, prefixed quick_ under quick) plus a BENCH_history.jsonl row. \
+          Exits 0 even when an experiment prints MISMATCH; the report's $(i,ok) fields \
+          carry the verdicts")
     Term.(
       const run $ words_arg
       $ csv_arg ~doc:"Also dump each table, crypto.csv and comm.csv under $(docv)."
@@ -787,19 +801,19 @@ let fault_sweep_cmd =
     let doc = "Protocol to sweep, or 'all' for every substrate and VSS protocol." in
     Arg.(value & opt string "all" & info [ "p"; "protocol" ] ~doc)
   in
-  let catalogue () = Core.Resilience.substrates () @ Core.Resilience.vss_protocols () in
+  let sweepable = Sb_protocols.Registry.substrates @ Sb_protocols.Registry.vss in
   let run pname n thresh seed samples fault_spec drops crashes metrics report trace jobs =
     setup_obs ?trace metrics report;
     setup_jobs jobs;
     let protocols =
-      if pname = "all" then Ok (catalogue ())
-      else
-        match List.assoc_opt pname (catalogue ()) with
-        | Some p -> Ok [ (pname, p) ]
-        | None ->
-            Error
-              (Printf.sprintf "unknown protocol %S (try: all, %s)" pname
-                 (String.concat ", " (List.map fst (catalogue ()))))
+      match Sb_protocols.Registry.find pname with
+      | _ when pname = "all" -> Ok sweepable
+      | Some p when List.memq p sweepable -> Ok [ p ]
+      | _ ->
+          Error
+            (Printf.sprintf "unknown protocol %S (try: all, %s)" pname
+               (String.concat ", "
+                  (List.map (fun (p : Sb_sim.Protocol.t) -> p.name) sweepable)))
     in
     match (protocols, plan_of_spec ~n fault_spec, resolve_thresh n thresh) with
     | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
@@ -832,7 +846,7 @@ let fault_sweep_cmd =
           let t0 = Unix.gettimeofday () in
           let cells =
             List.concat_map
-              (fun (name, protocol) ->
+              (fun (protocol : Sb_sim.Protocol.t) ->
                 List.map
                   (fun plan ->
                     let c =
@@ -842,7 +856,7 @@ let fault_sweep_cmd =
                     in
                     Sb_util.Tabular.add_row table
                       [
-                        name;
+                        protocol.name;
                         (match Sb_fault.Plan.to_string plan with "" -> "none" | s -> s);
                         Format.asprintf "%a" Sb_stats.Estimate.pp c.Core.Resilience.agree;
                         Format.asprintf "%a" Sb_stats.Estimate.pp c.Core.Resilience.valid;
@@ -884,7 +898,7 @@ let fault_sweep_cmd =
 
 let profile_cmd =
   let id_arg =
-    let doc = "Experiment id to profile (e1..e8, e10..e18)." in
+    let doc = Printf.sprintf "Experiment id to profile (%s)." experiment_ids in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let top_arg =
@@ -1114,7 +1128,7 @@ let check_cmd =
     | Sb_check.Checker.Inconclusive -> "inconclusive (state budget)"
   in
   let run pname n thresh seed max_states metrics report =
-    match (Sb_check.Checker.find_scheme pname, resolve_thresh n thresh) with
+    match (Sb_protocols.Registry.scheme pname, resolve_thresh n thresh) with
     | None, _ ->
         fail_usage "unknown checkable protocol %S (try: %s)" pname
           (String.concat ", " (List.map fst Sb_check.Checker.schemes))
@@ -1292,11 +1306,6 @@ let perf_diff_cmd =
     Term.(ret (const run $ base_arg $ fresh_arg $ threshold_arg $ match_arg))
 
 let () =
-  (* E18 lives in sb_workload (it needs the session engine, which core
-     cannot depend on); adding it to the catalogue here makes
-     `experiment e18`, `profile e18` and `bench` see it like any core
-     entry. *)
-  Sb_workload.E18.register ();
   let info =
     Cmd.info "simbcast" ~version:"1.0.0" ~exits
       ~doc:"Simultaneous broadcast protocols and independence definitions (PODC 2005 reproduction)"

@@ -840,7 +840,8 @@ let e15_fault_resilience setup =
      full sweep close to one tester's cost. *)
   let cell_samples = max 50 (setup.Setup.samples / 40) in
   let sized ~n ~thresh = Setup.with_samples cell_samples (Setup.with_n ~n ~thresh setup) in
-  let row ~setup:s ~adversary ~adv_name ~dist ~expected ~check (name, protocol) plan =
+  let row ~setup:s ~adversary ~adv_name ~dist ~expected ~check (protocol : Sb_sim.Protocol.t)
+      plan =
     let c =
       Resilience.measure s ~protocol ~adversary ~dist ~plan
         (Rng.create s.Setup.seed)
@@ -848,7 +849,7 @@ let e15_fault_resilience setup =
     let ok = check c in
     Tabular.add_row table
       [
-        name;
+        protocol.name;
         adv_name;
         (match Sb_fault.Plan.to_string plan with "" -> "none" | s -> s);
         cell_interval c.Resilience.agree;
@@ -865,10 +866,10 @@ let e15_fault_resilience setup =
      the VSS protocols' reconstruction threshold), so agreement and
      validity must hold exactly; omission cells are reported as
      curves, not asserted. *)
-  let grid ~setup:s entries =
+  let grid ~setup:s protocols =
     let dist = Sb_dist.Dist.uniform s.Setup.n in
     List.concat_map
-      (fun entry ->
+      (fun protocol ->
         List.concat_map
           (fun crashes ->
             List.map
@@ -882,23 +883,21 @@ let e15_fault_resilience setup =
                     ~dist ~expected:"agree = valid = 1"
                     ~check:(fun c ->
                       exact c.Resilience.agree 1.0 && exact c.Resilience.valid 1.0)
-                    entry plan
+                    protocol plan
                 else
                   row ~setup:s ~adversary:Adversaries.passive ~adv_name:"passive"
-                    ~dist ~expected:"curve" ~check:(fun _ -> true) entry plan)
+                    ~dist ~expected:"curve" ~check:(fun _ -> true) protocol plan)
               [ 0.0; 0.1; 0.3 ])
           [ 0; 1; 2 ])
-      entries
+      protocols
   in
-  let substrate_checks = grid ~setup:(sized ~n:5 ~thresh:1) (Resilience.substrates ()) in
-  let vss_checks = grid ~setup:(sized ~n:5 ~thresh:2) (Resilience.vss_protocols ()) in
+  let substrate_checks = grid ~setup:(sized ~n:5 ~thresh:1) Sb_protocols.Registry.substrates in
+  let vss_checks = grid ~setup:(sized ~n:5 ~thresh:2) Sb_protocols.Registry.vss in
   Tabular.add_rule table;
   (* Dolev-Strong tolerates ANY number of crash faults below n: with
      thresh = n-1 the relay chain still equalises views. *)
   let ds_setup = sized ~n:5 ~thresh:4 in
-  let ds =
-    List.find (fun (n, _) -> n = "concurrent-dolev-strong") (Resilience.substrates ())
-  in
+  let ds = Sb_protocols.Registry.get "concurrent-dolev-strong" in
   let ds_check =
     row ~setup:ds_setup ~adversary:Adversaries.passive ~adv_name:"passive"
       ~dist:(Sb_dist.Dist.uniform 5) ~expected:"agree = 1"
@@ -912,16 +911,14 @@ let e15_fault_resilience setup =
      and the verdict flips from exact agreement to exact disagreement. *)
   let flip_setup = sized ~n:4 ~thresh:1 in
   let all_true = Sb_dist.Dist.product 1.0 4 in
-  let flip (name, protocol) ~adversary ~adv_name ~plan ~agree_target =
+  let flip protocol ~adversary ~adv_name ~plan ~agree_target =
     row ~setup:flip_setup ~adversary ~adv_name ~dist:all_true
       ~expected:(Printf.sprintf "agree = %g" agree_target)
       ~check:(fun c -> exact c.Resilience.agree agree_target)
-      (name, protocol) plan
+      protocol plan
   in
-  let bracha =
-    List.find (fun (n, _) -> n = "concurrent-bracha") (Resilience.substrates ())
-  in
-  let eig = List.find (fun (n, _) -> n = "concurrent-eig") (Resilience.substrates ()) in
+  let bracha = Sb_protocols.Registry.get "concurrent-bracha" in
+  let eig = Sb_protocols.Registry.get "concurrent-eig" in
   (* Explicit lets: list elements would evaluate right-to-left and
      scramble the table's row order. *)
   let f1 =
@@ -973,7 +970,8 @@ let e16_wire_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
   in
   let measurements =
     List.map
-      (fun (label, protocol) ->
+      (fun (protocol : Sb_sim.Protocol.t) ->
+        let label = protocol.name in
         let per_n =
           List.map
             (fun n ->
@@ -999,7 +997,7 @@ let e16_wire_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
         in
         Tabular.add_rule table;
         (label, per_n))
-      (Resilience.substrates ())
+      Sb_protocols.Registry.substrates
   in
   (* Shape checks. Every substrate runs n concurrent sessions of an
      all-to-all scheme, so with t fixed the round count is a protocol
@@ -1227,24 +1225,10 @@ let registry =
         e17_scaling setup);
   ]
 
-(* Extensions: layers above core in the dependency order (the workload
-   suite's E18 scheduler experiment) register additional entries at
-   front-end startup; both front ends dispatch through [catalogue], so
-   the id lists cannot drift. *)
-let extensions : entry list ref = ref []
+let ids () = List.map (fun e -> e.id) registry
 
-let register e =
-  if
-    List.exists (fun (x : entry) -> x.id = e.id) registry
-    || List.exists (fun (x : entry) -> x.id = e.id) !extensions
-  then invalid_arg ("Experiments.register: duplicate id " ^ e.id);
-  extensions := !extensions @ [ e ]
-
-let catalogue () = registry @ !extensions
-let ids () = List.map (fun e -> e.id) (catalogue ())
-
-let find id =
+let find_in entries id =
   let norm = String.lowercase_ascii (String.trim id) in
-  List.find_opt (fun e -> String.lowercase_ascii e.id = norm) (catalogue ())
+  List.find_opt (fun e -> String.lowercase_ascii e.id = norm) entries
 
-let all ?(setup = Setup.default) () = List.map (fun e -> e.run setup) (catalogue ())
+let find = find_in registry

@@ -83,32 +83,25 @@ type entry = {
 }
 (** One catalogue entry. [run] wraps the raw driver and rolls
     rows-checked / verdict counters into {!Sb_obs.Metrics}; with
-    metrics disabled it is the bare driver. Every front end
-    ([simbcast bench], [experiment] and [profile]) dispatches through
-    this registry, so the id lists cannot drift. *)
+    metrics disabled it is the bare driver. *)
 
 val entry : string -> string -> (Setup.t -> outcome) -> entry
 (** Build a catalogue entry (instrumented as described above) — for
-    front ends that need to re-parameterise a driver, e.g.
-    [simbcast experiment e17 --n-max]. *)
+    the entries of layers above core (the workload suite's E18, which
+    needs [sb_session]) and for front ends that re-parameterise a
+    driver, e.g. [simbcast experiment e17 --n-max]. *)
 
 val registry : entry list
-(** Every built-in experiment, in canonical order (E9 is the Bechamel
-    timing section of bench/e9.ml, not a table). *)
-
-val register : entry -> unit
-(** Append an entry contributed by a layer above core (e.g. the
-    workload suite's E18 scheduler experiment, which needs
-    [sb_session]); call once at front-end startup. Raises
-    [Invalid_argument] on a duplicate id. *)
-
-val catalogue : unit -> entry list
-(** {!registry} plus everything {!register}ed, in order. *)
+(** Every experiment core defines, in canonical order (E9 is the
+    Bechamel timing section of bench/e9.ml, not a table). The front
+    ends' catalogue is this list plus [Sb_workload.E18.entry],
+    defined once in [bin/simbcast.ml]. *)
 
 val ids : unit -> string list
+(** The ids of {!registry}. *)
+
+val find_in : entry list -> string -> entry option
+(** Case-insensitive lookup by id in a catalogue. *)
 
 val find : string -> entry option
-(** Case-insensitive lookup by id, across the full {!catalogue}. *)
-
-val all : ?setup:Setup.t -> unit -> outcome list
-(** Every experiment at the given (default) setup, in order. *)
+(** [find_in registry]. *)

@@ -18,11 +18,9 @@ type result = {
   buckets_skipped : int;
 }
 
-let run setup ~protocol ~adversary ~dist ?min_bucket () =
+let run setup ~protocol ~adversary ~dist () =
   let n = setup.Setup.n in
-  let min_bucket =
-    match min_bucket with Some m -> m | None -> max 50 (setup.Setup.samples / 200)
-  in
+  let min_bucket = max 50 (setup.Setup.samples / 200) in
   let corrupted = Announced.corrupted_of setup ~protocol ~adversary in
   let honest = Subset.complement n corrupted in
   (* Bucket runs by the honest announced sub-vector; per bucket, count

@@ -52,7 +52,6 @@ val run :
   protocol:Sb_sim.Protocol.t ->
   adversary:Sb_sim.Adversary.t ->
   dist:Sb_dist.Dist.t ->
-  ?min_bucket:int ->
   unit ->
   result
-(** [min_bucket] defaults to max(50, samples/200). *)
+(** [min_bucket] is max(50, samples/200). *)

@@ -9,19 +9,6 @@ type cell = {
   valid : Sb_stats.Estimate.interval;
 }
 
-let substrates () =
-  List.map
-    (fun (s : Sb_broadcast.Session.scheme) ->
-      let p = Sb_broadcast.Parallel.concurrent s in
-      (p.Protocol.name, p))
-    [
-      Sb_broadcast.Send_echo.scheme;
-      Sb_broadcast.Dolev_strong.scheme;
-      Sb_broadcast.Eig.scheme;
-      Sb_broadcast.Bracha.scheme;
-      Sb_broadcast.Phase_king.scheme;
-    ]
-
 type exact_cell = {
   cell_protocol : string;
   cell_n : int;
@@ -64,15 +51,6 @@ let exact_cells =
        agreement (and vacuously unforgeability) intact. *)
     cell "bracha" 4 2 (Some true) (Some false) (Some true);
   ]
-
-let vss_protocols () =
-  List.map
-    (fun (p : Protocol.t) -> (p.Protocol.name, p))
-    [
-      Sb_protocols.Cgma.protocol;
-      Sb_protocols.Chor_rabin.protocol;
-      Sb_protocols.Gennaro.protocol;
-    ]
 
 let crash_plan ~n ~count =
   List.init count (fun k -> Sb_fault.Plan.crash ~party:(n - 1 - k) ~round:(k + 1))

@@ -2,7 +2,9 @@
     and the VSS-based protocols under injected benign faults.
 
     This is the measurement core of experiment E15 and the
-    [fault-sweep] CLI command. A {e cell} is one protocol run
+    [fault-sweep] CLI command, which sweep
+    {!Sb_protocols.Registry.substrates} and {!Sb_protocols.Registry.vss}.
+    A {e cell} is one protocol run
     [setup.samples] times against one {!Sb_fault.Plan.t}; the cell
     reports Wilson intervals for
 
@@ -27,11 +29,6 @@ type cell = {
   valid : Sb_stats.Estimate.interval;
 }
 
-val substrates : unit -> (string * Sb_sim.Protocol.t) list
-(** The five Byzantine broadcast substrates, composed into parallel
-    broadcast with {!Sb_broadcast.Parallel.concurrent} — one session
-    per sender, all sharing the faulty network. *)
-
 type exact_cell = {
   cell_protocol : string;  (** bare substrate name, e.g. ["bracha"] *)
   cell_n : int;
@@ -49,10 +46,6 @@ val exact_cells : exact_cell list
 (** Hand-derived exact verdicts at small (n, t), used to
     cross-validate the [sb_check] model checker and E15's sampled
     resilience cells. *)
-
-val vss_protocols : unit -> (string * Sb_sim.Protocol.t) list
-(** The three VSS-based simultaneous-broadcast protocols (CGMA,
-    Chor–Rabin, Gennaro). *)
 
 val crash_plan : n:int -> count:int -> Sb_fault.Plan.t
 (** Staggered crash-stop pattern: party [n-1] crashes at round 1,

@@ -18,13 +18,6 @@ let constant b =
     simulate = (fun _ ~rng:_ ~corrupted:_ ~inputs_b -> List.map (fun (i, _) -> (i, b)) inputs_b);
   }
 
-let random_sim =
-  {
-    sim_name = "random";
-    simulate =
-      (fun _ ~rng ~corrupted:_ ~inputs_b -> List.map (fun (i, _) -> (i, Rng.bool rng)) inputs_b);
-  }
-
 let sandbox ~protocol ~adversary =
   {
     sim_name = "sandbox(" ^ protocol.Sb_sim.Protocol.name ^ ")";

@@ -46,7 +46,6 @@ val truthful : simulator
     adversaries). *)
 
 val constant : bool -> simulator
-val random_sim : simulator
 
 val sandbox : protocol:Sb_sim.Protocol.t -> adversary:Sb_sim.Adversary.t -> simulator
 (** The generic simulator behind Corollary 5.5 for the VSS-based

@@ -42,22 +42,7 @@ let max_n = 5
 let schemes =
   List.map
     (fun (s : Sb_broadcast.Session.scheme) -> (s.Sb_broadcast.Session.scheme_name, s))
-    [
-      Sb_broadcast.Send_echo.scheme;
-      Sb_broadcast.Dolev_strong.scheme;
-      Sb_broadcast.Eig.scheme;
-      Sb_broadcast.Bracha.scheme;
-      Sb_broadcast.Phase_king.scheme;
-    ]
-
-let find_scheme name =
-  let bare =
-    let prefix = "concurrent-" in
-    if String.starts_with ~prefix name then
-      String.sub name (String.length prefix) (String.length name - String.length prefix)
-    else name
-  in
-  List.assoc_opt bare schemes
+    Sb_broadcast.Schemes.all
 
 (* Registered on first use, not at module init, so that the report of
    a binary that links the checker but never runs it (simbcast bench)

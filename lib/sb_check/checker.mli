@@ -76,11 +76,8 @@ val max_n : int
     decision product is out of exhaustive reach. *)
 
 val schemes : (string * Sb_broadcast.Session.scheme) list
-(** Checkable substrates by CLI name, in {!Core.Resilience.substrates}
+(** Checkable substrates by CLI name, in {!Sb_broadcast.Schemes.all}
     order: send-echo, dolev-strong, eig, bracha, phase-king. *)
-
-val find_scheme : string -> Sb_broadcast.Session.scheme option
-(** Accepts both the bare name and the composed ["concurrent-"] form. *)
 
 val check :
   ?max_states:int ->

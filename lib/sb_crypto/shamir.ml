@@ -13,9 +13,5 @@ let share rng ~threshold ~parties ~secret =
   let shares = Array.init parties (fun i -> { index = i; value = values.(i) }) in
   (shares, f)
 
-let points shares = List.map (fun s -> (eval_point s.index, s.value)) shares
-
 let reconstruct shares =
   Lagrange.interpolate_at_zero ~index:(fun s -> s.index) ~value:(fun s -> s.value) shares
-
-let reconstruct_poly shares = Poly.interpolate (points shares)

@@ -24,9 +24,5 @@ val reconstruct : share list -> Field.t
     (not checked here — verifiability is {!Feldman}'s job); duplicate
     indices are rejected. *)
 
-val reconstruct_poly : share list -> Poly.t
-(** Full polynomial through the given shares (for consistency checks in
-    tests). *)
-
 val eval_point : int -> Field.t
 (** The field point assigned to a party index. *)

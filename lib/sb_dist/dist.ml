@@ -243,9 +243,9 @@ let local_gap d =
   !worst
 
 let independence_gap d = tvd d (product_of_marginals d)
-let is_product ?(tol = 1e-9) d = independence_gap d <= tol
+let is_product d = independence_gap d <= 1e-9
 
-let equal ?(tol = 1e-9) a b = a.n = b.n && tvd a b <= tol
+let equal a b = a.n = b.n && tvd a b <= 1e-9
 
 let entropy_bits d =
   let acc = ref 0.0 in

@@ -119,7 +119,11 @@ val independence_gap : t -> float
     proxy for the distance to the nearest independent distribution
     (within a factor n+1 of it), used for Ψ_C classification. *)
 
-val is_product : ?tol:float -> t -> bool
-val equal : ?tol:float -> t -> t -> bool
+val is_product : t -> bool
+(** {!independence_gap} at most 1e-9. *)
+
+val equal : t -> t -> bool
+(** Same dimension and total variation distance at most 1e-9. *)
+
 val entropy_bits : t -> float
 val pp : Format.formatter -> t -> unit

@@ -71,7 +71,6 @@ let xor_fold c = function
 
 let n_parties c = c.n_parties
 let input_count c ~party = c.input_counts.(party)
-let output_count c = List.length c.outs
 let gates c = Array.of_list (List.rev c.gates)
 let wire_index w = w
 let outputs c = List.rev c.outs

@@ -72,38 +72,6 @@ let g_bytes_ps = Sb_obs.Metrics.gauge "session.bytes_per_sec"
 let m_claims = Sb_obs.Metrics.counter "sched.claims"
 let m_steals = Sb_obs.Metrics.counter "sched.steals"
 
-(* Metric handles are interned per worker slot instead of re-running
-   Printf.sprintf + registry lookup on every batch. The tables are
-   touched only from the submitting thread, after the join. *)
-let interned tbl make k =
-  match Hashtbl.find_opt tbl k with
-  | Some h -> h
-  | None ->
-      let h = make k in
-      Hashtbl.add tbl k h;
-      h
-
-let worker_shards_counter =
-  let tbl = Hashtbl.create 16 in
-  fun w ->
-    interned tbl
-      (fun w -> Sb_obs.Metrics.counter (Printf.sprintf "sched.worker%d.shards" w))
-      w
-
-let worker_sessions_counter =
-  let tbl = Hashtbl.create 16 in
-  fun w ->
-    interned tbl
-      (fun w -> Sb_obs.Metrics.counter (Printf.sprintf "sched.worker%d.sessions" w))
-      w
-
-let worker_busy_gauge =
-  let tbl = Hashtbl.create 16 in
-  fun w ->
-    interned tbl
-      (fun w -> Sb_obs.Metrics.gauge (Printf.sprintf "sched.worker%d.busy_s" w))
-      w
-
 let comm_snapshot () =
   let c name = Sb_obs.Metrics.counter_value (Sb_obs.Metrics.counter name) in
   (c "sim.broadcasts", c "sim.p2p", c "sim.bytes.broadcast", c "sim.bytes.p2p")
@@ -317,12 +285,15 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
     Sb_obs.Metrics.set g_bytes_ps aggregate.bytes_per_sec;
     Sb_obs.Metrics.incr ~by:nshards m_claims;
     Sb_obs.Metrics.incr ~by:steals m_steals;
+    (* One observation per worker per batch, so the report's metric
+       names do not depend on the pool size. Looked up here rather
+       than at module init: reports of runs with no batch list none. *)
+    let observe name v = Sb_obs.Metrics.(observe (histogram ("sched.worker." ^ name)) v) in
     Array.iter
       (fun ws ->
-        Sb_obs.Metrics.incr ~by:ws.shards_run (worker_shards_counter ws.worker);
-        Sb_obs.Metrics.incr ~by:ws.sessions_run (worker_sessions_counter ws.worker);
-        let g = worker_busy_gauge ws.worker in
-        Sb_obs.Metrics.set g (Sb_obs.Metrics.gauge_value g +. ws.busy_s))
+        observe "shards" (float_of_int ws.shards_run);
+        observe "sessions" (float_of_int ws.sessions_run);
+        observe "busy_us" (ws.busy_s *. 1e6))
       worker_stats
   end;
   (aggregate, reports)

@@ -30,10 +30,11 @@
     Observability is wired through [sb_obs]: the deterministic
     counters [session.sessions] and [session.consistent]; the
     scheduler-race surface
-    under [sched.*] ([sched.claims], [sched.steals], per-worker
-    [sched.worker<w>.shards] / [.sessions] counters and
-    [.busy_s] gauges) which is deliberately OUTSIDE the jobs-invariant
-    prefix set CI compares; and the wall-clock-derived gauges
+    under [sched.*] ([sched.claims], [sched.steals] counters and the
+    [sched.worker.shards] / [.sessions] / [.busy_us] histograms, one
+    observation per worker per batch, so the metric names do not
+    depend on the pool size) which is deliberately OUTSIDE the
+    jobs-invariant prefix set CI compares; and the wall-clock-derived gauges
     [session.sessions_per_sec], [session.msgs_per_sec],
     [session.bytes_per_sec], [session.batch_wall_s]. Message/byte
     totals are read as deltas of the network's [sim.*] counters and

@@ -1,8 +1,8 @@
 type t = Pass | Fail | Inconclusive
 
-let of_gap ?(pass_below = 0.08) ?(fail_above = 0.15) (i : Estimate.interval) =
+let of_gap ?(pass_below = 0.08) (i : Estimate.interval) =
   if i.Estimate.hi < pass_below then Pass
-  else if i.Estimate.lo > fail_above then Fail
+  else if i.Estimate.lo > 0.15 then Fail
   else Inconclusive
 
 let all_pass verdicts =

@@ -5,7 +5,7 @@
 
     - [Pass] — the whole confidence interval sits below [pass_below]:
       the gap is statistically indistinguishable from negligible;
-    - [Fail] — the whole interval sits above [fail_above]: the gap is
+    - [Fail] — the whole interval sits above 0.15: the gap is
       bounded away from zero with high confidence;
     - [Inconclusive] — anything else (typically: not enough samples).
 
@@ -15,8 +15,8 @@
 
 type t = Pass | Fail | Inconclusive
 
-val of_gap : ?pass_below:float -> ?fail_above:float -> Estimate.interval -> t
-(** Defaults: [pass_below] = 0.08, [fail_above] = 0.15 — far below the
+val of_gap : ?pass_below:float -> Estimate.interval -> t
+(** Default [pass_below] = 0.08; the fail bound is 0.15 — far below the
     constant gaps (1/4 and up) the paper's separations predict, and
     comfortably above the estimator noise at the default sample
     budgets. *)

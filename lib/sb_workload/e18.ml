@@ -20,8 +20,6 @@ open Sb_session
    — on an oversubscribed host they measure the OS scheduler, not
    ours. *)
 
-let substrate name = List.assoc name (Core.Resilience.substrates ())
-
 let static_layout counts =
   let total = Array.fold_left ( + ) 0 counts in
   let base = ref 0 in
@@ -75,9 +73,9 @@ let run (setup : Core.Setup.t) =
     [
       Engine.spec ~parties:heavy_n
         ~dist:(Sb_dist.Dist.uniform heavy_n)
-        (substrate "concurrent-dolev-strong")
+        (Sb_protocols.Registry.get "concurrent-dolev-strong")
         heavy;
-      Engine.spec (substrate "concurrent-bracha") cheap;
+      Engine.spec (Sb_protocols.Registry.get "concurrent-bracha") cheap;
     ]
   in
   let setup5 = Core.Setup.{ setup with n = 5; thresh = 2 } in
@@ -184,11 +182,3 @@ let run (setup : Core.Setup.t) =
 
 let entry =
   Core.Experiments.entry "E18" "Work stealing on heavy-tailed session mixes" run
-
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    Core.Experiments.register entry
-  end

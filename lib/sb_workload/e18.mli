@@ -13,9 +13,9 @@
     notes and via the [sched.*] metrics, but not gated — on an
     oversubscribed CI host they measure the OS scheduler, not ours.
 
-    Lives here rather than in core because it needs [sb_session];
-    front ends call {!register} at startup to add it to
-    {!Core.Experiments.catalogue}. *)
+    Lives here rather than in core because it needs [sb_session]; the
+    front ends' catalogue appends {!entry} to
+    {!Core.Experiments.registry}. *)
 
 val static_layout : int array -> (int * int) array
 (** [static_layout counts] is the historical coarse shard layout as
@@ -29,6 +29,3 @@ val run : Core.Setup.t -> Core.Experiments.outcome
 (** Quick tier when [setup.samples <= 2000], like E17. *)
 
 val entry : Core.Experiments.entry
-
-val register : unit -> unit
-(** Idempotently add {!entry} to the experiments catalogue. *)

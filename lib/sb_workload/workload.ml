@@ -25,7 +25,6 @@ type def = {
     * (Engine.session_report array -> (string * Sb_obs.Json.t) list);
 }
 
-let substrate name = List.assoc name (Core.Resilience.substrates ())
 let committee = 5
 let base_setup = Core.Setup.{ default with n = committee; thresh = (committee - 1) / 2 }
 
@@ -87,11 +86,11 @@ let election =
            stragglers are in flight before the cheap tail. *)
         Engine.spec ~parties:trustees ?faults
           ~inputs:(fun j -> Bitvec.of_int trustees tally.(audit_id j))
-          (substrate "concurrent-dolev-strong")
+          (Sb_protocols.Registry.get "concurrent-dolev-strong")
           audited;
         Engine.spec
           ~inputs:(fun j -> Bitvec.of_int committee (tally.(rest.(j)) land mask))
-          (substrate "concurrent-bracha")
+          (Sb_protocols.Registry.get "concurrent-bracha")
           (Array.length rest);
       ]
     in
@@ -140,7 +139,7 @@ let auction =
         Engine.spec ~parties:premium_bidders
           ~dist:(Sb_dist.Dist.product 0.4 premium_bidders)
           ?faults
-          (substrate "concurrent-dolev-strong")
+          (Sb_protocols.Registry.get "concurrent-dolev-strong")
           premium;
         Engine.spec Sb_protocols.Gennaro.protocol standard;
         Engine.spec Sb_protocols.Commit_open.protocol micro;
@@ -203,12 +202,12 @@ let lottery =
         Engine.spec ~parties:jackpot_n
           ~dist:(Sb_dist.Dist.uniform jackpot_n)
           ?faults
-          (substrate "concurrent-phase-king")
+          (Sb_protocols.Registry.get "concurrent-phase-king")
           jackpot;
-        Engine.spec (substrate "concurrent-bracha") draws;
+        Engine.spec (Sb_protocols.Registry.get "concurrent-bracha") draws;
         Engine.spec
           ~faults:[ Sb_fault.Plan.drop 0.05 ]
-          (substrate "concurrent-bracha") faulty;
+          (Sb_protocols.Registry.get "concurrent-bracha") faulty;
       ]
     in
     let scale =

@@ -402,6 +402,70 @@ let test_sessions_jobs_invariant () =
   Alcotest.(check string) "session log jobs-invariant" l1 l2;
   Alcotest.(check string) "sessions block jobs-invariant" s1 s2
 
+(* The report's shape does not depend on the pool size: the same
+   metric names at jobs 1 and 2, apart from the per-domain
+   par.domain<k>.samples counters. *)
+let test_sessions_metric_names_invariant () =
+  let names jobs =
+    let report = temp ".names.json" in
+    Alcotest.(check int)
+      (Printf.sprintf "sessions exits 0 at jobs %d" jobs)
+      0
+      (command
+         [
+           "sessions"; "bracha,commit-open"; "--count"; "24"; "--jobs"; string_of_int jobs;
+           "--report"; report;
+         ]);
+    let metrics = Option.get (Json.member "metrics" (parse_file report)) in
+    Sys.remove report;
+    List.concat_map
+      (fun kind ->
+        match Json.member kind metrics with
+        | Some (Json.Obj kvs) ->
+            List.filter_map
+              (fun (k, _) ->
+                if String.starts_with ~prefix:"par.domain" k then None
+                else Some (kind ^ "/" ^ k))
+              kvs
+        | _ -> Alcotest.failf "report lacks metrics.%s" kind)
+      [ "counters"; "gauges"; "histograms" ]
+  in
+  Alcotest.(check (list string)) "metric names at jobs 1 and 2" (names 1) (names 2)
+
+(* --- protocol names -------------------------------------------------- *)
+
+(* The bare substrate name is shorthand for its concurrent-
+   composition in every subcommand that takes a protocol: the two
+   spellings print the same thing. An unknown name is a usage error. *)
+let test_protocol_shorthand () =
+  let output args =
+    let out = temp ".name.out" in
+    Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 (command ~out args);
+    let lines =
+      List.filter
+        (fun l ->
+          not
+            (String.starts_with ~prefix:"throughput" l || String.starts_with ~prefix:"sched" l))
+        (String.split_on_char '\n' (read_file out))
+    in
+    Sys.remove out;
+    String.concat "\n" lines
+  in
+  List.iter
+    (fun (before, after) ->
+      let what = String.concat " " (before @ ("bracha" :: after)) in
+      Alcotest.(check string) what
+        (output (before @ ("concurrent-bracha" :: after)))
+        (output (before @ ("bracha" :: after)));
+      check_usage_error ~shows:"nosuch" (what ^ ", name unknown")
+        (before @ ("nosuch" :: after)))
+    [
+      ([ "run" ], [ "-n"; "4"; "-x"; "1011" ]);
+      ([ "sessions" ], [ "--count"; "6"; "--seed"; "3" ]);
+      ([ "fault-sweep"; "-p" ], [ "--samples"; "20"; "--drops"; "0"; "--crashes"; "0,1" ]);
+      ([ "check" ], [ "--n"; "4"; "--t"; "1" ]);
+    ]
+
 (* --- workload -------------------------------------------------------- *)
 
 let test_workload_usage_errors () =
@@ -565,8 +629,9 @@ let test_bench_usage_errors () =
 
 (* bench and experiment print an outcome through the same code, so
    their CSVs of one table are byte-identical; bench writes its report
-   to BENCH_<tag>.json in the working directory, where quick wins the
-   tag over the ids. *)
+   to BENCH_<tag>.json in the working directory, where the ids name it
+   even under quick (so BENCH_quick.json, the tracked baseline, is
+   only ever the whole catalogue's report). *)
 let test_bench_matches_experiment () =
   let dir = Filename.temp_dir "simbcast_cli" ".bench" in
   Alcotest.(check int) "bench exits 0" 0
@@ -577,7 +642,8 @@ let test_bench_matches_experiment () =
   Alcotest.(check string) "e1.csv identical"
     (read_file (in_dir "D1/e1.csv"))
     (read_file (in_dir "D2/e1.csv"));
-  (match Report.validate (parse_file (in_dir "BENCH_quick.json")) with
+  Alcotest.(check bool) "no BENCH_quick.json" false (Sys.file_exists (in_dir "BENCH_quick.json"));
+  (match Report.validate (parse_file (in_dir "BENCH_quick_e1.json")) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "bench report invalid: %s" e);
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
@@ -617,6 +683,10 @@ let () =
           Alcotest.test_case "sessions usage errors" `Quick test_sessions_usage_errors;
           Alcotest.test_case "sessions jobs-invariant (jobs 1, 2)" `Quick
             test_sessions_jobs_invariant;
+          Alcotest.test_case "sessions metric names jobs-invariant (jobs 1, 2)" `Quick
+            test_sessions_metric_names_invariant;
+          Alcotest.test_case "substrate shorthand resolves alike" `Quick
+            test_protocol_shorthand;
           Alcotest.test_case "workload usage errors" `Quick test_workload_usage_errors;
           Alcotest.test_case "workload jobs-invariant (jobs 1, 2)" `Quick
             test_workload_jobs_invariant;

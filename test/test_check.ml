@@ -20,7 +20,7 @@ let ctx_for n t =
   Core.Setup.fresh_ctx setup (Sb_util.Rng.split (Sb_util.Rng.create seed))
 
 let scheme_exn name =
-  match Checker.find_scheme name with
+  match Sb_protocols.Registry.scheme name with
   | Some s -> s
   | None -> Alcotest.failf "unknown scheme %s" name
 

@@ -244,14 +244,15 @@ let faulty_plan =
 
 let differential_cases =
   List.concat_map
-    (fun (name, protocol) ->
+    (fun (protocol : Sb_sim.Protocol.t) ->
+      let name = protocol.name in
       [
         Alcotest.test_case (name ^ " (fault-free)") `Quick (fun () ->
             check_differential ~name ~plan:[] protocol);
         Alcotest.test_case (name ^ " (crash+drop+delay)") `Quick (fun () ->
             check_differential ~name ~plan:faulty_plan protocol);
       ])
-    (Core.Resilience.substrates ())
+    Sb_protocols.Registry.substrates
 
 (* --- Jobs invariance at the sampling layer ------------------------ *)
 
@@ -259,7 +260,7 @@ let test_jobs_invariance () =
   let setup =
     Core.Setup.with_samples 200 (Core.Setup.with_n ~n:5 ~thresh:1 Core.Setup.default)
   in
-  let _, protocol = List.hd (Core.Resilience.substrates ()) in
+  let protocol = List.hd Sb_protocols.Registry.substrates in
   let plan = Core.Resilience.crash_plan ~n:5 ~count:1 in
   let cell domains =
     let saved = Sb_par.Pool.get_default_domains () in

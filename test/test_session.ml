@@ -9,7 +9,7 @@
 
 open Sb_session
 
-let substrate name = List.assoc name (Core.Resilience.substrates ())
+let substrate = Sb_protocols.Registry.get
 
 let setup = Core.Setup.{ default with n = 5; thresh = 2; seed = 33 }
 let dist = Sb_dist.Dist.uniform 5
