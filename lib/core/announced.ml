@@ -25,11 +25,12 @@ let announce n outputs =
 
 (* One Monte-Carlo execution = one sample; testers and experiments all
    funnel through here, so this counter is the run's sample budget as
-   actually spent. *)
-let m_samples = Sb_obs.Metrics.counter "exp.samples_drawn"
-
+   actually spent. Registered on first use (only with metrics on, so a
+   run without them pays no lookup), so a report of a run that drew no
+   sample lists no exp.samples_drawn. *)
 let run_once setup ~protocol ~adversary ~x ?(aux = Msg.Unit) ?faults rng =
-  Sb_obs.Metrics.incr m_samples;
+  if Sb_obs.Metrics.enabled () then
+    Sb_obs.Metrics.(incr (counter "exp.samples_drawn"));
   let ctx = Setup.fresh_ctx setup (Rng.split rng) in
   let inputs = Array.init setup.Setup.n (fun i -> Msg.Bit (Bitvec.get x i)) in
   (* Samplers never read the trace; not recording it removes the

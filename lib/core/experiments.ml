@@ -1185,16 +1185,17 @@ let e17_scaling ?n_max (setup : Setup.t) =
 
 (* --- registry ------------------------------------------------------ *)
 
-let m_rows = Sb_obs.Metrics.counter "exp.rows_checked"
-let m_ok = Sb_obs.Metrics.counter "exp.ok"
-let m_mismatch = Sb_obs.Metrics.counter "exp.mismatch"
-
 (* Roll every runner's outcome into the metrics registry. Metrics draw
-   no randomness, so verdicts are unchanged with metrics on or off. *)
+   no randomness, so verdicts are unchanged with metrics on or off.
+   Registered on first use, so a report of a run with no experiment
+   lists no exp.* counters; exp.ok and exp.mismatch are registered
+   together, so a report names both whatever the verdicts. *)
 let instrumented f setup =
   let o = f setup in
-  Sb_obs.Metrics.incr ~by:o.rows_checked m_rows;
-  Sb_obs.Metrics.incr (if o.ok then m_ok else m_mismatch);
+  let open Sb_obs.Metrics in
+  let ok = counter "exp.ok" and mismatch = counter "exp.mismatch" in
+  incr ~by:o.rows_checked (counter "exp.rows_checked");
+  incr (if o.ok then ok else mismatch);
   o
 
 type entry = { id : string; title : string; run : Setup.t -> outcome }

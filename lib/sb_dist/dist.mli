@@ -1,14 +1,18 @@
 (** Exact probability distributions over {0,1}^n.
 
-    The announced-value spaces in this reproduction are small, so
-    distributions are stored as full probability mass arrays of length
-    2^n, indexed by {!Sb_util.Bitvec.to_int}. {!of_pmf} accepts
-    n ≤ {!max_n} = 20: the testers stay at n ≤ ~16, and the auction workload's
-    premium lots draw 20-party inputs (a mass and a cdf table of 2^20
-    floats, 8 MiB each). That
-    makes every quantity the paper's definitions mention — marginals,
-    conditionals, projections, statistical distance — exactly
-    computable, with sampling reserved for protocol executions. *)
+    The announced-value spaces in this reproduction are small, so every
+    distribution keeps a cumulative table of length 2^n, indexed by
+    {!Sb_util.Bitvec.to_int}, for sampling. A general pmf keeps its
+    normalised mass table beside it; a product keeps only its marginals
+    and the unnormalised total, and reads its mass off the per-entry
+    fold (the same floats, see {!bernoulli_product}). {!of_pmf} accepts
+    n ≤ {!max_n} = 20: the testers stay at n ≤ ~16, and the auction
+    workload's premium lots draw 20-party inputs from a product (one
+    table of 2^20 floats, 8 MiB). That makes every quantity the paper's
+    definitions mention — marginals, conditionals, projections,
+    statistical distance — exactly computable, with sampling reserved
+    for protocol executions. A whole-table query on a product builds
+    its mass table once per call. *)
 
 type t
 
@@ -20,8 +24,8 @@ val max_n : int
 
 val of_pmf : int -> float array -> t
 (** [of_pmf n pmf] with [0 <= n <= max_n] and [Array.length pmf = 2^n]; validates
-    non-negativity and normalises to sum 1. Raises [Invalid_argument]
-    on bad input. *)
+    non-negativity and normalises a copy of [pmf] to sum 1. Raises
+    [Invalid_argument] on bad input. *)
 
 val pmf : t -> float array
 (** A copy of the mass array. *)
@@ -38,14 +42,21 @@ val support : t -> Sb_util.Bitvec.t list
 (* Constructors *)
 
 val uniform : int -> t
+(** [uniform n] is [product 0.5 n]: every entry is exactly 2^-n, as
+    the normalised all-ones table gives. *)
+
 val singleton : Sb_util.Bitvec.t -> t
 
 val bernoulli_product : float array -> t
 (** [bernoulli_product p] has independent coordinates with
-    [Pr(x_i = 1) = p.(i)]. The table is built in O(2^n) by prefix
-    doubling, and every entry is bit-identical to the per-entry left
-    fold [((1.0 *. f_0) *. f_1) ... *. f_(n-1)] over the coordinates'
-    factors [f_i = p.(i)] or [1.0 -. p.(i)]. *)
+    [Pr(x_i = 1) = p.(i)]; raises [Invalid_argument] unless every
+    [p.(i)] is in \[0, 1\]. It keeps one 2^n table, the cdf: prefix
+    doubling builds the unnormalised entries into it in O(2^n), they
+    are summed in index order, and the array is turned into the cdf in
+    place. The mass at index i is the per-entry left fold
+    [((1.0 *. f_0) *. f_1) ... *. f_(n-1)] over the coordinates'
+    factors [f_i = p.(i)] or [1.0 -. p.(i)], divided by that total:
+    bit-identical to the table {!of_pmf} would build from the folds. *)
 
 val product : float -> int -> t
 (** [product p n]: iid Bernoulli(p) coordinates. *)

@@ -53,25 +53,6 @@ type aggregate = {
   worker_stats : worker_stat array;
 }
 
-(* Deterministic batch counters, part of the jobs-invariant surface
-   alongside exp.* and sim.*. *)
-let m_sessions = Sb_obs.Metrics.counter "session.sessions"
-let m_consistent = Sb_obs.Metrics.counter "session.consistent"
-
-(* Wall-clock-derived rates: visibility only, never diffed. *)
-let g_wall = Sb_obs.Metrics.gauge "session.batch_wall_s"
-let g_sessions_ps = Sb_obs.Metrics.gauge "session.sessions_per_sec"
-let g_msgs_ps = Sb_obs.Metrics.gauge "session.msgs_per_sec"
-let g_bytes_ps = Sb_obs.Metrics.gauge "session.bytes_per_sec"
-
-(* Scheduler observability. Everything under sched.* depends on which
-   worker took which shard off the pool queue (except sched.claims,
-   which always sums to the shard count), so the prefix is
-   deliberately OUTSIDE the jobs-invariant surface the CI smoke steps
-   compare (exp./sim./fault./session.). *)
-let m_claims = Sb_obs.Metrics.counter "sched.claims"
-let m_steals = Sb_obs.Metrics.counter "sched.steals"
-
 let comm_snapshot () =
   let c name = Sb_obs.Metrics.counter_value (Sb_obs.Metrics.counter name) in
   (c "sim.broadcasts", c "sim.p2p", c "sim.bytes.broadcast", c "sim.bytes.p2p")
@@ -276,19 +257,27 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
       worker_stats;
     }
   in
+  (* Looked up here rather than at module init, so a report of a run
+     with no batch (a check, an experiment) lists none of them.
+     session.sessions and session.consistent are part of the
+     jobs-invariant surface alongside exp.* and sim.*; the session.*
+     gauges are wall-clock rates, visibility only. sched.* depends on
+     which worker took which shard (except sched.claims, which always
+     sums to the shard count), so it is outside that surface. *)
   if Sb_obs.Metrics.enabled () then begin
-    Sb_obs.Metrics.incr ~by:total m_sessions;
-    Sb_obs.Metrics.incr ~by:consistent m_consistent;
-    Sb_obs.Metrics.set g_wall (Sb_obs.Metrics.gauge_value g_wall +. wall_s);
-    Sb_obs.Metrics.set g_sessions_ps aggregate.sessions_per_sec;
-    Sb_obs.Metrics.set g_msgs_ps aggregate.msgs_per_sec;
-    Sb_obs.Metrics.set g_bytes_ps aggregate.bytes_per_sec;
-    Sb_obs.Metrics.incr ~by:nshards m_claims;
-    Sb_obs.Metrics.incr ~by:steals m_steals;
+    let open Sb_obs.Metrics in
+    let g_wall = gauge "session.batch_wall_s" in
+    incr ~by:total (counter "session.sessions");
+    incr ~by:consistent (counter "session.consistent");
+    set g_wall (gauge_value g_wall +. wall_s);
+    set (gauge "session.sessions_per_sec") aggregate.sessions_per_sec;
+    set (gauge "session.msgs_per_sec") aggregate.msgs_per_sec;
+    set (gauge "session.bytes_per_sec") aggregate.bytes_per_sec;
+    incr ~by:nshards (counter "sched.claims");
+    incr ~by:steals (counter "sched.steals");
     (* One observation per worker per batch, so the report's metric
-       names do not depend on the pool size. Looked up here rather
-       than at module init: reports of runs with no batch list none. *)
-    let observe name v = Sb_obs.Metrics.(observe (histogram ("sched.worker." ^ name)) v) in
+       names do not depend on the pool size. *)
+    let observe name v = observe (histogram ("sched.worker." ^ name)) v in
     Array.iter
       (fun ws ->
         observe "shards" (float_of_int ws.shards_run);

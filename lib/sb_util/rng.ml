@@ -95,6 +95,20 @@ let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (int64 t) 
 let float t = unit_float t
 let bernoulli t p = unit_float t < p
 
+(* [unit_float t < p] is [x < p * 2^53] for the 53-bit draw x, and since
+   x is an integer and p * 2^53 is exact, that is [x < ceil (p * 2^53)]:
+   one integer compare per draw, counted without a branch. *)
+let count_bernoulli t p k =
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Rng.count_bernoulli: p";
+  if k < 0 then invalid_arg "Rng.count_bernoulli: k";
+  let threshold = Float.to_int (Float.ceil (p *. 0x1p53)) in
+  let count = ref 0 in
+  for _ = 1 to k do
+    let x = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
+    count := !count + Bool.to_int (x < threshold)
+  done;
+  !count
+
 (* One draw per byte, in index order: the stream the golden values in
    test_util pin. *)
 let bytes t len =

@@ -61,6 +61,11 @@ val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]: [float t < p],
     compared without boxing, so a draw allocates nothing. *)
 
+val count_bernoulli : t -> float -> int -> int
+(** [count_bernoulli t p k] is the number of [true]s among the next [k]
+    [bernoulli t p] draws, and consumes exactly those [k] draws. Raises
+    [Invalid_argument] unless [0 <= p <= 1] (so NaN too) and [k >= 0]. *)
+
 val bytes : t -> int -> string
 (** [bytes t len] returns [len] uniform bytes. *)
 

@@ -64,10 +64,11 @@ let election =
     let audited = 8 in
     let precincts = voters / precinct in
     let p_yes = 0.52 in
-    let tally = Array.make precincts 0 in
-    for v = 0 to voters - 1 do
-      if Rng.bernoulli rng p_yes then tally.(v / precinct) <- tally.(v / precinct) + 1
-    done;
+    if precincts * precinct <> voters then
+      invalid_arg "election: voters must be a whole number of precincts";
+    (* Voters draw in index order, so precinct p counts the next
+       [precinct] draws. *)
+    let tally = Array.init precincts (fun _ -> Rng.count_bernoulli rng p_yes precinct) in
     let yes = Array.fold_left ( + ) 0 tally in
     let stride = precincts / audited in
     let audit_id j = j * stride in

@@ -402,35 +402,69 @@ let test_sessions_jobs_invariant () =
   Alcotest.(check string) "session log jobs-invariant" l1 l2;
   Alcotest.(check string) "sessions block jobs-invariant" s1 s2
 
+(* A report's metric names, as kind/name, apart from the per-domain
+   par.domain<k>.samples counters. *)
+let metric_names report =
+  let metrics = Option.get (Json.member "metrics" (parse_file report)) in
+  List.concat_map
+    (fun kind ->
+      match Json.member kind metrics with
+      | Some (Json.Obj kvs) ->
+          List.filter_map
+            (fun (k, _) ->
+              if String.starts_with ~prefix:"par.domain" k then None else Some (kind ^ "/" ^ k))
+            kvs
+      | _ -> Alcotest.failf "report lacks metrics.%s" kind)
+    [ "counters"; "gauges"; "histograms" ]
+
+let sessions_metric_names jobs =
+  let report = temp ".names.json" in
+  Alcotest.(check int)
+    (Printf.sprintf "sessions exits 0 at jobs %d" jobs)
+    0
+    (command
+       [
+         "sessions"; "bracha,commit-open"; "--count"; "24"; "--jobs"; string_of_int jobs;
+         "--report"; report;
+       ]);
+  let names = metric_names report in
+  Sys.remove report;
+  names
+
 (* The report's shape does not depend on the pool size: the same
    metric names at jobs 1 and 2, apart from the per-domain
    par.domain<k>.samples counters. *)
 let test_sessions_metric_names_invariant () =
-  let names jobs =
-    let report = temp ".names.json" in
-    Alcotest.(check int)
-      (Printf.sprintf "sessions exits 0 at jobs %d" jobs)
-      0
-      (command
-         [
-           "sessions"; "bracha,commit-open"; "--count"; "24"; "--jobs"; string_of_int jobs;
-           "--report"; report;
-         ]);
-    let metrics = Option.get (Json.member "metrics" (parse_file report)) in
-    Sys.remove report;
-    List.concat_map
-      (fun kind ->
-        match Json.member kind metrics with
-        | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, _) ->
-                if String.starts_with ~prefix:"par.domain" k then None
-                else Some (kind ^ "/" ^ k))
-              kvs
-        | _ -> Alcotest.failf "report lacks metrics.%s" kind)
-      [ "counters"; "gauges"; "histograms" ]
+  Alcotest.(check (list string)) "metric names at jobs 1 and 2" (sessions_metric_names 1)
+    (sessions_metric_names 2)
+
+(* A report lists the metrics its run touched: the session engine's
+   session.* and sched.* metrics and the experiments' exp.* counters are
+   registered on first use, so a check report names none of them,
+   while a sessions report names the engine's at every pool size. *)
+let test_reports_list_touched_metrics () =
+  let report = temp ".check-names.json" in
+  Alcotest.(check int) "check bracha 4/1 exits 0" 0
+    (command [ "check"; "bracha"; "--n"; "4"; "--t"; "1"; "--report"; report ]);
+  let names = metric_names report in
+  Sys.remove report;
+  let untouched name =
+    List.exists
+      (fun prefix -> contains name ("/" ^ prefix))
+      [ "sched."; "session."; "exp." ]
   in
-  Alcotest.(check (list string)) "metric names at jobs 1 and 2" (names 1) (names 2)
+  Alcotest.(check (list string)) "check report: no sched.*, session.*, exp.*" []
+    (List.filter untouched names);
+  Alcotest.(check bool) "check report names check.states" true
+    (List.mem "counters/check.states" names);
+  let s1 = sessions_metric_names 1 and s2 = sessions_metric_names 2 in
+  Alcotest.(check (list string)) "sessions metric names at jobs 1 and 2" s1 s2;
+  List.iter
+    (fun name -> Alcotest.(check bool) ("sessions report names " ^ name) true (List.mem name s1))
+    [
+      "counters/session.sessions"; "counters/sched.claims"; "counters/sched.steals";
+      "gauges/session.batch_wall_s";
+    ]
 
 (* --- protocol names -------------------------------------------------- *)
 
@@ -685,6 +719,8 @@ let () =
             test_sessions_jobs_invariant;
           Alcotest.test_case "sessions metric names jobs-invariant (jobs 1, 2)" `Quick
             test_sessions_metric_names_invariant;
+          Alcotest.test_case "reports list only touched metrics" `Quick
+            test_reports_list_touched_metrics;
           Alcotest.test_case "substrate shorthand resolves alike" `Quick
             test_protocol_shorthand;
           Alcotest.test_case "workload usage errors" `Quick test_workload_usage_errors;

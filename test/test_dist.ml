@@ -51,17 +51,18 @@ let test_bernoulli_product () =
    same table by prefix doubling; every mass and every sampled index
    must match this reference bit for bit. *)
 module Ref_product = struct
-  let mass p =
+  let raw p =
     let n = Array.length p in
-    let raw =
-      Array.init (1 lsl n) (fun idx ->
-          let m = ref 1.0 in
-          for i = 0 to n - 1 do
-            let bit = (idx lsr i) land 1 = 1 in
-            m := !m *. (if bit then p.(i) else 1.0 -. p.(i))
-          done;
-          !m)
-    in
+    Array.init (1 lsl n) (fun idx ->
+        let m = ref 1.0 in
+        for i = 0 to n - 1 do
+          let bit = (idx lsr i) land 1 = 1 in
+          m := !m *. (if bit then p.(i) else 1.0 -. p.(i))
+        done;
+        !m)
+
+  let mass p =
+    let raw = raw p in
     let total = Array.fold_left ( +. ) 0.0 raw in
     Array.map (fun x -> x /. total) raw
 
@@ -111,6 +112,63 @@ let test_bernoulli_product_bit_exact () =
     check_product_bits (Printf.sprintf "all-one n=%d" n) (Array.make n 1.0)
   done;
   check_product_bits "product 0.4 20" (Array.make 20 0.4)
+
+(* A product keeps its marginals and total instead of a mass table.
+   The oracle is the general-table path over the same per-entry fold:
+   every query must read the same floats, and every sample the same
+   index. *)
+let check_floats ctx want got =
+  Alcotest.(check int) (ctx ^ " length") (Array.length want) (Array.length got);
+  Array.iteri
+    (fun i w ->
+      if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+        Alcotest.failf "%s: entry %d is %h, oracle %h" ctx i got.(i) w)
+    want
+
+let check_same_samples ctx ~streams want got =
+  let a = Rng.split_n (Rng.create 99) streams in
+  let b = Array.map Rng.copy a in
+  Array.iteri
+    (fun k rng ->
+      let w = Bitvec.to_int (Dist.sample want rng) and g = Bitvec.to_int (Dist.sample got b.(k)) in
+      if w <> g then Alcotest.failf "%s: stream %d samples %d, oracle %d" ctx k g w)
+    a
+
+let test_product_vs_table_oracle () =
+  let rng = Rng.create 31 in
+  for n = 1 to 12 do
+    let p =
+      Array.init n (fun _ ->
+          match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.float rng)
+    in
+    let ctx = Printf.sprintf "n=%d" n in
+    let d = Dist.bernoulli_product p and oracle = Dist.of_pmf n (Ref_product.raw p) in
+    check_floats (ctx ^ " prob_idx") (Array.init (1 lsl n) (Dist.prob_idx oracle))
+      (Array.init (1 lsl n) (Dist.prob_idx d));
+    check_floats (ctx ^ " pmf") (Dist.pmf oracle) (Dist.pmf d);
+    Alcotest.(check (list string)) (ctx ^ " support")
+      (List.map Bitvec.to_string (Dist.support oracle))
+      (List.map Bitvec.to_string (Dist.support d));
+    check_floats (ctx ^ " marginals") (Dist.marginals oracle) (Dist.marginals d);
+    check_floats (ctx ^ " local_gap") [| Dist.local_gap oracle |] [| Dist.local_gap d |];
+    let other = Dist.markov n ~flip:0.3 in
+    check_floats (ctx ^ " tvd")
+      [| Dist.tvd oracle other; Dist.tvd other oracle; 0.0 |]
+      [| Dist.tvd d other; Dist.tvd other d; Dist.tvd d oracle |];
+    check_same_samples ctx ~streams:10_000 oracle d
+  done;
+  let p = Array.make 20 0.4 in
+  check_same_samples "product 0.4 20" ~streams:2_000
+    (Dist.of_pmf 20 (Ref_product.raw p))
+    (Dist.product 0.4 20)
+
+let test_uniform_vs_table_oracle () =
+  for n = 0 to 16 do
+    let ctx = Printf.sprintf "uniform %d" n in
+    let oracle = Dist.of_pmf n (Array.make (1 lsl n) 1.0) and d = Dist.uniform n in
+    check_floats ctx (Dist.pmf oracle) (Dist.pmf d);
+    check_same_samples ctx ~streams:1_000 oracle d
+  done
 
 let test_xor_parity () =
   let d = Dist.xor_parity ~even:true 3 in
@@ -374,6 +432,8 @@ let () =
           Alcotest.test_case "bernoulli product" `Quick test_bernoulli_product;
           Alcotest.test_case "bernoulli product bit-exact" `Quick
             test_bernoulli_product_bit_exact;
+          Alcotest.test_case "product = table oracle" `Quick test_product_vs_table_oracle;
+          Alcotest.test_case "uniform = table oracle" `Quick test_uniform_vs_table_oracle;
           Alcotest.test_case "xor parity" `Quick test_xor_parity;
           Alcotest.test_case "copy pair" `Quick test_copy_pair;
           Alcotest.test_case "noisy copy limits" `Quick test_noisy_copy_limits;

@@ -109,6 +109,36 @@ let test_rng_bytes_length () =
    a function of these exact outputs, so a change to the generator's
    representation must leave them bit-identical. The values were
    recorded from the original boxed-int64 implementation. *)
+(* [count_bernoulli t p k] must count exactly what k sequential
+   [bernoulli t p] draws return, and leave the stream where they do. *)
+let test_rng_count_bernoulli () =
+  let ps = [ 0.0; 1.0; 0.5; 0.52; Float.pred 1.0; Float.succ 0.0; 0.3; 1e-3 ] in
+  List.iteri
+    (fun i p ->
+      List.iter
+        (fun k ->
+          for seed = 1 to 5 do
+            let a = Rng.create ((100 * i) + seed) in
+            let b = Rng.copy a in
+            let want = ref 0 in
+            for _ = 1 to k do
+              if Rng.bernoulli b p then incr want
+            done;
+            let ctx = Printf.sprintf "p=%h k=%d seed=%d" p k seed in
+            Alcotest.(check int) (ctx ^ " count") !want (Rng.count_bernoulli a p k);
+            Alcotest.(check int64) (ctx ^ " next draw") (Rng.int64 b) (Rng.int64 a)
+          done)
+        [ 0; 1; 1000 ])
+    ps;
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "p=%h rejected" p)
+        (Invalid_argument "Rng.count_bernoulli: p") (fun () ->
+          ignore (Rng.count_bernoulli (Rng.create 1) p 10)))
+    [ -0.1; Float.pred 0.0; Float.succ 1.0; 2.0; Float.nan; Float.infinity ];
+  Alcotest.check_raises "k < 0 rejected" (Invalid_argument "Rng.count_bernoulli: k")
+    (fun () -> ignore (Rng.count_bernoulli (Rng.create 1) 0.5 (-1)))
+
 let check_stream label rng expected =
   List.iteri
     (fun i v -> Alcotest.(check int64) (Printf.sprintf "%s #%d" label i) v (Rng.int64 rng))
@@ -334,6 +364,8 @@ let () =
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
           Alcotest.test_case "perm is permutation" `Quick test_rng_perm_is_permutation;
           Alcotest.test_case "bytes length" `Quick test_rng_bytes_length;
+          Alcotest.test_case "count_bernoulli = sequential bernoulli" `Quick
+            test_rng_count_bernoulli;
           Alcotest.test_case "golden create streams" `Quick test_rng_golden_create;
           Alcotest.test_case "golden split streams" `Quick test_rng_golden_split;
           Alcotest.test_case "golden bits/bytes/float" `Quick test_rng_golden_draws;
