@@ -6,8 +6,9 @@
    gtester-smoke/20k. Two shapes per substrate: the n-session
    concurrent composition at n = 32 (the E16 regime — dominated by
    sid bucketing and router delivery) and the single-session large-n
-   unit at n = 128 (the E17 regime — dominated by arena reuse and
-   substrate bookkeeping). *)
+   unit at n = 128 (the E17 regime — every send-all read in place from
+   the router's shared broadcast lane, no sid bucketing, so dominated
+   by arena reuse and substrate bookkeeping). *)
 
 let entry name ns = { Sb_obs.Report.bench_name = name; ns_per_run = ns; r_square = 1.0 }
 

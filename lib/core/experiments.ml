@@ -1226,8 +1226,6 @@ let registry =
         e17_scaling setup);
   ]
 
-let ids () = List.map (fun e -> e.id) registry
-
 let find_in entries id =
   let norm = String.lowercase_ascii (String.trim id) in
   List.find_opt (fun e -> String.lowercase_ascii e.id = norm) entries

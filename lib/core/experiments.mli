@@ -97,9 +97,6 @@ val registry : entry list
     ends' catalogue is this list plus [Sb_workload.E18.entry],
     defined once in [bin/simbcast.ml]. *)
 
-val ids : unit -> string list
-(** The ids of {!registry}. *)
-
 val find_in : entry list -> string -> entry option
 (** Case-insensitive lookup by id in a catalogue. *)
 

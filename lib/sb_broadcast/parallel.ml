@@ -123,7 +123,10 @@ let concurrent scheme = make `Concurrent scheme ("concurrent-" ^ scheme.Session.
 (* One session only: sender P_0 broadcasts, everybody else listens.
    This is the Θ(n^2)-message unit the scaling sweep (E17) measures —
    a whole n-session parallel composition is a factor n more work and
-   would conflate composition cost with substrate cost. *)
+   would conflate composition cost with substrate cost. The session
+   steps on the inbox as delivered: it reads only envelopes carrying
+   its own tag (the [Session.t] step contract), so bucketing would only
+   re-parse tags. *)
 let single (scheme : Session.scheme) =
   let sid = session_id 0 in
   let make_party ctx ~rng ~id ~input =
@@ -131,12 +134,7 @@ let single (scheme : Session.scheme) =
     let session =
       scheme.create ctx ~rng:(Sb_util.Rng.split rng) ~sid ~sender:0 ~me:id ~value
     in
-    let b = buckets ~n:1 (* session 0's envelopes, uncopied when alone *) in
-    let step ~round ~inbox ~out =
-      session.Session.step ~round ~inbox:(bucket_by_sid b inbox).(0) ~out
-    in
-    let output () = session.Session.result () in
-    { Party.step; output }
+    { Party.step = session.Session.step; output = session.Session.result }
   in
   {
     Protocol.name = "single-" ^ scheme.Session.scheme_name;

@@ -26,7 +26,9 @@ val single : Session.scheme -> Sb_sim.Protocol.t
     party outputs that session's result directly (no bit coercion, no
     [Msg.List]). The Θ(n²)-message unit the scaling sweep measures —
     the full n-session compositions above cost a factor n more and
-    would conflate composition cost with substrate cost. *)
+    would conflate composition cost with substrate cost. The session
+    steps on each inbox as delivered, unbucketed ({!Session.t}'s step
+    contract). *)
 
 type buckets
 (** One party's reusable state for {!bucket_by_sid}. *)

@@ -3,8 +3,9 @@
     A session is one sender broadcasting one value to everybody. Its
     messages are wrapped in [Msg.Tag ("bc:" ^ sid, …)] so that many
     sessions — possibly of different broadcast protocols — can share
-    the network simultaneously; the compositions ({!Parallel}) hand each
-    session only the envelopes carrying its tag.
+    the network simultaneously. The n-session compositions ({!Parallel})
+    hand each session only the envelopes carrying its tag; the
+    one-session composition hands over its inbox as delivered.
 
     Local rounds start at 0 when the session starts; a session that
     begins at network round r0 maps network round r to local round
@@ -14,10 +15,17 @@
 
 type t = {
   step : round:int -> inbox:Sb_sim.Inbox.t -> out:Sb_sim.Outbox.t -> unit;
-      (** [round] is the LOCAL round; [inbox] holds only this
-          session's envelopes. {!Sb_sim.Party.t}'s contract: the caller
-          owns [inbox] and [out]; the inbox slice is valid only during
-          the call, so do not retain it; only append to [out], sends
+      (** [round] is the LOCAL round. [inbox] may also hold envelopes
+          that are not this session's: other sessions' tags, untagged
+          bodies, functionality traffic. A step reads only envelopes
+          whose body carries the session's {!tag} and whose sender is a
+          party ({!Sb_sim.Inbox.iter_from_parties} and
+          {!Sb_sim.Inbox.first_from} with that tag), so such envelopes
+          change neither its sends nor its result: [Parallel.single]
+          relies on it, and [test_broadcast.ml] pins it for every
+          substrate. {!Sb_sim.Party.t}'s contract: the caller owns
+          [inbox] and [out]; the inbox slice is valid only during the
+          call, so do not retain it; only append to [out], sends
           already wrapped in the session's tag. *)
   result : unit -> Sb_sim.Msg.t;
 }

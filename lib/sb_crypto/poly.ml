@@ -57,8 +57,6 @@ let mul p q =
     normalise r
   end
 
-let scale c p = normalise (Array.map (Field.mul c) p)
-
 let check_distinct pts =
   let xs = List.map fst pts in
   let sorted = List.sort (fun a b -> Int.compare (Field.to_int a) (Field.to_int b)) xs in
@@ -67,22 +65,6 @@ let check_distinct pts =
     | _ -> false
   in
   if dup sorted then invalid_arg "Poly.interpolate: duplicate abscissae"
-
-let interpolate pts =
-  check_distinct pts;
-  (* Sum of y_j * prod_{m<>j} (X - x_m) / (x_j - x_m). *)
-  let basis xj others =
-    List.fold_left
-      (fun acc xm ->
-        let denom = Field.inv (Field.sub xj xm) in
-        mul acc (of_coeffs [| Field.mul (Field.neg xm) denom; denom |]))
-      (constant Field.one) others
-  in
-  List.fold_left
-    (fun acc (xj, yj) ->
-      let others = List.filter_map (fun (x, _) -> if Field.equal x xj then None else Some x) pts in
-      add acc (scale yj (basis xj others)))
-    zero pts
 
 let interpolate_at pts x0 =
   check_distinct pts;

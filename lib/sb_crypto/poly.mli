@@ -30,17 +30,13 @@ val random : Sb_util.Rng.t -> degree:int -> constant:Field.t -> t
 
 val add : t -> t -> t
 val mul : t -> t -> t
-val scale : Field.t -> t -> t
-
-val interpolate : (Field.t * Field.t) list -> t
-(** Lagrange interpolation through distinct points; the result has
-    degree < number of points. Raises [Invalid_argument] on duplicate
-    abscissae. *)
 
 val interpolate_at : (Field.t * Field.t) list -> Field.t -> Field.t
-(** [interpolate_at pts x0] evaluates the interpolating polynomial at
-    [x0] without constructing it (direct Lagrange formula); this is the
-    reconstruction step of Shamir sharing with x0 = 0. *)
+(** [interpolate_at pts x0] evaluates the polynomial of degree < the
+    number of points that passes through the distinct points [pts] at
+    [x0] (direct Lagrange formula); this is the reconstruction step of
+    Shamir sharing with x0 = 0. Raises [Invalid_argument] on duplicate
+    abscissae. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

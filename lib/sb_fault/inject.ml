@@ -1,8 +1,18 @@
 open Sb_sim
 
-let m_crashes = Sb_obs.Metrics.counter "fault.crashes"
-let m_drops = Sb_obs.Metrics.counter "fault.drops"
-let m_delayed = Sb_obs.Metrics.counter "fault.delayed"
+(* Registered on first use, by a compiled interceptor's run with
+   metrics on, so a report of a run that executed no fault (the model
+   checker's, whose [filter] calls count nothing) lists no fault.*. *)
+type meters = {
+  crashes : Sb_obs.Metrics.counter;
+  drops : Sb_obs.Metrics.counter;
+  delayed : Sb_obs.Metrics.counter;
+}
+
+let meters =
+  Sb_obs.Metrics.on_first_use (fun () ->
+      let c = Sb_obs.Metrics.counter in
+      { crashes = c "fault.crashes"; drops = c "fault.drops"; delayed = c "fault.delayed" })
 
 (* Group index of [i] under a partition: listed groups get their list
    position, everyone unlisted shares the implicit group -1. *)
@@ -101,11 +111,14 @@ let compile ~n (plan : Plan.t) =
   | Ok () -> ()
   | Error e -> invalid_arg ("Sb_fault.Inject.compile: " ^ e));
   fun ~rng ->
-    let st = ref (init ~n) in
+    let st = ref (init ~n) and meters = meters () in
     fun ~round envs ->
       let st', kept = filter plan ~rng !st ~round ~env:Fun.id envs in
-      Array.iter (fun r -> if r = round then Sb_obs.Metrics.incr m_crashes) st'.crash_round;
-      Sb_obs.Metrics.incr ~by:(st'.drops - !st.drops) m_drops;
-      Sb_obs.Metrics.incr ~by:(st'.delays - !st.delays) m_delayed;
+      Option.iter
+        (fun m ->
+          Array.iter (fun r -> if r = round then Sb_obs.Metrics.incr m.crashes) st'.crash_round;
+          Sb_obs.Metrics.incr ~by:(st'.drops - !st.drops) m.drops;
+          Sb_obs.Metrics.incr ~by:(st'.delays - !st.delays) m.delayed)
+        meters;
       st := st';
       kept

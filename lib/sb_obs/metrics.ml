@@ -16,8 +16,8 @@ type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 (* Counters and gauges are atomics (workers update them lock-free);
    histograms take their own small mutex per observation; the registry
    itself is guarded by [reg_lock]. Interning from worker domains is
-   therefore safe, though call sites normally intern at module init on
-   the main domain. *)
+   therefore safe: call sites register on first use, from whichever
+   domain runs first. *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let reg_lock = Mutex.create ()
 let on = ref false
@@ -51,6 +51,23 @@ let counter name =
 
 let incr ?(by = 1) c = if !on then ignore (Atomic.fetch_and_add c.count by)
 let counter_value c = Atomic.get c.count
+
+let read_counter name =
+  match locked (fun () -> Hashtbl.find_opt registry name) with
+  | Some (Counter c) -> Atomic.get c.count
+  | Some (Gauge _ | Histogram _) | None -> 0
+
+let on_first_use register =
+  let cache = Atomic.make None in
+  fun () ->
+    if not !on then None
+    else
+      match Atomic.get cache with
+      | Some _ as h -> h
+      | None ->
+          let h = Some (register ()) in
+          Atomic.set cache h;
+          h
 
 let gauge name =
   intern name

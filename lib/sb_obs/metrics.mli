@@ -28,6 +28,19 @@ val counter : string -> counter
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
+val read_counter : string -> int
+(** The value of the counter named [name], 0 if none is registered.
+    Registers nothing, so a report can read a counter its run never
+    touched without listing it. *)
+
+val on_first_use : (unit -> 'a) -> unit -> 'a option
+(** [on_first_use register] is a lookup for a module's handles that
+    registers them when first needed rather than at module init: it
+    returns [None] while metrics are disabled and otherwise
+    [Some (register ())], calling [register] once (or once per racing
+    domain — interning is idempotent) and caching its result. Look the
+    handles up once per run, then update them. *)
+
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -32,15 +32,19 @@ let timing_to_json (t : timing_entry) =
 
 (* Schema v2: the communication-cost block, read off the sim.* counters
    as they stand. Counters that never fired read as 0, so the block is
-   always present and always complete. *)
+   always present and always complete; reading them registers none. *)
+let comm_totals () =
+  let c = Metrics.read_counter in
+  (c "sim.broadcasts", c "sim.p2p", c "sim.bytes.broadcast", c "sim.bytes.p2p")
+
 let comm_to_json () =
-  let c name = Json.Int (Metrics.counter_value (Metrics.counter name)) in
+  let bc, p2p, bc_bytes, p2p_bytes = comm_totals () in
   Json.Obj
     [
-      ("broadcasts", c "sim.broadcasts");
-      ("p2p_messages", c "sim.p2p");
-      ("broadcast_bytes", c "sim.bytes.broadcast");
-      ("p2p_bytes", c "sim.bytes.p2p");
+      ("broadcasts", Json.Int bc);
+      ("p2p_messages", Json.Int p2p);
+      ("broadcast_bytes", Json.Int bc_bytes);
+      ("p2p_bytes", Json.Int p2p_bytes);
     ]
 
 let make ?(tool = "simbcast") ?(tag = "run") ?jobs ?(experiments = []) ?(timings = [])

@@ -19,6 +19,12 @@ type experiment_entry = {
 
 type timing_entry = { bench_name : string; ns_per_run : float; r_square : float }
 
+val comm_totals : unit -> int * int * int * int
+(** [(broadcasts, p2p_messages, broadcast_bytes, p2p_bytes)]: the
+    ["comm"] object's numbers, off the [sim.broadcasts], [sim.p2p] and
+    [sim.bytes.*] counters as they stand. A counter no run registered
+    reads 0, and reading registers none. *)
+
 val make :
   ?tool:string ->
   ?tag:string ->

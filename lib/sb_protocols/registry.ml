@@ -12,11 +12,6 @@ let all =
     { protocol = Naive.concurrent; claim = Parallel_only; min_honest_fraction = "any t < n" };
   ]
 
-let simultaneous =
-  List.filter
-    (fun e -> e.claim = Independence && e.protocol.Sb_sim.Protocol.name <> "ideal-fsb")
-    all
-
 let commit_open =
   { protocol = Commit_open.protocol; claim = Ablation_target; min_honest_fraction = "t < n/2" }
 

@@ -17,10 +17,6 @@ type entry = {
 val all : entry list
 (** The paper's seven protocols, in [simbcast list] order. *)
 
-val simultaneous : entry list
-(** Just the protocols claiming an independence property: CGMA,
-    Chor–Rabin, Gennaro, Π_G (under its own definition). *)
-
 val commit_open : entry
 (** Bare commit-then-open, the ablation target of E12. *)
 

@@ -53,10 +53,6 @@ type aggregate = {
   worker_stats : worker_stat array;
 }
 
-let comm_snapshot () =
-  let c name = Sb_obs.Metrics.counter_value (Sb_obs.Metrics.counter name) in
-  (c "sim.broadcasts", c "sim.p2p", c "sim.bytes.broadcast", c "sim.bytes.p2p")
-
 (* Cumulative spec bounds: bounds.(k) is the global index of spec k's
    first session, bounds.(len specs) the batch total. *)
 let bounds specs =
@@ -195,7 +191,7 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
     shard_worker.(sh.Shard.index) <- Sb_par.Pool.worker_index ();
     reports
   in
-  let comm0 = comm_snapshot () in
+  let comm0 = Sb_obs.Report.comm_totals () in
   let t0 = Unix.gettimeofday () in
   (* One pool task per shard. The pool's FIFO queue hands shards out
      in index order to whichever worker is free, so a heavy-tailed mix
@@ -223,7 +219,7 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
         })
   in
   let bc0, p2p0, bcb0, p2pb0 = comm0 in
-  let bc1, p2p1, bcb1, p2pb1 = comm_snapshot () in
+  let bc1, p2p1, bcb1, p2pb1 = Sb_obs.Report.comm_totals () in
   let reports = Array.concat (Array.to_list results) in
   let consistent =
     Array.fold_left

@@ -16,8 +16,8 @@
     {!wire_size}), and everything that hands out envelope lists
     ([Outbox.to_list], [Router.to_list], the adversary's views, the
     trace, a fault interceptor's queue) hands out the copies
-    ({!expand_onto}). Only outboxes, mailboxes and inbox slices hold
-    the record itself; in party [i]'s inbox it stands for the copy
+    ({!expand_onto}). Only outboxes, the router's broadcast lane and
+    inbox slices hold the record itself; in party [i]'s inbox it stands for the copy
     addressed to [i].
 
     The network authenticates senders — a party cannot spoof another's
@@ -90,8 +90,8 @@ val wire_size : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** A growable envelope array with a sequence stamp per slot: the
-    storage behind {!Router} mailboxes and the {!Outbox} (which stamps
-    0). Slots at and beyond [len] are stale. *)
+    storage behind {!Router} mailboxes, lanes and scratch buffers and
+    the {!Outbox} (which stamps 0). Slots at and beyond [len] are stale. *)
 module Buf : sig
   type env := t
   type t = { mutable seqs : int array; mutable envs : env array; mutable len : int }
@@ -116,7 +116,8 @@ end
     out the first two). Arena envelopes share {!make}'s endpoints (a fresh one
     stored into a recycled major-heap record would be promoted) and
     stay structurally equal to the ones {!make} and {!to_all} build. The arena also
-    keeps the network's mailboxes and outbox across runs ({!stash}). *)
+    keeps the network's router buffers and outbox across runs
+    ({!stash}). *)
 module Arena : sig
   type arena
 

@@ -19,31 +19,57 @@ let log_src = Logs.Src.create "sb.network" ~doc:"simulated network round events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Observability handles. Interned once; every update is guarded by
-   [Metrics.enabled] so a disabled run pays one boolean load per round.
-   None of this touches the split RNG streams: seeded protocol outputs
-   are identical with metrics on or off. *)
-let m_runs = Sb_obs.Metrics.counter "sim.runs"
-let m_rounds = Sb_obs.Metrics.counter "sim.rounds"
-let m_honest = Sb_obs.Metrics.counter "sim.envelopes.honest"
-let m_adv = Sb_obs.Metrics.counter "sim.envelopes.adv"
-let m_func = Sb_obs.Metrics.counter "sim.envelopes.func"
-let m_bcast = Sb_obs.Metrics.counter "sim.broadcasts"
-let m_p2p = Sb_obs.Metrics.counter "sim.p2p"
-let m_bytes_bcast = Sb_obs.Metrics.counter "sim.bytes.broadcast"
-let m_bytes_p2p = Sb_obs.Metrics.counter "sim.bytes.p2p"
-let m_forged = Sb_obs.Metrics.counter "sim.forgeries_dropped"
-let h_round_us = Sb_obs.Metrics.histogram "sim.round_duration_us"
+(* Observability handles, registered on first use: a run looks them
+   up once, and only with metrics on, so a report of a binary that
+   never drives a metered run (the model checker's) lists no sim.*
+   metric. Every update is still guarded by [Metrics.enabled]. None of
+   this touches the split RNG streams: seeded protocol outputs are
+   identical with metrics on or off.
 
-(* Aggregate throughput gauges, recomputed at every run completion
-   from the cumulative counters and the cumulative in-run wall clock
-   (itself a gauge, so Metrics.reset rebases the rates too). The
-   mutex serialises the read-modify-write of the wall total across
-   sampler domains. *)
-let g_wall = Sb_obs.Metrics.gauge "sim.run_wall_s_total"
-let g_sessions_ps = Sb_obs.Metrics.gauge "sim.sessions_per_sec"
-let g_msgs_ps = Sb_obs.Metrics.gauge "sim.msgs_per_sec"
-let g_bytes_ps = Sb_obs.Metrics.gauge "sim.bytes_per_sec"
+   The throughput gauges are recomputed at every run completion from
+   the cumulative counters and the cumulative in-run wall clock (itself
+   a gauge, so Metrics.reset rebases the rates too). The mutex
+   serialises the read-modify-write of the wall total across sampler
+   domains. *)
+type meters = {
+  runs : Sb_obs.Metrics.counter;
+  rounds : Sb_obs.Metrics.counter;
+  honest : Sb_obs.Metrics.counter;
+  adv : Sb_obs.Metrics.counter;
+  func : Sb_obs.Metrics.counter;
+  bcast : Sb_obs.Metrics.counter;
+  p2p : Sb_obs.Metrics.counter;
+  bytes_bcast : Sb_obs.Metrics.counter;
+  bytes_p2p : Sb_obs.Metrics.counter;
+  forged : Sb_obs.Metrics.counter;
+  round_us : Sb_obs.Metrics.histogram;
+  wall : Sb_obs.Metrics.gauge;
+  sessions_ps : Sb_obs.Metrics.gauge;
+  msgs_ps : Sb_obs.Metrics.gauge;
+  bytes_ps : Sb_obs.Metrics.gauge;
+}
+
+let meters =
+  Sb_obs.Metrics.on_first_use (fun () ->
+      let c = Sb_obs.Metrics.counter and g = Sb_obs.Metrics.gauge in
+      {
+        runs = c "sim.runs";
+        rounds = c "sim.rounds";
+        honest = c "sim.envelopes.honest";
+        adv = c "sim.envelopes.adv";
+        func = c "sim.envelopes.func";
+        bcast = c "sim.broadcasts";
+        p2p = c "sim.p2p";
+        bytes_bcast = c "sim.bytes.broadcast";
+        bytes_p2p = c "sim.bytes.p2p";
+        forged = c "sim.forgeries_dropped";
+        round_us = Sb_obs.Metrics.histogram "sim.round_duration_us";
+        wall = g "sim.run_wall_s_total";
+        sessions_ps = g "sim.sessions_per_sec";
+        msgs_ps = g "sim.msgs_per_sec";
+        bytes_ps = g "sim.bytes_per_sec";
+      })
+
 let wall_lock = Mutex.create ()
 
 type interceptor = round:int -> Envelope.t list -> Envelope.t list
@@ -56,7 +82,7 @@ type started = {
 }
 
 (* Delivery storage for runs without an arena: each domain lends its
-   last run's mailboxes and outbox to its next run, so a stream of small
+   last run's router buffers and outbox to its next run, so a stream of small
    runs stops growing fresh buffers. A run takes the storage out of the
    slot and puts it back on return (a nested run, or one after a run
    that raised, starts fresh); storage past 2^16 slots is not kept. *)
@@ -67,8 +93,8 @@ let spare : Envelope.Arena.arena option Domain.DLS.key = Domain.DLS.new_key (fun
    keeps enqueue order per recipient (Router's ordering invariant).
    Without a queue to route, no envelope list is built: one pass over
    the sends checks authentication, counts, tallies and routes. Only a
-   [metered] run feeds the sim.* counters. *)
-let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) ~rng
+   run given [meters] feeds the sim.* counters. *)
+let begin_run ~meters ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) ~rng
     ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~inputs ~aux =
   let n = ctx.n in
   if Array.length inputs <> n then invalid_arg "Network.run: wrong number of inputs";
@@ -114,10 +140,10 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
         a
     | _ -> Envelope.Arena.create ()
   in
-  let st = Envelope.Arena.stash storage ((2 * n) + 1) in
+  let st = Envelope.Arena.stash storage ((2 * (n + 2)) + 1) in
   let mailboxes = ref (Router.create ~stash:st n) in
-  let staging = ref (Router.create ~stash:(Array.sub st n n) n) in
-  let out = Outbox.create ?pool:ctx.pool ~buf:st.(2 * n) () in
+  let staging = ref (Router.create ~stash:(Array.sub st (n + 2) (n + 2)) n) in
+  let out = Outbox.create ?pool:ctx.pool ~buf:st.(2 * (n + 2)) () in
   (* [ends.(k)]: where honest party k's appends end in the outbox. *)
   let ends = Array.make (Array.length parties) 0 in
   let trace = ref [] in
@@ -230,7 +256,8 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
     if !view_round < 0 then invalid_arg "Network: the run is closed";
     Sb_obs.Trace_ctx.end_span !s_intercept;
     let last = round = total_rounds in
-    let metrics_on = metered && Sb_obs.Metrics.enabled () and s_rush = !s_rush and adv_out = !adv_out in
+    let metrics_on = Option.is_some meters && Sb_obs.Metrics.enabled () in
+    let s_rush = !s_rush and adv_out = !adv_out in
     let inbox_router = !mailboxes in
     let s_route = phase "route" in
     let next = !staging in
@@ -319,17 +346,18 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
             (if last then " (final)" else ""));
     (* Record round observations. *)
     if not last then p2p_count := !p2p_count + !p2ps;
-    if metrics_on then begin
-      Sb_obs.Metrics.incr m_rounds;
-      Sb_obs.Metrics.incr ~by:n_honest m_honest;
-      Sb_obs.Metrics.incr ~by:n_adv m_adv;
-      Sb_obs.Metrics.incr ~by:(List.length func_out) m_func;
-      Sb_obs.Metrics.incr ~by:(List.length !adv_out_raw - n_adv) m_forged;
-      Sb_obs.Metrics.incr ~by:!bcasts m_bcast;
-      Sb_obs.Metrics.incr ~by:!p2ps m_p2p;
-      Sb_obs.Metrics.incr ~by:!bcast_bytes m_bytes_bcast;
-      Sb_obs.Metrics.incr ~by:!p2p_bytes m_bytes_p2p
-    end;
+    (match meters with
+    | Some m when metrics_on ->
+        Sb_obs.Metrics.incr m.rounds;
+        Sb_obs.Metrics.incr ~by:n_honest m.honest;
+        Sb_obs.Metrics.incr ~by:n_adv m.adv;
+        Sb_obs.Metrics.incr ~by:(List.length func_out) m.func;
+        Sb_obs.Metrics.incr ~by:(List.length !adv_out_raw - n_adv) m.forged;
+        Sb_obs.Metrics.incr ~by:!bcasts m.bcast;
+        Sb_obs.Metrics.incr ~by:!p2ps m.p2p;
+        Sb_obs.Metrics.incr ~by:!bcast_bytes m.bytes_bcast;
+        Sb_obs.Metrics.incr ~by:!p2p_bytes m.bytes_p2p
+    | _ -> ());
     if record_comm then c_deliveries := !c_deliveries + Router.total next;
     Sb_obs.Trace_ctx.end_span s_route;
     staging := inbox_router;
@@ -377,57 +405,62 @@ let begin_run ~metered ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t)
    (none in the final round, whose sends are discarded), route. The
    run count and the wall-clock metrics live here, with the loop that
    owns the clock. *)
-let drive ctx (protocol : Protocol.t) s ~intercept =
-  let metrics_run = Sb_obs.Metrics.enabled () in
-  let run_t0 = if metrics_run then Unix.gettimeofday () else 0.0 in
-  Sb_obs.Metrics.incr m_runs;
+let drive ctx (protocol : Protocol.t) s ~meters ~intercept =
+  let run_t0 = if Option.is_some meters then Unix.gettimeofday () else 0.0 in
+  Option.iter (fun m -> Sb_obs.Metrics.incr m.runs) meters;
   let total_rounds = protocol.rounds ctx in
   for round = 0 to total_rounds do
-    let timed = Sb_obs.Metrics.enabled () in
+    let timed = Option.is_some meters && Sb_obs.Metrics.enabled () in
     let t0 = if timed then Unix.gettimeofday () else 0.0 in
     s.collect ~round;
     let queue =
       Option.map (fun f -> f ~round (if round = total_rounds then [] else s.sent ())) intercept
     in
     s.route ~round queue;
-    if timed then Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
+    match meters with
+    | Some m when timed -> Sb_obs.Metrics.observe m.round_us ((Unix.gettimeofday () -. t0) *. 1e6)
+    | _ -> ()
   done;
   let r = s.finish () in
-  if metrics_run && Sb_obs.Metrics.enabled () then begin
-    (* Fold this run's wall time into the cumulative total and refresh
-       the throughput gauges (wall-clock derived, so not part of the
-       deterministic counter surface). *)
-    let wall = Unix.gettimeofday () -. run_t0 in
-    Mutex.lock wall_lock;
-    let total = Sb_obs.Metrics.gauge_value g_wall +. wall in
-    Sb_obs.Metrics.set g_wall total;
-    if total > 0.0 then begin
-      let c m = float_of_int (Sb_obs.Metrics.counter_value m) in
-      Sb_obs.Metrics.set g_sessions_ps (c m_runs /. total);
-      Sb_obs.Metrics.set g_msgs_ps ((c m_bcast +. c m_p2p) /. total);
-      Sb_obs.Metrics.set g_bytes_ps ((c m_bytes_bcast +. c m_bytes_p2p) /. total)
-    end;
-    Mutex.unlock wall_lock
-  end;
+  (match meters with
+  | Some m when Sb_obs.Metrics.enabled () ->
+      (* Fold this run's wall time into the cumulative total and refresh
+         the throughput gauges (wall-clock derived, so not part of the
+         deterministic counter surface). *)
+      let wall = Unix.gettimeofday () -. run_t0 in
+      Mutex.lock wall_lock;
+      let total = Sb_obs.Metrics.gauge_value m.wall +. wall in
+      Sb_obs.Metrics.set m.wall total;
+      if total > 0.0 then begin
+        let c m = float_of_int (Sb_obs.Metrics.counter_value m) in
+        Sb_obs.Metrics.set m.sessions_ps (c m.runs /. total);
+        Sb_obs.Metrics.set m.msgs_ps ((c m.bcast +. c m.p2p) /. total);
+        Sb_obs.Metrics.set m.bytes_ps ((c m.bytes_bcast +. c m.bytes_p2p) /. total)
+      end;
+      Mutex.unlock wall_lock
+  | _ -> ());
   r
 
 let start ctx ~rng ~protocol ~adversary ~inputs =
-  begin_run ~metered:false ~record_trace:false ~record_comm:false ~reuse_envelopes:false ctx ~rng
+  begin_run ~meters:None ~record_trace:false ~record_comm:false ~reuse_envelopes:false ctx ~rng
     ~protocol ~adversary ~inputs ~aux:Msg.Unit
 
 let run ctx ~rng ~protocol ~adversary ~inputs ?(aux = Msg.Unit) ?(record_trace = true) ?faults () =
+  let meters = meters () in
   let s =
-    begin_run ~metered:true ~record_trace ~record_comm:false ~reuse_envelopes:false ctx ~rng
-      ~protocol ~adversary ~inputs ~aux
+    begin_run ~meters ~record_trace ~record_comm:false ~reuse_envelopes:false ctx ~rng ~protocol
+      ~adversary ~inputs ~aux
   in
-  drive ctx protocol s ~intercept:(Option.map (fun make -> make ~rng:(Sb_util.Rng.split rng)) faults)
+  drive ctx protocol s ~meters
+    ~intercept:(Option.map (fun make -> make ~rng:(Sb_util.Rng.split rng)) faults)
 
 let honest_run ?(record_trace = true) ?(record_comm = false) ?(reuse_envelopes = false) ctx
     ~rng ~protocol ~inputs =
   (* Recycled records change under the trace, which keeps them. *)
   if reuse_envelopes && record_trace then
     invalid_arg "Network.honest_run: reuse_envelopes requires record_trace:false";
-  drive ctx protocol
-    (begin_run ~metered:true ~record_trace ~record_comm ~reuse_envelopes ctx ~rng
-       ~protocol ~adversary:(Adversary.passive protocol) ~inputs ~aux:Msg.Unit)
+  let meters = meters () in
+  drive ctx protocol ~meters
+    (begin_run ~meters ~record_trace ~record_comm ~reuse_envelopes ctx ~rng ~protocol
+       ~adversary:(Adversary.passive protocol) ~inputs ~aux:Msg.Unit)
     ~intercept:None

@@ -1,6 +1,7 @@
 (** The partially synchronous network of §3.1, executable.
 
-    Delivery is route-indexed ({!Router}): inboxes are mailbox slices,
+    Delivery is route-indexed ({!Router}): an inbox is the shared
+    broadcast lane, a party's mailbox, or the two merged by stamp,
     byte-identical to re-filtering the flat queue per party. With
     metrics on, [sim.bytes.broadcast] and [sim.bytes.p2p] accumulate
     {!Envelope.wire_size} over party-sourced traffic.
@@ -96,7 +97,7 @@ val honest_run :
     [reuse_envelopes] (default [false]): when [ctx] carries an arena
     pool ({!Ctx.make} [?pool]), flip it once per round so envelope
     records allocated two rounds ago are recycled, and keep the
-    mailboxes and outbox in it ({!Envelope.Arena.stash}). Requires
+    router buffers and outbox in it ({!Envelope.Arena.stash}). Requires
     [record_trace:false] (Invalid_argument otherwise), and parties
     must not keep delivered envelope records across rounds. Outputs
     are byte-identical with or without reuse. *)

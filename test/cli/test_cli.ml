@@ -439,7 +439,8 @@ let test_sessions_metric_names_invariant () =
     (sessions_metric_names 2)
 
 (* A report lists the metrics its run touched: the session engine's
-   session.* and sched.* metrics and the experiments' exp.* counters are
+   session.* and sched.* metrics, the experiments' exp.* counters and
+   the network's sim.* and the fault injector's fault.* metrics are
    registered on first use, so a check report names none of them,
    while a sessions report names the engine's at every pool size. *)
 let test_reports_list_touched_metrics () =
@@ -451,9 +452,9 @@ let test_reports_list_touched_metrics () =
   let untouched name =
     List.exists
       (fun prefix -> contains name ("/" ^ prefix))
-      [ "sched."; "session."; "exp." ]
+      [ "sched."; "session."; "exp."; "sim."; "fault." ]
   in
-  Alcotest.(check (list string)) "check report: no sched.*, session.*, exp.*" []
+  Alcotest.(check (list string)) "check report: no sched.*, session.*, exp.*, sim.*, fault.*" []
     (List.filter untouched names);
   Alcotest.(check bool) "check report names check.states" true
     (List.mem "counters/check.states" names);

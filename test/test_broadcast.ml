@@ -1628,6 +1628,84 @@ let test_bucket_by_sid () =
         (near_misses n))
     [ 1; 2; 5; 10; 11; 12 ]
 
+(* The contract [Parallel.single] relies on when it hands a session its
+   inbox unbucketed: a session reads only envelopes carrying its own tag
+   from a party sender. For every substrate, one session per party
+   steps on honest traffic twice in lockstep, once on the clean inboxes
+   and once on the same inboxes salted, before every real envelope,
+   with its payload (bits flipped) under another sid's tag, under the
+   near-miss tags "bc:s01" and "bc:s0x", untagged, and under its own
+   tag from the functionality. Both must send the same every round and
+   end with the same result. *)
+let test_sessions_ignore_foreign () =
+  let rec flip = function
+    | Msg.Bit b -> Msg.Bit (not b)
+    | Msg.List l -> Msg.List (List.map flip l)
+    | Msg.Tag (t, m) -> Msg.Tag (t, flip m)
+    | m -> m
+  in
+  let salt me (e : Envelope.t) =
+    match (e.Envelope.src, e.Envelope.body) with
+    | Envelope.Party src, Msg.Tag (tag, m) ->
+        let m = flip m in
+        List.map (fun t -> Envelope.make ~src ~dst:me (Msg.Tag (t, m))) [ "bc:s1"; "bc:s01"; "bc:s0x" ]
+        @ [ Envelope.make ~src ~dst:me m; Envelope.from_func ~dst:me (Msg.Tag (tag, m)) ]
+    | _ -> []
+  in
+  let same_sends msg a b =
+    Alcotest.(check int) (msg ^ ": send count") (List.length a) (List.length b);
+    List.iter2
+      (fun (x : Envelope.t) (y : Envelope.t) ->
+        Alcotest.(check bool) (msg ^ ": same send") true
+          (x.Envelope.src = y.Envelope.src && x.Envelope.dst = y.Envelope.dst
+          && Msg.equal x.Envelope.body y.Envelope.body))
+      a b
+  in
+  let sid = Sb_broadcast.Parallel.session_id 0 in
+  List.iter
+    (fun (scheme : Sb_broadcast.Session.scheme) ->
+      List.iter
+        (fun (n, sender, value) ->
+          let name =
+            Printf.sprintf "%s n=%d sender=%d" scheme.Sb_broadcast.Session.scheme_name n sender
+          in
+          let ctx = Ctx.make ~rng:(Sb_util.Rng.create (700 + n)) ~n ~thresh:1 ~k:8 () in
+          let create me =
+            scheme.Sb_broadcast.Session.create ctx
+              ~rng:(Sb_util.Rng.create ((1000 * n) + me))
+              ~sid ~sender ~me
+              ~value:(if me = sender then Some (Msg.Bit value) else None)
+          in
+          let clean = Array.init n create and salted = Array.init n create in
+          (* Last round's send records, as every party's outbox held them. *)
+          let sent = ref [] in
+          for round = 0 to scheme.Sb_broadcast.Session.rounds ctx do
+            let next = ref [] in
+            for me = 0 to n - 1 do
+              let inbox = List.filter (fun e -> Envelope.delivered_to e me) !sent in
+              let step (s : Sb_broadcast.Session.t) inbox =
+                let out = Outbox.create () in
+                s.Sb_broadcast.Session.step ~round ~inbox:(Inbox.of_list inbox) ~out;
+                out
+              in
+              let a = step clean.(me) inbox in
+              let b = step salted.(me) (List.concat_map (fun e -> salt me e @ [ e ]) inbox) in
+              same_sends (Printf.sprintf "%s: P%d round %d" name me round) (Outbox.to_list a)
+                (Outbox.to_list b);
+              next := !next @ List.init (Outbox.length a) (Outbox.get a)
+            done;
+            sent := !next
+          done;
+          Array.iteri
+            (fun me (s : Sb_broadcast.Session.t) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: P%d result" name me)
+                true
+                (Msg.equal (s.Sb_broadcast.Session.result ()) (salted.(me).Sb_broadcast.Session.result ())))
+            clean)
+        [ (4, 0, true); (4, 3, false); (5, 2, true) ])
+    Sb_broadcast.Schemes.all
+
 let () =
   let scheme_cases name scheme =
     [
@@ -1678,6 +1756,8 @@ let () =
         [
           Alcotest.test_case "partial wrap/unwrap = full application" `Quick
             test_wrap_unwrap_partial;
+          Alcotest.test_case "sessions ignore foreign envelopes" `Quick
+            test_sessions_ignore_foreign;
         ] );
       ( "parallel",
         [

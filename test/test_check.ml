@@ -345,10 +345,32 @@ let test_check_metrics () =
   (* The search's runs and filter calls are no executed faults or
      network runs: they feed no sim.* or fault.* counter. *)
   List.iter
-    (fun name -> Alcotest.(check int) (name ^ " untouched") 0 (c name))
+    (fun name -> Alcotest.(check int) (name ^ " untouched") 0 (Sb_obs.Metrics.read_counter name))
     [ "sim.runs"; "sim.rounds"; "sim.p2p"; "fault.drops"; "fault.delayed"; "fault.crashes" ];
   Sb_obs.Metrics.reset ();
   Sb_obs.Metrics.set_enabled false
+
+(* sim.* and fault.* metrics register on first use, by a metered run or
+   a compiled fault plan with metrics on; the checker drives neither, so
+   the registry names none of them after a check with metrics on. *)
+let test_check_registers_no_sim_metrics () =
+  Sb_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Sb_obs.Metrics.set_enabled false)
+    (fun () -> ignore (Checker.check ~scheme:(scheme_exn "phase-king") (ctx_for 4 1)));
+  let names =
+    match Sb_obs.Metrics.to_json () with
+    | Sb_obs.Json.Obj groups ->
+        List.concat_map
+          (function _, Sb_obs.Json.Obj metrics -> List.map fst metrics | _ -> [])
+          groups
+    | _ -> Alcotest.fail "metrics json is not an object"
+  in
+  let untouched name =
+    String.starts_with ~prefix:"sim." name || String.starts_with ~prefix:"fault." name
+  in
+  Alcotest.(check (list string)) "no sim.* or fault.* metric" [] (List.filter untouched names);
+  Alcotest.(check bool) "check.* listed" true (List.mem "check.states" names)
 
 let test_report_block_validates () =
   let r = Checker.check ~scheme:(scheme_exn "bracha") (ctx_for 4 1) in
@@ -412,6 +434,8 @@ let () =
       ( "observability",
         [
           Alcotest.test_case "check.* counters" `Quick test_check_metrics;
+          Alcotest.test_case "check registers no sim.* or fault.*" `Quick
+            test_check_registers_no_sim_metrics;
           Alcotest.test_case "report block validates" `Quick test_report_block_validates;
         ] );
     ]

@@ -117,17 +117,41 @@ let test_poly_normalisation () =
   Alcotest.(check int) "degree" 0 (Poly.degree f);
   Alcotest.(check int) "zero degree" (-1) (Poly.degree Poly.zero)
 
+(* Coefficient-form Lagrange interpolation through distinct points:
+   the sum of y_j * prod_{m<>j} (X - x_m) / (x_j - x_m), the oracle
+   [Poly.interpolate_at] must agree with at every point. *)
+let interpolate pts =
+  let scale c p = Poly.of_coeffs (Array.map (Field.mul c) (Poly.coeffs p)) in
+  let basis xj others =
+    List.fold_left
+      (fun acc xm ->
+        let denom = Field.inv (Field.sub xj xm) in
+        Poly.mul acc (Poly.of_coeffs [| Field.mul (Field.neg xm) denom; denom |]))
+      (Poly.constant Field.one) others
+  in
+  List.fold_left
+    (fun acc (xj, yj) ->
+      let others = List.filter_map (fun (x, _) -> if Field.equal x xj then None else Some x) pts in
+      Poly.add acc (scale yj (basis xj others)))
+    Poly.zero pts
+
 let test_poly_interpolate_recovers () =
   let rng = rng () in
   let f = Poly.random rng ~degree:4 ~constant:(Field.of_int 99) in
   let pts = List.init 5 (fun i -> (Field.of_int (i + 1), Poly.eval f (Field.of_int (i + 1)))) in
-  Alcotest.(check bool) "exact recovery" true (Poly.equal f (Poly.interpolate pts));
-  Alcotest.check fe "value at 0" (Field.of_int 99) (Poly.interpolate_at pts Field.zero)
+  Alcotest.(check bool) "exact recovery" true (Poly.equal f (interpolate pts));
+  Alcotest.check fe "value at 0" (Field.of_int 99) (Poly.interpolate_at pts Field.zero);
+  List.iter
+    (fun x ->
+      let x = Field.of_int x in
+      Alcotest.check fe "interpolate_at = interpolated polynomial" (Poly.eval f x)
+        (Poly.interpolate_at pts x))
+    [ 0; 6; 1000 ]
 
 let test_poly_interpolate_rejects_duplicates () =
   let pts = [ (Field.one, Field.one); (Field.one, Field.zero) ] in
   Alcotest.check_raises "duplicate x" (Invalid_argument "Poly.interpolate: duplicate abscissae")
-    (fun () -> ignore (Poly.interpolate pts))
+    (fun () -> ignore (Poly.interpolate_at pts Field.zero))
 
 let qcheck_poly_add_eval =
   QCheck.Test.make ~name:"poly add is pointwise" ~count:200

@@ -551,7 +551,15 @@ let test_registry () =
     (Option.is_some (Sb_protocols.Registry.find "gennaro-constant"));
   Alcotest.(check bool) "find nonsense" true
     (Option.is_none (Sb_protocols.Registry.find "nonsense"));
-  Alcotest.(check int) "simultaneous subset" 4 (List.length Sb_protocols.Registry.simultaneous)
+  (* CGMA, Chor-Rabin, Gennaro and Pi_G claim independence, besides the
+     ideal functionality. *)
+  Alcotest.(check int) "simultaneous subset" 4
+    (List.length
+       (List.filter
+          (fun (e : Sb_protocols.Registry.entry) ->
+            e.claim = Sb_protocols.Registry.Independence
+            && e.protocol.Sb_sim.Protocol.name <> "ideal-fsb")
+          Sb_protocols.Registry.all))
 
 (* --- Wire scans and VSS reveal bookkeeping ------------------------------ *)
 

@@ -70,27 +70,20 @@ let expanded queue = List.concat_map (fun e -> Envelope.expand_onto e []) queue
 (* Random mixes of direct, broadcast, send-all and functionality-sourced
    traffic, on routers built fresh and on one reused across queues from
    a stash: every inbox slice is the filtered record queue, record for
-   record (physically the same records: a send-all sits in each mailbox
-   it reaches as its one record), reading one party's inbox never
-   disturbs another's, and the list views — [to_list] and
-   [delivered_to_any] for every subset of parties — equal the filtered
-   per-destination queue. *)
+   record (physically the same records: a send-all sits in the shared
+   lane as its one record), reading one party's inbox never disturbs
+   another's, and the list views — [to_list] and [delivered_to_any]
+   for every subset of parties — equal the filtered per-destination
+   queue. Then rounds of broadcasts and full send-alls only (the
+   substrates' shape), where every inbox is the lane itself, alone and
+   with one direct envelope or one short send-all added. *)
 let test_router_inbox_random_mixes () =
   let rng = Sb_util.Rng.create 9090 in
   List.iter
     (fun n ->
       let stash = Array.init (n + 2) (fun _ -> Envelope.Buf.create ()) in
       let reused = Router.create ~stash n in
-      for _ = 1 to 40 do
-        let queue =
-          List.init (Sb_util.Rng.int rng 60) (fun k ->
-              let src = Sb_util.Rng.int rng n and dst = Sb_util.Rng.int rng n in
-              match Sb_util.Rng.int rng 4 with
-              | 0 -> Envelope.make ~src ~dst (Msg.Int k)
-              | 1 -> Envelope.broadcast ~src (Msg.Int k)
-              | 2 -> Envelope.to_all ~n:(1 + Sb_util.Rng.int rng n) ~src (Msg.Int k)
-              | _ -> Envelope.from_func ~dst (Msg.Int k))
-        in
+      let check queue =
         let flat = expanded queue in
         Router.clear reused;
         List.iter
@@ -118,7 +111,27 @@ let test_router_inbox_random_mixes () =
                 (Router.delivered_to_any r (if mask land 1 = 1 then List.rev ids else ids))
             done)
           [ Router.create n; reused ]
-      done)
+      in
+      for _ = 1 to 40 do
+        check
+          (List.init (Sb_util.Rng.int rng 60) (fun k ->
+               let src = Sb_util.Rng.int rng n and dst = Sb_util.Rng.int rng n in
+               match Sb_util.Rng.int rng 4 with
+               | 0 -> Envelope.make ~src ~dst (Msg.Int k)
+               | 1 -> Envelope.broadcast ~src (Msg.Int k)
+               | 2 -> Envelope.to_all ~n:(1 + Sb_util.Rng.int rng n) ~src (Msg.Int k)
+               | _ -> Envelope.from_func ~dst (Msg.Int k)))
+      done;
+      let lane =
+        Envelope.broadcast ~src:0 (Msg.Str "b")
+        :: List.init n (fun src -> Envelope.to_all ~n ~src (Msg.Int src))
+      in
+      List.iter check
+        [
+          lane;
+          lane @ [ Envelope.make ~src:0 ~dst:(n - 1) (Msg.Str "direct") ];
+          Envelope.to_all ~n:((n + 1) / 2) ~src:0 (Msg.Str "short") :: lane;
+        ])
     [ 1; 2; 5; 9 ]
 
 let test_router_delivered_to_any () =
