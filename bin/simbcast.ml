@@ -228,9 +228,9 @@ let report_arg =
 
 let trace_arg =
   let doc =
-    "Record a causal trace (session/round/party/phase span trees, flow edges per \
-     delivered envelope) and write it as Chrome trace-event JSON to $(docv) — open in \
-     ui.perfetto.dev. Tracing never perturbs seeded protocol outputs."
+    "Record a causal trace (session/round/party/phase span trees, flow edges from \
+     sender spans to delivering rounds) and write it as Chrome trace-event JSON to $(docv) \
+     — open in ui.perfetto.dev. Tracing never perturbs seeded protocol outputs."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
 

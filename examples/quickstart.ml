@@ -15,16 +15,19 @@ let () =
   let rng = Sb_util.Rng.create 2024 in
   let ctx = Ctx.make ~rng ~n:5 ~thresh:2 ~k:16 () in
   let inputs = [| Msg.Bit true; Msg.Bit false; Msg.Bit true; Msg.Bit true; Msg.Bit false |] in
-  let result = Network.honest_run ctx ~rng ~protocol:Sb_protocols.Gennaro.protocol ~inputs in
+  let result =
+    Network.honest_run ~record_trace:false ~record_comm:true ctx ~rng
+      ~protocol:Sb_protocols.Gennaro.protocol ~inputs
+  in
   (match result.Network.outputs with
   | (_, announced) :: _ ->
       Format.printf "announced vector (gennaro, honest run): %a@." Msg.pp announced
   | [] -> assert false);
-  Format.printf "rounds: %d, broadcasts used: %d@."
-    result.Network.rounds_used
-    (Trace.broadcast_count result.Network.trace);
-  let bcast_bytes, p2p_bytes = Trace.wire_bytes result.Network.trace in
-  Format.printf "wire cost: %d broadcast bytes, %d p2p bytes@." bcast_bytes p2p_bytes;
+  let comm = Option.get result.Network.comm in
+  Format.printf "rounds: %d, broadcasts used: %d@." result.Network.rounds_used
+    comm.Network.broadcasts;
+  Format.printf "wire cost: %d broadcast bytes, %d p2p bytes@." comm.Network.broadcast_bytes
+    comm.Network.p2p_bytes;
 
   (* --- 2. Why "parallel" is not "simultaneous" (Section 3.2). ------ *)
   let setup = Core.Setup.{ default with samples = 2000 } in

@@ -51,7 +51,8 @@ val sample :
     domain. [?faults] (typically [Sb_fault.Inject.compile ~n plan]) is
     passed to every {!Sb_sim.Network.run}; each execution makes a
     fresh interceptor from its own seed stream, so faulty runs stay as
-    reproducible as fault-free ones. *)
+    reproducible as fault-free ones. The examples sample with it, and
+    tests keep it as the sequential reference {!fan_out} must match. *)
 
 val fan_out_width : int
 (** The fixed chunk count (32) of {!fan_out}, chosen for load balance

@@ -40,6 +40,9 @@ let pi_g_astar_map ~l1 ~l2 ~coin v =
   done;
   Bitvec.set (Bitvec.set v l1 coin) l2 (coin <> !y)
 
+(* Exact maximum over honest parties and predicates of
+   |Pr(W_i=0)·Pr(R(W_-i)) - Pr(W_i=0 ∧ R(W_-i))| for W drawn from the
+   given announced-value distribution. *)
 let cr_gap w_dist ~honest ~predicates =
   let n = Sb_dist.Dist.n w_dist in
   let vectors = Bitvec.all n in

@@ -37,11 +37,6 @@ val pi_g_astar_map : l1:int -> l2:int -> coin:bool -> Sb_util.Bitvec.t -> Sb_uti
 (** The announced-value map of Π_G under A* corrupting l1 < l2
     (Claim 6.6): W_{l1} = r, W_{l2} = r ⊕ (⊕_{i∉\{l1,l2\}} x_i). *)
 
-val cr_gap : Sb_dist.Dist.t -> honest:int list -> predicates:Predicate.t list -> float
-(** Exact maximum over honest parties and predicates of
-    |Pr(Wᵢ=0)·Pr(R(W₋ᵢ)) − Pr(Wᵢ=0 ∧ R(W₋ᵢ))| for W drawn from the
-    given announced-value distribution. *)
-
 val cr_gap_battery : Sb_dist.Dist.t -> honest:int list -> float
 (** [cr_gap] with the standard predicate battery. *)
 

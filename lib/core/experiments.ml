@@ -459,12 +459,16 @@ let e8_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
               let rng = Rng.create (1000 + n) in
               let ctx = Sb_sim.Ctx.make ~rng ~n ~thresh ~k:8 () in
               let inputs = Array.init n (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
-              let r = Sb_sim.Network.honest_run ctx ~rng ~protocol:p ~inputs in
-              let bcasts = Sb_sim.Trace.broadcast_count r.Sb_sim.Network.trace in
+              let r =
+                Sb_sim.Network.honest_run ~record_trace:false ~record_comm:true ctx ~rng
+                  ~protocol:p ~inputs
+              in
+              let c = Option.get r.Sb_sim.Network.comm in
               Tabular.add_row table
                 [
                   label; string_of_int n; string_of_int r.Sb_sim.Network.rounds_used;
-                  string_of_int r.Sb_sim.Network.p2p_messages; string_of_int bcasts;
+                  string_of_int r.Sb_sim.Network.p2p_messages;
+                  string_of_int c.Sb_sim.Network.broadcasts;
                 ];
               (n, r.Sb_sim.Network.rounds_used))
             ns
@@ -979,16 +983,19 @@ let e16_wire_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
               let ctx = Sb_sim.Ctx.make ~rng ~n ~thresh ~k:8 () in
               let inputs = Array.init n (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
               let t0 = Unix.gettimeofday () in
-              let r = Sb_sim.Network.honest_run ctx ~rng ~protocol ~inputs in
+              let r =
+                Sb_sim.Network.honest_run ~record_trace:false ~record_comm:true ctx ~rng ~protocol
+                  ~inputs
+              in
               let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-              let bcast_bytes, p2p_bytes = Sb_sim.Trace.wire_bytes r.Sb_sim.Network.trace in
-              let bytes = bcast_bytes + p2p_bytes in
+              let c = Option.get r.Sb_sim.Network.comm in
+              let bytes = c.Sb_sim.Network.broadcast_bytes + c.Sb_sim.Network.p2p_bytes in
               Tabular.add_row table
                 [
                   label; string_of_int n;
                   string_of_int r.Sb_sim.Network.rounds_used;
                   string_of_int r.Sb_sim.Network.p2p_messages;
-                  string_of_int (Sb_sim.Trace.broadcast_count r.Sb_sim.Network.trace);
+                  string_of_int c.Sb_sim.Network.broadcasts;
                   string_of_int bytes;
                   Printf.sprintf "%.2f" ms;
                 ];
@@ -1036,9 +1043,10 @@ let e16_wire_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
     rows_checked = List.length checks;
     notes =
       [
-        "Bytes are Trace.wire_bytes sums (broadcasts counted once, functionality \
-         traffic excluded) and agree with the network's sim.bytes.* counters.";
-        "ms is a single honest run's wall clock, trace recording on -- a scale \
+        "Counts and bytes are the run's comm tallies (record_comm; broadcasts \
+         counted once, functionality traffic excluded), which agree with the \
+         network's sim.* counters.";
+        "ms is a single honest run's wall clock, trace recording off -- a scale \
          marker, not a benchmark (E9/bench owns timing).";
       ];
   }
@@ -1052,7 +1060,7 @@ let e17_ns_quick = [ 128; 256 ]
    per substrate ([Parallel.single], Theta(n^2) messages — the full
    n-session compositions of E16 are a factor n more work and top out
    around n = 64), run with trace recording off, arena-backed envelope
-   reuse on, and per-run comm tallies instead of trace sums. EIG is
+   reuse on, and per-run comm tallies, as in E8 and E16. EIG is
    excluded: its relay bodies are Theta(n)-sized lists of paths, so a
    single session is Theta(n^3) bytes and its exit-level majority
    resolve scans n^(t+1) paths — it has no business at n = 2048 and
@@ -1173,8 +1181,7 @@ let e17_scaling ?n_max (setup : Setup.t) =
          session is cubic in bytes) and its exit-level resolve scans n^(t+1) paths; \
          the E16 cubic band already covers it at small n.";
         "Runs use the arena delivery path (record_trace:false, reuse_envelopes, \
-         record_comm); bytes come from the per-run comm tallies, which agree with \
-         Trace.wire_bytes when the trace is on.";
+         record_comm); bytes come from the per-run comm tallies, as in E8 and E16.";
         Printf.sprintf "sizes: %s%s"
           (String.concat ", " (List.map string_of_int ns))
           (match n_max with

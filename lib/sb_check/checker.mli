@@ -37,8 +37,6 @@
 
 type property = Agreement | Validity | Unforgeability
 
-val property_name : property -> string
-
 type witness = {
   w_property : property;
   w_sender : int;

@@ -1,7 +1,9 @@
 type commitment = Modgroup.elt array
 
 (* Coefficient commitments are fixed-base g-exponentiations, so they
-   ride the Modgroup window table via pow_g. *)
+   ride the Modgroup window table via pow_g. Commitments to zero pad
+   the vector to degree [threshold], so its length does not leak the
+   effective degree. *)
 let commit f ~threshold =
   let coeffs = Poly.coeffs f in
   assert (Array.length coeffs <= threshold + 1);
@@ -11,9 +13,6 @@ let commit f ~threshold =
 
 let verify_share c (s : Shamir.share) =
   Modgroup.equal (Modgroup.pow_g s.value) (Modgroup.horner c (Shamir.eval_point s.index))
-
-let verify_secret c secret =
-  Array.length c > 0 && Modgroup.equal (Modgroup.pow_g secret) c.(0)
 
 let deal rng ~threshold ~parties ~secret =
   let shares, f = Shamir.share rng ~threshold ~parties ~secret in

@@ -19,17 +19,8 @@ type commitment = Modgroup.elt array
 (** One group element per coefficient, constant term first; length
     t + 1. *)
 
-val commit : Poly.t -> threshold:int -> commitment
-(** Commit to a dealer polynomial, padding with commitments to zero
-    coefficients up to degree [threshold] so the commitment length does
-    not leak the effective degree. *)
-
 val verify_share : commitment -> Shamir.share -> bool
 (** The party-side consistency check above. *)
-
-val verify_secret : commitment -> Field.t -> bool
-(** [verify_secret c s] checks g^s against the constant-term
-    commitment; used when the dealer later opens the secret itself. *)
 
 val deal :
   Sb_util.Rng.t ->

@@ -11,7 +11,6 @@ let of_int x =
 let to_int x = x
 let add a b = let s = a + b in if s >= p then s - p else s
 let sub a b = let d = a - b in if d < 0 then d + p else d
-let neg a = if a = 0 then 0 else p - a
 let mul a b = a * b mod p
 
 (* Extended Euclid; p is prime so every nonzero element is invertible. *)
@@ -22,16 +21,6 @@ let inv a =
 
 let div a b = mul a (inv b)
 
-let pow x e =
-  assert (e >= 0);
-  let rec go acc base e =
-    if e = 0 then acc
-    else
-      let acc = if e land 1 = 1 then mul acc base else acc in
-      go acc (mul base base) (e lsr 1)
-  in
-  go one x e
-
 let equal = Int.equal
 
 let random rng =
@@ -41,10 +30,6 @@ let random rng =
     if v >= p then draw () else v
   in
   draw ()
-
-let rec random_nonzero rng =
-  let v = random rng in
-  if v = 0 then random_nonzero rng else v
 
 let of_bool b = if b then one else zero
 let pp fmt x = Format.pp_print_int fmt x

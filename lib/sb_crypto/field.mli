@@ -21,21 +21,19 @@ val of_int : int -> t
 val to_int : t -> int
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val mul : t -> t -> t
 
 val inv : t -> t
 (** Multiplicative inverse; raises [Division_by_zero] on zero. *)
 
 val div : t -> t -> t
-val pow : t -> int -> t
-(** [pow x e] with e >= 0, square-and-multiply. *)
 
 val equal : t -> t -> bool
 val random : Sb_util.Rng.t -> t
 (** Uniform over the whole field. *)
 
-val random_nonzero : Sb_util.Rng.t -> t
 val of_bool : bool -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** Decimal. The wire codec writes field elements itself; the
+    printf-style codec oracle in the tests renders them with this. *)

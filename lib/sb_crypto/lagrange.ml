@@ -17,12 +17,9 @@
    computes identical values and results stay byte-identical at every
    --jobs. *)
 
+(* [xs] are the abscissae of a mask's members, so they are distinct:
+   [set_bits] rejects a repeated index before any mask is built. *)
 let compute xs =
-  let sorted = Array.map Field.to_int xs in
-  Array.sort Int.compare sorted;
-  for i = 1 to Array.length sorted - 1 do
-    if sorted.(i - 1) = sorted.(i) then invalid_arg "Poly.interpolate: duplicate abscissae"
-  done;
   let n = Array.length xs in
   Array.init n (fun j ->
       let xj = xs.(j) in
@@ -105,7 +102,7 @@ let rec set_bits ~index key = function
   | x :: rest ->
       let i = index x in
       let w = i / word_bits and bit = 1 lsl (i mod word_bits) in
-      if key.(w) land bit <> 0 then invalid_arg "Poly.interpolate: duplicate abscissae";
+      if key.(w) land bit <> 0 then invalid_arg "Lagrange.interpolate_at_zero: duplicate abscissae";
       key.(w) <- key.(w) lor bit;
       set_bits ~index key rest
 

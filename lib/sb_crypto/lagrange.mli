@@ -17,7 +17,7 @@ val interpolate_at_zero : index:('a -> int) -> value:('a -> Field.t) -> 'a list 
     [Poly.interpolate_at [(index s + 1, value s); …] 0], in any order
     of [shares]: it sums [value s · l.(index s)] with [l] the cached
     basis vector of the shares' index set, building no point list.
-    Raises [Invalid_argument "Poly.interpolate: duplicate abscissae"]
+    Raises [Invalid_argument "Lagrange.interpolate_at_zero: duplicate abscissae"]
     on a repeated index, and [Invalid_argument] on a negative one.
     Charges the ["reconstruct"] attribution bucket when tracing is
     on. *)

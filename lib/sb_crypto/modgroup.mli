@@ -17,9 +17,6 @@
 
 type elt = private int
 
-val modulus : int
-(** P = 2147483579. *)
-
 val order : int
 (** q = {!Field.p}; the subgroup order. *)
 

@@ -1,8 +1,6 @@
 type share = { index : int; value : Field.t; blind : Field.t }
 type commitment = Modgroup.elt array
 
-let h = Modgroup.h
-
 (* Fused fixed-base double exponentiation g^a * h^b — one table pass
    instead of two full square-and-multiply ladders and a multiply.
    Traced runs charge the time to the "commit_pair" attribution
@@ -35,9 +33,6 @@ let deal rng ~threshold ~parties ~secret =
 
 let verify_share c s =
   Modgroup.equal (commit_pair s.value s.blind) (Modgroup.horner c (Shamir.eval_point s.index))
-
-let verify_opening c ~secret ~blind =
-  Array.length c > 0 && Modgroup.equal (commit_pair secret blind) c.(0)
 
 let index s = s.index
 let reconstruct shares = Lagrange.interpolate_at_zero ~index ~value:(fun s -> s.value) shares

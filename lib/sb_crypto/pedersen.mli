@@ -17,12 +17,6 @@
 type share = { index : int; value : Field.t; blind : Field.t }
 type commitment = Modgroup.elt array
 
-val h : Modgroup.elt
-(** The second generator ({!Modgroup.h}, a fixed quadratic residue;
-    its dlog w.r.t. g plays the role of the CRS trapdoor nobody
-    holds). Commitments are computed with the fused fixed-base
-    {!Modgroup.pow_gh}. *)
-
 type dealt = {
   shares : share array;
   commitment : commitment;
@@ -33,9 +27,6 @@ val deal :
   Sb_util.Rng.t -> threshold:int -> parties:int -> secret:Field.t -> dealt
 
 val verify_share : commitment -> share -> bool
-
-val verify_opening : commitment -> secret:Field.t -> blind:Field.t -> bool
-(** Check a direct opening of the constant term. *)
 
 val reconstruct : share list -> Field.t
 (** Lagrange interpolation of the value components at 0, in any order

@@ -10,8 +10,6 @@ let normalise a =
 
 let of_coeffs a = normalise (Array.copy a)
 let coeffs p = Array.copy p
-let degree p = Array.length p - 1
-let zero = [||]
 let constant c = normalise [| c |]
 
 let eval p x =
@@ -42,21 +40,6 @@ let random rng ~degree ~constant =
   let a = Array.init (degree + 1) (fun i -> if i = 0 then constant else Field.random rng) in
   normalise a
 
-let add p q =
-  let n = max (Array.length p) (Array.length q) in
-  let coeff a i = if i < Array.length a then a.(i) else Field.zero in
-  normalise (Array.init n (fun i -> Field.add (coeff p i) (coeff q i)))
-
-let mul p q =
-  if Array.length p = 0 || Array.length q = 0 then zero
-  else begin
-    let r = Array.make (Array.length p + Array.length q - 1) Field.zero in
-    Array.iteri
-      (fun i pi -> Array.iteri (fun j qj -> r.(i + j) <- Field.add r.(i + j) (Field.mul pi qj)) q)
-      p;
-    normalise r
-  end
-
 let check_distinct pts =
   let xs = List.map fst pts in
   let sorted = List.sort (fun a b -> Int.compare (Field.to_int a) (Field.to_int b)) xs in
@@ -64,7 +47,7 @@ let check_distinct pts =
     | a :: (b :: _ as rest) -> Field.equal a b || dup rest
     | _ -> false
   in
-  if dup sorted then invalid_arg "Poly.interpolate: duplicate abscissae"
+  if dup sorted then invalid_arg "Poly.interpolate_at: duplicate abscissae"
 
 let interpolate_at pts x0 =
   check_distinct pts;
@@ -79,14 +62,3 @@ let interpolate_at pts x0 =
       in
       Field.add acc (Field.mul yj lj))
     Field.zero pts
-
-let equal p q = Array.length p = Array.length q && Array.for_all2 Field.equal p q
-
-let pp fmt p =
-  if Array.length p = 0 then Format.pp_print_string fmt "0"
-  else
-    Array.iteri
-      (fun i c ->
-        if i > 0 then Format.fprintf fmt " + ";
-        Format.fprintf fmt "%a·X^%d" Field.pp c i)
-      p

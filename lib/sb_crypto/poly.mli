@@ -8,16 +8,16 @@ type t
 
 val of_coeffs : Field.t array -> t
 (** Normalises (strips trailing zeros). Coefficient 0 is the constant
-    term. *)
+    term. Sharing draws its polynomials with {!random}; tests build
+    fixed ones with this. *)
 
 val coeffs : t -> Field.t array
-val degree : t -> int
-(** Degree of the zero polynomial is -1. *)
-
-val zero : t
 val constant : Field.t -> t
+
 val eval : t -> Field.t -> Field.t
-(** Horner evaluation. *)
+(** Horner evaluation at one point. Sharing evaluates with
+    {!eval_many}; tests keep this as the single-point oracle for
+    {!eval_many}, {!interpolate_at} and the {!Lagrange} cache. *)
 
 val eval_many : t -> int -> Field.t array
 (** [eval_many p n] evaluates [p] at 1, 2, …, n — the share points of
@@ -28,15 +28,10 @@ val random : Sb_util.Rng.t -> degree:int -> constant:Field.t -> t
 (** Uniform polynomial of degree at most [degree] with the prescribed
     constant term — exactly the dealer polynomial of Shamir sharing. *)
 
-val add : t -> t -> t
-val mul : t -> t -> t
-
 val interpolate_at : (Field.t * Field.t) list -> Field.t -> Field.t
 (** [interpolate_at pts x0] evaluates the polynomial of degree < the
     number of points that passes through the distinct points [pts] at
     [x0] (direct Lagrange formula); this is the reconstruction step of
     Shamir sharing with x0 = 0. Raises [Invalid_argument] on duplicate
-    abscissae. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+    abscissae. Shamir reconstructs through the {!Lagrange} cache; tests
+    keep this direct formula as its oracle. *)

@@ -138,8 +138,6 @@ let to_hex s =
       let b = Char.code s.[i / 2] in
       hexdigit (if i mod 2 = 0 then b lsr 4 else b land 0xF))
 
-let hex s = to_hex (digest s)
-
 let xor_strings a b =
   assert (String.length a = String.length b);
   String.init (String.length a) (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))

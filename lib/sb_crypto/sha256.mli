@@ -18,9 +18,6 @@ val finalize : ctx -> string
 val digest : string -> string
 (** One-shot 32-byte raw digest. *)
 
-val hex : string -> string
-(** One-shot lowercase hex digest (64 chars). *)
-
 val to_hex : string -> string
 (** Hex-encode an arbitrary string. *)
 

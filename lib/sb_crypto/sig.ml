@@ -59,5 +59,3 @@ let verify s ~signer msg signature =
   signer >= 0
   && signer < Array.length s.keys
   && String.equal signature (sign s ~signer msg)
-
-let n s = Array.length s.keys

@@ -34,5 +34,3 @@ val verify : scheme -> signer:int -> string -> signature -> bool
 val slot : scheme -> signer:int -> string -> int
 (** The memo slot of a (signer, message) pair, in [0, 256); exposed for
     tests that force keys into one slot. *)
-
-val n : scheme -> int

@@ -112,12 +112,6 @@ let sample d rng =
   done;
   Bitvec.of_int d.n !lo
 
-let support d =
-  let mass = table d in
-  List.filter_map
-    (fun i -> if mass.(i) > 0.0 then Some (Bitvec.of_int d.n i) else None)
-    (List.init (Array.length mass) Fun.id)
-
 let singleton v =
   let n = Bitvec.length v in
   let raw = Array.make (1 lsl n) 0.0 in
@@ -223,7 +217,6 @@ let marginal_of mass i =
   Array.iteri (fun idx p -> if (idx lsr i) land 1 = 1 then acc := !acc +. p) mass;
   !acc
 
-let marginal d i = marginal_of (table d) i
 let marginals d = Array.init d.n (marginal_of (table d))
 let product_of_marginals d = bernoulli_product (marginals d)
 
@@ -298,21 +291,3 @@ let local_gap d =
   !worst
 
 let independence_gap d = tvd d (product_of_marginals d)
-let is_product d = independence_gap d <= 1e-9
-
-let equal a b = a.n = b.n && tvd a b <= 1e-9
-
-let entropy_bits d =
-  let acc = ref 0.0 in
-  Array.iter
-    (fun p -> if p > 0.0 then acc := !acc -. (p *. (Float.log p /. Float.log 2.0)))
-    (table d);
-  !acc
-
-let pp fmt d =
-  Format.fprintf fmt "dist(n=%d)" d.n;
-  Array.iteri
-    (fun i p ->
-      if p > 1e-12 then
-        Format.fprintf fmt "@ %s:%.4f" (Bitvec.to_string (Bitvec.of_int d.n i)) p)
-    (table d)

@@ -36,9 +36,6 @@ val prob_idx : t -> int -> float
 val sample : t -> Sb_util.Rng.t -> Sb_util.Bitvec.t
 (** Inverse-CDF sampling on a precomputed cumulative table. *)
 
-val support : t -> Sb_util.Bitvec.t list
-(** Vectors of strictly positive mass. *)
-
 (* Constructors *)
 
 val uniform : int -> t
@@ -97,11 +94,7 @@ val conditioned : t -> on:(Sb_util.Bitvec.t -> bool) -> t
 
 (* Queries *)
 
-val marginal : t -> int -> float
-(** [Pr(x_i = 1)]. *)
-
 val marginals : t -> float array
-val product_of_marginals : t -> t
 
 val proj_pmf : t -> int list -> float array
 (** Mass function of the projection x_S onto the given (sorted) index
@@ -129,12 +122,3 @@ val independence_gap : t -> float
 (** TVD to the product of this distribution's own marginals — an upper
     proxy for the distance to the nearest independent distribution
     (within a factor n+1 of it), used for Ψ_C classification. *)
-
-val is_product : t -> bool
-(** {!independence_gap} at most 1e-9. *)
-
-val equal : t -> t -> bool
-(** Same dimension and total variation distance at most 1e-9. *)
-
-val entropy_bits : t -> float
-val pp : Format.formatter -> t -> unit

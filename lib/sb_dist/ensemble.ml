@@ -25,9 +25,4 @@ let classify_decay gap ~ks =
     in
     if non_increasing && last < Float.max 1e-3 (first /. 2.0) then Vanishing else Persistent
 
-let decay_to_string = function
-  | Zero -> "zero"
-  | Vanishing -> "vanishing"
-  | Persistent -> "persistent"
-
 let default_ks = [ 4; 6; 8; 12; 16 ]

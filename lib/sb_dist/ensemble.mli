@@ -29,7 +29,5 @@ val classify_decay : (int -> float) -> ks:int list -> decay
     [Persistent] otherwise. The battery's gaps are either exactly 0,
     Θ(2^-k), or constants ≥ 0.1, so the heuristic has wide margins. *)
 
-val decay_to_string : decay -> string
-
 val default_ks : int list
 (** k ∈ {4, 6, 8, 12, 16}: the grid used by the experiments. *)

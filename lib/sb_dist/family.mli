@@ -14,10 +14,6 @@ type membership = {
 type entry = { ensemble : Ensemble.t; expected : membership; note : string }
 
 val uniform : int -> entry
-val singleton : Sb_util.Bitvec.t -> entry
-val biased_product : float -> int -> entry
-val mixed_bias_product : int -> entry
-(** Independent but with a different bias per coordinate. *)
 
 val almost_uniform : int -> entry
 (** Uniform with a 2^-k mass shift towards even parity: not a product
@@ -34,17 +30,6 @@ val rare_leak : int -> entry
 
 val xor_parity : int -> entry
 val copy_pair : int -> entry
-val noisy_copy : int -> flip:float -> entry
-val half_singleton : int -> entry
-(** A point mass on a non-uniform string; like every singleton it is
-    (trivially) independent. *)
-
-val markov : int -> flip:float -> entry
-(** Two-state Markov chain along the coordinates; correlated unless
-    flip = 0.5. *)
-
-val one_hot : int -> entry
-val all_equal : int -> entry
 
 val battery : int -> entry list
 (** The full battery at a given n (n >= 3). *)

@@ -63,10 +63,6 @@ type spec =
 
 type t = spec list
 
-val any_link : link
-
-val link : ?src:int -> ?dst:int -> unit -> link
-
 val crash : party:int -> round:int -> spec
 
 val drop : ?src:int -> ?dst:int -> ?at:int -> float -> spec

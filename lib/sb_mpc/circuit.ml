@@ -75,9 +75,6 @@ let gates c = Array.of_list (List.rev c.gates)
 let wire_index w = w
 let outputs c = List.rev c.outs
 
-let mul_count c =
-  List.fold_left (fun acc g -> match g with Mul _ -> acc + 1 | _ -> acc) 0 c.gates
-
 let layers c =
   let m = ref 0 in
   Array.iteri

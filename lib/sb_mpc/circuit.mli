@@ -43,7 +43,6 @@ val xor_fold : t -> wire list -> wire
 
 val n_parties : t -> int
 val input_count : t -> party:int -> int
-val mul_count : t -> int
 
 val layers : t -> int
 (** Number of multiplication layers (communication rounds the protocol

@@ -78,8 +78,6 @@ let to_string ?(indent = false) v =
   go 0 v;
   Buffer.contents buf
 
-let pp fmt v = Format.pp_print_string fmt (to_string ~indent:true v)
-
 (* --- parsing ------------------------------------------------------- *)
 
 exception Bad of int * string

@@ -17,8 +17,6 @@ val to_string : ?indent:bool -> t -> string
     indentation. Non-finite floats serialize as [null] (JSON has no
     NaN/infinity). *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Strict recursive-descent parser for the subset we emit (no escapes
     beyond the JSON standard's, numbers via [float_of_string] with

@@ -97,7 +97,8 @@ val validate : Json.t -> (unit, string) result
     (v6) is a list of well-formed [{name, ns_per_run}] entries when
     present, and the optional [workload] block (v7) carries its name,
     tier, integer session totals and summary object when present.
-    Used by tests and the CI smoke step. *)
+    The tests' shape check for every report the front ends write;
+    CI validates the same shape from Python. *)
 
 type perf_delta = {
   name : string;  (** timing entry name, e.g. ["gtester-smoke/20k"] *)

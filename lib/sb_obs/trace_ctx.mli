@@ -47,7 +47,9 @@ val enabled : unit -> bool
 
 val reset : unit -> unit
 (** Drop all collected spans/flows and restart ids and the session
-    budget; clears this domain's open stack. *)
+    budget; clears this domain's open stack. A process traces one
+    command, so only tests, which trace many runs in one process,
+    call it. *)
 
 val now_us : unit -> float
 (** Wall clock in microseconds — for callers timing bucket work. *)
@@ -70,8 +72,8 @@ val with_span :
 (** [begin_span]/[end_span] around a thunk; closes even on exceptions. *)
 
 val flow : src:h -> dst:h -> unit
-(** Record one causal edge (e.g. sender party span -> recipient round
-    span for a delivered envelope). No-op if either side is [None]. *)
+(** Record one causal edge (e.g. sender party span -> the round span
+    that delivers its envelopes). No-op if either side is [None]. *)
 
 val bucket_add : string -> float -> unit
 (** [bucket_add name dt_us] charges [dt_us] microseconds and one call

@@ -20,8 +20,4 @@
 
 val protocol : Sb_sim.Protocol.t
 
-val phase_base : int -> int
-(** [phase_base d] is the network round at which dealer [d]'s VSS
-    phase starts; exposed for adversaries aligned with the schedule. *)
-
 val reveal_round : n:int -> int

@@ -29,9 +29,10 @@ val knowledge_tag :
 
 val share_slot : Sb_crypto.Pedersen.commitment -> Sb_crypto.Pedersen.share -> int
 (** The slot a share verdict lives in. It reads only the first
-    commitment element, so commitments that differ later share it. *)
+    commitment element, so commitments that differ later share it.
+    Exposed for tests that force keys into one slot. *)
 
 val tag_slot :
   salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> int
 (** The slot a knowledge tag lives in. It reads only the first 8 bytes
-    of the salt. *)
+    of the salt. Exposed for tests that force keys into one slot. *)

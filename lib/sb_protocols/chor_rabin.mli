@@ -27,11 +27,6 @@
 
 val protocol : Sb_sim.Protocol.t
 
-val tree_depth : int -> int
-(** ⌊log₂ n⌋ — the number of aggregation hops. *)
-
-val confirm_round : n:int -> int
-
 val reveal_round : n:int -> int
 
 val knowledge_tag : salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
@@ -40,4 +35,5 @@ val knowledge_tag : salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> bli
 
 val knowledge_tag_uncached :
   salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
-(** The same hash, computed on every call. *)
+(** The same hash, computed on every call: the oracle the memoized
+    {!knowledge_tag} is tested against. *)

@@ -16,8 +16,4 @@
 
 val protocol : Sb_sim.Protocol.t
 
-val commit_tag : string
 val open_tag : string
-
-val payload : id:int -> bit:bool -> string
-(** The committed string; exposed so adversaries can craft openings. *)

@@ -10,7 +10,3 @@
     every independence notion on every distribution. *)
 
 val protocol : Sb_sim.Protocol.t
-
-val input_tag : string
-(** Wire tag corrupted parties must use to contribute an input (the
-    adversary speaks this format when it substitutes inputs). *)

@@ -189,8 +189,6 @@ let step t ~round ~inbox ~out =
   end
   else step_impl t ~round ~inbox ~out
 
-let disqualified t = t.disqualified
-
 let reveal_msgs t ~out =
   if (not t.disqualified) && my_share_valid t then
     match t.my_share with

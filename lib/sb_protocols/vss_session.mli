@@ -49,10 +49,6 @@ val step : t -> round:int -> inbox:Sb_sim.Inbox.t -> out:Sb_sim.Outbox.t -> unit
     session filters by its own tags). Sends are appended to [out]
     ({!Sb_sim.Party.t}'s step contract). *)
 
-val disqualified : t -> bool
-(** Meaningful from local round 3 (after the response round's
-    deliveries have been fed to [step]). *)
-
 val reveal_msgs : t -> out:Sb_sim.Outbox.t -> unit
 (** Append the broadcast this party makes to open the sharing (nothing
     if it holds no verifying share or the dealer is disqualified). *)

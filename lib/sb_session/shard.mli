@@ -23,12 +23,6 @@ val width : int
     budget of E18's modeled static layout
     ([Sb_workload.E18.static_layout]). *)
 
-val steal_target : int
-(** Target sessions per shard (8): each spec gets about
-    [count / steal_target] shards, floored at {!width} per spec and
-    capped at one session per shard, so heavy specs decompose into
-    many small units for the pool's workers to share. *)
-
 type t = {
   index : int;  (** shard number, [0 .. shards-1], global *)
   spec : int;  (** index of the owning spec *)

@@ -54,6 +54,9 @@ val src_is : t -> int -> bool
 
 val dst_party : t -> int option
 val is_broadcast : t -> bool
+(** [dst = All]. The network matches on [dst] itself; tests use this to
+    split a trace into broadcast and point-to-point traffic. *)
+
 val is_func_bound : t -> bool
 val is_from_func : t -> bool
 
@@ -74,15 +77,10 @@ val expand_onto : t -> t list -> t list
     send-all's [n] copies to parties [0 .. n-1], in party order, or
     [e] itself. *)
 
-val headers_size : t -> int
-(** Addressing-header bytes of all of the record's envelopes (endpoints
-    as rendered by {!pp}: ["P<id>"], ["F"], or ["*"]), in O(1): the
-    part of {!wire_size} that does not depend on the body, exposed so
-    callers that cache body sizes can still account headers. *)
-
 val wire_size : t -> int
 (** Bytes this envelope would occupy on a wire: the {!Msg.size_bytes}
-    of the body plus its addressing header ({!headers_size}). A
+    of the body plus its addressing header (endpoints as rendered by
+    {!pp}: ["P<id>"], ["F"], or ["*"]; summed in O(1)). A
     broadcast envelope is one channel use: its size counts once, not
     once per recipient — matching how [sim.broadcasts] counts messages.
     A send-all counts its [n] copies: [n] bodies and [n] headers. *)

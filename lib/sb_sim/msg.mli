@@ -58,7 +58,8 @@ val deserialize : string -> t option
     (bad framing, trailing bytes, non-canonical or non-member
     [Fe]/[Ge] representatives). Together with the round-trip property
     test this proves the codec injective, which is what wire-size
-    accounting rests on. *)
+    accounting rests on. Nothing on the wire is ever decoded, so that
+    test is its only caller. *)
 
 val size_bytes : t -> int
 (** [String.length (serialize m)], computed structurally without

@@ -88,6 +88,10 @@ type started = {
    that raised, starts fresh); storage past 2^16 slots is not kept. *)
 let spare : Envelope.Arena.arena option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
+(* Adds a sender span to a round's pending flow sources, once. A
+   sender's records are contiguous, so the head usually answers. *)
+let add_sender pending sp = if not (List.memq sp !pending) then pending := sp :: !pending
+
 (* Set a run up and return its round's two halves as closures over its
    locals; interception sits between them, in the caller. Routing
    keeps enqueue order per recipient (Router's ordering invariant).
@@ -153,8 +157,8 @@ let begin_run ~meters ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) 
   let p2p_count = ref 0 in
   (* Causal tracing (Trace_ctx), off by default: one session span tree
      — session -> round -> {collect/rush/intercept/route} phases ->
-     party — plus a flow edge per delivered envelope from the span that
-     sent it into the round that delivers it. No RNG stream is touched. *)
+     party — plus one flow edge from each span that sent traffic into
+     the round that delivers it. No RNG stream is touched. *)
   let tracing = Sb_obs.Trace_ctx.enabled () in
   let phase name =
     if tracing then Sb_obs.Trace_ctx.begin_span ~agg:name ~cat:"phase" name
@@ -173,8 +177,9 @@ let begin_run ~meters ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) 
     else Sb_obs.Trace_ctx.none
   in
   let party_span = if tracing then Array.make n Sb_obs.Trace_ctx.none else [||] in
-  (* Sender spans of envelopes routed into the next round; when that
-     round's span opens these become its incoming flow edges. *)
+  (* The distinct sender spans of the envelopes routed into the next
+     round; when that round's span opens these become its incoming
+     flow edges. *)
   let pending : Sb_obs.Trace_ctx.h list ref = ref [] in
   (* The round whose adversary view may still be forced (its lists are
      built from storage the next round reuses); -1 once closed. *)
@@ -273,12 +278,7 @@ let begin_run ~meters ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) 
     in
     let route e =
       Router.route next e;
-      if tracing && not last then begin
-        let sp = src_of e in
-        for _ = 1 to Envelope.copies e do
-          pending := sp :: !pending
-        done
-      end
+      if tracing && not last then add_sender pending (src_of e)
     in
     let account (e : Envelope.t) =
       match e.Envelope.dst with
@@ -337,7 +337,7 @@ let begin_run ~meters ~record_trace ~record_comm ~reuse_envelopes (ctx : Ctx.t) 
     let func_out = functionality.Functionality.f_step ~round ~inbox:func_in in
     List.iter (fun e -> assert (Envelope.is_from_func e)) func_out;
     List.iter (Router.route next) func_out;
-    if tracing && not last then List.iter (fun _ -> pending := s_route :: !pending) func_out;
+    if tracing && (not last) && func_out <> [] then add_sender pending s_route;
     let n_adv = List.length adv_out in
     if Logs.Src.level log_src = Some Logs.Debug then
       Log.debug (fun m ->

@@ -10,12 +10,6 @@ let add t v =
 
 let total t = t.total
 let count t v = t.counts.(Sb_util.Bitvec.to_int v)
-let count_idx t i = t.counts.(i)
-
-let merge_into ~into src =
-  if Array.length into.counts <> Array.length src.counts then invalid_arg "Counts.merge_into";
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-  into.total <- into.total + src.total
 
 let empirical_tvd a b =
   if Array.length a.counts <> Array.length b.counts then invalid_arg "Counts.empirical_tvd";
@@ -27,8 +21,6 @@ let empirical_tvd a b =
       acc := !acc +. Float.abs ((float_of_int ca /. na) -. (float_of_int b.counts.(i) /. nb)))
     a.counts;
   !acc /. 2.0
-
-let iter t f = Array.iteri (fun i c -> f i c) t.counts
 
 type event = { mutable n : int; mutable na : int; mutable nb : int; mutable nab : int }
 
@@ -53,7 +45,5 @@ let gap e =
   let right = Estimate.wilson ~successes:e.nb e.n in
   Estimate.correlation_gap ~joint ~left ~right
 
-let count_a e = e.na
-let count_b e = e.nb
 let count_ab e = e.nab
 let trials e = e.n

@@ -10,20 +10,12 @@ val create : int -> table
 val add : table -> Sb_util.Bitvec.t -> unit
 val total : table -> int
 val count : table -> Sb_util.Bitvec.t -> int
-val count_idx : table -> int -> int
 
 val empirical_tvd : table -> table -> float
 (** Plug-in total-variation distance between two empirical
     distributions (both normalised by their own totals). Biased
     upwards for small samples — callers compare against a same-size
     self-distance baseline rather than against zero. *)
-
-val iter : table -> (int -> int -> unit) -> unit
-(** [iter t f] calls [f idx count] for every index. *)
-
-val merge_into : into:table -> table -> unit
-(** Pointwise-add [src] into [into]: the barrier step of chunked
-    parallel sampling. Tables must have the same width. *)
 
 type event
 (** Streaming joint/marginal counter for a pair of events (A, B):
@@ -39,7 +31,5 @@ val event_merge_into : into:event -> event -> unit
 val gap : event -> Estimate.interval
 (** Conservative interval for |P(A∧B) − P(A)P(B)|. *)
 
-val count_a : event -> int
-val count_b : event -> int
 val count_ab : event -> int
 val trials : event -> int

@@ -10,14 +10,6 @@ let all_pass verdicts =
   else if List.for_all (fun v -> v = Pass) verdicts then Pass
   else Inconclusive
 
-let any_fail = all_pass
-
 let to_string = function Pass -> "PASS" | Fail -> "FAIL" | Inconclusive -> "INCONCLUSIVE"
 
-let to_polar = function
-  | Pass -> `Pass
-  | Fail -> `Fail
-  | Inconclusive -> `Inconclusive
-
 let equal a b = a = b
-let pp fmt v = Format.pp_print_string fmt (to_string v)

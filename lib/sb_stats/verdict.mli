@@ -25,13 +25,5 @@ val all_pass : t list -> t
 (** [Pass] iff every element passes; [Fail] if any fails;
     [Inconclusive] otherwise. *)
 
-val any_fail : t list -> t
-(** Dual view for falsification experiments: [Fail] if any element
-    fails (a witness was found), [Pass] if all pass, else
-    [Inconclusive]. Identical to {!all_pass}; provided for readable
-    call sites. *)
-
 val to_string : t -> string
-val to_polar : t -> [ `Pass | `Fail | `Inconclusive ]
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

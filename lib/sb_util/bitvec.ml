@@ -37,14 +37,6 @@ let combine v s z =
 
 let parity v = Array.fold_left (fun acc b -> if b then not acc else acc) false v
 
-let parity_except v idx =
-  let acc = ref false in
-  for i = 0 to Array.length v - 1 do
-    if i <> idx && v.(i) then acc := not !acc
-  done;
-  !acc
-
-let popcount v = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 v
 let equal = ( = )
 let compare = Stdlib.compare
 let to_string v = String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
@@ -56,17 +48,13 @@ let of_string s =
       | '1' -> true
       | c -> invalid_arg (Printf.sprintf "Bitvec.of_string: bad char %c" c))
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 let all n =
   assert (n <= 20);
   List.init (1 lsl n) (fun v -> of_int n v)
 
-let map2 f a b =
+let xor a b =
   assert (Array.length a = Array.length b);
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let xor = map2 ( <> )
+  Array.init (Array.length a) (fun i -> a.(i) <> b.(i))
 
 (* In-place membership vectors for the substrates' receive/echo sets.
    The immutable [t] above copies the whole vector on [set] — O(n) per
@@ -79,6 +67,4 @@ module Mut = struct
   let length = Array.length
   let get (v : mut) i = v.(i)
   let set (v : mut) i b = v.(i) <- b
-  let popcount (v : mut) = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 v
-  let snapshot : mut -> t = Array.copy
 end

@@ -45,21 +45,15 @@ val combine : t -> int list -> bool array -> t
 val parity : t -> bool
 (** XOR of all coordinates. *)
 
-val parity_except : t -> int -> bool
-(** XOR of all coordinates other than the given index. *)
-
-val popcount : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_string : t -> string
 (** E.g. "01101"; coordinate 0 printed first. *)
 
 val of_string : string -> t
-val pp : Format.formatter -> t -> unit
 val all : int -> t list
 (** All 2^n vectors of length [n], in [to_int] order. Requires n <= 20. *)
 
-val map2 : (bool -> bool -> bool) -> t -> t -> t
 val xor : t -> t -> t
 
 (** Mutable membership vectors for hot loops.
@@ -82,9 +76,4 @@ module Mut : sig
 
   val set : mut -> int -> bool -> unit
   (** In-place update. *)
-
-  val popcount : mut -> int
-
-  val snapshot : mut -> t
-  (** Immutable copy of the current state. *)
 end

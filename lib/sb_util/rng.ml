@@ -127,7 +127,3 @@ let perm t n =
     a.(j) <- tmp
   done;
   a
-
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

@@ -70,7 +70,5 @@ val bytes : t -> int -> string
 (** [bytes t len] returns [len] uniform bytes. *)
 
 val perm : t -> int -> int array
-(** [perm t n] is a uniform permutation of [0 .. n-1] (Fisher–Yates). *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** [perm t n] is a uniform permutation of [0 .. n-1] (Fisher–Yates).
+    Tests use it to present share sets in random order. *)

@@ -63,9 +63,4 @@ let title t = t.title
 
 let cell_bool b = if b then "yes" else "no"
 
-let cell_verdict = function
-  | `Pass -> "PASS"
-  | `Fail -> "FAIL"
-  | `Inconclusive -> "INCONCLUSIVE"
-
 let cell_float ?(digits = 4) x = Printf.sprintf "%.*f" digits x

@@ -27,5 +27,4 @@ val title : t -> string
 val cell_bool : bool -> string
 (** "yes" / "no". *)
 
-val cell_verdict : [< `Pass | `Fail | `Inconclusive ] -> string
 val cell_float : ?digits:int -> float -> string

@@ -25,7 +25,4 @@ val static_layout : int array -> (int * int) array
     range cut into contiguous chunks whose sizes differ by at most
     one. A pure function of the counts (which must be positive). *)
 
-val run : Core.Setup.t -> Core.Experiments.outcome
-(** Quick tier when [setup.samples <= 2000], like E17. *)
-
 val entry : Core.Experiments.entry

@@ -13,7 +13,6 @@ type outcome = {
 
 type def = {
   wname : string;
-  describe : string;
   build :
     quick:bool ->
     faults:Sb_fault.Plan.t option ->
@@ -117,9 +116,6 @@ let election =
   in
   {
     wname = "election";
-    describe =
-      "precinct-tallied referendum: Bernoulli voters, audited precincts certified by \
-       a large Dolev-Strong trustee committee, the rest by 5-party Bracha committees";
     build;
   }
 
@@ -178,9 +174,6 @@ let auction =
   in
   {
     wname = "auction";
-    describe =
-      "sealed-bid lots: premium lots with many Dolev-Strong bidders, standard lots \
-       under Gennaro VSS, micro lots under commit-open";
     build;
   }
 
@@ -239,16 +232,11 @@ let lottery =
   in
   {
     wname = "lottery";
-    describe =
-      "XOR-coin draws: Phase-King jackpot committees, Bracha regular draws, one slice \
-       under a 5% envelope-drop fault plan (inconsistent draws voided)";
     build;
   }
 
 let catalogue = [ election; auction; lottery ]
 let names = List.map (fun d -> d.wname) catalogue
-let describe name =
-  List.find_map (fun d -> if d.wname = name then Some d.describe else None) catalogue
 
 let run ?faults ?(quick = false) ~seed name =
   match List.find_opt (fun d -> d.wname = name) catalogue with

@@ -43,9 +43,6 @@ type outcome = {
 val names : string list
 (** The workload catalogue: ["election"; "auction"; "lottery"]. *)
 
-val describe : string -> string option
-(** One-line description, for [simbcast list]. *)
-
 val run :
   ?faults:Sb_fault.Plan.t ->
   ?quick:bool ->

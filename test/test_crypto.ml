@@ -17,7 +17,7 @@ let test_sha_fips_vectors () =
         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
     ]
   in
-  List.iter (fun (m, d) -> Alcotest.(check string) m d (Sha256.hex m)) cases
+  List.iter (fun (m, d) -> Alcotest.(check string) m d (Sha256.to_hex (Sha256.digest m))) cases
 
 let test_sha_million_a () =
   (* FIPS 180-4 long vector: one million 'a's. *)
@@ -67,19 +67,12 @@ let test_sha_xor_strings () =
 let fe = Alcotest.testable (fun fmt x -> Field.pp fmt x) Field.equal
 
 let test_field_basic () =
-  Alcotest.check fe "1+(-1)=0" Field.zero Field.(add one (neg one));
+  Alcotest.check fe "1+(0-1)=0" Field.zero Field.(add one (sub zero one));
   Alcotest.check fe "p reduces to 0" Field.zero (Field.of_int Field.p);
   Alcotest.check fe "negatives reduce" (Field.of_int (Field.p - 1)) (Field.of_int (-1));
   let x = Field.of_int 123456789 in
   Alcotest.check fe "x * x^-1 = 1" Field.one (Field.mul x (Field.inv x));
   Alcotest.check fe "x / x = 1" Field.one (Field.div x x)
-
-let test_field_pow () =
-  let x = Field.of_int 3 in
-  Alcotest.check fe "3^0" Field.one (Field.pow x 0);
-  Alcotest.check fe "3^5" (Field.of_int 243) (Field.pow x 5);
-  (* Fermat: x^(p-1) = 1. *)
-  Alcotest.check fe "fermat" Field.one (Field.pow x (Field.p - 1))
 
 let test_field_inv_zero_raises () =
   Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (Field.inv Field.zero))
@@ -113,67 +106,32 @@ let test_poly_eval () =
   Alcotest.check fe "horner" (Field.of_int 42) (Poly.eval f (Field.of_int 5))
 
 let test_poly_normalisation () =
+  (* Trailing zero coefficients are stripped: the zero polynomial is
+     the empty vector. *)
   let f = Poly.of_coeffs [| Field.of_int 7; Field.zero; Field.zero |] in
-  Alcotest.(check int) "degree" 0 (Poly.degree f);
-  Alcotest.(check int) "zero degree" (-1) (Poly.degree Poly.zero)
+  Alcotest.(check int) "constant keeps one coefficient" 1 (Array.length (Poly.coeffs f));
+  Alcotest.(check int) "zero is empty" 0
+    (Array.length (Poly.coeffs (Poly.of_coeffs [| Field.zero; Field.zero |])))
 
-(* Coefficient-form Lagrange interpolation through distinct points:
-   the sum of y_j * prod_{m<>j} (X - x_m) / (x_j - x_m), the oracle
-   [Poly.interpolate_at] must agree with at every point. *)
-let interpolate pts =
-  let scale c p = Poly.of_coeffs (Array.map (Field.mul c) (Poly.coeffs p)) in
-  let basis xj others =
-    List.fold_left
-      (fun acc xm ->
-        let denom = Field.inv (Field.sub xj xm) in
-        Poly.mul acc (Poly.of_coeffs [| Field.mul (Field.neg xm) denom; denom |]))
-      (Poly.constant Field.one) others
-  in
-  List.fold_left
-    (fun acc (xj, yj) ->
-      let others = List.filter_map (fun (x, _) -> if Field.equal x xj then None else Some x) pts in
-      Poly.add acc (scale yj (basis xj others)))
-    Poly.zero pts
-
+(* Five points of a degree-4 polynomial determine it: interpolating
+   them must give the dealt polynomial's value everywhere, checked
+   against Horner evaluation of the polynomial itself. *)
 let test_poly_interpolate_recovers () =
   let rng = rng () in
   let f = Poly.random rng ~degree:4 ~constant:(Field.of_int 99) in
   let pts = List.init 5 (fun i -> (Field.of_int (i + 1), Poly.eval f (Field.of_int (i + 1)))) in
-  Alcotest.(check bool) "exact recovery" true (Poly.equal f (interpolate pts));
   Alcotest.check fe "value at 0" (Field.of_int 99) (Poly.interpolate_at pts Field.zero);
   List.iter
     (fun x ->
       let x = Field.of_int x in
-      Alcotest.check fe "interpolate_at = interpolated polynomial" (Poly.eval f x)
+      Alcotest.check fe "interpolate_at = dealt polynomial" (Poly.eval f x)
         (Poly.interpolate_at pts x))
-    [ 0; 6; 1000 ]
+    [ 0; 2; 6; 1000; Field.p - 1 ]
 
 let test_poly_interpolate_rejects_duplicates () =
   let pts = [ (Field.one, Field.one); (Field.one, Field.zero) ] in
-  Alcotest.check_raises "duplicate x" (Invalid_argument "Poly.interpolate: duplicate abscissae")
+  Alcotest.check_raises "duplicate x" (Invalid_argument "Poly.interpolate_at: duplicate abscissae")
     (fun () -> ignore (Poly.interpolate_at pts Field.zero))
-
-let qcheck_poly_add_eval =
-  QCheck.Test.make ~name:"poly add is pointwise" ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(1 -- 6) arbitrary_fe)
-        (list_of_size Gen.(1 -- 6) arbitrary_fe)
-        arbitrary_fe)
-    (fun (ca, cb, x) ->
-      let pa = Poly.of_coeffs (Array.of_list ca) and pb = Poly.of_coeffs (Array.of_list cb) in
-      Field.equal (Poly.eval (Poly.add pa pb) x) (Field.add (Poly.eval pa x) (Poly.eval pb x)))
-
-let qcheck_poly_mul_eval =
-  QCheck.Test.make ~name:"poly mul is pointwise" ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(1 -- 5) arbitrary_fe)
-        (list_of_size Gen.(1 -- 5) arbitrary_fe)
-        arbitrary_fe)
-    (fun (ca, cb, x) ->
-      let pa = Poly.of_coeffs (Array.of_list ca) and pb = Poly.of_coeffs (Array.of_list cb) in
-      Field.equal (Poly.eval (Poly.mul pa pb) x) (Field.mul (Poly.eval pa x) (Poly.eval pb x)))
 
 (* --- Lagrange cache / eval_many ----------------------------------- *)
 
@@ -206,7 +164,7 @@ let test_lagrange_single_point () =
     (lagrange_at_zero [ (2, Field.of_int 17) ])
 
 let test_lagrange_rejects_duplicates () =
-  let dup = Invalid_argument "Poly.interpolate: duplicate abscissae" in
+  let dup = Invalid_argument "Lagrange.interpolate_at_zero: duplicate abscissae" in
   Alcotest.check_raises "duplicate index" dup (fun () ->
       ignore (lagrange_at_zero [ (0, Field.one); (0, Field.zero) ]));
   Alcotest.check_raises "duplicate index >= 62" dup (fun () ->
@@ -259,7 +217,7 @@ let test_lagrange_mask_subsets () =
       ([| 62; 64; 100; 1000; 5000 |], 1);
     ];
   Alcotest.check_raises "Shamir repeated index"
-    (Invalid_argument "Poly.interpolate: duplicate abscissae") (fun () ->
+    (Invalid_argument "Lagrange.interpolate_at_zero: duplicate abscissae") (fun () ->
       ignore
         (Shamir.reconstruct
            [ { Shamir.index = 4; value = Field.one }; { Shamir.index = 1; value = Field.one };
@@ -300,7 +258,7 @@ let test_eval_many_degenerate () =
   (* Constant (threshold = 0) and zero polynomials. *)
   let c = Poly.constant (Field.of_int 5) in
   Array.iter (fun v -> Alcotest.check fe "constant" (Field.of_int 5) v) (Poly.eval_many c 7);
-  Array.iter (fun v -> Alcotest.check fe "zero poly" Field.zero v) (Poly.eval_many Poly.zero 4);
+  Array.iter (fun v -> Alcotest.check fe "zero poly" Field.zero v) (Poly.eval_many (Poly.of_coeffs [||]) 4);
   Alcotest.(check int) "n=1" 1 (Array.length (Poly.eval_many c 1))
 
 (* --- Shamir ------------------------------------------------------- *)
@@ -444,10 +402,7 @@ let test_feldman_verifies_honest () =
   let shares, c = Feldman.deal rng ~threshold:2 ~parties:5 ~secret:(Field.of_int 42) in
   Array.iter
     (fun s -> Alcotest.(check bool) "share verifies" true (Feldman.verify_share c s))
-    shares;
-  Alcotest.(check bool) "secret verifies" true (Feldman.verify_secret c (Field.of_int 42));
-  Alcotest.(check bool) "wrong secret rejected" false
-    (Feldman.verify_secret c (Field.of_int 43))
+    shares
 
 let test_feldman_rejects_bad_share () =
   let rng = rng () in
@@ -477,10 +432,7 @@ let test_pedersen_verifies_honest () =
   let d = Pedersen.deal rng ~threshold:2 ~parties:5 ~secret:(Field.of_int 1) in
   Array.iter
     (fun s -> Alcotest.(check bool) "share verifies" true (Pedersen.verify_share d.Pedersen.commitment s))
-    d.Pedersen.shares;
-  Alcotest.(check bool) "opening verifies" true
-    (Pedersen.verify_opening d.Pedersen.commitment ~secret:(Field.of_int 1)
-       ~blind:d.Pedersen.blind0)
+    d.Pedersen.shares
 
 let test_pedersen_rejects_tampering () =
   let rng = rng () in
@@ -491,10 +443,7 @@ let test_pedersen_rejects_tampering () =
        { s with Pedersen.value = Field.add s.Pedersen.value Field.one });
   Alcotest.(check bool) "tampered blind" false
     (Pedersen.verify_share d.Pedersen.commitment
-       { s with Pedersen.blind = Field.add s.Pedersen.blind Field.one });
-  Alcotest.(check bool) "wrong secret opening" false
-    (Pedersen.verify_opening d.Pedersen.commitment ~secret:(Field.of_int 8)
-       ~blind:d.Pedersen.blind0)
+       { s with Pedersen.blind = Field.add s.Pedersen.blind Field.one })
 
 let test_pedersen_reconstruct_both () =
   let rng = rng () in
@@ -869,7 +818,6 @@ let () =
       ( "field",
         [
           Alcotest.test_case "basic identities" `Quick test_field_basic;
-          Alcotest.test_case "pow" `Quick test_field_pow;
           Alcotest.test_case "inv zero raises" `Quick test_field_inv_zero_raises;
           QCheck_alcotest.to_alcotest qcheck_field_assoc;
           QCheck_alcotest.to_alcotest qcheck_field_distrib;
@@ -882,8 +830,6 @@ let () =
           Alcotest.test_case "normalisation" `Quick test_poly_normalisation;
           Alcotest.test_case "interpolation recovers" `Quick test_poly_interpolate_recovers;
           Alcotest.test_case "duplicate abscissae" `Quick test_poly_interpolate_rejects_duplicates;
-          QCheck_alcotest.to_alcotest qcheck_poly_add_eval;
-          QCheck_alcotest.to_alcotest qcheck_poly_mul_eval;
         ] );
       ( "lagrange",
         [

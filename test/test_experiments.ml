@@ -123,16 +123,28 @@ let e17_quick_pin =
     "phase-king,256,5,131840,131840,4500662";
   ]
 
+let strip_ms row =
+  match List.rev (String.split_on_char ',' row) with
+  | _ms :: rest -> String.concat "," (List.rev rest)
+  | [] -> row
+
 let test_e17_table_pin () =
   let o = Core.Experiments.e17_scaling Core.Setup.(with_samples 800 default) in
   let rows = String.split_on_char '\n' (Sb_util.Tabular.to_csv o.Core.Experiments.table) in
-  let strip_ms row =
-    match List.rev (String.split_on_char ',' row) with
-    | _ms :: rest -> String.concat "," (List.rev rest)
-    | [] -> row
-  in
   Alcotest.(check (list string)) "E17 quick table without ms" e17_quick_pin
     (List.map strip_ms (List.filteri (fun i _ -> i < List.length e17_quick_pin) rows))
+
+(* E8's table and E16's rows minus the [ms] column (check rows
+   included) at their full default sizes, recorded while both still
+   summed the recorded trace: reading the run's comm tally instead
+   must leave every count and byte total in place. *)
+let test_e8_e16_table_pins () =
+  Alcotest.(check string) "E8 csv md5" "d6994c29ecb711c7ad5a42493bb01d48"
+    (csv_md5 (Core.Experiments.e8_complexity ()));
+  let e16 = Core.Experiments.e16_wire_complexity () in
+  let rows = String.split_on_char '\n' (Sb_util.Tabular.to_csv e16.Core.Experiments.table) in
+  Alcotest.(check string) "E16 csv md5 without ms" "ad60e112f29db020ccd3e91e5e63cbf8"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map strip_ms rows))))
 
 let test_e8_monotone_details () =
   (* Beyond the built-in shape checks: message complexity of the p2p
@@ -190,6 +202,7 @@ let () =
           Alcotest.test_case "E1 csv bytes" `Quick test_e1_table_pin;
           Alcotest.test_case "E2/E3 csv bytes" `Quick test_e2_e3_table_pins;
           Alcotest.test_case "E17 quick table" `Quick test_e17_table_pin;
+          Alcotest.test_case "E8/E16 csv bytes" `Quick test_e8_e16_table_pins;
         ] );
       ( "robustness",
         [

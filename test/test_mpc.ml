@@ -68,8 +68,7 @@ let test_circuit_layers () =
   let ab = Circuit.mul c a b in
   let abb = Circuit.mul c ab b in
   Circuit.output c abb;
-  Alcotest.(check int) "two layers" 2 (Circuit.layers c);
-  Alcotest.(check int) "two mults" 2 (Circuit.mul_count c)
+  Alcotest.(check int) "two layers" 2 (Circuit.layers c)
 
 let test_circuit_arity_checks () =
   let c = Circuit.create ~n_parties:2 in

@@ -220,34 +220,32 @@ let test_instrumentation_is_inert () =
 let test_network_counters_match_trace () =
   with_obs (fun () ->
       let r = run_fixture () in
-      let per_round = Sb_sim.Trace.per_round_counts r.Sb_sim.Network.trace in
-      let sum f = List.fold_left (fun acc t -> acc + f t) 0 per_round in
-      let honest = sum (fun (h, _, _) -> h)
-      and adv = sum (fun (_, a, _) -> a)
-      and func = sum (fun (_, _, f) -> f) in
+      let trace = r.Sb_sim.Network.trace in
+      let sum f = List.fold_left (fun acc (rr : Sb_sim.Trace.round_record) -> acc + f rr) 0 trace in
+      let party_sent (rr : Sb_sim.Trace.round_record) =
+        rr.Sb_sim.Trace.honest_sent @ rr.Sb_sim.Trace.adv_sent
+      in
+      let count p rr = List.length (List.filter p (party_sent rr)) in
       let counter name = Metrics.counter_value (Metrics.counter name) in
-      Alcotest.(check int) "honest envelopes" honest (counter "sim.envelopes.honest");
-      Alcotest.(check int) "adv envelopes" adv (counter "sim.envelopes.adv");
-      Alcotest.(check int) "func envelopes" func (counter "sim.envelopes.func");
+      Alcotest.(check int) "honest envelopes"
+        (sum (fun rr -> List.length rr.Sb_sim.Trace.honest_sent))
+        (counter "sim.envelopes.honest");
+      Alcotest.(check int) "adv envelopes"
+        (sum (fun rr -> List.length rr.Sb_sim.Trace.adv_sent))
+        (counter "sim.envelopes.adv");
+      Alcotest.(check int) "func envelopes"
+        (sum (fun rr -> List.length rr.Sb_sim.Trace.func_sent))
+        (counter "sim.envelopes.func");
       Alcotest.(check int) "rounds = rounds_used + final delivery" (r.Sb_sim.Network.rounds_used + 1)
         (counter "sim.rounds");
       Alcotest.(check int) "p2p agrees with trace"
-        (Sb_sim.Trace.p2p_message_count r.Sb_sim.Network.trace)
+        (sum
+           (count (fun e ->
+                not (Sb_sim.Envelope.is_func_bound e || Sb_sim.Envelope.is_broadcast e))))
         (counter "sim.p2p");
       Alcotest.(check int) "broadcasts agree with trace"
-        (Sb_sim.Trace.broadcast_count r.Sb_sim.Network.trace)
+        (sum (count Sb_sim.Envelope.is_broadcast))
         (counter "sim.broadcasts"))
-
-let test_messages_from_agrees_with_per_round () =
-  let r = run_fixture () in
-  let trace = r.Sb_sim.Network.trace in
-  let by_party = List.init 5 (Sb_sim.Trace.messages_from trace) in
-  let total_party_sourced = List.fold_left ( + ) 0 by_party in
-  let per_round = Sb_sim.Trace.per_round_counts trace in
-  let honest_plus_adv =
-    List.fold_left (fun acc (h, a, _) -> acc + h + a) 0 per_round
-  in
-  Alcotest.(check int) "per-party sums match per-round sums" honest_plus_adv total_party_sourced
 
 (* --- the experiment registry --------------------------------------- *)
 
@@ -303,8 +301,6 @@ let () =
         [
           Alcotest.test_case "instrumentation is inert" `Quick test_instrumentation_is_inert;
           Alcotest.test_case "counters match trace" `Quick test_network_counters_match_trace;
-          Alcotest.test_case "messages_from vs per_round_counts" `Quick
-            test_messages_from_agrees_with_per_round;
         ] );
       ( "registry",
         [

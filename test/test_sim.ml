@@ -384,28 +384,45 @@ let test_arena_generations () =
    and the arena's comm totals must equal the sums over the plain
    run's trace. The arena path runs twice on one arena, so the second
    run draws only recycled records. *)
-let comm_of_trace n (trace : Trace.t) =
-  let bcast_bytes, p2p_bytes = Trace.wire_bytes trace in
-  let deliveries =
-    List.fold_left
-      (fun acc (r : Trace.round_record) ->
-        let party =
-          List.fold_left
-            (fun acc e ->
-              if Envelope.is_func_bound e then acc
-              else if Envelope.is_broadcast e then acc + n
-              else acc + 1)
-            0
-            (r.Trace.honest_sent @ r.Trace.adv_sent)
-        in
-        acc + party + List.length r.Trace.func_sent)
-      0 trace
+(* Party-sourced traffic summed over the trace records (functionality
+   traffic excluded, a broadcast counted once): what the comm tally
+   and the sim.* counters must agree with. *)
+let party_sent (r : Trace.round_record) = r.Trace.honest_sent @ r.Trace.adv_sent
+
+let sum_party f (trace : Trace.t) =
+  List.fold_left
+    (fun acc r ->
+      List.fold_left
+        (fun acc e -> if Envelope.is_func_bound e then acc else acc + f e)
+        acc (party_sent r))
+    0 trace
+
+let if_bcast yes e = if Envelope.is_broadcast e then yes e else 0
+let if_p2p yes e = if Envelope.is_broadcast e then 0 else yes e
+
+(* Flow edges a traced round records: one per distinct sending span of
+   the envelopes it routes — an honest party, the adversary's rush, or
+   the route phase for functionality traffic. *)
+let flow_senders ~corrupted routed func_sent =
+  let span e =
+    match Envelope.src_party e with
+    | Some i when List.mem i corrupted -> -1
+    | Some i -> i
+    | None -> -2
   in
+  let spans =
+    List.filter_map (fun e -> if Envelope.is_func_bound e then None else Some (span e)) routed
+  in
+  List.length (List.sort_uniq compare (if func_sent = [] then spans else -2 :: spans))
+
+let comm_of_trace n (trace : Trace.t) =
   {
-    Network.broadcasts = Trace.broadcast_count trace;
-    broadcast_bytes = bcast_bytes;
-    p2p_bytes;
-    deliveries;
+    Network.broadcasts = sum_party (if_bcast (fun _ -> 1)) trace;
+    broadcast_bytes = sum_party (if_bcast Envelope.wire_size) trace;
+    p2p_bytes = sum_party (if_p2p Envelope.wire_size) trace;
+    deliveries =
+      sum_party (fun e -> if Envelope.is_broadcast e then n else 1) trace
+      + List.fold_left (fun acc (r : Trace.round_record) -> acc + List.length r.Trace.func_sent) 0 trace;
   }
 
 let test_arena_vs_plain () =
@@ -536,14 +553,15 @@ let test_send_all_accounting () =
           (r, List.length (Sb_obs.Trace_ctx.flows ())))
     in
     let trace = r.Network.trace in
-    let p2p = Trace.p2p_message_count trace in
-    let bcast_bytes, p2p_bytes = Trace.wire_bytes trace in
+    let p2p = sum_party (if_p2p (fun _ -> 1)) trace in
     let check name expected got = Alcotest.(check int) (what ^ ": " ^ name) expected got in
     check "p2p messages" p2p r.Network.p2p_messages;
     check "sim.p2p" p2p (counter "sim.p2p");
-    check "sim.broadcasts" (Trace.broadcast_count trace) (counter "sim.broadcasts");
-    check "sim.bytes.p2p" p2p_bytes (counter "sim.bytes.p2p");
-    check "sim.bytes.broadcast" bcast_bytes (counter "sim.bytes.broadcast");
+    check "sim.broadcasts" (sum_party (if_bcast (fun _ -> 1)) trace) (counter "sim.broadcasts");
+    check "sim.bytes.p2p" (sum_party (if_p2p Envelope.wire_size) trace) (counter "sim.bytes.p2p");
+    check "sim.bytes.broadcast"
+      (sum_party (if_bcast Envelope.wire_size) trace)
+      (counter "sim.bytes.broadcast");
     check "sim.envelopes.honest"
       (sum (fun r -> List.length r.Trace.honest_sent) trace)
       (counter "sim.envelopes.honest");
@@ -554,14 +572,17 @@ let test_send_all_accounting () =
            List.length
              (List.filter (fun e -> Envelope.copies e > 1) (r.Trace.honest_sent @ r.Trace.adv_sent)))
          trace);
-    (* One flow edge per routed envelope: the as-sent party traffic, or
-       the interceptor's output. *)
+    (* One flow edge per sending span and round: over the as-sent party
+       traffic, or the interceptor's output. *)
     let routed =
-      match faults with
-      | None -> sum (fun r -> List.length r.Trace.honest_sent + List.length r.Trace.adv_sent) trace
-      | Some _ -> List.fold_left (fun acc q -> acc + List.length q) 0 !queues
+      match faults with None -> List.map party_sent trace | Some _ -> List.rev !queues
     in
-    check "flow edges" routed flows;
+    check "flow edges"
+      (List.fold_left2
+         (fun acc q (round : Trace.round_record) ->
+           acc + flow_senders ~corrupted:r.Network.corrupted q round.Trace.func_sent)
+         0 routed trace)
+      flows;
     (r, counter "sim.forgeries_dropped")
   in
   let plain, forged = check_run "plain" send_all_adversary in

@@ -136,26 +136,34 @@ let run_fixture ?(seed = 7) () =
     ~adversary:(Core.Adversaries.semi_honest fixture_protocol ~corrupt:[ 3; 4 ])
     ~inputs ()
 
-(* Envelopes the network routed into a next round: party traffic minus
-   the ideal channel, plus every functionality reply. The tracing
-   engine records exactly one flow edge per such delivery. *)
-let delivered_count (trace : Sb_sim.Trace.t) =
+(* Spans that sent traffic the network routed into a next round: each
+   honest party that sent past the ideal channel, the adversary's rush
+   if a corrupted party did, and the route phase if the functionality
+   replied. The tracing engine records exactly one flow edge per such
+   span and round, however many envelopes it sent. *)
+let sender_count (r : Sb_sim.Network.result) =
   List.fold_left
-    (fun acc (r : Sb_sim.Trace.round_record) ->
-      let party_sourced =
-        List.filter
-          (fun e -> not (Sb_sim.Envelope.is_func_bound e))
-          (r.Sb_sim.Trace.honest_sent @ r.Sb_sim.Trace.adv_sent)
+    (fun acc (round : Sb_sim.Trace.round_record) ->
+      let span e =
+        match Sb_sim.Envelope.src_party e with
+        | Some i when List.mem i r.Sb_sim.Network.corrupted -> -1
+        | Some i -> i
+        | None -> -2
       in
-      acc + List.length party_sourced + List.length r.Sb_sim.Trace.func_sent)
-    0 trace
+      let spans =
+        List.filter_map
+          (fun e -> if Sb_sim.Envelope.is_func_bound e then None else Some (span e))
+          (round.Sb_sim.Trace.honest_sent @ round.Sb_sim.Trace.adv_sent)
+      in
+      let spans = if round.Sb_sim.Trace.func_sent = [] then spans else -2 :: spans in
+      acc + List.length (List.sort_uniq compare spans))
+    0 r.Sb_sim.Network.trace
 
-let test_flow_edge_per_delivered_envelope () =
+let test_flow_edge_per_sender_and_round () =
   with_trace (fun () ->
       let r = run_fixture () in
       Alcotest.(check int) "one session" 1 (Trace_ctx.session_total ());
-      Alcotest.(check int) "one flow edge per delivered envelope"
-        (delivered_count r.Sb_sim.Network.trace)
+      Alcotest.(check int) "one flow edge per sending span and round" (sender_count r)
         (List.length (Trace_ctx.flows ()));
       (* Every edge endpoint is a completed span. *)
       let ids =
@@ -197,9 +205,7 @@ let test_perfetto_parse_back () =
         (List.length xs);
       let starts = List.filter (fun e -> ph e = "s") events in
       let finishes = List.filter (fun e -> ph e = "f") events in
-      Alcotest.(check int) "one flow start per edge"
-        (delivered_count r.Sb_sim.Network.trace)
-        (List.length starts);
+      Alcotest.(check int) "one flow start per edge" (sender_count r) (List.length starts);
       Alcotest.(check int) "flow starts and finishes pair up" (List.length starts)
         (List.length finishes);
       (* X events carry the Gc delta args. *)
@@ -355,8 +361,8 @@ let () =
         ] );
       ( "simulator",
         [
-          Alcotest.test_case "flow edge per delivered envelope" `Quick
-            test_flow_edge_per_delivered_envelope;
+          Alcotest.test_case "flow edge per sender and round" `Quick
+            test_flow_edge_per_sender_and_round;
           Alcotest.test_case "perfetto parse-back" `Quick test_perfetto_parse_back;
           Alcotest.test_case "flame aggregation" `Quick test_flame_aggregation;
           Alcotest.test_case "tracing is inert (jobs 1 and 2)" `Quick test_tracing_is_inert;

@@ -219,8 +219,7 @@ let test_bitvec_roundtrip () =
 let test_bitvec_parity () =
   let v = Bitvec.of_string "1101" in
   Alcotest.(check bool) "parity of 1101" true (Bitvec.parity v);
-  Alcotest.(check bool) "parity except 0" false (Bitvec.parity_except v 0);
-  Alcotest.(check bool) "parity except 2" true (Bitvec.parity_except v 2)
+  Alcotest.(check bool) "parity of 1100" false (Bitvec.parity (Bitvec.of_string "1100"))
 
 let test_bitvec_proj_combine () =
   let v = Bitvec.of_string "10110" in
