@@ -56,7 +56,9 @@ val e15_fault_resilience : Setup.t -> outcome
 val e16_wire_complexity : ?ns:int list -> ?thresh:int -> unit -> outcome
 (** Sweeps n over the five broadcast substrates on honest runs and
     reports rounds, p2p message count, broadcast count, wire bytes
-    ({!Sb_sim.Trace.wire_bytes}) and wall clock; pins rounds constant
+    and wall clock, all read from the run's comm tally
+    ({!Sb_sim.Network.honest_run} [~record_comm:true]: a broadcast is
+    counted once, functionality traffic is excluded); pins rounds constant
     in n and message/byte growth to the Theta(n^3) band (n sessions of
     an all-to-all scheme). *)
 

@@ -10,9 +10,9 @@ qualified (`M.x`, `Lib.M.Sub.x`), through a module alias
 are ignored. Vals inside `module type` signatures are requirements,
 not exports, and are skipped.
 
-Usage: python3 scripts/check_exports.py [--count]
-Exits 1 and lists `file: val name` for each unreferenced export.
-With --count, prints the number of exported vals as well.
+Usage: python3 scripts/check_exports.py
+Prints the number of exported vals, then exits 1 and lists
+`file: val name` for each unreferenced export.
 """
 
 import os
@@ -160,8 +160,7 @@ def main():
                 return any(word.search(src, a, b) for a, b in spans)
             if not any(named(*u) for u in users):
                 unused.append(f"{mli}: val {v}")
-    if "--count" in sys.argv:
-        print(f"{total} exported vals in {len(mlis)} interfaces")
+    print(f"{total} exported vals in {len(mlis)} interfaces")
     for u in unused:
         print(u)
     if unused:

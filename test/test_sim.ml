@@ -400,21 +400,6 @@ let sum_party f (trace : Trace.t) =
 let if_bcast yes e = if Envelope.is_broadcast e then yes e else 0
 let if_p2p yes e = if Envelope.is_broadcast e then 0 else yes e
 
-(* Flow edges a traced round records: one per distinct sending span of
-   the envelopes it routes — an honest party, the adversary's rush, or
-   the route phase for functionality traffic. *)
-let flow_senders ~corrupted routed func_sent =
-  let span e =
-    match Envelope.src_party e with
-    | Some i when List.mem i corrupted -> -1
-    | Some i -> i
-    | None -> -2
-  in
-  let spans =
-    List.filter_map (fun e -> if Envelope.is_func_bound e then None else Some (span e)) routed
-  in
-  List.length (List.sort_uniq compare (if func_sent = [] then spans else -2 :: spans))
-
 let comm_of_trace n (trace : Trace.t) =
   {
     Network.broadcasts = sum_party (if_bcast (fun _ -> 1)) trace;
@@ -580,7 +565,7 @@ let test_send_all_accounting () =
     check "flow edges"
       (List.fold_left2
          (fun acc q (round : Trace.round_record) ->
-           acc + flow_senders ~corrupted:r.Network.corrupted q round.Trace.func_sent)
+           acc + Flow_oracle.senders ~corrupted:r.Network.corrupted q round.Trace.func_sent)
          0 routed trace)
       flows;
     (r, counter "sim.forgeries_dropped")

@@ -136,27 +136,15 @@ let run_fixture ?(seed = 7) () =
     ~adversary:(Core.Adversaries.semi_honest fixture_protocol ~corrupt:[ 3; 4 ])
     ~inputs ()
 
-(* Spans that sent traffic the network routed into a next round: each
-   honest party that sent past the ideal channel, the adversary's rush
-   if a corrupted party did, and the route phase if the functionality
-   replied. The tracing engine records exactly one flow edge per such
-   span and round, however many envelopes it sent. *)
+(* Flow edges the whole traced run records ({!Flow_oracle.senders},
+   round by round over the as-sent party traffic). *)
 let sender_count (r : Sb_sim.Network.result) =
   List.fold_left
     (fun acc (round : Sb_sim.Trace.round_record) ->
-      let span e =
-        match Sb_sim.Envelope.src_party e with
-        | Some i when List.mem i r.Sb_sim.Network.corrupted -> -1
-        | Some i -> i
-        | None -> -2
-      in
-      let spans =
-        List.filter_map
-          (fun e -> if Sb_sim.Envelope.is_func_bound e then None else Some (span e))
+      acc
+      + Flow_oracle.senders ~corrupted:r.Sb_sim.Network.corrupted
           (round.Sb_sim.Trace.honest_sent @ round.Sb_sim.Trace.adv_sent)
-      in
-      let spans = if round.Sb_sim.Trace.func_sent = [] then spans else -2 :: spans in
-      acc + List.length (List.sort_uniq compare spans))
+          round.Sb_sim.Trace.func_sent)
     0 r.Sb_sim.Network.trace
 
 let test_flow_edge_per_sender_and_round () =
