@@ -11,21 +11,29 @@ let scheme =
         assert ((me = sender) = Option.is_some value);
         let n = ctx.Ctx.n in
         let received = ref None in
-        (* Echo slots, array-backed: the seed kept a per-source
-           hashtable with Hashtbl.replace last-write-wins semantics;
-           a membership Bitvec plus a value array preserves exactly
-           that (last write to a slot wins, absentees fall back to the
-           default in [result]) without per-lookup hashing.
-           test_broadcast.ml pins this differentially against the
-           seed. *)
+        (* Echo slots: the seed kept a per-source hashtable with
+           Hashtbl.replace last-write-wins semantics. Here a membership
+           Bitvec marks who echoed, [first] holds the first echo value
+           recorded, and [others] holds only the sources whose last echo
+           differs from it, so the state grows with the number of
+           distinct echoes, not with n. Absentees fall back to the
+           default in [result]. test_broadcast.ml pins this
+           differentially against the seed. *)
         let echo_seen = Sb_util.Bitvec.Mut.create n in
-        let echo_val = Array.make n default in
+        let first = ref None in
+        let others = Hashtbl.create 1 in
         let tag = Session.tag sid in
         let send_all out m = Outbox.to_all out ~n ~src:me (Msg.Tag (tag, m)) in
         let record_echo src = function
           | Msg.Tag ("echo", v) ->
               Sb_util.Bitvec.Mut.set echo_seen src true;
-              echo_val.(src) <- v
+              begin
+                match !first with
+                | None -> first := Some v
+                | Some f when Msg.equal v f ->
+                    if Hashtbl.length others > 0 then Hashtbl.remove others src
+                | Some _ -> Hashtbl.replace others src v
+              end
           | _ -> ()
         in
         let step ~round ~inbox ~out =
@@ -49,7 +57,13 @@ let scheme =
           | 2 -> Inbox.iter_from_parties ~tag record_echo inbox
           | _ -> ()
         in
-        let slot src = if Sb_util.Bitvec.Mut.get echo_seen src then echo_val.(src) else default in
+        let slot src =
+          match !first with
+          | Some f when Sb_util.Bitvec.Mut.get echo_seen src ->
+              if Hashtbl.length others = 0 then f
+              else Option.value (Hashtbl.find_opt others src) ~default:f
+          | _ -> default
+        in
         (* Majority over all n echo slots, absentees counted as default.
            When every slot holds one value (the honest case) that value
            wins, which the table below would also return as its last

@@ -52,19 +52,30 @@ let all n =
   assert (n <= 20);
   List.init (1 lsl n) (fun v -> of_int n v)
 
-let xor a b =
-  assert (Array.length a = Array.length b);
-  Array.init (Array.length a) (fun i -> a.(i) <> b.(i))
-
 (* In-place membership vectors for the substrates' receive/echo sets.
    The immutable [t] above copies the whole vector on [set] — O(n) per
    recorded message, O(n^3) per session once n^2 messages flow — so the
-   hot loops keep one of these per session and mutate it instead. *)
+   hot loops keep one of these per session and mutate it instead. Bit i
+   is bit [i land 7] of byte [i lsr 3]. OCaml allocates a block of more
+   than 256 words straight into the major heap, so a word per party
+   would put every set above n = 256 there, one per party; packed, a
+   set stays in the minor heap up to n = 16376. *)
 module Mut = struct
-  type mut = bool array
+  type mut = { len : int; bits : Bytes.t }
 
-  let create n = Array.make n false
-  let length = Array.length
-  let get (v : mut) i = v.(i)
-  let set (v : mut) i b = v.(i) <- b
+  let create n = { len = n; bits = Bytes.make ((n + 7) lsr 3) '\000' }
+
+  (* The message a [bool array] raises for an out-of-range index. *)
+  let[@inline] check v i = if i < 0 || i >= v.len then invalid_arg "index out of bounds"
+
+  let get v i =
+    check v i;
+    Char.code (Bytes.unsafe_get v.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+  let set v i b =
+    check v i;
+    let byte = Char.code (Bytes.unsafe_get v.bits (i lsr 3)) in
+    let mask = 1 lsl (i land 7) in
+    Bytes.unsafe_set v.bits (i lsr 3)
+      (Char.unsafe_chr (if b then byte lor mask else byte land lnot mask))
 end

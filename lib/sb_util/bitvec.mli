@@ -54,8 +54,6 @@ val of_string : string -> t
 val all : int -> t list
 (** All 2^n vectors of length [n], in [to_int] order. Requires n <= 20. *)
 
-val xor : t -> t -> t
-
 (** Mutable membership vectors for hot loops.
 
     [set] on the immutable {!t} copies the whole vector, which turns a
@@ -64,14 +62,19 @@ val xor : t -> t -> t
     message (Bracha/send-echo echo sets, Dolev-Strong signer masks,
     EIG path distinctness) keep one [Mut.mut] per session instead and
     update it in place; scratch users clear just the bits they set, so
-    reuse stays O(len) per check. *)
+    reuse stays O(len) per check.
+
+    A [mut] of length n stores one bit per party, packed into
+    ceil(n/8) bytes, so even an n = 2048 set is allocated in the minor
+    heap. [get] and [set] raise [Invalid_argument "index out of bounds"]
+    for an index outside [0, n), as indexing a [bool array] of length n
+    does; the padding bits of the last byte are never reachable. *)
 module Mut : sig
   type mut
 
   val create : int -> mut
   (** All-false vector of the given length. *)
 
-  val length : mut -> int
   val get : mut -> int -> bool
 
   val set : mut -> int -> bool -> unit

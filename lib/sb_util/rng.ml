@@ -44,17 +44,24 @@ let create seed = of_seed64 (Int64.of_int seed)
 
 let[@inline] rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
+(* One xoshiro256** step, one function per word: [output s1] is the
+   draw and [next0] .. [next3] the next state, each a function of the
+   current words. [int64] steps the state in [t]; [count_bernoulli]
+   steps four locals and writes them back once per call. OCaml would
+   box a step that returned all five words as a tuple. *)
+let[@inline] output s1 = Int64.(mul (rotl (mul s1 5L) 7) 9L)
+let[@inline] next0 s0 s1 s3 = Int64.(logxor s0 (logxor s3 s1))
+let[@inline] next1 s0 s1 s2 = Int64.(logxor s1 (logxor s2 s0))
+let[@inline] next2 s0 s1 s2 = Int64.(logxor (logxor s2 s0) (shift_left s1 17))
+let[@inline] next3 s1 s3 = rotl (Int64.logxor s3 s1) 45
+
 let[@inline] int64 t =
-  let open Int64 in
   let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
-  let result = mul (rotl (mul s1 5L) 7) 9L in
-  let s2 = logxor s2 s0 in
-  let s3 = logxor s3 s1 in
-  set t 0 (logxor s0 s3);
-  set t 1 (logxor s1 s2);
-  set t 2 (logxor s2 (shift_left s1 17));
-  set t 3 (rotl s3 45);
-  result
+  set t 0 (next0 s0 s1 s3);
+  set t 1 (next1 s0 s1 s2);
+  set t 2 (next2 s0 s1 s2);
+  set t 3 (next3 s1 s3);
+  output s1
 
 let split t = of_seed64 (int64 t)
 
@@ -103,10 +110,20 @@ let count_bernoulli t p k =
   if k < 0 then invalid_arg "Rng.count_bernoulli: k";
   let threshold = Float.to_int (Float.ceil (p *. 0x1p53)) in
   let count = ref 0 in
+  let s0 = ref (get t 0) and s1 = ref (get t 1) and s2 = ref (get t 2) and s3 = ref (get t 3) in
   for _ = 1 to k do
-    let x = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
-    count := !count + Bool.to_int (x < threshold)
+    let w0 = !s0 and w1 = !s1 and w2 = !s2 and w3 = !s3 in
+    let x = Int64.to_int (Int64.shift_right_logical (output w1) 11) in
+    count := !count + Bool.to_int (x < threshold);
+    s0 := next0 w0 w1 w3;
+    s1 := next1 w0 w1 w2;
+    s2 := next2 w0 w1 w2;
+    s3 := next3 w1 w3
   done;
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3;
   !count
 
 (* One draw per byte, in index order: the stream the golden values in

@@ -4,15 +4,18 @@
 Every `val` declared in a `lib/**/*.mli` must be named by some `.ml`
 file outside its own module (another library module, bin, bench,
 simbench, examples or test). A name counts when a file writes it
-qualified (`M.x`, `Lib.M.Sub.x`), through a module alias
+qualified (`M.x`, `Lib.M.x`), through a module alias
 (`module X = Lib.M`, then `X.x`), or bare inside the scope of
-`open M`, `let open M in` or `M.( ... )`. Comments and string literals
-are ignored. Vals inside `module type` signatures are requirements,
-not exports, and are skipped.
+`open M`, `let open M in` or `M.( ... )`. A val of a nested
+`module Sub : sig ... end` counts only under its full path: `M.Sub.x`,
+`Sub.x` where `M` is open, or `x` where `M.Sub` is open (`M.x` names
+a different val). Comments and string literals are ignored. Vals
+inside `module type` signatures are requirements, not exports, and
+are skipped.
 
 Usage: python3 scripts/check_exports.py
 Prints the number of exported vals, then exits 1 and lists
-`file: val name` for each unreferenced export.
+`file: val Sub.name` for each unreferenced export.
 """
 
 import os
@@ -81,16 +84,26 @@ def module_name(path):
 
 
 def exports(mli_src):
-    """The `val` names of an interface, minus those inside module types."""
-    names, depth, module_type_at = [], 0, None
-    for tok in re.finditer(r"\b(module\s+type|sig|end)\b|\bval\s+([a-z_][\w']*)", mli_src):
+    """The vals of an interface as (submodule path, name) pairs.
+
+    A val inside `module X : sig ... end` has path ("X",); vals inside
+    module types are skipped.
+    """
+    names, depth, module_type_at, path = [], 0, None, []
+    pattern = r"\b(module\s+type|sig|end)\b|\bmodule\s+([A-Z][\w']*)\s*:\s*sig\b|\bval\s+([a-z_][\w']*)"
+    for tok in re.finditer(pattern, mli_src):
         word = tok.group(1)
-        if word is None:
+        if tok.group(2):
+            depth += 1
+            path.append((depth, tok.group(2)))
+        elif tok.group(3):
             if module_type_at is None:
-                names.append(tok.group(2))
+                names.append((tuple(n for _, n in path), tok.group(3)))
         elif word == "sig":
             depth += 1
         elif word == "end":
+            if path and path[-1][0] == depth:
+                path.pop()
             depth -= 1
             if module_type_at is not None and depth <= module_type_at:
                 module_type_at = None
@@ -112,20 +125,39 @@ def balanced(src, open_at):
     return len(src)
 
 
-def scopes(src, mod):
-    """Names that denote [mod] in [src], and the spans where it is open."""
-    path = r"(?:[A-Z][\w']*\.)*" + mod + r"\b"
-    names = {mod}
-    for m in re.finditer(r"\bmodule\s+([A-Z][\w']*)\s*=\s*" + path + r"(?!\.)", src):
-        names.add(m.group(1))
-    spans = []
-    for name in names:
-        q = r"(?:[A-Z][\w']*\.)*" + name
-        for m in re.finditer(r"\bopen!?\s+" + q + r"\b(?!\.)", src):
-            spans.append((m.end(), len(src)))
-        for m in re.finditer(r"(?<![\w.])" + q + r"\.\(", src):
-            spans.append((m.end() - 1, balanced(src, m.end() - 1)))
-    return names, spans
+# A name not preceded by an identifier character or a dot, and a name
+# optionally qualified by outer modules (`Sb_util.Bitvec`).
+LEAD = r"(?<![\w'.])"
+QUALIFIED = r"(?<![\w'])(?:[A-Z][\w']*\.)*"
+
+
+def find(src, pattern, spans):
+    regex = re.compile(pattern)
+    return [m for a, b in spans for m in regex.finditer(src, a, b)]
+
+
+def scopes(src, mod, path):
+    """How [src] names module [mod], or its submodule [mod.path].
+
+    Returns the regexes that denote the module, each with the spans in
+    which it does so, and the spans where the module is open. A
+    submodule is named by its parent's name plus `.Sub`, or by `Sub`
+    alone where the parent is open; `module X = ...` adds X.
+    """
+    whole = [(0, len(src))]
+    names, opened = [(QUALIFIED + mod, whole)], []
+    for depth in range(len(path) + 1):
+        if depth:
+            sub = path[depth - 1]
+            names = [(d + r"\." + sub, sp) for d, sp in names] + [(LEAD + sub, opened)]
+        for d, sp in list(names):
+            for m in find(src, r"\bmodule\s+([A-Z][\w']*)\s*=\s*" + d + r"\b(?!\.)", sp):
+                names.append((LEAD + m.group(1), whole))
+        opened = []
+        for d, sp in names:
+            opened += [(m.end(), len(src)) for m in find(src, r"\bopen!?\s+" + d + r"\b(?!\.)", sp)]
+            opened += [(m.end() - 1, balanced(src, m.end() - 1)) for m in find(src, d + r"\.\(", sp)]
+    return names, opened
 
 
 def main():
@@ -146,20 +178,16 @@ def main():
         own = {mli, mli[:-1]}
         vals = exports(sources[mli])
         total += len(vals)
-        users = []
-        for p, src in sources.items():
-            if p in own or not p.endswith(".ml") or mod not in src:
-                continue
-            users.append((src, *scopes(src, mod)))
-        for v in vals:
-            word = re.compile(r"(?<![\w'])" + re.escape(v) + r"(?![\w'])")
-            def named(src, names, spans):
-                for name in names:
-                    if re.search(r"(?<![\w'])" + name + r"\.(?:[A-Z][\w']*\.)*" + re.escape(v) + r"(?![\w'])", src):
-                        return True
-                return any(word.search(src, a, b) for a, b in spans)
-            if not any(named(*u) for u in users):
-                unused.append(f"{mli}: val {v}")
+        users = [p for p, src in sources.items() if p not in own and p.endswith(".ml") and mod in src]
+        named_by = {}
+        for path, v in vals:
+            if path not in named_by:
+                named_by[path] = [(sources[p], *scopes(sources[p], mod, path)) for p in users]
+            name = re.escape(v) + r"(?![\w'])"
+            def named(src, names, opened):
+                return any(find(src, d + r"\." + name, sp) for d, sp in names) or find(src, LEAD + name, opened)
+            if not any(named(*u) for u in named_by[path]):
+                unused.append(f"{mli}: val {'.'.join(path + (v,))}")
     print(f"{total} exported vals in {len(mlis)} interfaces")
     for u in unused:
         print(u)

@@ -1706,6 +1706,45 @@ let test_sessions_ignore_foreign () =
         [ (4, 0, true); (4, 3, false); (5, 2, true) ])
     Sb_broadcast.Schemes.all
 
+(* Per-party state must stay out of the major heap. One single-session
+   honest run at n = 300 on the arena path (as E17 and simbench's
+   large-n run it) may allocate at most 16n words straight into the
+   major heap: the run's own per-round arrays, none of them per party.
+   A [bool array] receive set or an n-slot echo table per party is
+   n + 1 words each, over OCaml's 256-word minor-heap limit at this n,
+   so one of them in each of n parties puts ~n^2 words there. The
+   count is major words minus promoted words, each read after a
+   [Gc.minor ()]: without it OCaml 5's counters read 0 for a run this
+   small. One warm-up run first grows the arena and router buffers. *)
+let test_major_heap_shape () =
+  let n = 300 in
+  let direct_major_words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  List.iter
+    (fun (scheme : Sb_broadcast.Session.scheme) ->
+      let pool = Envelope.Arena.create () in
+      let ctx = Ctx.make ~rng:(Sb_util.Rng.create 1) ~n ~thresh:1 ~k:8 ~pool () in
+      let protocol = Sb_broadcast.Parallel.single scheme in
+      let inputs = Array.init n (fun i -> Msg.Bit (i mod 2 = 0)) in
+      let run () =
+        ignore
+          (Network.honest_run ~record_trace:false ~record_comm:true ~reuse_envelopes:true ctx
+             ~rng:(Sb_util.Rng.create 2) ~protocol ~inputs)
+      in
+      run ();
+      let before = direct_major_words () in
+      run ();
+      let words = direct_major_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words direct to the major heap <= 16n"
+           scheme.Sb_broadcast.Session.scheme_name words)
+        true
+        (words <= float_of_int (16 * n)))
+    Sb_broadcast.[ Send_echo.scheme; Bracha.scheme; Dolev_strong.scheme; Phase_king.scheme ]
+
 let () =
   let scheme_cases name scheme =
     [
@@ -1758,6 +1797,8 @@ let () =
             test_wrap_unwrap_partial;
           Alcotest.test_case "sessions ignore foreign envelopes" `Quick
             test_sessions_ignore_foreign;
+          Alcotest.test_case "per-party state stays out of the major heap" `Quick
+            test_major_heap_shape;
         ] );
       ( "parallel",
         [

@@ -240,10 +240,6 @@ let test_bitvec_all () =
   Alcotest.(check int) "count" 8 (List.length l);
   Alcotest.(check int) "distinct" 8 (List.length (List.sort_uniq Bitvec.compare l))
 
-let test_bitvec_xor () =
-  let a = Bitvec.of_string "1100" and b = Bitvec.of_string "1010" in
-  Alcotest.(check string) "xor" "0110" (Bitvec.to_string (Bitvec.xor a b))
-
 let test_subset_complement () =
   Alcotest.(check (list int)) "complement" [ 0; 2; 4 ] (Subset.complement 5 [ 1; 3 ])
 
@@ -322,12 +318,24 @@ let qcheck_bitvec_int_roundtrip =
       let v = v land ((1 lsl n) - 1) in
       Bitvec.to_int (Bitvec.of_int n v) = v)
 
-let qcheck_bitvec_xor_involution =
-  QCheck.Test.make ~name:"xor involution" ~count:500
-    QCheck.(pair (int_bound 255) (int_bound 255))
-    (fun (a, b) ->
-      let va = Sb_util.Bitvec.of_int 8 a and vb = Sb_util.Bitvec.of_int 8 b in
-      Bitvec.equal va (Bitvec.xor (Bitvec.xor va vb) vb))
+(* The packed receive set against the [bool array] it replaced: on a
+   random set/get sequence both read the same bit after every step, and
+   an out-of-range index (-1, n) raises the same exception from both.
+   Each case also probes -1, n - 1 and n and then compares all n bits. *)
+let qcheck_bitvec_mut_vs_bool_array =
+  let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  QCheck.Test.make ~name:"Bitvec.Mut = bool array" ~count:300
+    QCheck.(
+      pair (int_range 1 2100) (list_of_size Gen.(0 -- 300) (pair (int_bound 1_000_000) bool)))
+    (fun (n, ops) ->
+      let oracle = Array.make n false and packed = Bitvec.Mut.create n in
+      let step i b =
+        outcome (fun () -> oracle.(i) <- b) = outcome (fun () -> Bitvec.Mut.set packed i b)
+        && outcome (fun () -> oracle.(i)) = outcome (fun () -> Bitvec.Mut.get packed i)
+      in
+      List.for_all (fun (r, b) -> step ((r mod (n + 2)) - 1) b) ops
+      && List.for_all (fun i -> step i true && step i false && step i true) [ -1; n - 1; n ]
+      && List.for_all (fun i -> oracle.(i) = Bitvec.Mut.get packed i) (List.init n Fun.id))
 
 let qcheck_subset_count_is_binomial =
   QCheck.Test.make ~name:"|all_of_size n k| = C(n,k)" ~count:200
@@ -376,9 +384,8 @@ let () =
           Alcotest.test_case "proj/combine" `Quick test_bitvec_proj_combine;
           Alcotest.test_case "functional set" `Quick test_bitvec_set_functional;
           Alcotest.test_case "all vectors" `Quick test_bitvec_all;
-          Alcotest.test_case "xor" `Quick test_bitvec_xor;
           QCheck_alcotest.to_alcotest qcheck_bitvec_int_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_bitvec_xor_involution;
+          QCheck_alcotest.to_alcotest qcheck_bitvec_mut_vs_bool_array;
         ] );
       ( "subset",
         [
