@@ -17,7 +17,7 @@ let dist_names = [ "uniform"; "xor-parity"; "copy-pair"; "biased"; "almost-unifo
 let dist_of_name name n =
   match name with
   | "uniform" -> Ok (Sb_dist.Dist.uniform n)
-  | "xor-parity" -> Ok (Sb_dist.Dist.xor_parity ~even:true n)
+  | "xor-parity" -> Ok (Sb_dist.Dist.xor_parity n)
   | "copy-pair" when n < 2 -> Error (Printf.sprintf "-d copy-pair needs n >= 2 (got %d)" n)
   | "copy-pair" -> Ok (Sb_dist.Dist.copy_pair n)
   | "biased" -> Ok (Sb_dist.Dist.product 0.25 n)
@@ -50,7 +50,7 @@ let adversary_of_name name (protocol : Sb_sim.Protocol.t) ~n ~thresh =
         if String.equal protocol.Sb_sim.Protocol.name "naive-concurrent" then `Concurrent
         else `Sequential
       in
-      corrupting 1 (Core.Adversaries.echo ~mode ~copier:(n - 1) ~target:0 ())
+      corrupting 1 (Core.Adversaries.echo ~mode ~copier:(n - 1) ~target:0)
   | "a-star" -> corrupting 2 (Core.Adversaries.a_star ~corrupt:(n - 2, n - 1))
   | "silent" -> corrupting 1 (Core.Adversaries.silent ~corrupt:[ n - 1 ])
   | "withhold" ->
@@ -465,7 +465,7 @@ let test_cmd =
             let setup = Core.Setup.{ default with n; thresh; samples; seed } in
             match tester with
             | "cr" ->
-                let r = Core.Cr_test.run setup ~protocol ~adversary ~dist () in
+                let r = Core.Cr_test.run setup ~protocol ~adversary ~dist in
                 Printf.printf "CR verdict: %s\n" (Sb_stats.Verdict.to_string r.Core.Cr_test.verdict);
                 (match r.Core.Cr_test.worst with
                 | Some w ->

@@ -32,7 +32,7 @@ let () =
   (* --- 2. Why "parallel" is not "simultaneous" (Section 3.2). ------ *)
   let setup = Core.Setup.{ default with samples = 2000 } in
   let uniform = Sb_dist.Dist.uniform 5 in
-  let echo = Core.Adversaries.echo ~mode:`Sequential ~copier:4 ~target:0 () in
+  let echo = Core.Adversaries.echo ~mode:`Sequential ~copier:4 ~target:0 in
   let correlation protocol adversary =
     let agree = ref 0 and total = ref 0 in
     let rng = Sb_util.Rng.create 7 in
@@ -46,21 +46,19 @@ let () =
   Format.printf "@.Pr[W4 = W0] under a rushing echo adversary:@.";
   Format.printf "  naive sequential broadcast : %.3f   (P4 just replays P0)@."
     (correlation Sb_protocols.Naive.sequential echo);
-  let echo_conc = Core.Adversaries.echo ~mode:`Concurrent ~copier:4 ~target:0 () in
+  let echo_conc = Core.Adversaries.echo ~mode:`Concurrent ~copier:4 ~target:0 in
   Format.printf "  gennaro (commit via VSS)   : %.3f   (copying a hiding commitment is useless)@."
     (correlation Sb_protocols.Gennaro.protocol echo_conc);
 
   (* --- 3. The formal testers, one call each. ------------------------ *)
   let cr =
     Core.Cr_test.run setup ~protocol:Sb_protocols.Naive.sequential ~adversary:echo ~dist:uniform
-      ()
   in
   Format.printf "@.CR-independence of naive sequential under echo: %s@."
     (Sb_stats.Verdict.to_string cr.Core.Cr_test.verdict);
   let semi = Core.Adversaries.semi_honest Sb_protocols.Gennaro.protocol ~corrupt:[ 3; 4 ] in
   let cr' =
     Core.Cr_test.run setup ~protocol:Sb_protocols.Gennaro.protocol ~adversary:semi ~dist:uniform
-      ()
   in
   Format.printf "CR-independence of gennaro under semi-honest corruption: %s@."
     (Sb_stats.Verdict.to_string cr'.Core.Cr_test.verdict)

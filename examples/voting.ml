@@ -40,7 +40,7 @@ let () =
     (n - 1) !correct !total;
 
   (* The statistical definitions reject the situation anyway. *)
-  let cr = Core.Cr_test.run setup ~protocol ~adversary ~dist () in
+  let cr = Core.Cr_test.run setup ~protocol ~adversary ~dist in
   let g =
     Core.G_test.run (Core.Setup.with_samples 12000 setup) ~protocol
       ~adversary:(Core.Adversaries.semi_honest protocol ~corrupt:[ 1 ])

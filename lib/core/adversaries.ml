@@ -41,8 +41,8 @@ let a_star ~corrupt:(i, j) =
         { Adversary.act; adv_output = (fun () -> Msg.Unit) });
   }
 
-let echo ~mode ~copier ~target ?(negate = false) () =
-  let name = Printf.sprintf "echo(%d<-%d%s)" copier target (if negate then ",neg" else "") in
+let echo ~mode ~copier ~target =
+  let name = Printf.sprintf "echo(%d<-%d)" copier target in
   (match mode with `Sequential -> assert (copier > target) | `Concurrent -> ());
   let value_tag = "naive-value" in
   let payload_of (e : Envelope.t) =
@@ -68,7 +68,6 @@ let echo ~mode ~copier ~target ?(negate = false) () =
           let my_round = match mode with `Sequential -> copier | `Concurrent -> 0 in
           if view.Adversary.round = my_round then
             let b = Option.value !heard ~default:false in
-            let b = if negate then not b else b in
             [ Envelope.broadcast ~src:copier (Msg.Tag (value_tag, Msg.Bit b)) ]
           else []
         in

@@ -16,12 +16,16 @@ val semi_honest : Protocol.t -> corrupt:int list -> Adversary.t
     (re-export of {!Sb_sim.Adversary.semi_honest}). *)
 
 val substitute_constant : Protocol.t -> corrupt:int list -> value:bool -> Adversary.t
-(** Corrupted parties run honestly but on a constant input chosen
+(** Test fixture for {!Announced.run_once}'s input substitution and the
+    adversary's lazy view: corrupted parties run honestly but on a
+    constant input chosen
     before the execution — input-independent misbehaviour that every
     notion of independence tolerates. *)
 
 val substitute_random : Protocol.t -> corrupt:int list -> Adversary.t
-(** As above with a fresh random input per execution. *)
+(** Corrupted parties run honestly but on a fresh random input per
+    execution — input-independent misbehaviour that every notion of
+    independence tolerates. *)
 
 val a_star : corrupt:int * int -> Adversary.t
 (** The Lemma 6.4 adversary A* against Π_G: both corrupted parties
@@ -29,17 +33,11 @@ val a_star : corrupt:int * int -> Adversary.t
     the functionality Θ into its leaking branch and forcing
     ⊕ᵢ Wᵢ = 0 in every execution (Claim 6.6). *)
 
-val echo :
-  mode:[ `Sequential | `Concurrent ] ->
-  copier:int ->
-  target:int ->
-  ?negate:bool ->
-  unit ->
-  Adversary.t
+val echo : mode:[ `Sequential | `Concurrent ] -> copier:int -> target:int -> Adversary.t
 (** The §3.2 attack on the naive protocols: [copier] discards its own
-    input and announces [target]'s announced value (optionally
-    negated). For [`Sequential]' the copier must come after the target
-    in the schedule; for [`Concurrent] rushing makes any pair work. *)
+    input and announces [target]'s announced value. For [`Sequential]
+    the copier must come after the target in the schedule; for
+    [`Concurrent] rushing makes any pair work. *)
 
 val reveal_withhold :
   Protocol.t ->
@@ -68,7 +66,9 @@ val probe_vss_secret : dealer:int -> Ctx.t -> Envelope.t list -> bool
     whether the revealed bit is 1. *)
 
 val copycat_dealer : copier:int -> target:int -> Adversary.t
-(** Against the concurrent VSS protocols: [copier] re-broadcasts
+(** Test fixture for the VSS complaint round ([Vss_session]), which
+    must disqualify a copied dealing. Against the concurrent VSS
+    protocols: [copier] re-broadcasts
     [target]'s round-0 coefficient commitments under its own dealer
     tag (and distributes no shares). The complaint round disqualifies
     it, so its announced value is the input-independent default 0. *)

@@ -23,9 +23,9 @@ type acc = {
   red_buf : bool array;  (* length n-1: w with one honest index dropped *)
 }
 
-let run setup ~protocol ~adversary ~dist ?predicates () =
+let run setup ~protocol ~adversary ~dist =
   let n = setup.Setup.n in
-  let predicates = match predicates with Some p -> p | None -> Predicate.battery ~n in
+  let predicates = Predicate.battery ~n in
   let corrupted = Announced.corrupted_of setup ~protocol ~adversary in
   let honest = Subset.complement n corrupted in
   (* One event-pair counter per (honest i, predicate). *)

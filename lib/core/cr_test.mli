@@ -33,6 +33,4 @@ val run :
   protocol:Sb_sim.Protocol.t ->
   adversary:Sb_sim.Adversary.t ->
   dist:Sb_dist.Dist.t ->
-  ?predicates:Predicate.t list ->
-  unit ->
   result

@@ -23,7 +23,8 @@ let g_setup setup = Setup.with_samples (4 * setup.Setup.samples) setup
 
 (* --- E1: distribution classes (Claim 5.6) ------------------------- *)
 
-let e1_distribution_classes ?(n = 5) () =
+let e1_distribution_classes setup =
+  let n = setup.Setup.n in
   let table =
     Tabular.create ~title:"E1 (Claim 5.6): input distribution classes"
       ~columns:
@@ -73,7 +74,7 @@ let e1_distribution_classes ?(n = 5) () =
 
 let correlated_dists n =
   [
-    ("xor-parity", Sb_dist.Dist.xor_parity ~even:true n);
+    ("xor-parity", Sb_dist.Dist.xor_parity n);
     ("copy-pair", Sb_dist.Dist.copy_pair n);
   ]
 
@@ -96,7 +97,7 @@ let e2_cr_unachievable setup =
       (fun (p : Sb_sim.Protocol.t) ->
         List.map
           (fun (dname, dist) ->
-            let r = Cr_test.run setup ~protocol:p ~adversary:Adversaries.passive ~dist () in
+            let r = Cr_test.run setup ~protocol:p ~adversary:Adversaries.passive ~dist in
             let worst, gap =
               match r.Cr_test.worst with
               | Some w ->
@@ -136,11 +137,11 @@ let e3_g_unachievable setup =
      xor-parity. *)
   let cases =
     [
-      (Sb_protocols.Gennaro.protocol, "xor-parity", Sb_dist.Dist.xor_parity ~even:true n, [ n - 1 ]);
+      (Sb_protocols.Gennaro.protocol, "xor-parity", Sb_dist.Dist.xor_parity n, [ n - 1 ]);
       (Sb_protocols.Gennaro.protocol, "copy-pair", Sb_dist.Dist.copy_pair n, [ 1 ]);
-      (Sb_protocols.Cgma.protocol, "xor-parity", Sb_dist.Dist.xor_parity ~even:true n, [ n - 1 ]);
+      (Sb_protocols.Cgma.protocol, "xor-parity", Sb_dist.Dist.xor_parity n, [ n - 1 ]);
       (Sb_protocols.Chor_rabin.protocol, "copy-pair", Sb_dist.Dist.copy_pair n, [ 1 ]);
-      (Sb_protocols.Ideal_sb.protocol, "xor-parity", Sb_dist.Dist.xor_parity ~even:true n, [ n - 1 ]);
+      (Sb_protocols.Ideal_sb.protocol, "xor-parity", Sb_dist.Dist.xor_parity n, [ n - 1 ]);
     ]
   in
   let checks =
@@ -221,7 +222,7 @@ let e4_feasibility setup =
           (fun (dname, dist) ->
             List.map
               (fun (aname, adversary) ->
-                let cr = Cr_test.run setup ~protocol:p ~adversary ~dist () in
+                let cr = Cr_test.run setup ~protocol:p ~adversary ~dist in
                 let g = G_test.run g4_setup ~protocol:p ~adversary ~dist () in
                 let worst =
                   match cr.Cr_test.worst with
@@ -269,7 +270,7 @@ let e5_pi_g_separation setup =
   let row (pname, p, adversary) (dname, dist) =
     let g = G_test.run (g_setup setup) ~protocol:p ~adversary ~dist () in
     let gss = Gss_test.run setup ~protocol:p ~adversary () in
-    let cr = Cr_test.run setup ~protocol:p ~adversary ~dist () in
+    let cr = Cr_test.run setup ~protocol:p ~adversary ~dist in
     let sb = Sb_test.run setup ~protocol:p ~adversary ~dist () in
     let worst, gap =
       match cr.Cr_test.worst with
@@ -321,13 +322,13 @@ let e6_singleton_trivial setup =
       ~title:"E6 (Prop. 6.3): Singleton is trivial for CR but not for Sb"
       ~columns:[ "check"; "value"; "paper prediction"; "match" ]
   in
-  let echo = Adversaries.echo ~mode:`Sequential ~copier:(n - 1) ~target:0 () in
+  let echo = Adversaries.echo ~mode:`Sequential ~copier:(n - 1) ~target:0 in
   let p = Sb_protocols.Naive.sequential in
   let alpha = Bitvec.zero n in
   let beta = Bitvec.set alpha 0 true in
   (* CR on each singleton: trivially PASS. *)
   let cr_of x =
-    Cr_test.run setup ~protocol:p ~adversary:echo ~dist:(Sb_dist.Dist.singleton x) ()
+    Cr_test.run setup ~protocol:p ~adversary:echo ~dist:(Sb_dist.Dist.singleton x)
   in
   let cr_a = cr_of alpha and cr_b = cr_of beta in
   (* Sb across the class: any one simulator sees identical corrupted
@@ -414,7 +415,7 @@ let e7_implications setup =
         let adversary = Adversaries.semi_honest p ~corrupt in
         let verdict, tname =
           match tester with
-          | `Cr -> ((Cr_test.run setup ~protocol:p ~adversary ~dist ()).Cr_test.verdict, "CR")
+          | `Cr -> ((Cr_test.run setup ~protocol:p ~adversary ~dist).Cr_test.verdict, "CR")
           | `G -> ((G_test.run (g_setup setup) ~protocol:p ~adversary ~dist ()).G_test.verdict, "G")
         in
         Tabular.add_row table [ claim; p.Sb_sim.Protocol.name; dname; tname; vstr verdict ];
@@ -432,7 +433,11 @@ let e7_implications setup =
 
 (* --- E8: round/message complexity vs n (the efficiency story) ------ *)
 
-let e8_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
+(* The sizes E8 and E16 sweep, at t = 1. *)
+let complexity_ns = [ 4; 8; 16; 32; 64 ]
+
+let e8_complexity _setup =
+  let ns = complexity_ns and thresh = 1 in
   let table =
     Tabular.create
       ~title:"E8: round and message complexity vs n (t = 1) -- the [7] vs [8] vs [12] story"
@@ -528,7 +533,7 @@ let e10_gss_agreement setup =
       (Sb_protocols.Pi_g.protocol, "A*", Adversaries.a_star ~corrupt:(n - 2, n - 1));
       ( Sb_protocols.Naive.sequential,
         "echo",
-        Adversaries.echo ~mode:`Sequential ~copier:(n - 1) ~target:0 () );
+        Adversaries.echo ~mode:`Sequential ~copier:(n - 1) ~target:0 );
       ( Sb_protocols.Commit_open.protocol,
         "reveal-withhold",
         Adversaries.reveal_withhold Sb_protocols.Commit_open.protocol ~corrupt:[ n - 1 ]
@@ -591,15 +596,15 @@ let e11_echo_attack setup =
       (Sb_protocols.Naive.sequential, "passive", Adversaries.passive, false);
       ( Sb_protocols.Naive.sequential,
         "echo",
-        Adversaries.echo ~mode:`Sequential ~copier ~target (),
+        Adversaries.echo ~mode:`Sequential ~copier ~target,
         true );
       ( Sb_protocols.Naive.concurrent,
         "echo (rushing)",
-        Adversaries.echo ~mode:`Concurrent ~copier ~target (),
+        Adversaries.echo ~mode:`Concurrent ~copier ~target,
         true );
       ( Sb_protocols.Gennaro.protocol,
         "echo attempt",
-        Adversaries.echo ~mode:`Concurrent ~copier ~target (),
+        Adversaries.echo ~mode:`Concurrent ~copier ~target,
         false );
     ]
   in
@@ -625,7 +630,7 @@ let e11_echo_attack setup =
         in
         let pt = float_of_int acc.match_target /. float_of_int acc.e11_total in
         let po = float_of_int acc.match_own /. float_of_int acc.e11_total in
-        let cr = Cr_test.run small ~protocol:p ~adversary ~dist:uniform () in
+        let cr = Cr_test.run small ~protocol:p ~adversary ~dist:uniform in
         Tabular.add_row table
           [
             p.Sb_sim.Protocol.name; aname; Tabular.cell_float ~digits:3 pt;
@@ -692,7 +697,7 @@ let e12_reveal_ablation setup =
     List.map
       (fun ((p : Sb_sim.Protocol.t), rstyle, adversary, expected) ->
         let g = G_test.run (g_setup setup) ~protocol:p ~adversary ~dist:uniform () in
-        let cr = Cr_test.run setup ~protocol:p ~adversary ~dist:uniform () in
+        let cr = Cr_test.run setup ~protocol:p ~adversary ~dist:uniform in
         (* The shape check is on G — the notion Gennaro's protocol was
            proven under; the CR column is reported for reference (its
            gap on bare commit-open sits near the inconclusive band). *)
@@ -756,7 +761,7 @@ let e13_simulation setup =
          protocol, but for the naive one the tester must still FAIL. *)
       ( Sb_protocols.Naive.sequential,
         "echo",
-        Adversaries.echo ~mode:`Sequential ~copier:(n - 1) ~target:0 (),
+        Adversaries.echo ~mode:`Sequential ~copier:(n - 1) ~target:0,
         Sb_stats.Verdict.Fail );
     ]
   in
@@ -796,7 +801,7 @@ let e13_simulation setup =
 let e14_figure1 setup =
   (* Re-derive each arrow of the paper's Figure 1 from the experiments
      that establish it, then print the figure with its verdicts. *)
-  let e1 = e1_distribution_classes ~n:setup.Setup.n () in
+  let e1 = e1_distribution_classes setup in
   let e5 = e5_pi_g_separation setup in
   let e6 = e6_singleton_trivial setup in
   let e7 = e7_implications setup in
@@ -964,7 +969,8 @@ let e15_fault_resilience setup =
 
 (* --- E16: wire complexity of the broadcast substrates -------------- *)
 
-let e16_wire_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
+let e16_wire_complexity _setup =
+  let ns = complexity_ns and thresh = 1 in
   let table =
     Tabular.create
       ~title:
@@ -1211,24 +1217,21 @@ let entry id title f = { id; title; run = instrumented f }
 
 let registry =
   [
-    entry "E1" "Distribution class hierarchy (Claim 5.6)" (fun setup ->
-        e1_distribution_classes ~n:setup.Setup.n ());
+    entry "E1" "Distribution class hierarchy (Claim 5.6)" e1_distribution_classes;
     entry "E2" "CR unachievable outside psi_C (Lemma 5.2)" e2_cr_unachievable;
     entry "E3" "G unachievable outside psi_L (Lemma 5.4)" e3_g_unachievable;
     entry "E4" "Feasibility on achievable distributions (Claims 5.1/5.3)" e4_feasibility;
     entry "E5" "Pi_G separates G from CR (Lemma 6.4)" e5_pi_g_separation;
     entry "E6" "Singleton trivial for CR, not Sb (Prop. 6.3)" e6_singleton_trivial;
     entry "E7" "Implications on achievable classes (Lemmas 6.1/6.2)" e7_implications;
-    entry "E8" "Round/message complexity (the efficiency motivation)" (fun _ ->
-        e8_complexity ());
+    entry "E8" "Round/message complexity (the efficiency motivation)" e8_complexity;
     entry "E10" "G** vs G agreement (Props. B.3/B.4)" e10_gss_agreement;
     entry "E11" "Echo attack quantified (Section 3.2)" e11_echo_attack;
     entry "E12" "Recoverable reveals ablation" e12_reveal_ablation;
     entry "E13" "Sb simulation of the VSS protocols (Cor. 5.5)" e13_simulation;
     entry "E14" "Figure 1, assembled and verified" e14_figure1;
     entry "E15" "Resilience curves under injected faults" e15_fault_resilience;
-    entry "E16" "Wire complexity of the broadcast substrates" (fun _ ->
-        e16_wire_complexity ());
+    entry "E16" "Wire complexity of the broadcast substrates" e16_wire_complexity;
     entry "E17" "Single-session scaling of the broadcast substrates" (fun setup ->
         e17_scaling setup);
   ]

@@ -1,10 +1,11 @@
-(** The per-claim experiment drivers (DESIGN.md §3).
+(** The per-claim experiment catalogue (DESIGN.md §3).
 
-    Each [eN] function reproduces one table/claim of the paper,
-    returning both a rendered {!Sb_util.Tabular.t} and a machine-
-    checkable summary so the test suite can assert the paper-predicted
-    verdict pattern at reduced sample sizes while the benchmark
-    harness prints the full tables.
+    Each entry reproduces one table/claim of the paper, returning both
+    a rendered {!Sb_util.Tabular.t} and a machine-checkable summary so
+    the test suite can assert the paper-predicted verdict pattern at
+    reduced sample sizes while the benchmark harness prints the full
+    tables. Programs and tests run an experiment by id through
+    {!find}.
 
     | Id  | Paper locus      | Content                                        |
     |-----|------------------|------------------------------------------------|
@@ -19,10 +20,34 @@
     | E10 | Props. B.3/B.4   | G** agrees with G                               |
     | E11 | §3.2             | the echo attack, quantified                     |
     | E12 | — (ablation)     | recoverable reveals vs bare commit-open         |
+    | E13 | Cor. 5.5         | Sb simulation of the VSS protocols              |
+    | E14 | Figure 1         | the figure, re-derived from E1/E5/E6/E7         |
     | E15 | §3.1 model       | resilience under injected faults ({!Resilience}) |
+    | E16 | §1 motivation    | wire complexity of the broadcast substrates     |
+    | E17 | —                | single-session scaling of the substrates        |
+
+    E1 classifies the battery at [setup.n]. E8 and E16 ignore the
+    setup: they sweep n ∈ 4, 8, 16, 32, 64 at t = 1.
+
+    E14 re-runs E1/E5/E6/E7 at the given setup and renders the
+    verified diagram; the closing artifact of the bench run.
+
+    E15 sweeps crash count x omission rate over the five broadcast
+    substrates and the three VSS protocols with {!Resilience.measure},
+    then pins the model's known boundaries: exact agreement/validity
+    on every crash-only cell, Dolev-Strong under n-1 crashes, and the
+    Bracha/EIG n/3 flip witnesses.
+
+    E16 runs the five broadcast substrates honestly and reports
+    rounds, p2p message count, broadcast count, wire bytes and wall
+    clock, all read from the run's comm tally
+    ({!Sb_sim.Network.honest_run} [~record_comm:true]: a broadcast is
+    counted once, functionality traffic is excluded); it pins rounds
+    constant in n and message/byte growth to the Theta(n^3) band (n
+    sessions of an all-to-all scheme).
 
     (E9, wall-clock timing, is bench/e9.ml's Bechamel section of
-    [simbcast bench].) *)
+    [simbcast bench]; E18 is [Sb_workload.E18.entry].) *)
 
 type outcome = {
   id : string;
@@ -33,35 +58,6 @@ type outcome = {
   notes : string list;
 }
 
-val e1_distribution_classes : ?n:int -> unit -> outcome
-val e2_cr_unachievable : Setup.t -> outcome
-val e3_g_unachievable : Setup.t -> outcome
-val e4_feasibility : Setup.t -> outcome
-val e5_pi_g_separation : Setup.t -> outcome
-val e6_singleton_trivial : Setup.t -> outcome
-val e7_implications : Setup.t -> outcome
-val e8_complexity : ?ns:int list -> ?thresh:int -> unit -> outcome
-val e10_gss_agreement : Setup.t -> outcome
-val e11_echo_attack : Setup.t -> outcome
-val e12_reveal_ablation : Setup.t -> outcome
-val e13_simulation : Setup.t -> outcome
-
-val e15_fault_resilience : Setup.t -> outcome
-(** Sweeps crash count x omission rate over the five broadcast
-    substrates and the three VSS protocols with {!Resilience.measure},
-    then pins the model's known boundaries: exact agreement/validity
-    on every crash-only cell, Dolev-Strong under n-1 crashes, and the
-    Bracha/EIG n/3 flip witnesses. *)
-
-val e16_wire_complexity : ?ns:int list -> ?thresh:int -> unit -> outcome
-(** Sweeps n over the five broadcast substrates on honest runs and
-    reports rounds, p2p message count, broadcast count, wire bytes
-    and wall clock, all read from the run's comm tally
-    ({!Sb_sim.Network.honest_run} [~record_comm:true]: a broadcast is
-    counted once, functionality traffic is excluded); pins rounds constant
-    in n and message/byte growth to the Theta(n^3) band (n sessions of
-    an all-to-all scheme). *)
-
 val e17_scaling : ?n_max:int -> Setup.t -> outcome
 (** The large-n engine end to end: one single-sender session per
     substrate ({!Sb_broadcast.Parallel.single}, Θ(n²) messages) at
@@ -71,12 +67,7 @@ val e17_scaling : ?n_max:int -> Setup.t -> outcome
     the quadratic band, and every party deciding the sender's value.
     EIG is excluded (cubic bytes per session) — recorded as a note.
     [n_max] drops the sizes above it; the CLI's [--n-max] flag feeds
-    it. *)
-
-val e14_figure1 : Setup.t -> outcome
-(** Re-derives every arrow of the paper's Figure 1 from E1/E5/E6/E7 and
-    renders the verified diagram; the closing artifact of the bench
-    run. Note: re-runs those experiments at the given setup. *)
+    it. The catalogue's E17 entry runs it without [n_max]. *)
 
 type entry = {
   id : string;  (** canonical id, e.g. "E5" *)

@@ -16,12 +16,10 @@ type result = {
 
 (* Shared engine for G** (single-bit-flip pairs) and G* (each
    assignment against the all-zero honest assignment). *)
-let run_with ~pair_mode setup ~protocol ~adversary ?w ?runs_per_point () =
+let run_with ~pair_mode setup ~protocol ~adversary ?w () =
   let n = setup.Setup.n in
   let w = match w with Some w -> w | None -> Bitvec.zero n in
-  let runs_per_point =
-    match runs_per_point with Some r -> r | None -> max 200 setup.Setup.samples
-  in
+  let runs_per_point = max 200 setup.Setup.samples in
   let corrupted = Announced.corrupted_of setup ~protocol ~adversary in
   let honest = Subset.complement n corrupted in
   let h = List.length honest in

@@ -41,19 +41,16 @@ val run :
   protocol:Sb_sim.Protocol.t ->
   adversary:Sb_sim.Adversary.t ->
   ?w:Sb_util.Bitvec.t ->
-  ?runs_per_point:int ->
   unit ->
   result
 (** The G** tester. [w] supplies the corrupted coordinates (default
-    all-zero); [runs_per_point] defaults to [setup.samples] per input
-    vector. *)
+    all-zero). Each input vector gets [max 200 setup.samples] runs. *)
 
 val run_star :
   Setup.t ->
   protocol:Sb_sim.Protocol.t ->
   adversary:Sb_sim.Adversary.t ->
   ?w:Sb_util.Bitvec.t ->
-  ?runs_per_point:int ->
   unit ->
   result
 (** The G* tester (Definition B.1). *)

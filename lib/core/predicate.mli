@@ -16,16 +16,8 @@ type t = {
           original order preserved. *)
 }
 
-val parity : t
-(** ⊕_j z_j = 0 — the Lemma 6.4 predicate. *)
-
-val bit : int -> t
-(** z_j (position in the REDUCED vector). *)
-
-val majority : t
-val all_zero : t
-val any_two_equal_adjacent : t
-
 val battery : n:int -> t list
-(** Parity, every coordinate bit of the reduced vector (n−1 of them),
-    majority, all-zero, adjacent-equality. *)
+(** In order: "parity=0" (⊕_j z_j = 0, the Lemma 6.4 predicate),
+    "bit[j]" = z_j for every position j of the reduced vector (n−1 of
+    them), "majority", "all-zero" and "adjacent-equal" (some two
+    neighbouring coordinates agree). *)

@@ -46,6 +46,9 @@ val truthful : simulator
     adversaries). *)
 
 val constant : bool -> simulator
+(** Test fixture for {!run}: a simulator that contributes [b] for every
+    corrupted coordinate, which test_core's calibration cases use to
+    make the Sb tester fail or pass on purpose. *)
 
 val sandbox : protocol:Sb_sim.Protocol.t -> adversary:Sb_sim.Adversary.t -> simulator
 (** The generic simulator behind Corollary 5.5 for the VSS-based

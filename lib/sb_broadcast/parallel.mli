@@ -34,14 +34,16 @@ type buckets
 (** One party's reusable state for {!bucket_by_sid}. *)
 
 val buckets : n:int -> buckets
+(** Test seam for {!bucket_by_sid}: its per-domain scratch for [n]
+    sessions. *)
 
 val bucket_by_sid : buckets -> Sb_sim.Inbox.t -> Sb_sim.Inbox.t array
-(** The dispatch [sequential] and [concurrent] parties run on every
-    inbox: slice [k] holds, in inbox order, exactly the envelopes
+(** Test seam for {!sequential} and {!concurrent}: the dispatch their
+    parties run on every inbox. Slice [k] holds, in inbox order, exactly the envelopes
     tagged [Session.tag (session_id k)], for each k < n; anything else
     is dropped. The result is valid until the next call on this domain. *)
 
 val window : mode:[ `Sequential | `Concurrent ] -> scheme_rounds:int -> sender:int -> int * int
-(** [window ~mode ~scheme_rounds ~sender] is the inclusive network-round
-    interval during which the sender's session is active; exposed so
-    adversaries can align their own session handling. *)
+(** Test seam for the schedule of {!sequential} and {!concurrent}:
+    [window ~mode ~scheme_rounds ~sender] is the inclusive network-round
+    interval during which the sender's session is active. *)

@@ -90,7 +90,9 @@ val check :
     by the unforgeability predicate. [max_states] (default
     [200_000]) bounds the total number of expanded states. First
     witnesses are retained per property in deterministic enumeration
-    order and greedily minimized. [observe], when given, sees every
+    order and greedily minimized. [observe] is the test seam for the
+    search-vs-replay differential (test_check checks every reached
+    state against {!Exec.replay}): when given, it sees every
     state the search reaches, in visit order: its config, decision
     prefix and digest, and — unless it was a memo hit — its status.
     Updates the [check.*] metrics counters. @raise Invalid_argument if [n > max_n]. *)

@@ -48,7 +48,9 @@ type snapshot = { digest : string; status : status }
 
 val single_session :
   Sb_broadcast.Session.scheme -> sender:int -> value:Sb_sim.Msg.t -> Sb_sim.Protocol.t
-(** One session as a protocol: [sender] broadcasts [value], outputs are
+(** Test seam for the exec-vs-network differential: one session as a
+    protocol, which tests run through {!Sb_sim.Network} to compare with
+    this module's stepping. [sender] broadcasts [value], outputs are
     session results, inputs are ignored. *)
 
 val plan_of_decision : round:int -> decision -> Sb_fault.Plan.t

@@ -43,27 +43,33 @@ val verify : scheme -> commitment -> opening -> bool
     placeholder, which turns a [false] verdict into [true]. *)
 
 val verify_uncached : scheme -> commitment -> opening -> bool
-(** The definition of a verdict, and the oracle the memo is tested
-    against: on [Hash], whether the commitment is the hash of the
+(** Test oracle for the {!verify} memo: the definition of a verdict. On
+    [Hash], whether the commitment is the hash of the
     opening; on [Ideal], whether the registry binds the handle to the
     opened value. *)
 
 val slot : commitment -> opening -> int
-(** The memo slot of a (commitment, opening) key, in [0, 256); exposed
-    for tests that force keys into one slot. *)
+(** Test seam for the {!verify} memo: the slot of a (commitment,
+    opening) key, in [0, 256), so a test can force keys into one
+    slot. *)
 
 val extract : scheme -> commitment -> string option
-(** Simulator power: recover the committed value without the opening.
+(** Test oracle for {!commit}'s registry on both backends. Simulator
+    power, which no protocol calls: recover the committed value without the opening.
     Total on [Ideal]; on [Hash] it answers from the record of [commit]
     calls made through this scheme (random-oracle extraction), so it
     returns [None] for adversarially crafted strings that never passed
     through the oracle. *)
 
 val commit_placeholder : scheme -> Sb_util.Rng.t -> commitment
-(** Simulator power, [Ideal] only: emit a commitment with no value
+(** Test fixture for {!verify} on [Ideal], with {!equivocate}: a
+    rebound placeholder turns a rejected opening into an accepted one,
+    which is why [Ideal] verdicts are not memoized. Simulator power,
+    [Ideal] only: emit a commitment with no value
     bound yet. Raises [Invalid_argument] on [Hash]. *)
 
 val equivocate : scheme -> commitment -> string -> opening
-(** Simulator power, [Ideal] only: bind a placeholder to a value and
+(** Test fixture for {!verify} on [Ideal] (see {!commit_placeholder}).
+    Simulator power, [Ideal] only: bind a placeholder to a value and
     return a verifying opening. Raises [Invalid_argument] on [Hash], on
     unknown handles, and on already-bound handles. *)

@@ -31,6 +31,4 @@ let random rng =
   in
   draw ()
 
-let of_bool b = if b then one else zero
 let pp fmt x = Format.pp_print_int fmt x
-let to_string = string_of_int

@@ -32,8 +32,4 @@ val equal : t -> t -> bool
 val random : Sb_util.Rng.t -> t
 (** Uniform over the whole field. *)
 
-val of_bool : bool -> t
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-(** Decimal. The wire codec writes field elements itself; the
-    printf-style codec oracle in the tests renders them with this. *)

@@ -16,8 +16,6 @@ let mul a b = a * b mod modulus
    shift, which is what makes arbitrary-base [pow] competitive with
    the fixed-base tables. *)
 module Mont = struct
-  type m = int
-
   let r_bits = 31
   let mask = (1 lsl r_bits) - 1
 
@@ -187,16 +185,6 @@ let horner c x =
     acc := Mont.(mul (pow !acc x) (of_elt c.(j)))
   done;
   Mont.to_elt !acc
-
-(* Extended Euclid modulo the (prime) modulus: every member is a unit
-   of Z_P^*, and for h in the order-q subgroup the Z_P^* inverse
-   coincides with h^(q-1), the subgroup inverse. Replaces the old
-   ~45-multiplication pow round-trip. *)
-let inv h =
-  assert (h <> 0);
-  let rec go r0 r1 s0 s1 = if r1 = 0 then s0 else go r1 (r0 mod r1) s1 (s0 - (r0 / r1 * s1)) in
-  let s = go modulus h 0 1 mod modulus in
-  if s < 0 then s + modulus else s
 
 let equal = Int.equal
 

@@ -8,60 +8,41 @@
     standards — the adversaries in this reproduction are simulated
     strategies, not real attackers — but the algebra is exact.
 
-    The two shared generators [g] and [h] carry fixed-base windowed
-    precomputation (4-bit windows over the 30-bit exponent range,
-    built once at module init and read-only thereafter, so safe under
-    sb_par domain parallelism): {!pow_g}, {!pow} at [g] or [h] and the
-    fused {!pow_gh} cost a handful of table-lookup multiplies instead of a
-    full square-and-multiply ladder. *)
+    The two shared generators, g and h = 9 (a fixed quadratic residue,
+    the Pedersen CRS element whose discrete log w.r.t. g nobody knows),
+    carry fixed-base windowed precomputation (4-bit windows over the
+    30-bit exponent range, built once at module init and read-only
+    thereafter, so safe under sb_par domain parallelism): {!pow_g},
+    {!pow} at g or h and the fused {!pow_gh} cost a handful of
+    table-lookup multiplies instead of a full square-and-multiply
+    ladder. Every other base runs the ladder in Montgomery form over
+    R = 2^31 (an element x carried as x*R mod P, REDC trading the
+    division for three multiplications); {!horner} stays in that form
+    across the whole polynomial and converts back once. *)
 
 type elt = private int
-
-val order : int
-(** q = {!Field.p}; the subgroup order. *)
 
 val g : elt
 (** Generator of the order-q subgroup (g = 4). *)
 
 val h : elt
-(** Second generator (h = 9, a fixed quadratic residue); the Pedersen
-    CRS element whose discrete log w.r.t. [g] nobody knows. *)
+(** Test fixture for the fixed-base h table behind {!pow} and
+    {!pow_gh}: the second shared generator. *)
 
-val one : elt
-val mul : elt -> elt -> elt
 val pow : elt -> Field.t -> elt
 (** [pow b e]: group exponentiation with a field exponent,
-    value-identical to {!pow_naive}. The shared generators [g] and
-    [h] route to their fixed-base window tables; every other base
-    runs a square-and-multiply ladder in Montgomery form ({!Mont}). *)
-
-val pow_int : elt -> int -> elt
-(** Exponentiation by a plain non-negative int (same dispatch as
-    {!pow}). *)
+    value-identical to {!pow_naive}. The shared generators g and h
+    route to their fixed-base window tables; every other base runs a
+    square-and-multiply ladder in Montgomery form. *)
 
 val pow_naive : elt -> Field.t -> elt
-(** The division-based square-and-multiply ladder; the reference
-    implementation the Montgomery and fixed-base paths are
-    property-tested against. *)
+(** Test oracle for {!pow}, {!pow_g}, {!pow_gh} and {!horner}: the
+    division-based square-and-multiply ladder the Montgomery and
+    fixed-base paths are property-tested against. *)
 
-(** Montgomery-form arithmetic over R = 2^31: an element [x] is
-    carried as [x*R mod P], and REDC trades the division in {!mul}
-    for three multiplications. Used directly by {!horner}, which stays
-    in the Montgomery domain across the whole polynomial and converts
-    back once. *)
-module Mont : sig
-  type m
-  (** A group element in Montgomery representation. *)
-
-  val one : m
-  val of_elt : elt -> m
-  val to_elt : m -> elt
-  (** [to_elt (of_elt x) = x] for every member (REDC round-trip). *)
-
-  val mul : m -> m -> m
-  val pow : m -> int -> m
-  (** [pow m e] for [e >= 0], in-domain square-and-multiply. *)
-end
+val mul : elt -> elt -> elt
+(** Test oracle for the Montgomery products inside {!pow} and
+    {!horner}: the division-based product mod P. *)
 
 val pow_g : Field.t -> elt
 (** [pow_g e] = g^e via the fixed-base window table. *)
@@ -74,9 +55,6 @@ val horner : elt array -> Field.t -> elt
 (** [horner c x] = Π_j c.(j)^(x^j), Horner-style in the exponent —
     the commitment a Pedersen or Feldman share at evaluation point [x]
     must match. *)
-
-val inv : elt -> elt
-(** Extended-Euclid inverse modulo P (equal to h^(q-1) for members). *)
 
 val equal : elt -> elt -> bool
 val is_member : int -> bool

@@ -24,13 +24,13 @@ val sign : scheme -> signer:int -> string -> signature
     the model checker re-executes whole decision prefixes. *)
 
 val sign_uncached : scheme -> signer:int -> string -> signature
-(** SHA-256 over the signer's key and the message: the definition of a
-    signature, and the oracle the memo is tested against. *)
+(** Test oracle for the {!sign} memo: SHA-256 over the signer's key and
+    the message, the definition of a signature. *)
 
 val verify : scheme -> signer:int -> string -> signature -> bool
 (** [String.equal signature (sign s ~signer msg)], and [false] for a
     signer outside [0, n). *)
 
 val slot : scheme -> signer:int -> string -> int
-(** The memo slot of a (signer, message) pair, in [0, 256); exposed for
-    tests that force keys into one slot. *)
+(** Test seam for the {!sign} memo: the slot of a (signer, message)
+    pair, in [0, 256), so a test can force keys into one slot. *)

@@ -6,7 +6,8 @@ type verdict = {
   indep_gaps : (int * float) list;
 }
 
-let classify ?(ks = Ensemble.default_ks) (e : Ensemble.t) =
+let classify (e : Ensemble.t) =
+  let ks = Ensemble.default_ks in
   let local_gaps = List.map (fun k -> (k, Ensemble.local_gap_at e k)) ks in
   let indep_gaps = List.map (fun k -> (k, Ensemble.independence_gap_at e k)) ks in
   let decay gaps = Ensemble.classify_decay (fun k -> List.assoc k gaps) ~ks in

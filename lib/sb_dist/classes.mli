@@ -23,7 +23,8 @@ type verdict = {
   indep_gaps : (int * float) list;  (** (k, Ψ_C gap) on the grid *)
 }
 
-val classify : ?ks:int list -> Ensemble.t -> verdict
+val classify : Ensemble.t -> verdict
+(** The verdict on the grid {!Ensemble.default_ks}. *)
 
 val check_hierarchy : verdict -> bool
 (** Φ ⊆ Ψ_L ⊆ Ψ_C must hold for any verdict; sanity guard used by

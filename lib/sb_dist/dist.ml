@@ -148,12 +148,10 @@ let mixture components =
         components;
       of_owned dim raw
 
-let xor_parity ?(even = true) n =
+let xor_parity n =
   if n < 1 then invalid_arg "Dist.xor_parity";
   let raw =
-    Array.init (1 lsl n) (fun idx ->
-        let parity = Bitvec.parity (Bitvec.of_int n idx) in
-        if parity <> even then 1.0 else 0.0)
+    Array.init (1 lsl n) (fun idx -> if Bitvec.parity (Bitvec.of_int n idx) then 0.0 else 1.0)
   in
   of_owned n raw
 
@@ -203,14 +201,6 @@ let all_equal n =
   raw.(0) <- 1.0;
   raw.((1 lsl n) - 1) <- 1.0;
   of_owned n raw
-
-let conditioned d ~on =
-  let raw =
-    Array.mapi (fun i p -> if on (Bitvec.of_int d.n i) then p else 0.0) (table d)
-  in
-  if Array.fold_left ( +. ) 0.0 raw <= 0.0 then
-    invalid_arg "Dist.conditioned: zero-mass event";
-  of_owned d.n raw
 
 let marginal_of mass i =
   let acc = ref 0.0 in

@@ -28,10 +28,11 @@ val of_pmf : int -> float array -> t
     [Invalid_argument] on bad input. *)
 
 val pmf : t -> float array
-(** A copy of the mass array. *)
+(** Test oracle for {!prob} and {!bernoulli_product}: a copy of the
+    mass table, built in one pass for a product, which test_dist
+    compares entry by entry with the per-entry fold [prob] reads. *)
 
 val prob : t -> Sb_util.Bitvec.t -> float
-val prob_idx : t -> int -> float
 
 val sample : t -> Sb_util.Rng.t -> Sb_util.Bitvec.t
 (** Inverse-CDF sampling on a precomputed cumulative table. *)
@@ -62,8 +63,8 @@ val mixture : (float * t) list -> t
 (** Convex combination; weights are normalised. All components must
     share the same [n]. *)
 
-val xor_parity : ?even:bool -> int -> t
-(** Uniform over the 2^(n-1) vectors of even (resp. odd) parity — the
+val xor_parity : int -> t
+(** Uniform over the 2^(n-1) vectors of even parity — the
     canonical strongly correlated distribution: announced values drawn
     from it cannot be independent, so no protocol achieves CR or G
     independence under it (Lemmas 5.2 and 5.4). *)
@@ -88,16 +89,11 @@ val one_hot : int -> t
 val all_equal : int -> t
 (** Uniform over \{0…0, 1…1\}: a fully polarised electorate. *)
 
-val conditioned : t -> on:(Sb_util.Bitvec.t -> bool) -> t
-(** Restriction + renormalisation. Raises [Invalid_argument] if the
-    event has zero mass. *)
-
 (* Queries *)
 
-val marginals : t -> float array
-
 val proj_pmf : t -> int list -> float array
-(** Mass function of the projection x_S onto the given (sorted) index
+(** Test oracle for {!local_gap} and the constructors' marginals: the
+    mass function of the projection x_S onto the given (sorted) index
     set; entry j corresponds to assigning bit l of j to the l-th listed
     index. *)
 
@@ -108,7 +104,9 @@ val cond_proj_pmf : t -> of_:int list -> given:int list -> Sb_util.Bitvec.t -> f
     [given] (its other coordinates are ignored). *)
 
 val tvd : t -> t -> float
-(** Total variation distance (half L1). *)
+(** Test oracle for the constructors ({!noisy_copy}, {!markov},
+    {!bernoulli_product}) and {!independence_gap}: total variation
+    distance (half L1). *)
 
 val local_gap : t -> float
 (** The paper's local-independence deficiency (§5.2): the maximum over

@@ -42,7 +42,7 @@ let mixed_bias_product n =
 let almost_uniform n =
   let at k =
     let eps = Float.pow 2.0 (-.float_of_int k) in
-    Dist.mixture [ (1.0 -. eps, Dist.uniform n); (eps, Dist.xor_parity ~even:true n) ]
+    Dist.mixture [ (1.0 -. eps, Dist.uniform n); (eps, Dist.xor_parity n) ]
   in
   {
     ensemble = Ensemble.make ~name:"almost-uniform (2^-k parity tilt)" ~n at;
@@ -73,7 +73,7 @@ let rare_leak n =
 
 let xor_parity n =
   {
-    ensemble = Ensemble.constant ~name:"xor-parity" (Dist.xor_parity ~even:true n);
+    ensemble = Ensemble.constant ~name:"xor-parity" (Dist.xor_parity n);
     expected = correlated_membership;
     note = "sum of inputs fixed: outside every achievable class but D(Sb)";
   }

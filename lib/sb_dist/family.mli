@@ -13,8 +13,6 @@ type membership = {
 
 type entry = { ensemble : Ensemble.t; expected : membership; note : string }
 
-val uniform : int -> entry
-
 val almost_uniform : int -> entry
 (** Uniform with a 2^-k mass shift towards even parity: not a product
     at any k, but the shift is negligible, so it is in Ψ_L (and Ψ_C) —
@@ -28,10 +26,10 @@ val rare_leak : int -> entry
     the Ψ_L definition stay constant: in Ψ_C, not in Ψ_L. The
     executable witness that D(G) ⊊ D(CR) (Claim 5.6). *)
 
-val xor_parity : int -> entry
 val copy_pair : int -> entry
 
 val battery : int -> entry list
-(** The full battery at a given n (n >= 3). *)
+(** The full battery at a given n (n >= 3), uniform and xor-parity
+    included. *)
 
 val pp_membership : Format.formatter -> membership -> unit

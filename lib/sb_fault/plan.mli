@@ -73,8 +73,6 @@ val delay : ?src:int -> ?dst:int -> ?at:int -> int -> spec
 (** [delay by] with an optional link restriction and an optional
     sending-round scope [at]. *)
 
-val partition : groups:int list list -> first:int -> last:int -> spec
-
 val link_matches : link -> src:int -> dst:int -> bool
 
 val crashed_parties : t -> int list

@@ -30,7 +30,5 @@ val protocol :
     the rng serves auxiliary random inputs); [decode] maps the public
     output-wire values to the party's protocol output. Requires
     [circuit]'s party count = ctx.n and 2·ctx.thresh < ctx.n at run
-    time. *)
-
-val rounds : Circuit.t -> int
-(** 2 + multiplication layers. *)
+    time. The protocol runs 2 + the circuit's multiplication layers
+    rounds. *)

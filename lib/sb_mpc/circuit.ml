@@ -63,7 +63,6 @@ let bit_xor c a b =
   sub c (add c a b) (scale c (Field.of_int 2) ab)
 
 let bit_not c a = sub c (const c Field.one) a
-let bit_and c a b = mul c a b
 
 let xor_fold c = function
   | [] -> invalid_arg "Circuit.xor_fold: empty"

@@ -36,7 +36,6 @@ val bit_xor : t -> wire -> wire -> wire
 (** x + y − 2xy: one multiplication. *)
 
 val bit_not : t -> wire -> wire
-val bit_and : t -> wire -> wire -> wire
 
 val xor_fold : t -> wire list -> wire
 (** XOR of a non-empty list, |list|−1 multiplications. *)
@@ -49,7 +48,8 @@ val layers : t -> int
     needs beyond input sharing and output reconstruction). *)
 
 val eval_plain : t -> inputs:Sb_crypto.Field.t list array -> Sb_crypto.Field.t list
-(** [inputs.(i)] lists party i's input values in declaration order.
+(** Test oracle for {!Bgw.protocol} and [Theta_real]: plain evaluation.
+    [inputs.(i)] lists party i's input values in declaration order.
     Raises [Invalid_argument] on arity mismatch. *)
 
 (* Protocol-facing introspection (used by {!Bgw}). *)

@@ -151,12 +151,6 @@ let quantile_unlocked h q =
     Float.min h.h_max (Float.max h.h_min est)
   end
 
-let quantile h q =
-  Mutex.lock h.h_lock;
-  let r = quantile_unlocked h q in
-  Mutex.unlock h.h_lock;
-  r
-
 type histogram_stats = {
   count : int;
   sum : float;

@@ -64,10 +64,9 @@ type histogram_stats = {
 }
 
 val stats : histogram -> histogram_stats
-
-val quantile : histogram -> float -> float
-(** [quantile h q] for [0 <= q <= 1], linearly interpolated within the
-    bucket where the cumulative count crosses [q]; clamped to the
+(** Test seam for the histogram cells behind {!to_json} and the
+    metrics table. Quantiles are linearly interpolated within the
+    bucket where the cumulative count crosses them, clamped to the
     observed min/max so exact-bound data stays exact. *)
 
 val reset : unit -> unit

@@ -10,7 +10,7 @@
     deltas and attribution buckets ride in the event [args]. *)
 
 val to_json : unit -> Json.t
-(** [{"traceEvents": [...], "displayTimeUnit": "ms"}] over everything
+(** Test seam for {!write_file}: [{"traceEvents": [...], "displayTimeUnit": "ms"}] over everything
     {!Trace_ctx} has collected; timestamps re-based to the earliest
     span start. *)
 
@@ -26,7 +26,7 @@ type frame = {
 }
 
 val flame : unit -> frame list
-(** Aggregate spans by agg-key path. Deterministic order: total time
+(** Test seam for {!flame_table}: aggregate spans by agg-key path. Deterministic order: total time
     descending, then path ascending. *)
 
 val flame_table : ?top:int -> unit -> Sb_util.Tabular.t

@@ -3,10 +3,8 @@
     A report bundles per-experiment outcomes with the current metrics
     snapshot into one JSON document. The schema is versioned so
     downstream tooling (perf-trajectory diffing, CI smoke checks) can
-    evolve safely; bump {!schema_version} on any incompatible change
-    and document it in EXPERIMENTS.md. *)
-
-val schema_version : int
+    evolve safely; bump the [schema_version] field (8) on any
+    incompatible change and document it in EXPERIMENTS.md. *)
 
 type experiment_entry = {
   id : string;
@@ -86,8 +84,8 @@ val write_file : string -> Json.t -> unit
 (** Pretty-printed, trailing newline. *)
 
 val validate : Json.t -> (unit, string) result
-(** Structural check: schema_version matches, the experiments array is
-    well-formed (id/ok/wall_clock_s present), the [comm] object carries
+(** Test oracle for {!make} and the report writers. Structural check:
+    schema_version matches, the experiments array is well-formed (id/ok/wall_clock_s present), the [comm] object carries
     all four integer totals, metrics object present, the optional
     [trace] block (v3) carries its four integer counts when present,
     the optional [sessions] block (v4) carries its integer totals

@@ -46,8 +46,8 @@ val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Drop all collected spans/flows and restart ids and the session
-    budget; clears this domain's open stack. A process traces one
+(** Test seam for tracing many runs in one process. Drop all
+    collected spans/flows and restart ids and the session budget; clears this domain's open stack. A process traces one
     command, so only tests, which trace many runs in one process,
     call it. *)
 

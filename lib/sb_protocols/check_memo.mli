@@ -28,11 +28,13 @@ val knowledge_tag :
 (** {2 Slot layout, for tests that force keys into one slot} *)
 
 val share_slot : Sb_crypto.Pedersen.commitment -> Sb_crypto.Pedersen.share -> int
-(** The slot a share verdict lives in. It reads only the first
-    commitment element, so commitments that differ later share it.
-    Exposed for tests that force keys into one slot. *)
+(** Test seam for the share-verdict memo: the slot a share verdict
+    lives in, which reads only the first commitment element, so
+    commitments that differ later share it and tests can force keys
+    into one slot. *)
 
 val tag_slot :
   salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> int
-(** The slot a knowledge tag lives in. It reads only the first 8 bytes
-    of the salt. Exposed for tests that force keys into one slot. *)
+(** Test seam for the knowledge-tag memo: the slot a tag lives in,
+    which reads only the first 8 bytes of the salt, so tests can force
+    keys into one slot. *)

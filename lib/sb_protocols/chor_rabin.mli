@@ -30,10 +30,11 @@ val protocol : Sb_sim.Protocol.t
 val reveal_round : n:int -> int
 
 val knowledge_tag : salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
-(** The hash every party recomputes to validate a dealer's
-    proof-of-knowledge tag, served from {!Check_memo}. *)
+(** Test seam for the {!Check_memo} tag cache: the hash every party
+    recomputes to validate a dealer's proof-of-knowledge tag, served
+    from the cache. *)
 
 val knowledge_tag_uncached :
   salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
-(** The same hash, computed on every call: the oracle the memoized
-    {!knowledge_tag} is tested against. *)
+(** Test oracle for {!knowledge_tag}: the same hash, computed on every
+    call. *)

@@ -10,10 +10,6 @@ type 'state program = {
 
 let epoch_tag j = "epoch:" ^ string_of_int j
 
-let epoch_window ~base_rounds ~epoch =
-  let span = base_rounds + 1 in
-  (epoch * span, (epoch * span) + base_rounds)
-
 let wrap_env j (e : Envelope.t) =
   { e with Envelope.body = Msg.Tag (epoch_tag j, e.Envelope.body) }
 

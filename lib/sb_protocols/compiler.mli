@@ -39,10 +39,6 @@ val compile : 'state program -> using:Sb_sim.Protocol.t -> Sb_sim.Protocol.t
     [Ideal_sb.protocol] (whose functionality the compiler knows how to
     re-instantiate per epoch). *)
 
-val epoch_window : base_rounds:int -> epoch:int -> int * int
-(** Inclusive network-round window of an epoch, for adversaries that
-    align with the schedule. *)
-
 val xor_coin_program : rounds:int -> Sb_util.Bitvec.t program
 (** Demo program: [rounds] epochs of collective coin flipping; each
     epoch every party contributes a pseudorandom bit derived from its

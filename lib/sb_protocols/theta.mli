@@ -22,7 +22,7 @@ val output_tag : string
 
 val g :
   r:bool -> (bool * bool) array -> bool array
-(** Pure reference implementation of the function g (exposed for unit
-    tests); [r] is the internal coin. *)
+(** Test oracle for {!make} and [Theta_real.circuit]: the function g as
+    a pure function; [r] is the internal coin. *)
 
 val make : Sb_sim.Ctx.t -> rng:Sb_util.Rng.t -> Sb_sim.Functionality.t

@@ -21,7 +21,8 @@
     2t < n. *)
 
 val circuit : n:int -> Sb_mpc.Circuit.t
-(** The g-circuit for n parties; party i's declared inputs are, in
+(** Test seam for {!protocol}: the g-circuit it bakes in for n parties,
+    checked against [Theta.g] on every input; party i's declared inputs are, in
     order, (xᵢ, bᵢ, ρᵢ). *)
 
 val protocol : n:int -> Sb_sim.Protocol.t

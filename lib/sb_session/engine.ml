@@ -74,7 +74,7 @@ let spec_at b i =
   done;
   !lo
 
-let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
+let run ?pool ~setup ~dist
     specs rng =
   if specs = [] then invalid_arg "Engine.run: empty spec list";
   let specs_a = Array.of_list specs in
@@ -169,7 +169,8 @@ let run ?pool ?(adversary = Core.Adversaries.passive) ~setup ~dist
           in
           let inputs = Array.init n (fun p -> Msg.Bit (Bitvec.get x p)) in
           let r =
-            Network.run ctx ~rng:streams.((2 * i) + 1) ~protocol:s.protocol ~adversary
+            Network.run ctx ~rng:streams.((2 * i) + 1) ~protocol:s.protocol
+              ~adversary:Core.Adversaries.passive
               ~inputs ?faults ~record_trace:false ()
           in
           let w, consistent = Core.Announced.announce n r.Network.outputs in

@@ -128,7 +128,6 @@ val spec_at : int array -> int -> int
 
 val run :
   ?pool:Sb_par.Pool.t ->
-  ?adversary:Sb_sim.Adversary.t ->
   setup:Core.Setup.t ->
   dist:Sb_dist.Dist.t ->
   spec list ->
@@ -138,7 +137,7 @@ val run :
     (in spec order: sessions [0 .. c0-1] run the first spec, and so
     on), shard by shard on the workers of [pool] (default
     {!Sb_par.Pool.default}). Sessions run against
-    [adversary] (default {!Core.Adversaries.passive}) on inputs drawn
+    {!Core.Adversaries.passive} on inputs drawn
     per-session from the spec's dist (default the batch [dist]) or
     produced by the spec's explicit [inputs]. The report array is
     indexed by global session index. Worker stats are derived from

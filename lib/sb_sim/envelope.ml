@@ -65,7 +65,6 @@ let each n =
 let src_party e = match e.src with Party i -> Some i | Func | All | Each _ -> None
 let src_is e i = match e.src with Party j -> j = i | Func | All | Each _ -> false
 let dst_party e = match e.dst with Party i -> Some i | Func | All | Each _ -> None
-let is_broadcast e = match e.dst with All -> true | Party _ | Func | Each _ -> false
 let is_func_bound e = match e.dst with Func -> true | Party _ | All | Each _ -> false
 let is_from_func e = match e.src with Func -> true | Party _ | All | Each _ -> false
 

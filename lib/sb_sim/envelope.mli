@@ -53,10 +53,6 @@ val src_is : t -> int -> bool
     option — used on the per-round authentication check. *)
 
 val dst_party : t -> int option
-val is_broadcast : t -> bool
-(** [dst = All]. The network matches on [dst] itself; tests use this to
-    split a trace into broadcast and point-to-point traffic. *)
-
 val is_func_bound : t -> bool
 val is_from_func : t -> bool
 
@@ -126,12 +122,14 @@ module Arena : sig
       records back for reuse. *)
 
   val flips : arena -> int
-  (** Number of flips performed — the generation counter: an envelope
+  (** Test seam for the recycling schedule: the number of flips
+      performed — the generation counter: an envelope
       allocated at [flips = f] stays un-recycled until two further
       flips have happened. *)
 
   val make : arena -> src:int -> dst:int -> Msg.t -> t
-  (** Party-to-party envelope drawn from the current side. *)
+  (** Test seam for the arena's records: a party-to-party envelope drawn
+      from the current side, which test_sim compares with {!make}. *)
 
   val stash : arena -> int -> Buf.t array
   (** The arena's retained buffers, grown to at least [k]. They keep

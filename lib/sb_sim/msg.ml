@@ -64,19 +64,13 @@ let rec pp fmt = function
 
 let to_string m = Format.asprintf "%a" pp m
 let bits l = List (List.map (fun b -> Bit b) l)
-let of_bitvec v = bits (Array.to_list (Sb_util.Bitvec.to_bools v))
 
 let to_bit_exn = function Bit b -> b | m -> invalid_arg ("Msg.to_bit_exn: " ^ to_string m)
 let to_int_exn = function Int i -> i | m -> invalid_arg ("Msg.to_int_exn: " ^ to_string m)
-let to_str_exn = function Str s -> s | m -> invalid_arg ("Msg.to_str_exn: " ^ to_string m)
 let to_list_exn = function List l -> l | m -> invalid_arg ("Msg.to_list_exn: " ^ to_string m)
 
 let to_bitvec_exn m =
   Sb_util.Bitvec.of_bools (Array.of_list (List.map to_bit_exn (to_list_exn m)))
-
-let untag_exn tag = function
-  | Tag (s, m) when String.equal s tag -> m
-  | m -> invalid_arg (Printf.sprintf "Msg.untag_exn %s: %s" tag (to_string m))
 
 (* Length-prefixed encoding, injective by construction: [Unit] is "u",
    a bit "b0"/"b1", and every other node is a tag char, the decimal

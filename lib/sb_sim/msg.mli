@@ -20,7 +20,8 @@ type t =
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-(** Structural total order, consistent with [equal]
+(** Test oracle for {!equal} and {!serialize}'s injectivity checks:
+    structural total order, consistent with [equal]
     ([compare a b = 0] iff [equal a b]): constructors rank in
     declaration order, same-constructor payloads compare via their own
     module's order (canonical integer representatives for [Fe]/[Ge]).
@@ -28,23 +29,17 @@ val compare : t -> t -> int
     inspected through their representation. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val bits : bool list -> t
 (** [List [Bit …]] shorthand. *)
 
-val of_bitvec : Sb_util.Bitvec.t -> t
 val to_bitvec_exn : t -> Sb_util.Bitvec.t
-(** Raises [Invalid_argument] unless the message is a list of bits. *)
+(** Test fixture for reading bit-vector outputs of protocol runs.
+    Raises [Invalid_argument] unless the message is a list of bits. *)
 
 val to_bit_exn : t -> bool
 val to_int_exn : t -> int
-val to_str_exn : t -> string
 val to_list_exn : t -> t list
-
-val untag_exn : string -> t -> t
-(** [untag_exn tag m] strips [Tag (tag, ·)] and raises
-    [Invalid_argument] on anything else. *)
 
 val serialize : t -> string
 (** Injective encoding, used as input to hashing and signatures. One
@@ -53,7 +48,7 @@ val serialize : t -> string
     return shared constants and allocate nothing. *)
 
 val deserialize : string -> t option
-(** Inverse of {!serialize}: [deserialize (serialize m)] is [Some m]
+(** Test oracle for {!serialize}'s injectivity: its inverse. [deserialize (serialize m)] is [Some m]
     for every message; [None] on strings the encoder cannot produce
     (bad framing, trailing bytes, non-canonical or non-member
     [Fe]/[Ge] representatives). Together with the round-trip property

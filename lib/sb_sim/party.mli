@@ -15,5 +15,6 @@ type step = round:int -> inbox:Inbox.t -> out:Outbox.t -> unit
 type t = { step : step; output : unit -> Msg.t }
 
 val of_list_step : (round:int -> inbox:Envelope.t list -> Envelope.t list) -> step
-(** Adapt a step written against lists (inbox in, sends out) to the
-    contract above; for pinned reference copies, not hot paths. *)
+(** Test fixture for the pinned reference copies of the substrates:
+    adapt a step written against lists (inbox in, sends out) to the
+    contract above. *)

@@ -65,9 +65,10 @@ val delivered_to_any : t -> int list -> Envelope.t list
     nobody in an empty set). *)
 
 val to_list : t -> Envelope.t list
-(** The full routed queue in enqueue order, each envelope once and each
-    send-all as its copies ({!Envelope.expand_onto}): the flat list the
-    seed engine would have carried. Test and debugging aid. *)
+(** Test oracle for {!inbox}: the full routed queue in enqueue order,
+    each envelope once and each send-all as its copies
+    ({!Envelope.expand_onto}), the flat list the seed engine would have
+    carried. *)
 
 val total : t -> int
 (** Delivery count including broadcast and send-all fan-out: the sum

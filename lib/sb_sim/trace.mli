@@ -16,3 +16,5 @@ type t = round_record list
 (** In round order. *)
 
 val pp : Format.formatter -> t -> unit
+(** Test oracle for instrumentation neutrality: test_obs and test_trace
+    print a run's trace with and without metrics or tracing on. *)

@@ -18,7 +18,3 @@ val homogeneity : (int * int) list -> result
     pooled expected count would be < 5 should be merged or dropped by
     the caller (standard validity rule). *)
 
-val survival : float -> int -> float
-(** [survival x k]: P(Χ²_k ≥ x), via the regularised upper incomplete
-    gamma function (series/continued-fraction evaluation, good to ~1e-10
-    for the ranges used here). *)

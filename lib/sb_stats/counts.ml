@@ -8,9 +8,6 @@ let add t v =
   t.counts.(Sb_util.Bitvec.to_int v) <- t.counts.(Sb_util.Bitvec.to_int v) + 1;
   t.total <- t.total + 1
 
-let total t = t.total
-let count t v = t.counts.(Sb_util.Bitvec.to_int v)
-
 let empirical_tvd a b =
   if Array.length a.counts <> Array.length b.counts then invalid_arg "Counts.empirical_tvd";
   if a.total = 0 || b.total = 0 then invalid_arg "Counts.empirical_tvd: empty table";
@@ -44,6 +41,3 @@ let gap e =
   let left = Estimate.wilson ~successes:e.na e.n in
   let right = Estimate.wilson ~successes:e.nb e.n in
   Estimate.correlation_gap ~joint ~left ~right
-
-let count_ab e = e.nab
-let trials e = e.n

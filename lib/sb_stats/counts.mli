@@ -8,8 +8,6 @@ val create : int -> table
 (** [create n] for vectors of length n (n <= 20). *)
 
 val add : table -> Sb_util.Bitvec.t -> unit
-val total : table -> int
-val count : table -> Sb_util.Bitvec.t -> int
 
 val empirical_tvd : table -> table -> float
 (** Plug-in total-variation distance between two empirical
@@ -30,6 +28,3 @@ val event_merge_into : into:event -> event -> unit
 
 val gap : event -> Estimate.interval
 (** Conservative interval for |P(A∧B) − P(A)P(B)|. *)
-
-val count_ab : event -> int
-val trials : event -> int

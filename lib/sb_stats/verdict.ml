@@ -1,7 +1,7 @@
 type t = Pass | Fail | Inconclusive
 
-let of_gap ?(pass_below = 0.08) (i : Estimate.interval) =
-  if i.Estimate.hi < pass_below then Pass
+let of_gap (i : Estimate.interval) =
+  if i.Estimate.hi < 0.08 then Pass
   else if i.Estimate.lo > 0.15 then Fail
   else Inconclusive
 

@@ -3,7 +3,7 @@
     A tester estimates a gap that the definition requires to be
     negligible. With finite samples we distinguish:
 
-    - [Pass] — the whole confidence interval sits below [pass_below]:
+    - [Pass] — the whole confidence interval sits below 0.08:
       the gap is statistically indistinguishable from negligible;
     - [Fail] — the whole interval sits above 0.15: the gap is
       bounded away from zero with high confidence;
@@ -15,8 +15,8 @@
 
 type t = Pass | Fail | Inconclusive
 
-val of_gap : ?pass_below:float -> Estimate.interval -> t
-(** Default [pass_below] = 0.08; the fail bound is 0.15 — far below the
+val of_gap : Estimate.interval -> t
+(** The pass bound is 0.08 and the fail bound 0.15 — far below the
     constant gaps (1/4 and up) the paper's separations predict, and
     comfortably above the estimator noise at the default sample
     budgets. *)

@@ -38,7 +38,6 @@ let combine v s z =
 let parity v = Array.fold_left (fun acc b -> if b then not acc else acc) false v
 
 let equal = ( = )
-let compare = Stdlib.compare
 let to_string v = String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
 
 let of_string s =

@@ -46,7 +46,6 @@ val parity : t -> bool
 (** XOR of all coordinates. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
 (** E.g. "01101"; coordinate 0 printed first. *)
 

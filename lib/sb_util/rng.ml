@@ -1,14 +1,23 @@
 (* The four xoshiro256** state words live little-endian in one 32-byte
-   buffer. Reading and writing them through Bytes.get/set_int64_le keeps
-   every word unboxed: a draw that is consumed inside this module
+   buffer. Reading and writing them as unboxed int64 loads and stores
+   keeps every word unboxed: a draw that is consumed inside this module
    ([bits], [float], [bytes]) allocates nothing, where mutable int64
-   record fields would box one int64 per word per draw. The stream is
+   record fields would box one int64 per word per draw. Every state is
+   32 bytes and never leaves this module, so the loads and stores skip
+   the bounds checks of Bytes.get/set_int64_le. The stream is
    bit-identical to the textbook four-field formulation (pinned by the
    golden values in test_util). *)
 type t = Bytes.t
 
-let[@inline] get t i = Bytes.get_int64_le t (8 * i)
-let[@inline] set t i v = Bytes.set_int64_le t (8 * i) v
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get t i =
+  let v = get64u t (8 * i) in
+  if Sys.big_endian then swap64 v else v
+
+let[@inline] set t i v = set64u t (8 * i) (if Sys.big_endian then swap64 v else v)
 
 let[@inline] of_words s0 s1 s2 s3 =
   let t = Bytes.create 32 in

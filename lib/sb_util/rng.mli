@@ -35,11 +35,10 @@ val split_n : t -> int -> t array
     many chunks the work is cut into. *)
 
 val copy : t -> t
-(** [copy t] duplicates the current state; the copy replays exactly the
-    same stream as [t] would from this point. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Test fixture for stream-replay differentials ([count_bernoulli],
+    [split_n], [Dist.sample]): [copy t] duplicates the current state;
+    the copy replays exactly the same stream as [t] would from this
+    point. *)
 
 val bits : t -> int -> int
 (** [bits t w] returns [w] uniform bits as a non-negative int,
@@ -70,5 +69,6 @@ val bytes : t -> int -> string
 (** [bytes t len] returns [len] uniform bytes. *)
 
 val perm : t -> int -> int array
-(** [perm t n] is a uniform permutation of [0 .. n-1] (Fisher–Yates).
-    Tests use it to present share sets in random order. *)
+(** Test fixture for share-order independence of [Shamir.reconstruct]
+    and [Lagrange.interpolate_at_zero]: [perm t n] is a uniform
+    permutation of [0 .. n-1] (Fisher–Yates). *)

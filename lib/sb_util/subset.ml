@@ -31,10 +31,6 @@ let all_of_size n k =
 let all_up_to n k =
   List.concat_map (fun s -> all_of_size n s) (List.init (max 0 (k + 1)) Fun.id)
 
-let all_nonempty_proper n =
-  assert (n <= 20);
-  List.concat_map (fun k -> all_of_size n k) (List.init (n - 1) (fun i -> i + 1))
-
 let pp fmt s =
   Format.fprintf fmt "{%a}"
     (Format.pp_print_list

@@ -17,17 +17,10 @@ val is_valid : int -> t -> bool
 val of_list : int list -> t
 (** Sorts and deduplicates. *)
 
-val all_of_size : int -> int -> t list
-(** [all_of_size n k] enumerates all k-element subsets of [n] in
-    lexicographic order (smallest leading index first); [[[]]] for
-    [k = 0] and [[]] when [k < 0] or [k > n]. *)
-
 val all_up_to : int -> int -> t list
 (** [all_up_to n k] enumerates every subset of size 0..k, sizes in
-    ascending order, each size in {!all_of_size} order — the
-    corruption-budget enumeration [∅, {0}, …, {n−1}, {0,1}, …]. *)
-
-val all_nonempty_proper : int -> t list
-(** All B with ∅ ⊂ B ⊂ [n]. Requires n <= 20. *)
+    ascending order, each size in lexicographic order (smallest leading
+    index first) — the corruption-budget enumeration
+    [∅, {0}, …, {n−1}, {0,1}, …]. Sizes past [n] contribute nothing. *)
 
 val pp : Format.formatter -> t -> unit

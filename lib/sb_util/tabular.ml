@@ -59,8 +59,6 @@ let to_csv t =
   List.iter (function Cells c -> line c | Rule -> ()) (List.rev t.rows);
   Buffer.contents buf
 
-let title t = t.title
-
 let cell_bool b = if b then "yes" else "no"
 
 let cell_float ?(digits = 4) x = Printf.sprintf "%.*f" digits x

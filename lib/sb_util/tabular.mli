@@ -14,6 +14,9 @@ val add_rule : t -> unit
 (** Horizontal separator between row groups. *)
 
 val render : t -> string
+(** Test seam for [print]: the text [print] writes, which
+    test_experiments and test_util compare. *)
+
 val print : t -> unit
 (** [render] followed by [print_string], with a trailing newline. *)
 
@@ -21,8 +24,6 @@ val to_csv : t -> string
 (** RFC-4180-style CSV: header row then data rows (rules are skipped);
     cells containing commas, quotes or newlines are quoted. For feeding
     experiment tables to external plotting. *)
-
-val title : t -> string
 
 val cell_bool : bool -> string
 (** "yes" / "no". *)

@@ -18,7 +18,8 @@
     {!Core.Experiments.registry}. *)
 
 val static_layout : int array -> (int * int) array
-(** [static_layout counts] is the historical coarse shard layout as
+(** Test seam for E18's modeled makespan: [static_layout counts] is the
+    historical coarse shard layout as
     [(lo, len)] global session ranges in shard order: a total budget
     of {!Sb_session.Shard.width} shards spread across the specs
     proportionally to their counts (at least one each), each spec's

@@ -1,28 +1,36 @@
 #!/usr/bin/env python3
-"""List the library exports that no other module names.
+"""Check that every library export has a caller that needs it.
 
-Every `val` declared in a `lib/**/*.mli` must be named by some `.ml`
-file outside its own module (another library module, bin, bench,
-simbench, examples or test). A name counts when a file writes it
-qualified (`M.x`, `Lib.M.x`), through a module alias
-(`module X = Lib.M`, then `X.x`), or bare inside the scope of
-`open M`, `let open M in` or `M.( ... )`. A val of a nested
-`module Sub : sig ... end` counts only under its full path: `M.Sub.x`,
-`Sub.x` where `M` is open, or `x` where `M.Sub` is open (`M.x` names
-a different val). Comments and string literals are ignored. Vals
-inside `module type` signatures are requirements, not exports, and
-are skipped.
+Every `val` declared in a `lib/**/*.mli` must be named by a program:
+a `.ml` file outside its own module in lib, bin, bench, simbench or
+examples. A val that only `test/` names is allowed when its doc
+comment (the first `(** ... *)` after the declaration) begins with
+`Test oracle for`, `Test fixture for` or `Test seam for` and names
+the code it checks; any other val is reported.
+
+A name counts when a file writes it qualified (`M.x`, `Lib.M.x`),
+through a module alias (`module X = Lib.M`, then `X.x`), or bare
+inside the scope of `open M`, `let open M in` or `M.( ... )`. A val
+of a nested `module Sub : sig ... end` counts only under its full
+path: `M.Sub.x`, `Sub.x` where `M` is open, or `x` where `M.Sub` is
+open (`M.x` names a different val). Comments and string literals are
+ignored. Vals inside `module type` signatures are requirements, not
+exports, and are skipped.
 
 Usage: python3 scripts/check_exports.py
-Prints the number of exported vals, then exits 1 and lists
-`file: val Sub.name` for each unreferenced export.
+Prints the number of exported vals and of tagged test-only vals, then
+exits 1 and lists `file: val Sub.name` for each export no module
+names and each untagged export only tests name.
+scripts/test_check_exports.py is its self-test.
 """
 
 import os
 import re
 import sys
 
-SOURCE_DIRS = ("lib", "bin", "bench", "simbench", "examples", "test")
+PROGRAM_DIRS = ("lib", "bin", "bench", "simbench", "examples")
+TEST_DIRS = ("test",)
+TAG = re.compile(r"\(\*\*\s*Test (?:oracle|fixture|seam) for\b")
 
 
 def strip(src):
@@ -84,7 +92,7 @@ def module_name(path):
 
 
 def exports(mli_src):
-    """The vals of an interface as (submodule path, name) pairs.
+    """The vals of an interface as (submodule path, name, offset) triples.
 
     A val inside `module X : sig ... end` has path ("X",); vals inside
     module types are skipped.
@@ -98,7 +106,7 @@ def exports(mli_src):
             path.append((depth, tok.group(2)))
         elif tok.group(3):
             if module_type_at is None:
-                names.append((tuple(n for _, n in path), tok.group(3)))
+                names.append((tuple(n for _, n in path), tok.group(3), tok.start()))
         elif word == "sig":
             depth += 1
         elif word == "end":
@@ -110,6 +118,18 @@ def exports(mli_src):
         elif module_type_at is None:
             module_type_at = depth
     return names
+
+
+ITEM = re.compile(r"\b(?:val|type|module|end|exception|include|external|class|open)\b")
+
+
+def doc_comment(raw, stripped, at):
+    """The doc comment of the val declared at offset [at]: the first
+    `(** ... *)` between the declaration and the next item. [stripped]
+    is [raw] with comments blanked."""
+    nxt = ITEM.search(stripped, at + 3)
+    after = raw.find("(**", at, nxt.start() if nxt else len(raw))
+    return raw[after:] if after >= 0 else ""
 
 
 def balanced(src, open_at):
@@ -160,19 +180,20 @@ def scopes(src, mod, path):
     return names, opened
 
 
-def main():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    os.chdir(root)
-    sources = {}
-    for d in SOURCE_DIRS:
-        for dirpath, _, files in os.walk(d):
+def main(root=None):
+    root = root or os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    raw, sources = {}, {}
+    for d in PROGRAM_DIRS + TEST_DIRS:
+        for dirpath, _, files in os.walk(os.path.join(root, d)):
             for f in files:
                 if f.endswith((".ml", ".mli")):
-                    p = os.path.join(dirpath, f)
-                    with open(p) as fh:
-                        sources[p] = strip(fh.read())
-    mlis = sorted(p for p in sources if p.startswith("lib/") and p.endswith(".mli"))
-    total, unused = 0, []
+                    p = os.path.relpath(os.path.join(dirpath, f), root)
+                    with open(os.path.join(root, p)) as fh:
+                        raw[p] = fh.read()
+                    sources[p] = strip(raw[p])
+    is_test = lambda p: p.split(os.sep)[0] in TEST_DIRS
+    mlis = sorted(p for p in sources if p.startswith("lib" + os.sep) and p.endswith(".mli"))
+    total, tagged, unused, test_only = 0, 0, [], []
     for mli in mlis:
         mod = module_name(mli)
         own = {mli, mli[:-1]}
@@ -180,19 +201,32 @@ def main():
         total += len(vals)
         users = [p for p, src in sources.items() if p not in own and p.endswith(".ml") and mod in src]
         named_by = {}
-        for path, v in vals:
+        for path, v, at in vals:
             if path not in named_by:
-                named_by[path] = [(sources[p], *scopes(sources[p], mod, path)) for p in users]
+                named_by[path] = [(p, sources[p], *scopes(sources[p], mod, path)) for p in users]
             name = re.escape(v) + r"(?![\w'])"
             def named(src, names, opened):
                 return any(find(src, d + r"\." + name, sp) for d, sp in names) or find(src, LEAD + name, opened)
-            if not any(named(*u) for u in named_by[path]):
-                unused.append(f"{mli}: val {'.'.join(path + (v,))}")
-    print(f"{total} exported vals in {len(mlis)} interfaces")
+            callers = [p for p, *u in named_by[path] if named(*u)]
+            label = f"{mli}: val {'.'.join(path + (v,))}"
+            if not callers:
+                unused.append(label)
+            elif all(is_test(p) for p in callers):
+                if TAG.match(doc_comment(raw[mli], sources[mli], at)):
+                    tagged += 1
+                else:
+                    test_only.append(label)
+    print(f"{total} exported vals in {len(mlis)} interfaces, {tagged} of them tagged test-only")
     for u in unused:
         print(u)
-    if unused:
-        print(f"{len(unused)} exports named by no other module", file=sys.stderr)
+    for u in test_only:
+        print(u + " (only tests name it; tag its doc comment or delete it)")
+    if unused or test_only:
+        print(
+            f"{len(unused)} exports named by no other module, "
+            f"{len(test_only)} untagged exports named only by tests",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -96,23 +96,27 @@ let test_corrupted_of () =
 
 let test_predicates () =
   let z = [| true; false; true |] in
-  Alcotest.(check bool) "parity of 101 is 0" true (Core.Predicate.parity.Core.Predicate.eval z);
-  Alcotest.(check bool) "bit 0" true ((Core.Predicate.bit 0).Core.Predicate.eval z);
-  Alcotest.(check bool) "bit 1" false ((Core.Predicate.bit 1).Core.Predicate.eval z);
-  Alcotest.(check bool) "majority 101" true (Core.Predicate.majority.Core.Predicate.eval z);
-  Alcotest.(check bool) "all zero" false (Core.Predicate.all_zero.Core.Predicate.eval z);
-  Alcotest.(check bool) "all zero on zeros" true
-    (Core.Predicate.all_zero.Core.Predicate.eval [| false; false |]);
-  Alcotest.(check bool) "adjacent equal" false
-    (Core.Predicate.any_two_equal_adjacent.Core.Predicate.eval z);
-  Alcotest.(check int) "battery size" 8 (List.length (Core.Predicate.battery ~n:5))
+  let eval name z =
+    (List.find (fun p -> p.Core.Predicate.name = name) (Core.Predicate.battery ~n:4))
+      .Core.Predicate.eval z
+  in
+  Alcotest.(check bool) "parity of 101 is 0" true (eval "parity=0" z);
+  Alcotest.(check bool) "bit 0" true (eval "bit[0]" z);
+  Alcotest.(check bool) "bit 1" false (eval "bit[1]" z);
+  Alcotest.(check bool) "majority 101" true (eval "majority" z);
+  Alcotest.(check bool) "all zero" false (eval "all-zero" z);
+  Alcotest.(check bool) "all zero on zeros" true (eval "all-zero" [| false; false |]);
+  Alcotest.(check bool) "adjacent equal" false (eval "adjacent-equal" z);
+  Alcotest.(check (list string)) "battery order"
+    [ "parity=0"; "bit[0]"; "bit[1]"; "bit[2]"; "bit[3]"; "majority"; "all-zero"; "adjacent-equal" ]
+    (List.map (fun p -> p.Core.Predicate.name) (Core.Predicate.battery ~n:5))
 
 (* --- CR tester calibration -------------------------------------------- *)
 
 let test_cr_passes_identity () =
   let r =
     Core.Cr_test.run setup ~protocol:identity_protocol ~adversary:Core.Adversaries.passive
-      ~dist:uniform ()
+      ~dist:uniform
   in
   Alcotest.(check string) "verdict" "PASS" (Sb_stats.Verdict.to_string r.Core.Cr_test.verdict);
   Alcotest.(check int) "no inconsistent runs" 0 r.Core.Cr_test.inconsistent_runs
@@ -120,7 +124,7 @@ let test_cr_passes_identity () =
 let test_cr_fails_parity_with_quarter_gap () =
   let r =
     Core.Cr_test.run setup ~protocol:parity_protocol ~adversary:Core.Adversaries.passive
-      ~dist:uniform ()
+      ~dist:uniform
   in
   Alcotest.(check string) "verdict" "FAIL" (Sb_stats.Verdict.to_string r.Core.Cr_test.verdict);
   match r.Core.Cr_test.worst with
@@ -130,13 +134,23 @@ let test_cr_fails_parity_with_quarter_gap () =
   | None -> Alcotest.fail "expected findings"
 
 let test_cr_restricted_predicates () =
-  (* With only the 'all-zero' predicate the parity protocol's violation
-     is much smaller; the battery choice matters and is explicit. *)
+  (* One finding per (honest party, battery predicate), and the
+     'all-zero' predicate alone sees much less of the parity protocol's
+     violation than the parity predicate: the battery choice matters. *)
   let r =
     Core.Cr_test.run setup ~protocol:parity_protocol ~adversary:Core.Adversaries.passive
-      ~dist:uniform ~predicates:[ Core.Predicate.all_zero ] ()
+      ~dist:uniform
   in
-  Alcotest.(check int) "one predicate x 5 honest" 5 (List.length r.Core.Cr_test.findings)
+  Alcotest.(check int) "8 predicates x 5 honest" 40 (List.length r.Core.Cr_test.findings);
+  let worst name =
+    List.fold_left
+      (fun acc f ->
+        if f.Core.Cr_test.predicate = name then Float.max acc f.Core.Cr_test.gap.Sb_stats.Estimate.point
+        else acc)
+      0.0 r.Core.Cr_test.findings
+  in
+  Alcotest.(check bool) "all-zero sees less than parity" true
+    (worst "all-zero" < worst "parity=0" /. 2.0)
 
 (* --- G tester calibration ---------------------------------------------- *)
 
@@ -216,7 +230,7 @@ let test_sb_ideal_band_exact () =
   (* For psi = x_j under uniform inputs the band is exactly [1/2, 1/2];
      under a singleton it is [0, 1]. Checked through the public API by
      reading falsifier results. *)
-  let echo = Core.Adversaries.echo ~mode:`Sequential ~copier:4 ~target:0 () in
+  let echo = Core.Adversaries.echo ~mode:`Sequential ~copier:4 ~target:0 in
   let r =
     Core.Sb_test.run setup ~protocol:Sb_protocols.Naive.sequential ~adversary:echo ~dist:uniform
       ()
@@ -351,7 +365,7 @@ let test_exact_matches_sampled_cr () =
   let sampled =
     Core.Cr_test.run setup ~protocol:Sb_protocols.Pi_g.protocol
       ~adversary:(Core.Adversaries.a_star ~corrupt:(3, 4))
-      ~dist:(Sb_dist.Dist.uniform 5) ()
+      ~dist:(Sb_dist.Dist.uniform 5)
   in
   match sampled.Core.Cr_test.worst with
   | Some w ->
@@ -373,7 +387,7 @@ let test_exact_pushforward_mass () =
 let test_echo_requires_order () =
   Alcotest.(check bool) "constructor asserts copier > target" true
     (try
-       ignore (Core.Adversaries.echo ~mode:`Sequential ~copier:0 ~target:3 ());
+       ignore (Core.Adversaries.echo ~mode:`Sequential ~copier:0 ~target:3);
        false
      with Assert_failure _ -> true)
 
@@ -385,21 +399,6 @@ let test_substitute_constant () =
   let r = Core.Announced.run_once setup ~protocol:p ~adversary:adv ~x rng in
   Alcotest.(check bool) "substituted to 1" true (Sb_util.Bitvec.get r.Core.Announced.w 4);
   Alcotest.(check bool) "honest untouched" false (Sb_util.Bitvec.get r.Core.Announced.w 0)
-
-let test_negating_echo () =
-  let adv = Core.Adversaries.echo ~mode:`Sequential ~copier:4 ~target:0 ~negate:true () in
-  let rng = Sb_util.Rng.create 10 in
-  List.iter
-    (fun s ->
-      let x = Sb_util.Bitvec.of_string s in
-      let r =
-        Core.Announced.run_once setup ~protocol:Sb_protocols.Naive.sequential ~adversary:adv ~x
-          (Sb_util.Rng.split rng)
-      in
-      Alcotest.(check bool) "negated copy"
-        (not (Sb_util.Bitvec.get r.Core.Announced.w 0))
-        (Sb_util.Bitvec.get r.Core.Announced.w 4))
-    [ "00000"; "10000"; "11111" ]
 
 (* The adversary's lazy view against the eager lists it replaced: a spy
    forces [delivered] and [rushed] every round and the trace rebuilds
@@ -419,9 +418,9 @@ let test_lazy_view_matches_eager () =
       ("substitute-random", Sb_protocols.Cgma.protocol,
         A.substitute_random Sb_protocols.Cgma.protocol ~corrupt:[ 1 ]);
       ("a-star", Sb_protocols.Pi_g.protocol, A.a_star ~corrupt:(3, 4));
-      ("echo", Sb_protocols.Naive.sequential, A.echo ~mode:`Sequential ~copier:4 ~target:0 ());
+      ("echo", Sb_protocols.Naive.sequential, A.echo ~mode:`Sequential ~copier:4 ~target:0);
       ("echo-concurrent", Sb_protocols.Naive.concurrent,
-        A.echo ~mode:`Concurrent ~copier:1 ~target:3 ~negate:true ());
+        A.echo ~mode:`Concurrent ~copier:1 ~target:3);
       ("reveal-withhold", co,
         A.reveal_withhold co ~corrupt:[ 4 ] ~reveal_round:(fun _ -> 1)
           ~reveal_tag_prefix:"co-open" ~honest_probe:A.probe_commit_open_parity);
@@ -552,7 +551,6 @@ let () =
         [
           Alcotest.test_case "echo order assert" `Quick test_echo_requires_order;
           Alcotest.test_case "substitute constant" `Quick test_substitute_constant;
-          Alcotest.test_case "negating echo" `Quick test_negating_echo;
           Alcotest.test_case "lazy view = eager lists" `Quick test_lazy_view_matches_eager;
         ] );
     ]

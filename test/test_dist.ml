@@ -8,14 +8,23 @@ open Sb_dist
 let feps = 1e-9
 let check_float msg expected actual = Alcotest.(check (float feps)) msg expected actual
 
+(* Mass by index, read off [Dist.prob]; the marginal P(x_i = 1) is the
+   one-coordinate projection's mass at 1. *)
+let prob_idx d i = Dist.prob d (Bitvec.of_int (Dist.n d) i)
+let marginal d i = (Dist.proj_pmf d [ i ]).(1)
+
+(* A battery entry by its ensemble name. *)
+let entry name n =
+  List.find (fun e -> e.Family.ensemble.Ensemble.name = name) (Family.battery n)
+
 (* --- basic pmf machinery ------------------------------------------- *)
 
 let test_pmf_normalises () =
   let d = Dist.of_pmf 2 [| 1.0; 1.0; 2.0; 0.0 |] in
-  check_float "p(00)" 0.25 (Dist.prob_idx d 0);
-  check_float "p(01)" 0.25 (Dist.prob_idx d 1);
-  check_float "p(10)" 0.5 (Dist.prob_idx d 2);
-  check_float "p(11)" 0.0 (Dist.prob_idx d 3)
+  check_float "p(00)" 0.25 (prob_idx d 0);
+  check_float "p(01)" 0.25 (prob_idx d 1);
+  check_float "p(10)" 0.5 (prob_idx d 2);
+  check_float "p(11)" 0.0 (prob_idx d 3)
 
 let test_pmf_rejects_bad () =
   Alcotest.check_raises "negative mass" (Invalid_argument "Dist.of_pmf: bad mass") (fun () ->
@@ -38,8 +47,8 @@ let test_bernoulli_product () =
   let d = Dist.bernoulli_product [| 0.5; 0.25 |] in
   check_float "p(00)" 0.375 (Dist.prob d (Bitvec.of_string "00"));
   check_float "p(11)" 0.125 (Dist.prob d (Bitvec.of_string "11"));
-  check_float "marginal 0" 0.5 (Dist.marginals d).(0);
-  check_float "marginal 1" 0.25 (Dist.marginals d).(1)
+  check_float "marginal 0" 0.5 (marginal d 0);
+  check_float "marginal 1" 0.25 (marginal d 1)
 
 (* Pinned per-entry construction of a product table: entry idx is the
    left fold ((1.0 *. f_0) *. f_1) ... *. f_{n-1} over its bits,
@@ -90,8 +99,8 @@ let check_product_bits name p =
   let mass = Ref_product.mass p in
   Array.iteri
     (fun i m ->
-      if Int64.bits_of_float m <> Int64.bits_of_float (Dist.prob_idx d i) then
-        Alcotest.failf "%s: entry %d is %h, reference %h" name i (Dist.prob_idx d i) m)
+      if Int64.bits_of_float m <> Int64.bits_of_float (prob_idx d i) then
+        Alcotest.failf "%s: entry %d is %h, reference %h" name i (prob_idx d i) m)
     mass;
   let cdf = Ref_product.cdf mass in
   let rng_lib = Rng.create 4242 and rng_ref = Rng.create 4242 in
@@ -140,10 +149,9 @@ let test_product_vs_table_oracle () =
     in
     let ctx = Printf.sprintf "n=%d" n in
     let d = Dist.bernoulli_product p and oracle = Dist.of_pmf n (Ref_product.raw p) in
-    check_floats (ctx ^ " prob_idx") (Array.init (1 lsl n) (Dist.prob_idx oracle))
-      (Array.init (1 lsl n) (Dist.prob_idx d));
+    check_floats (ctx ^ " prob_idx") (Array.init (1 lsl n) (prob_idx oracle))
+      (Array.init (1 lsl n) (prob_idx d));
     check_floats (ctx ^ " pmf") (Dist.pmf oracle) (Dist.pmf d);
-    check_floats (ctx ^ " marginals") (Dist.marginals oracle) (Dist.marginals d);
     check_floats (ctx ^ " local_gap") [| Dist.local_gap oracle |] [| Dist.local_gap d |];
     let other = Dist.markov n ~flip:0.3 in
     check_floats (ctx ^ " tvd")
@@ -165,20 +173,20 @@ let test_uniform_vs_table_oracle () =
   done
 
 let test_xor_parity () =
-  let d = Dist.xor_parity ~even:true 3 in
+  let d = Dist.xor_parity 3 in
   List.iter
     (fun v ->
       let expected = if Bitvec.parity v then 0.0 else 0.25 in
       check_float (Bitvec.to_string v) expected (Dist.prob d v))
     (Bitvec.all 3);
   (* Marginals are uniform even though the joint is far from it. *)
-  Array.iter (fun m -> check_float "uniform marginal" 0.5 m) (Dist.marginals d)
+  List.iter (fun i -> check_float "uniform marginal" 0.5 (marginal d i)) [ 0; 1; 2 ]
 
 let test_copy_pair () =
   let d = Dist.copy_pair 3 in
   check_float "p(x0=x1=0)" 0.25 (Dist.prob d (Bitvec.of_string "000"));
   check_float "p(x0<>x1)" 0.0 (Dist.prob d (Bitvec.of_string "100"));
-  check_float "marginal" 0.5 (Dist.marginals d).(0)
+  check_float "marginal" 0.5 (marginal d 0)
 
 let test_noisy_copy_limits () =
   (* flip = 0.5 must be exactly uniform. *)
@@ -190,13 +198,6 @@ let test_mixture () =
   let d = Dist.mixture [ (0.5, Dist.uniform 2); (0.5, Dist.singleton (Bitvec.of_string "11")) ] in
   check_float "p(11)" 0.625 (Dist.prob d (Bitvec.of_string "11"));
   check_float "p(00)" 0.125 (Dist.prob d (Bitvec.of_string "00"))
-
-let test_conditioned () =
-  let d = Dist.conditioned (Dist.uniform 3) ~on:(fun v -> Bitvec.get v 0) in
-  check_float "p given x0=1" 0.25 (Dist.prob d (Bitvec.of_string "100"));
-  check_float "excluded" 0.0 (Dist.prob d (Bitvec.of_string "000"));
-  Alcotest.check_raises "empty event" (Invalid_argument "Dist.conditioned: zero-mass event")
-    (fun () -> ignore (Dist.conditioned (Dist.uniform 2) ~on:(fun _ -> false)))
 
 let test_proj_pmf () =
   let d = Dist.copy_pair 3 in
@@ -220,7 +221,7 @@ let test_cond_proj_pmf () =
 let test_tvd () =
   check_float "tvd self" 0.0 (Dist.tvd (Dist.uniform 3) (Dist.uniform 3));
   check_float "tvd parity vs uniform" 0.5
-    (Dist.tvd (Dist.xor_parity ~even:true 3) (Dist.uniform 3));
+    (Dist.tvd (Dist.xor_parity 3) (Dist.uniform 3));
   check_float "tvd disjoint singletons" 1.0
     (Dist.tvd (Dist.singleton (Bitvec.zero 2)) (Dist.singleton (Bitvec.of_string "11")))
 
@@ -235,7 +236,7 @@ let test_sampling_agrees_with_pmf () =
   done;
   Array.iteri
     (fun i c ->
-      let expected = Dist.prob_idx d i in
+      let expected = prob_idx d i in
       let observed = float_of_int c /. float_of_int trials in
       Alcotest.(check bool)
         (Printf.sprintf "cell %d within 3 sigma" i)
@@ -253,7 +254,7 @@ let test_local_gap_zero_on_products () =
 let test_local_gap_on_correlated () =
   (* xor-parity: conditioned on the others, the last bit is
      deterministic: gap 1/2 against its uniform marginal. *)
-  check_float "xor parity gap" 0.5 (Dist.local_gap (Dist.xor_parity ~even:true 3));
+  check_float "xor parity gap" 0.5 (Dist.local_gap (Dist.xor_parity 3));
   check_float "copy gap" 0.5 (Dist.local_gap (Dist.copy_pair 3))
 
 (* The per-w definition Dist.local_gap computed before it bucketed the
@@ -278,7 +279,7 @@ let oracle_local_gap d =
                   if gap > !worst then worst := gap)
                 cond)
         (Bitvec.all n))
-    (Subset.all_nonempty_proper n);
+    (List.filter (fun b -> b <> []) (Subset.all_up_to n (n - 1)));
   !worst
 
 let check_bit_exact what d =
@@ -318,7 +319,7 @@ let test_local_gap_random_bit_exact () =
 let test_independence_gap () =
   check_float "product" 0.0 (Dist.independence_gap (Dist.product 0.3 3));
   Alcotest.(check bool) "parity gap = 1/2" true
-    (Float.abs (Dist.independence_gap (Dist.xor_parity ~even:true 3) -. 0.5) < feps)
+    (Float.abs (Dist.independence_gap (Dist.xor_parity 3) -. 0.5) < feps)
 
 let qcheck_products_locally_independent =
   QCheck.Test.make ~name:"random products have zero local gap" ~count:30
@@ -382,7 +383,7 @@ let test_hierarchy_strictness_witnesses () =
   Alcotest.(check bool) "almost-uniform in psi_L" true almost.Classes.psi_l;
   Alcotest.(check bool) "almost-uniform not independent" false almost.Classes.independent;
   (* all correlated outside psi_C. *)
-  let parity = v_of (Family.xor_parity 4) in
+  let parity = v_of (entry "xor-parity" 4) in
   Alcotest.(check bool) "xor-parity outside psi_C" false parity.Classes.psi_c
 
 let test_new_families () =
@@ -402,7 +403,7 @@ let test_new_families () =
     [ Dist.markov 4 ~flip:0.2; Dist.one_hot 4; Dist.all_equal 4 ]
 
 let test_classify_reports_grid () =
-  let v = Classes.classify (Family.uniform 3).Family.ensemble in
+  let v = Classes.classify (entry "uniform" 3).Family.ensemble in
   Alcotest.(check int) "grid size" (List.length Ensemble.default_ks)
     (List.length v.Classes.local_gaps)
 
@@ -424,7 +425,6 @@ let () =
           Alcotest.test_case "copy pair" `Quick test_copy_pair;
           Alcotest.test_case "noisy copy limits" `Quick test_noisy_copy_limits;
           Alcotest.test_case "mixture" `Quick test_mixture;
-          Alcotest.test_case "conditioned" `Quick test_conditioned;
           Alcotest.test_case "projection" `Quick test_proj_pmf;
           Alcotest.test_case "conditional projection" `Quick test_cond_proj_pmf;
           Alcotest.test_case "tvd" `Quick test_tvd;

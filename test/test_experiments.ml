@@ -6,6 +6,14 @@
 
 let setup = Core.Setup.{ default with samples = 2500 }
 
+(* An experiment, run by id through the catalogue. *)
+let run id setup = (Option.get (Core.Experiments.find id)).Core.Experiments.run setup
+
+(* E8 and E16 ignore the setup and sweep their full default sizes; one
+   run of each serves the claim checks, the details and the pins. *)
+let e8 = lazy (run "E8" setup)
+let e16 = lazy (run "E16" setup)
+
 let csv_md5 (o : Core.Experiments.outcome) =
   Digest.to_hex (Digest.string (Sb_util.Tabular.to_csv o.Core.Experiments.table))
 
@@ -28,7 +36,7 @@ let test_headline_at_n7 () =
   let setup7 = Core.Setup.{ default with n = 7; thresh = 3; samples = 3000 } in
   let astar = Core.Adversaries.a_star ~corrupt:(5, 6) in
   let p = Sb_protocols.Pi_g.protocol in
-  let cr = Core.Cr_test.run setup7 ~protocol:p ~adversary:astar ~dist:(Sb_dist.Dist.uniform 7) () in
+  let cr = Core.Cr_test.run setup7 ~protocol:p ~adversary:astar ~dist:(Sb_dist.Dist.uniform 7) in
   Alcotest.(check string) "CR fails" "FAIL" (Sb_stats.Verdict.to_string cr.Core.Cr_test.verdict);
   (match cr.Core.Cr_test.worst with
   | Some w ->
@@ -57,7 +65,7 @@ let test_seed_stability () =
       let s = Core.Setup.{ default with samples = 1500; seed } in
       let astar = Core.Adversaries.a_star ~corrupt:(3, 4) in
       let cr =
-        Core.Cr_test.run s ~protocol:Sb_protocols.Pi_g.protocol ~adversary:astar ~dist:uniform ()
+        Core.Cr_test.run s ~protocol:Sb_protocols.Pi_g.protocol ~adversary:astar ~dist:uniform
       in
       Alcotest.(check string)
         (Printf.sprintf "pi-g CR fails (seed %d)" seed)
@@ -65,7 +73,7 @@ let test_seed_stability () =
         (Sb_stats.Verdict.to_string cr.Core.Cr_test.verdict);
       let p = Sb_protocols.Gennaro.protocol in
       let semi = Core.Adversaries.semi_honest p ~corrupt:[ 3; 4 ] in
-      let cr' = Core.Cr_test.run s ~protocol:p ~adversary:semi ~dist:uniform () in
+      let cr' = Core.Cr_test.run s ~protocol:p ~adversary:semi ~dist:uniform in
       Alcotest.(check bool)
         (Printf.sprintf "gennaro CR never fails (seed %d)" seed)
         true
@@ -90,11 +98,11 @@ let test_e2_e3_table_pins () =
           Alcotest.(check string)
             (Printf.sprintf "E2 csv md5 (jobs %d)" jobs)
             "bcf00aac0538038b44f46db6a2e016ba"
-            (csv_md5 (Core.Experiments.e2_cr_unachievable s));
+            (csv_md5 (run "E2" s));
           Alcotest.(check string)
             (Printf.sprintf "E3 csv md5 (jobs %d)" jobs)
             "545a528afa7e06d971f387f9270db6cc"
-            (csv_md5 (Core.Experiments.e3_g_unachievable s))))
+            (csv_md5 (run "E3" s))))
     [ 1; 2 ]
 
 (* E1's table (it draws no samples, so the quick tier is the full
@@ -103,7 +111,7 @@ let test_e2_e3_table_pins () =
    against the per-w definition. *)
 let test_e1_table_pin () =
   Alcotest.(check string) "E1 csv md5" "734ab5b27b00661e48816ede4d2f0f23"
-    (csv_md5 (Core.Experiments.e1_distribution_classes ()))
+    (csv_md5 (run "E1" Core.Setup.default))
 
 (* E17's quick table (n = 128, 256) with the wall-clock [ms] column
    stripped, recorded before the large-n round pipeline stopped
@@ -129,7 +137,7 @@ let strip_ms row =
   | [] -> row
 
 let test_e17_table_pin () =
-  let o = Core.Experiments.e17_scaling Core.Setup.(with_samples 800 default) in
+  let o = run "E17" Core.Setup.(with_samples 800 default) in
   let rows = String.split_on_char '\n' (Sb_util.Tabular.to_csv o.Core.Experiments.table) in
   Alcotest.(check (list string)) "E17 quick table without ms" e17_quick_pin
     (List.map strip_ms (List.filteri (fun i _ -> i < List.length e17_quick_pin) rows))
@@ -140,18 +148,42 @@ let test_e17_table_pin () =
    must leave every count and byte total in place. *)
 let test_e8_e16_table_pins () =
   Alcotest.(check string) "E8 csv md5" "d6994c29ecb711c7ad5a42493bb01d48"
-    (csv_md5 (Core.Experiments.e8_complexity ()));
-  let e16 = Core.Experiments.e16_wire_complexity () in
-  let rows = String.split_on_char '\n' (Sb_util.Tabular.to_csv e16.Core.Experiments.table) in
+    (csv_md5 (Lazy.force e8));
+  let rows =
+    String.split_on_char '\n' (Sb_util.Tabular.to_csv (Lazy.force e16).Core.Experiments.table)
+  in
   Alcotest.(check string) "E16 csv md5 without ms" "ad60e112f29db020ccd3e91e5e63cbf8"
     (Digest.to_hex (Digest.string (String.concat "\n" (List.map strip_ms rows))))
 
 let test_e8_monotone_details () =
-  (* Beyond the built-in shape checks: message complexity of the p2p
-     instantiation grows superlinearly while the broadcast-channel
-     protocols stay linear in broadcasts. *)
-  let o = Core.Experiments.e8_complexity ~ns:[ 4; 16 ] () in
-  Alcotest.(check bool) "shape checks hold" true o.Core.Experiments.ok
+  (* Beyond the built-in shape checks, which read only rounds: the p2p
+     instantiations use no broadcast channel and their message count
+     grows faster than n^2 from n = 4 to 64, while naive-sequential
+     sends exactly n broadcasts and nothing point-to-point. *)
+  let rows =
+    String.split_on_char '\n' (Sb_util.Tabular.to_csv (Lazy.force e8).Core.Experiments.table)
+    |> List.map (String.split_on_char ',')
+  in
+  let msgs label n =
+    let is_row = function l :: n' :: _ -> l = label && n' = string_of_int n | _ -> false in
+    match List.find_opt is_row rows with
+    | Some [ _; _; _; p2p; bc ] -> (int_of_string p2p, int_of_string bc)
+    | _ -> Alcotest.failf "E8 has no row %s at n = %d" label n
+  in
+  List.iter
+    (fun label ->
+      let p2p4, bc4 = msgs label 4 and p2p64, bc64 = msgs label 64 in
+      Alcotest.(check (pair int int)) (label ^ " broadcasts") (0, 0) (bc4, bc64);
+      Alcotest.(check bool) (label ^ " grows faster than n^2") true (p2p64 > 256 * p2p4))
+    [
+      "seq-dolev-strong (p2p)"; "conc-send-echo (p2p)"; "conc-phase-king (p2p)";
+      "conc-bracha (p2p)";
+    ];
+  List.iter
+    (fun n ->
+      Alcotest.(check (pair int int)) (Printf.sprintf "naive-sequential at n = %d" n) (0, n)
+        (msgs "naive-sequential" n))
+    [ 4; 8; 16; 32; 64 ]
 
 let () =
   Alcotest.run "experiments"
@@ -159,42 +191,37 @@ let () =
       ( "paper-claims",
         [
           Alcotest.test_case "E1 distribution classes" `Quick
-            (check_outcome "E1" (fun () -> Core.Experiments.e1_distribution_classes ~n:5 ()));
+            (check_outcome "E1" (fun () -> run "E1" setup));
           Alcotest.test_case "E2 CR unachievable" `Slow
-            (check_outcome "E2" (fun () -> Core.Experiments.e2_cr_unachievable setup));
+            (check_outcome "E2" (fun () -> run "E2" setup));
           Alcotest.test_case "E3 G unachievable" `Slow
-            (check_outcome "E3" (fun () -> Core.Experiments.e3_g_unachievable setup));
+            (check_outcome "E3" (fun () -> run "E3" setup));
           Alcotest.test_case "E4 feasibility" `Slow
-            (check_outcome "E4" (fun () -> Core.Experiments.e4_feasibility setup));
+            (check_outcome "E4" (fun () -> run "E4" setup));
           Alcotest.test_case "E5 Pi_G separation" `Slow
-            (check_outcome "E5" (fun () -> Core.Experiments.e5_pi_g_separation setup));
+            (check_outcome "E5" (fun () -> run "E5" setup));
           Alcotest.test_case "E6 singleton trivial for CR" `Slow
-            (check_outcome ~md5:"d243f203072b8a3109a5d09805ed33a5" "E6" (fun () ->
-                 Core.Experiments.e6_singleton_trivial setup));
+            (check_outcome ~md5:"d243f203072b8a3109a5d09805ed33a5" "E6" (fun () -> run "E6" setup));
           Alcotest.test_case "E7 implications" `Slow
-            (check_outcome "E7" (fun () -> Core.Experiments.e7_implications setup));
+            (check_outcome "E7" (fun () -> run "E7" setup));
           Alcotest.test_case "E8 complexity" `Quick
-            (check_outcome "E8" (fun () -> Core.Experiments.e8_complexity ()));
+            (check_outcome "E8" (fun () -> Lazy.force e8));
           Alcotest.test_case "E10 G** agreement" `Slow
-            (check_outcome ~md5:"cad2b12cc26400c2664e4d0696830c9c" "E10" (fun () ->
-                 Core.Experiments.e10_gss_agreement setup));
+            (check_outcome ~md5:"cad2b12cc26400c2664e4d0696830c9c" "E10" (fun () -> run "E10" setup));
           Alcotest.test_case "E11 echo attack" `Slow
-            (check_outcome "E11" (fun () -> Core.Experiments.e11_echo_attack setup));
+            (check_outcome "E11" (fun () -> run "E11" setup));
           Alcotest.test_case "E12 reveal ablation" `Slow
-            (check_outcome "E12" (fun () -> Core.Experiments.e12_reveal_ablation setup));
+            (check_outcome "E12" (fun () -> run "E12" setup));
           Alcotest.test_case "E13 sandbox simulation" `Slow
-            (check_outcome "E13" (fun () -> Core.Experiments.e13_simulation setup));
+            (check_outcome "E13" (fun () -> run "E13" setup));
           Alcotest.test_case "E14 figure 1" `Slow
-            (check_outcome "E14" (fun () -> Core.Experiments.e14_figure1 setup));
+            (check_outcome "E14" (fun () -> run "E14" setup));
           Alcotest.test_case "E15 fault resilience" `Slow
-            (check_outcome ~md5:"9aba31b3c8709e07595f5105e3ad60ed" "E15" (fun () ->
-                 Core.Experiments.e15_fault_resilience setup));
+            (check_outcome ~md5:"9aba31b3c8709e07595f5105e3ad60ed" "E15" (fun () -> run "E15" setup));
           Alcotest.test_case "E16 wire complexity" `Quick
-            (check_outcome "E16" (fun () ->
-                 Core.Experiments.e16_wire_complexity ~ns:[ 4; 16 ] ()));
+            (check_outcome "E16" (fun () -> Lazy.force e16));
           Alcotest.test_case "E17 scaling (quick)" `Quick
-            (check_outcome "E17" (fun () ->
-                 Core.Experiments.e17_scaling Core.Setup.(with_samples 800 default)));
+            (check_outcome "E17" (fun () -> run "E17" Core.Setup.(with_samples 800 default)));
         ] );
       ("e8-details", [ Alcotest.test_case "message growth" `Quick test_e8_monotone_details ]);
       ( "table-pins",

@@ -63,6 +63,10 @@ let test_plan_parse_errors () =
       "crash";             (* no ':' *)
     ]
 
+(* A plan written in the --faults grammar, which the parser accepts
+   before validation sees it. *)
+let parsed s = match Plan.of_string s with Ok p -> p | Error e -> Alcotest.failf "%S: %s" s e
+
 let test_plan_validate_errors () =
   List.iter
     (fun plan ->
@@ -75,8 +79,8 @@ let test_plan_validate_errors () =
       [ Plan.drop 1.5 ];
       [ Plan.drop ~src:9 0.5 ];
       [ Plan.delay 0 ];
-      [ Plan.partition ~groups:[ [ 0; 1 ]; [ 1; 2 ] ] ~first:0 ~last:3 ];
-      [ Plan.partition ~groups:[ [ 0 ]; [ 1 ] ] ~first:3 ~last:1 ];
+      parsed "part:0,1|1,2@0-3";
+      parsed "part:0|1@3-1";
     ]
 
 (* --- interceptor semantics ----------------------------------------- *)
@@ -140,7 +144,7 @@ let test_round_scoped_drop_and_delay () =
   Alcotest.(check bool) "released one round later" true (g ~round:2 [] = [ e ])
 
 let test_partition_window () =
-  let f = interceptor [ Plan.partition ~groups:[ [ 0; 1 ] ] ~first:1 ~last:2 ] in
+  let f = Inject.compile ~n:5 (parsed "part:0,1|4@1-2") ~rng:(Sb_util.Rng.create 11) in
   (* Parties 2 and 3 are unlisted: they form the implicit other side. *)
   let cross = p2p ~src:0 ~dst:2 and inside = p2p ~src:0 ~dst:1 and far = p2p ~src:2 ~dst:3 in
   Alcotest.(check int) "window closed before" 3 (List.length (f ~round:0 [ cross; inside; far ]));

@@ -15,6 +15,7 @@ let fresh_rng () =
 let make_ctx ?(n = 5) ?(thresh = 2) () = Ctx.make ~rng:(fresh_rng ()) ~n ~thresh ~k:8 ()
 
 let fe = Alcotest.testable (fun fmt x -> Field.pp fmt x) Field.equal
+let fe_of_bool b = Field.of_int (Bool.to_int b)
 
 (* --- circuits ------------------------------------------------------- *)
 
@@ -37,16 +38,16 @@ let test_circuit_bit_algebra () =
   let a = Circuit.input c ~party:0 in
   let b = Circuit.input c ~party:0 in
   Circuit.output c (Circuit.bit_xor c a b);
-  Circuit.output c (Circuit.bit_and c a b);
+  Circuit.output c (Circuit.mul c a b);
   Circuit.output c (Circuit.bit_not c a);
   List.iter
     (fun (x, y) ->
       let out =
-        Circuit.eval_plain c ~inputs:[| [ Field.of_bool x; Field.of_bool y ] |]
+        Circuit.eval_plain c ~inputs:[| [ fe_of_bool x; fe_of_bool y ] |]
       in
       Alcotest.(check (list fe))
         (Printf.sprintf "bits %b %b" x y)
-        [ Field.of_bool (x <> y); Field.of_bool (x && y); Field.of_bool (not x) ]
+        [ fe_of_bool (x <> y); fe_of_bool (x && y); fe_of_bool (not x) ]
         out)
     [ (false, false); (false, true); (true, false); (true, true) ]
 
@@ -56,9 +57,9 @@ let test_circuit_xor_fold () =
   Circuit.output c (Circuit.xor_fold c ws);
   for v = 0 to 31 do
     let bits = List.init 5 (fun i -> (v lsr i) land 1 = 1) in
-    let out = Circuit.eval_plain c ~inputs:[| List.map Field.of_bool bits |] in
+    let out = Circuit.eval_plain c ~inputs:[| List.map fe_of_bool bits |] in
     let expected = List.fold_left ( <> ) false bits in
-    Alcotest.(check (list fe)) (string_of_int v) [ Field.of_bool expected ] out
+    Alcotest.(check (list fe)) (string_of_int v) [ fe_of_bool expected ] out
   done
 
 let test_circuit_layers () =
@@ -87,7 +88,7 @@ let demo_circuit n =
   Circuit.output c (Circuit.xor_fold c xs);
   (match xs with
   | a :: b :: _ ->
-      Circuit.output c (Circuit.bit_and c a b);
+      Circuit.output c (Circuit.mul c a b);
       Circuit.output c (Circuit.add c a (Circuit.scale c (Field.of_int 2) b))
   | _ -> assert false);
   c
@@ -96,7 +97,7 @@ let run_bgw ?(n = 5) ?(thresh = 2) circuit inputs_bits =
   let protocol =
     Bgw.protocol ~name:"bgw-test" ~circuit
       ~encode:(fun ~rng:_ ~id:_ input ->
-        [ (match input with Msg.Bit b -> Field.of_bool b | _ -> Field.zero) ])
+        [ (match input with Msg.Bit b -> fe_of_bool b | _ -> Field.zero) ])
       ~decode:(fun outs -> Msg.List (List.map (fun v -> Msg.Fe v) outs))
   in
   let ctx = make_ctx ~n ~thresh () in
@@ -118,7 +119,7 @@ let test_bgw_matches_plain () =
       let got = run_bgw c bits in
       let expected =
         Circuit.eval_plain c
-          ~inputs:(Array.of_list (List.map (fun b -> [ Field.of_bool b ]) bits))
+          ~inputs:(Array.of_list (List.map (fun b -> [ fe_of_bool b ]) bits))
       in
       Alcotest.(check (list fe)) (Printf.sprintf "input %d" v) expected got)
     [ 0; 1; 7; 21; 30; 31 ]
@@ -128,21 +129,27 @@ let test_bgw_thresholds () =
   let c5 = demo_circuit 5 in
   let expected =
     Circuit.eval_plain c5
-      ~inputs:(Array.of_list (List.map (fun b -> [ Field.of_bool b ]) [ true; true; false; true; false ]))
+      ~inputs:(Array.of_list (List.map (fun b -> [ fe_of_bool b ]) [ true; true; false; true; false ]))
   in
   Alcotest.(check (list fe)) "t=1" expected (run_bgw ~thresh:1 c5 [ true; true; false; true; false ]);
   Alcotest.(check (list fe)) "t=2" expected (run_bgw ~thresh:2 c5 [ true; true; false; true; false ]);
   let c3 = demo_circuit 3 in
   let expected3 =
     Circuit.eval_plain c3
-      ~inputs:(Array.of_list (List.map (fun b -> [ Field.of_bool b ]) [ true; false; true ]))
+      ~inputs:(Array.of_list (List.map (fun b -> [ fe_of_bool b ]) [ true; false; true ]))
   in
   Alcotest.(check (list fe)) "n=3 t=1" expected3
     (run_bgw ~n:3 ~thresh:1 c3 [ true; false; true ])
 
 let test_bgw_round_count () =
   let c = demo_circuit 5 in
-  Alcotest.(check int) "rounds = 2 + layers" (2 + Circuit.layers c) (Bgw.rounds c)
+  let p =
+    Bgw.protocol ~name:"round-count" ~circuit:c
+      ~encode:(fun ~rng:_ ~id:_ _ -> [])
+      ~decode:(fun _ -> Msg.Unit)
+  in
+  Alcotest.(check int) "rounds = 2 + layers" (2 + Circuit.layers c)
+    (p.Protocol.rounds (make_ctx ()))
 
 let qcheck_bgw_random_circuits =
   (* Random linear+mult circuits over 3 parties, compared to plain
@@ -171,7 +178,7 @@ let qcheck_bgw_random_circuits =
       let bits = List.init n (fun i -> (v lsr i) land 1 = 1) in
       let expected =
         Circuit.eval_plain c
-          ~inputs:(Array.of_list (List.map (fun b -> [ Field.of_bool b ]) bits))
+          ~inputs:(Array.of_list (List.map (fun b -> [ fe_of_bool b ]) bits))
       in
       let got = run_bgw ~n ~thresh:1 c bits in
       List.for_all2 Field.equal expected got)
@@ -193,9 +200,9 @@ let test_theta_circuit_matches_g () =
               let inputs =
                 Array.init n (fun i ->
                     [
-                      Field.of_bool ((xv lsr i) land 1 = 1);
-                      Field.of_bool ((bv lsr i) land 1 = 1);
-                      Field.of_bool (i = 0 && coin);
+                      fe_of_bool ((xv lsr i) land 1 = 1);
+                      fe_of_bool ((bv lsr i) land 1 = 1);
+                      fe_of_bool (i = 0 && coin);
                     ])
               in
               let got = Circuit.eval_plain c ~inputs in
@@ -203,7 +210,7 @@ let test_theta_circuit_matches_g () =
               let expected = Sb_protocols.Theta.g ~r:coin v in
               Alcotest.(check (list fe))
                 (Printf.sprintf "x=%d b=%d r=%b" xv bv coin)
-                (Array.to_list (Array.map Field.of_bool expected))
+                (Array.to_list (Array.map fe_of_bool expected))
                 got)
             [ false; true ])
         [ 0; 1; 3; 5; 9; 15 ])

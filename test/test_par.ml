@@ -184,9 +184,11 @@ let test_pedersen_jobs_invariant () =
 let test_testers_jobs_invariant () =
   let dist = Sb_dist.Dist.uniform setup.Core.Setup.n in
   let run_all () =
-    let cr = Core.Cr_test.run setup ~protocol ~adversary ~dist () in
+    let cr = Core.Cr_test.run setup ~protocol ~adversary ~dist in
     let g = Core.G_test.run setup ~protocol ~adversary ~dist () in
-    let gss = Core.Gss_test.run setup ~protocol ~adversary ~runs_per_point:200 () in
+    let gss =
+      Core.Gss_test.run (Core.Setup.with_samples 200 setup) ~protocol ~adversary ()
+    in
     (cr.Core.Cr_test.findings, cr.Core.Cr_test.verdict, g.Core.G_test.findings,
      g.Core.G_test.verdict, gss.Core.Gss_test.findings, gss.Core.Gss_test.verdict)
   in

@@ -484,8 +484,33 @@ let test_compiler_epoch_count () =
   | _ -> Alcotest.fail "bad output"
 
 let test_compiler_window () =
-  Alcotest.(check (pair int int)) "epoch 2 over 4-round base" (10, 14)
-    (Sb_protocols.Compiler.epoch_window ~base_rounds:4 ~epoch:2)
+  (* Epoch e of a compiled program owns network rounds
+     [e * (base + 1), e * (base + 1) + base]: over Gennaro's 4 rounds,
+     epoch 2's honest traffic starts at round 10 and stays within
+     (10, 14), and epoch 3's starts at 15. *)
+  let program = Sb_protocols.Compiler.xor_coin_program ~rounds:4 in
+  let p = Sb_protocols.Compiler.compile program ~using:Sb_protocols.Gennaro.protocol in
+  let ctx = make_ctx () in
+  let r =
+    Network.honest_run ctx ~rng:(fresh_rng ()) ~protocol:p ~inputs:(Array.make 5 (Msg.Bit true))
+  in
+  let rounds epoch =
+    let tag = "epoch:" ^ string_of_int epoch in
+    List.filter_map
+      (fun (rr : Sb_sim.Trace.round_record) ->
+        if
+          List.exists
+            (fun (e : Envelope.t) ->
+              match e.Envelope.body with Msg.Tag (t, _) -> String.equal t tag | _ -> false)
+            rr.Sb_sim.Trace.honest_sent
+        then Some rr.Sb_sim.Trace.round
+        else None)
+      r.Network.trace
+  in
+  let first l = List.fold_left min max_int l and last l = List.fold_left max min_int l in
+  Alcotest.(check int) "epoch 2 starts at 10" 10 (first (rounds 2));
+  Alcotest.(check bool) "epoch 2 ends by 14" true (last (rounds 2) <= 14);
+  Alcotest.(check int) "epoch 3 starts at 15" 15 (first (rounds 3))
 
 let test_compiler_semi_honest_matches () =
   (* Semi-honest corruption must not change the coins either. *)

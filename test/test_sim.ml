@@ -28,17 +28,10 @@ let make_ctx ?(n = 4) ?(thresh = 1) ?(k = 8) () =
 let test_msg_roundtrips () =
   let v = Sb_util.Bitvec.of_string "1011" in
   Alcotest.(check bool) "bitvec roundtrip" true
-    (Sb_util.Bitvec.equal v (Msg.to_bitvec_exn (Msg.of_bitvec v)));
+    (Sb_util.Bitvec.equal v
+       (Msg.to_bitvec_exn (Msg.bits (Array.to_list (Sb_util.Bitvec.to_bools v)))));
   Alcotest.(check bool) "bit" true (Msg.to_bit_exn (Msg.Bit true));
-  Alcotest.(check int) "int" 42 (Msg.to_int_exn (Msg.Int 42));
-  Alcotest.(check string) "str" "x" (Msg.to_str_exn (Msg.Str "x"))
-
-let test_msg_untag () =
-  let m = Msg.Tag ("commit", Msg.Int 3) in
-  Alcotest.(check int) "untag" 3 (Msg.to_int_exn (Msg.untag_exn "commit" m));
-  Alcotest.check_raises "wrong tag"
-    (Invalid_argument "Msg.untag_exn open: commit(3)") (fun () ->
-      ignore (Msg.untag_exn "open" m))
+  Alcotest.(check int) "int" 42 (Msg.to_int_exn (Msg.Int 42))
 
 let test_msg_serialize_injective_samples () =
   (* A few adversarially close pairs. *)
@@ -54,7 +47,7 @@ let test_msg_serialize_injective_samples () =
   List.iter
     (fun (a, b) ->
       Alcotest.(check bool)
-        (Msg.to_string a ^ " vs " ^ Msg.to_string b)
+        (Format.asprintf "%a" Msg.pp a ^ " vs " ^ Format.asprintf "%a" Msg.pp b)
         false
         (String.equal (Msg.serialize a) (Msg.serialize b)))
     pairs
@@ -101,7 +94,7 @@ let gen_msg_full =
               map (fun i -> Msg.Int i) (oneofl boundary_ints);
               map (fun s -> Msg.Str s) small_string;
               map (fun i -> Msg.Fe (Sb_crypto.Field.of_int i)) (0 -- (Sb_crypto.Field.p - 1));
-              map (fun k -> Msg.Ge (Sb_crypto.Modgroup.pow_int Sb_crypto.Modgroup.g k))
+              map (fun k -> Msg.Ge (Sb_crypto.Modgroup.pow Sb_crypto.Modgroup.g (Sb_crypto.Field.of_int k)))
                 (0 -- 200);
             ]
         else
@@ -135,7 +128,7 @@ let test_msg_compare_pinned_order () =
   let rec strictly_ascending = function
     | a :: (b :: _ as rest) ->
         Alcotest.(check bool)
-          (Msg.to_string a ^ " < " ^ Msg.to_string b)
+          (Format.asprintf "%a" Msg.pp a ^ " < " ^ Format.asprintf "%a" Msg.pp b)
           true
           (Msg.compare a b < 0 && Msg.compare b a > 0);
         strictly_ascending rest
@@ -193,7 +186,7 @@ let rec printf_serialize m =
   | Msg.Unit -> "u"
   | Msg.Bit b -> if b then "b1" else "b0"
   | Msg.Int i -> with_len 'i' (string_of_int i)
-  | Msg.Fe f -> with_len 'f' (Sb_crypto.Field.to_string f)
+  | Msg.Fe f -> with_len 'f' (string_of_int (Sb_crypto.Field.to_int f))
   | Msg.Ge g -> with_len 'g' (string_of_int (Sb_crypto.Modgroup.to_int g))
   | Msg.Str s -> with_len 's' s
   | Msg.List l ->
@@ -220,7 +213,7 @@ let codec_corpus =
         Msg.Fe (F.of_int 1);
         Msg.Fe (F.of_int (F.p - 1));
         Msg.Ge G.g;
-        Msg.Ge (G.pow_int G.g 12345);
+        Msg.Ge (G.pow G.g (Sb_crypto.Field.of_int 12345));
         Msg.Str "";
         Msg.Str "x";
         Msg.Str "\000:e\255s3:";
@@ -257,8 +250,8 @@ let test_msg_codec_pin () =
   List.iter
     (fun m ->
       let s = Msg.serialize m in
-      Alcotest.(check int) ("size_bytes " ^ Msg.to_string m) (String.length s) (Msg.size_bytes m);
-      Alcotest.(check bool) ("round-trip " ^ Msg.to_string m) true
+      Alcotest.(check int) ("size_bytes " ^ Format.asprintf "%a" Msg.pp m) (String.length s) (Msg.size_bytes m);
+      Alcotest.(check bool) ("round-trip " ^ Format.asprintf "%a" Msg.pp m) true
         (Option.fold ~none:false ~some:(Msg.equal m) (Msg.deserialize s)))
     codec_corpus;
   Alcotest.(check string) "min_int" "i20:-4611686018427387904" (Msg.serialize (Msg.Int min_int));
@@ -280,7 +273,7 @@ let test_envelope_addressing () =
   Alcotest.(check int) "to_all appends one record" 1 (Outbox.length out);
   let r = Outbox.get out 0 in
   Alcotest.(check int) "the record stands for 4 envelopes" 4 (Envelope.copies r);
-  Alcotest.(check bool) "not a broadcast" false (Envelope.is_broadcast r);
+  Alcotest.(check bool) "not a broadcast" false (Traffic.is_broadcast r);
   Alcotest.(check (list bool)) "delivered to parties 0..3 only"
     [ false; true; true; true; true; false ]
     (List.map (Envelope.delivered_to r) [ -1; 0; 1; 2; 3; 4 ]);
@@ -397,8 +390,8 @@ let sum_party f (trace : Trace.t) =
         acc (party_sent r))
     0 trace
 
-let if_bcast yes e = if Envelope.is_broadcast e then yes e else 0
-let if_p2p yes e = if Envelope.is_broadcast e then 0 else yes e
+let if_bcast yes e = if Traffic.is_broadcast e then yes e else 0
+let if_p2p yes e = if Traffic.is_broadcast e then 0 else yes e
 
 let comm_of_trace n (trace : Trace.t) =
   {
@@ -406,7 +399,7 @@ let comm_of_trace n (trace : Trace.t) =
     broadcast_bytes = sum_party (if_bcast Envelope.wire_size) trace;
     p2p_bytes = sum_party (if_p2p Envelope.wire_size) trace;
     deliveries =
-      sum_party (fun e -> if Envelope.is_broadcast e then n else 1) trace
+      sum_party (fun e -> if Traffic.is_broadcast e then n else 1) trace
       + List.fold_left (fun acc (r : Trace.round_record) -> acc + List.length r.Trace.func_sent) 0 trace;
   }
 
@@ -998,7 +991,7 @@ let test_broadcast_channel_semantics () =
           let step ~round ~inbox =
             List.iter
               (fun (e : Envelope.t) ->
-                if Envelope.is_broadcast e then got := e.Envelope.body :: !got)
+                if Traffic.is_broadcast e then got := e.Envelope.body :: !got)
               inbox;
             if round = 0 && id = 1 then [ Envelope.broadcast ~src:1 input ] else []
           in
@@ -1077,7 +1070,6 @@ let () =
       ( "msg",
         [
           Alcotest.test_case "roundtrips" `Quick test_msg_roundtrips;
-          Alcotest.test_case "untag" `Quick test_msg_untag;
           Alcotest.test_case "serialize injective samples" `Quick
             test_msg_serialize_injective_samples;
           QCheck_alcotest.to_alcotest qcheck_msg_equal_refl;
